@@ -137,11 +137,6 @@ def ad_matrix(alg: LieAlgebra, xi: Sequence) -> List[List]:
     return out
 
 
-def coad_matrix(alg: LieAlgebra, xi: Sequence) -> List[List]:
-    m = ad_matrix(alg, xi)
-    return [[-m[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
-
-
 def exp_adjoint(alg: LieAlgebra, xi: Sequence, tol: float = 1e-15):
     """Ad_{exp xi} = exp(ad_xi) and its coadjoint partner, numerically.
 

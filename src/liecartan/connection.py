@@ -44,18 +44,6 @@ class Representation:
     def matrix(mats, dim: int) -> "Representation":
         return Representation("matrix", mats, dim)
 
-    @staticmethod
-    def so_vector(h_diag: Sequence, pairs: List[Tuple[int, int]]) -> "Representation":
-        """so(s,h) acting on s: rho(t_ab)^A_B = d^A_a h_bB - d^A_b h_aB."""
-        dim = len(h_diag)
-        mats = []
-        for (a, b) in pairs:
-            m = {}
-            m[(a, b)] = h_diag[b]
-            m[(b, a)] = -h_diag[a]
-            mats.append(m)
-        return Representation("so-vector", mats, dim)
-
     def dual(self) -> "Representation":
         mats = [{(j, i): -v for (i, j), v in m.items()} for m in self.mats]
         return Representation(self.name + "*", mats, self.dim)
@@ -188,9 +176,6 @@ class GroupMap:
 
     def ad_dual_inv_entry(self, i: int, j: int):
         return self._Ad.entry(j, i)
-
-    def ad_matrix_at(self, point, order: int = 0):
-        return self._Ad.jets(tuple(point), order)
 
     def right_log_derivative(self) -> Form:
         """dg g^{-1} as an algebra-valued 1-form."""

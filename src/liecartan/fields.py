@@ -1,12 +1,26 @@
 """Lazy field algebra on top of jets.
 
 Polynomials stay eager; anything built from matrix exponentials or
-coframe inverses becomes a lazy node evaluated through jets and memoized
-per (point, order).  This keeps the exterior-calculus layer uniform: every
-coefficient is "something with a .jet(point, order) and a .value(point)".
-``value`` is the order-0 path: it returns the scalar ``jet(point, 0).value``
-(memoized per point) and sums, products and scalings combine the values of
-their children without building jets.
+coframe inverses becomes a lazy node.  Every coefficient is "something
+with a .jet(point, order), a .value(point) and a .dvalue(point, k)".
+
+- ``value`` is the order-0 path: the scalar ``jet(point, 0).value``.
+- ``dvalue`` is the order-1 path: the first partial along coordinate k,
+  ``jet(point, 1).deriv((k,))``.  Sums, products and scalings combine the
+  values and first partials of their children by the sum and product
+  rules (forward-mode differentiation), in the operand order and with the
+  zero-drop rule of ``Jet``, so that even float bits agree with the jets.
+  ``FPartial``'s value is its child's ``dvalue``; ``FPartial`` and
+  ``MatrixEntryField`` take their own first partials from order-1 jets.
+- Jets are only built where a node asks for them: partials of partials
+  and the matrix series.
+
+Both paths give a zero as the int 0, like ``Jet.value`` and ``Jet.deriv``.
+Results are memoised per point, keyed by the identity of the point
+object: probe tuples are shared, and hashing tuples of Fractions would
+cost more than the memo saves.  A node keeps the value and first partials
+at the first point it sees in its own slots; a dict is created only when
+the node is asked for a jet or evaluated at a further point.
 """
 
 from __future__ import annotations
@@ -19,43 +33,90 @@ from .scalars import Jet, Polynomial
 SERIES_CAP = 64
 FLOAT_SERIES_TOL = 1e-17
 
+_UNSET = object()  # memo slot not yet computed
+
 
 class TruncationError(ArithmeticError):
     """Series failed to converge within the hard term cap."""
 
 
+def _as_tuple(point) -> tuple:
+    return point if isinstance(point, tuple) else tuple(point)
+
+
+def _zero_as_int(x):
+    return 0 if x == 0 else x  # a zero is the int 0, as in Jet.value/deriv
+
+
 class _Lazy:
-    __slots__ = ("n", "_cache")
+    # _pt is the first point seen; _v and _d (a list indexed by k) are the
+    # value and first partials there.  _memo holds jets under (id, order)
+    # and, for every further point, a [point, value, partials] record
+    # under its id.
+    __slots__ = ("n", "_pt", "_v", "_d", "_memo")
 
     def __init__(self, n: int):
         self.n = n
-        self._cache: Dict[tuple, tuple] = {}
+        self._pt = None
+        self._v = _UNSET
+        self._d = None
+        self._memo = None
 
     def jet(self, point, order) -> Jet:
-        # identity-keyed cache: probe tuples are shared objects, and hashing
-        # tuples of Fractions dominates the runtime otherwise
+        if self._memo is None:
+            self._memo = {}
         key = (id(point), order)
-        hit = self._cache.get(key)
+        hit = self._memo.get(key)
         if hit is not None and hit[0] is point:
             return hit[1]
-        out = self._eval(point if isinstance(point, tuple) else tuple(point), order)
-        self._cache[key] = (point, out)
+        out = self._eval(_as_tuple(point), order)
+        self._memo[key] = (point, out)
         return out
+
+    def _record(self, point) -> list:
+        if self._memo is None:
+            self._memo = {}
+        rec = self._memo.get(id(point))
+        if rec is None or rec[0] is not point:
+            rec = self._memo[id(point)] = [point, _UNSET, [_UNSET] * self.n]
+        return rec
 
     def value(self, point):
         """Scalar value at ``point``, equal to ``jet(point, 0).value``."""
-        # the bare id keys the value, (id, order) keys the jets
-        hit = self._cache.get(id(point))
-        if hit is not None and hit[0] is point:
-            return hit[1]
-        v = self._value(point if isinstance(point, tuple) else tuple(point))
-        if v == 0:
-            v = 0  # a zero value is the int 0, as in Jet.value
-        self._cache[id(point)] = (point, v)
+        if point is not self._pt:
+            if self._pt is not None:
+                rec = self._record(point)
+                if rec[1] is _UNSET:
+                    rec[1] = _zero_as_int(self._value(_as_tuple(point)))
+                return rec[1]
+            self._pt = point
+        v = self._v
+        if v is _UNSET:
+            v = self._v = _zero_as_int(self._value(_as_tuple(point)))
         return v
+
+    def dvalue(self, point, k: int):
+        """First partial along ``k`` at ``point``, equal to
+        ``jet(point, 1).deriv((k,))``."""
+        if point is self._pt:
+            d = self._d
+        elif self._pt is None:
+            self._pt = point
+            d = None
+        else:
+            d = self._record(point)[2]
+        if d is None:
+            d = self._d = [_UNSET] * self.n
+        out = d[k]
+        if out is _UNSET:
+            out = d[k] = _zero_as_int(self._dvalue(_as_tuple(point), k))
+        return out
 
     def _value(self, point):
         return self.jet(point, 0).value
+
+    def _dvalue(self, point, k):
+        return self.jet(point, 1).deriv((k,))
 
     def _eval(self, point, order) -> Jet:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -80,6 +141,12 @@ class FSum(_Lazy):
             out = out + f.value(point)
         return out
 
+    def _dvalue(self, point, k):
+        out = self.parts[0].dvalue(point, k)
+        for f in self.parts[1:]:
+            out = out + f.dvalue(point, k)
+        return out
+
 
 class FProd(_Lazy):
     __slots__ = ("a", "b")
@@ -98,6 +165,23 @@ class FProd(_Lazy):
         vb = self.b.value(point)
         return va * vb if va != 0 and vb != 0 else 0
 
+    def _dvalue(self, point, k):
+        # product rule with Jet.__mul__'s terms: va * db, then + da * vb,
+        # each dropped when a factor is zero
+        a, b = self.a, self.b
+        out = 0
+        va = a.value(point)
+        if va != 0:
+            db = b.dvalue(point, k)
+            if db != 0:
+                out = va * db
+        vb = b.value(point)
+        if vb != 0:
+            da = a.dvalue(point, k)
+            if da != 0:
+                out = out + da * vb
+        return out
+
 
 class FScale(_Lazy):
     __slots__ = ("a", "c")
@@ -114,6 +198,10 @@ class FScale(_Lazy):
         v = self.a.value(point)
         return self.c * v if v != 0 and self.c != 0 else 0
 
+    def _dvalue(self, point, k):
+        d = self.a.dvalue(point, k)
+        return self.c * d if d != 0 and self.c != 0 else 0
+
 
 class FPartial(_Lazy):
     """Partial derivative; consumes one unit of the jet-order budget."""
@@ -127,6 +215,9 @@ class FPartial(_Lazy):
 
     def _eval(self, point, order):
         return self.a.jet(point, order + 1).partial(self.k)
+
+    def _value(self, point):
+        return self.a.dvalue(point, self.k)
 
 
 def f_add(*fields):
@@ -310,7 +401,7 @@ class MatrixField:
         hit = self._cache.get(key)
         if hit is not None and hit[0] is point:
             return hit[1]
-        out = self._compute(point if isinstance(point, tuple) else tuple(point), order)
+        out = self._compute(_as_tuple(point), order)
         self._cache[key] = (point, out)
         return out
 

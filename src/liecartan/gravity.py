@@ -473,9 +473,8 @@ def grav_dAp_decomposition_residual(chart: TrivializedChart,
                     fld = pc(I, A, B)
                     if fld is None:
                         continue
-                    jet = fld.jet(pt, 1)
-                    p_at[(I, A, B)] = jet.value
-                    grad = jet.grad()
+                    p_at[(I, A, B)] = fld.value(pt)
+                    grad = [fld.dvalue(pt, kk) for kk in range(N)]
                     for C in range(N):
                         dp_at[(I, A, B, C)] = sum(Vp[kk][C] * grad[kk]
                                                   for kk in range(N))

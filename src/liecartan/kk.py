@@ -648,9 +648,8 @@ def kk_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
                     fld = pc(i, A, B)
                     if fld is None:
                         continue
-                    jet = fld.jet(pt, 1)
-                    p_at[(i, A, B)] = jet.value
-                    grad = jet.grad()
+                    p_at[(i, A, B)] = fld.value(pt)
+                    grad = [fld.dvalue(pt, kk2) for kk2 in range(N)]
                     for C in range(N):
                         dp_at[(i, A, B, C)] = sum(Vp[kk2][C] * grad[kk2]
                                                   for kk2 in range(N))

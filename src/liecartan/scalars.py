@@ -107,12 +107,6 @@ class Jet:
             terms[tuple(de)] = c * e[k]
         return Jet(self.n, self.order - 1, self.base, terms)
 
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(self.n, order, self.base,
-                   {e: c for e, c in self.terms.items() if sum(e) <= order})
-
     # -- accessors ----------------------------------------------------
     @property
     def value(self):
@@ -149,8 +143,9 @@ class Polynomial:
     """Exact multivariate polynomial; the default ScalarField backend.
 
     ``terms`` maps exponent tuples to coefficients.  Arithmetic is eager
-    (results stay polynomials); jets are computed by Taylor shift, and
-    :meth:`value` gives the order-0 value without building a jet.
+    (results stay polynomials); jets are computed by Taylor shift,
+    :meth:`value` gives the order-0 value without building a jet, and
+    :meth:`dvalue` reads a first partial off the memoised order-1 jet.
     """
 
     __slots__ = ("n", "terms", "_cache")
@@ -253,6 +248,11 @@ class Polynomial:
             v = 0  # a zero value is the int 0, as in Jet.value
         self._cache[id(point)] = (point, v)
         return v
+
+    def dvalue(self, point: Sequence, k: int):
+        """First partial along ``k`` at ``point``, equal to
+        ``jet(point, 1).deriv((k,))``; read from the memoised order-1 jet."""
+        return self.jet(point, 1).deriv((k,))
 
     def jet(self, point: Sequence, order: int) -> Jet:
         """Taylor data at ``point`` up to ``order`` (exact on rationals)."""

@@ -243,9 +243,8 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
                     fld = pc(i, A, B)
                     if fld is None:
                         continue
-                    jet = fld.jet(pt, 1)
-                    p_at[(i, A, B)] = jet.value
-                    grad = jet.grad()
+                    p_at[(i, A, B)] = fld.value(pt)
+                    grad = [fld.dvalue(pt, kk) for kk in range(N)]
                     for C in range(N):
                         dv = sum(Vp[kk][C] * grad[kk] for kk in range(N))
                         dp_at[(i, A, B, C)] = dv
@@ -478,9 +477,9 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256) -> dict:
     for mu in range(4):
         acc = 0
         # p^{mu nu} constant here; keep the generic form for clarity
-        acc += p_vec[mu].jet(probe, 1).deriv((4,))
+        acc += p_vec[mu].dvalue(probe, 4)
         res_a = max(res_a, abs(acc))
-    res_b = abs(sum(p_vec[mu].jet(probe, 1).deriv((mu,)) for mu in range(4)) + norm2 / 2)
+    res_b = abs(sum(p_vec[mu].dvalue(probe, mu) for mu in range(4)) + norm2 / 2)
     maxwell_res = 0  # d_nu F^{mu nu} for constant F
     # (ELvarpi): p_{mu nu} + F_{mu nu} = 0 and Theta_mu = d_y A_mu = 0
     res_elvarpi = 0
@@ -490,7 +489,7 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256) -> dict:
                 continue
             low = b[mu] * b[nu] * p_up.get((mu, nu), 0)
             res_elvarpi = max(res_elvarpi, abs(low + F_full(mu, nu)))
-        res_elvarpi = max(res_elvarpi, abs(A_mu[mu].jet(probe, 1).deriv((4,))))
+        res_elvarpi = max(res_elvarpi, abs(A_mu[mu].dvalue(probe, 4)))
 
     two_pi = 2 * math.pi
     def fiber_average(fn: Callable[[float], float]) -> float:
@@ -509,7 +508,7 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256) -> dict:
         "p_up": p_up,
         "p_vec": p_vec,
         "norm2": norm2,
-        "d_mu_p": sum(p_vec[mu].jet(probe, 1).deriv((mu,)) for mu in range(4)),
+        "d_mu_p": sum(p_vec[mu].dvalue(probe, mu) for mu in range(4)),
     }
 
 

@@ -1,7 +1,8 @@
-"""Order-0 evaluation: ``value(point)`` against ``jet(point, 0).value``.
+"""Order-0 and order-1 evaluation against the jets.
 
-``value`` is the fast path every residual goes through, so it must give
-the order-0 jet value exactly (same number, same type) on both backends.
+``value(point)`` must give ``jet(point, 0).value`` and ``dvalue(point, k)``
+must give ``jet(point, 1).deriv((k,))`` exactly (same number, same type)
+on both backends: every residual goes through these fast paths.
 """
 
 from fractions import Fraction as F
@@ -98,3 +99,93 @@ def test_zero_factor_drops_non_finite_value():
                 FScale(inf, 0)):
         assert fld.value(probe) == 0
         assert fld.value(probe) == fld.jet(probe, 0).value
+
+
+def _same(a, b):
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_dvalue_equals_order1_jet_partial(exact):
+    probe, by_dvalue = _graph(exact)
+    _, by_jet = _graph(exact)
+    for name in by_dvalue:
+        for k in range(N):
+            d = by_dvalue[name].dvalue(probe, k)
+            j = by_jet[name].jet(probe, 1).deriv((k,))
+            assert _same(d, j), (name, k, d, j)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_dvalue_zero_is_int(exact):
+    probe, nodes = _graph(exact)
+    for k in range(N):
+        d = nodes["sum-cancelling"].dvalue(probe, k)
+        assert d == 0 and type(d) is int
+    c = Polynomial.constant(_num(5, exact), N)
+    d = FProd(nodes["exp-entry"], c).dvalue(probe, 2)
+    assert _same(d, FProd(nodes["exp-entry"], c).jet(probe, 1).deriv((2,)))
+
+
+def test_dvalue_zero_factor_drops_non_finite_partial():
+    # va * db and da * vb are dropped when a factor is zero, as in the jets
+    probe, nodes = _graph(False)
+    inf = Polynomial.constant(float("inf"), N)
+    inf_slope = poly_field(N, [((1, 0, 0), float("inf"))])
+    built = [lambda: FProd(nodes["poly-zero-at-probe"], inf),
+             lambda: FProd(inf, nodes["prod-zero-factor"]),
+             lambda: FProd(inf, nodes["poly"]),
+             lambda: FScale(inf, 0),
+             lambda: FScale(inf_slope, 0),
+             lambda: FScale(Polynomial.constant(2.0, N), float("inf")),
+             lambda: FScale(nodes["poly"], float("inf"))]
+    for make in built:
+        for k in range(N):
+            d = make().dvalue(probe, k)
+            assert _same(d, make().jet(probe, 1).deriv((k,))), (k, d)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_two_points_alternately(exact):
+    """Equal-coordinate probes that are different objects each keep their
+    own memo entry, whichever the node saw first.  (A polynomial's partial
+    is read off its memoised jet, so only lazy nodes return the very same
+    object again.)"""
+    probe, nodes = _graph(exact)
+    _, by_jet = _graph(exact)
+    twin = tuple(list(probe))
+    assert twin == probe and twin is not probe
+    for i, (name, fld) in enumerate(nodes.items()):
+        ref = by_jet[name]
+        pair = (probe, twin) if i % 2 == 0 else (twin, probe)
+        seen = {}
+        for pt in pair + pair:
+            for k in range(N):
+                d = fld.dvalue(pt, k)
+                assert _same(d, ref.jet(probe, 1).deriv((k,))), (name, k)
+                first = seen.setdefault((id(pt), k), d)
+                if not isinstance(fld, Polynomial):
+                    assert d is first, (name, k)
+            v = fld.value(pt)
+            assert _same(v, ref.jet(probe, 0).value), name
+            assert v is seen.setdefault(id(pt), v), name
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_two_distinct_points_alternately(exact):
+    """A further point gets its own memo, not the first point's slots."""
+    def build():
+        P = poly_field(N, [((2, 1, 0), _num("3/2", exact)),
+                           ((0, 0, 1), _num(-1, exact))])
+        Q = poly_field(N, [((1, 0, 2), _num("-5/3", exact)),
+                           ((0, 1, 0), _num(2, exact))])
+        return [FSum([P, Q]), FProd(P, Q), FScale(FProd(Q, Q), _num(3, exact)),
+                FPartial(FProd(P, Q), 0)]
+    points = [tuple(_num(x, exact) for x in ("1/3", "-2/5", "3/7")),
+              tuple(_num(x, exact) for x in ("2/3", "1/5", -1))]
+    nodes, refs = build(), build()
+    for pt in points + points:
+        for fld, ref in zip(nodes, refs):
+            assert _same(fld.value(pt), ref.jet(pt, 0).value)
+            for k in range(N):
+                assert _same(fld.dvalue(pt, k), ref.jet(pt, 1).deriv((k,)))

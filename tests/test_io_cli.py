@@ -126,6 +126,16 @@ def test_cli_algebra_file(tmp_path):
     assert out.returncode == 0
 
 
+def test_cli_split_less_algebra_file(tmp_path):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"name": "ab2", "dim": 2, "basis": ["x", "y"],
+                                "constants": []}))
+    out = _run_cli("--suite", "lie-checks", "--algebra", str(path),
+                   "--cases", "2")
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_unknown_suite_is_an_error():
     out = _run_cli("--suite", "bogus")
     assert out.returncode == 2
