@@ -41,8 +41,7 @@ QUICK = {
 }
 
 
-FLOAT_SUITES = ["forms-identities", "gauge-lemmas", "ym-decomp",
-                "kk-curvature", "grav-decomp"]
+FLOAT_SUITES = sorted(EXPECTED_SUITES)
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
