@@ -7,20 +7,38 @@ stays exact.  The connection part A is an x-only 1-form in dx components,
 which realizes the hypotheses under which the decomposition formulas are
 derived: A has no fiber components and its coefficients are constant on
 the fibers.
+
+Chart data is typed.  ``TrivializedChart`` holds what every model puts on
+a chart: the coframe e = A + dg g^{-1}, the seeded source ``rng``, the dual
+field coefficients ``p_coeffs`` and the field strength ``F_form``.
+``GaugeChart`` (Yang-Mills and Kaluza-Klein) adds the frame coefficients
+of F and the ``curved_base`` flag; ``GravityChart`` adds kappa, the
+theta/omega split of A, its torsion and the l-curvature.
+
+The helpers shared by the three models' identities live here and in
+``forms``: ``antisym`` gives both index orders of an antisymmetric
+coefficient table, ``TrivializedChart.p_tables`` the values and frame
+derivatives of p at a probe, ``GravityChart.torsion_curvature`` the
+by-coframe coefficients of torsion and curvature, and
+``forms.cominor_rows`` and ``Form.component`` assemble and split rows.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .algebra import SplitAlgebra
-from .connection import GroupMap, algebra_slot
+from .connection import GroupMap, algebra_slot, curvature
 from .fields import f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
-from .forms import Coframe, Form, Slot
+from .forms import Coframe, Form, decompose
 from .scalars import Polynomial
+
+if TYPE_CHECKING:
+    from .kappa import KappaTensor
 
 
 class Rng:
@@ -90,7 +108,11 @@ class Rng:
 
 @dataclass
 class TrivializedChart:
-    """Local model: coframe e = A(x) + dg g^{-1} with g = exp(eta(y))."""
+    """Local model: coframe e = A(x) + dg g^{-1} with g = exp(eta(y)).
+
+    ``p_coeffs`` holds the dual field p_I^{AB} on A < B keys and ``rng`` is
+    the chart's seeded source, which later checks keep drawing from.
+    """
 
     split: SplitAlgebra
     n_base: int
@@ -100,8 +122,10 @@ class TrivializedChart:
     e_form: Form
     coframe: Coframe
     probes: List[Tuple]
-    exact: bool = True
-    extras: dict = dc_field(default_factory=dict)
+    exact: bool
+    rng: Rng
+    p_coeffs: Dict[Tuple[int, int, int], object]
+    F_form: Form                 # curvature of A
 
     @property
     def N(self) -> int:
@@ -111,8 +135,63 @@ class TrivializedChart:
     def alg(self):
         return self.split.ambient
 
-    def slot(self, dual: bool = False) -> Slot:
-        return algebra_slot(self.alg, dual)
+    def p_tables(self, pt):
+        """p_I^{AB} and its frame derivatives X_C p_I^{AB} at a probe.
+
+        The tables cover both index orders, key the derivatives
+        (I, A, B, C) and read 0 where p has no entry.
+        """
+        N = self.N
+        V = self.coframe.inverse_field()
+        Vp = [[V.entry(k, A).value(pt) for A in range(N)] for k in range(N)]
+        p_at, dp_at = defaultdict(int), defaultdict(int)
+        for key, fld in antisym(self.p_coeffs).items():
+            p_at[key] = fld.value(pt)
+            grad = [fld.dvalue(pt, k) for k in range(N)]
+            for C in range(N):
+                dp_at[key + (C,)] = sum(Vp[k][C] * grad[k] for k in range(N))
+        return p_at, dp_at
+
+
+@dataclass
+class GaugeChart(TrivializedChart):
+    """Yang-Mills / Kaluza-Klein chart: F = 1/2 F_{AB} e^A ^ e^B coefficients
+    and whether the base coframe is curved."""
+
+    F_coeffs: Dict[Tuple[int, int, int], object]
+    curved_base: bool
+
+
+@dataclass
+class GravityChart(TrivializedChart):
+    """Gravity chart: A = theta (s rows) + omega (l rows), the torsion
+    d^omega theta and the curvature of omega."""
+
+    kappa: "KappaTensor"
+    theta: Form
+    omega: Form
+    torsion: Form
+    curv_l: Form
+
+    def torsion_curvature(self, pt):
+        """By-coframe coefficients of ``torsion`` and ``curv_l`` at a point.
+
+        Not memoised: a corrupted run replaces ``torsion`` after building.
+        """
+        return (decompose(self.torsion, self.coframe, "by-coframe", pt, self.exact),
+                decompose(self.curv_l, self.coframe, "by-coframe", pt, self.exact))
+
+
+def antisym(table: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, int], object]:
+    """Both index orders of t_I^{AB} = -t_I^{BA} from entries on A < B keys.
+
+    Entries may be fields or values; each key is followed by its mirror.
+    """
+    out = {}
+    for (I, A, B), x in table.items():
+        out[(I, A, B)] = x
+        out[(I, B, A)] = -x
+    return out
 
 
 class ChartError(ValueError):
@@ -160,9 +239,12 @@ def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
 def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
                           probes: Sequence[Tuple],
                           s_coframe: str = "perturbed",
-                          l_components: bool = True,
-                          x_only: bool = True) -> Form:
-    """A = A^I_k(x) dx^k: s rows form a base coframe, l rows a connection."""
+                          l_rows: str = "random") -> Form:
+    """A = A^I_k(x) dx^k: s rows form a base coframe, l rows a connection.
+
+    ``l_rows`` is "random" (quadratic x-polynomials), "none", or "constant":
+    potentials -c x^l dx^k (k < l), whose field strengths are constant.
+    """
     alg = split.ambient
     N = n_base + split.r
     x_vars = list(range(n_base))
@@ -176,28 +258,39 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
                 parts.append(rng.vanishing_poly(N, probes, x_vars))
             if parts:
                 out.add_term((k,), (a,), f_add(*parts))
-    if l_components:
-        for i in split.l_indices:
-            for k in range(n_base):
+    for i in split.l_indices:
+        for k in range(n_base):
+            if l_rows == "random":
                 out.add_term((k,), (i,), rng.poly_in_vars(N, x_vars, deg=2, terms=2))
+            elif l_rows == "constant":
+                for l in range(k + 1, n_base):
+                    c = rng.scalar(-2, 2)
+                    if c != 0:
+                        out.add_term((k,), (i,), Polynomial.coordinate(l, N).scale(-c))
     return out._finalize()
 
 
 def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
                    probe_count: int = 2, exact: bool = True,
-                   connection_kwargs: Optional[dict] = None) -> TrivializedChart:
+                   curved_base: bool = False, l_rows: str = "random") -> GaugeChart:
+    """Gauge chart with F and its frame coefficients, and no dual field yet.
+
+    ``curved_base`` perturbs the base coframe; ``l_rows`` is passed on to
+    ``build_connection_form``.
+    """
     rng = Rng(seed, exact)
     r = split.r
     probes = base_probes(rng, n_base, r, probe_count)
     gm = build_group_map(split, n_base, rng)
     A_form = build_connection_form(split, n_base, rng, probes,
-                                   **(connection_kwargs or {}))
+                                   s_coframe="perturbed" if curved_base else "flat",
+                                   l_rows=l_rows)
     e_form = A_form + gm.right_log_derivative()
     coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probes, exact)
-    chart = TrivializedChart(split, n_base, r, gm, A_form, e_form, coframe,
-                             probes, exact)
-    chart.extras["rng"] = rng
-    return chart
+    F_form = curvature(A_form, split.ambient)
+    return GaugeChart(split, n_base, r, gm, A_form, e_form, coframe, probes,
+                      exact, rng, {}, F_form, frame_coeffs_2form(F_form, coframe),
+                      curved_base)
 
 
 def coframe_from_algebra_form(e_form: Form, dim: int, probes, exact: bool) -> Coframe:
@@ -251,14 +344,14 @@ def frame_coeffs_2form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:
     return {key: f_add(*parts) for key, parts in out.items()}
 
 
-def base_lc_gamma_fields(chart: TrivializedChart):
+def base_lc_gamma_fields(chart: GaugeChart):
     """Base Levi-Civita coefficients gamma^a_bc as fields (zero when flat)."""
     from .connection import levi_civita_coeff_fields
 
     split = chart.split
     n = chart.n_base
     N = chart.N
-    if not chart.extras.get("curved_base"):
+    if not chart.curved_base:
         zero = f_zero(N)
         return [[[zero] * n for _ in range(n)] for _ in range(n)]
     theta_fields = base_torsion_frame_coeffs(chart)

@@ -3,7 +3,6 @@ transformations for structure-constant representations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra
@@ -50,14 +49,6 @@ class Representation:
 
     def unimodular(self) -> bool:
         return all(sum(v for (i, j), v in m.items() if i == j) == 0 for m in self.mats)
-
-
-@dataclass
-class Connection:
-    """A 1-form with algebra values plus per-slot representations."""
-
-    omega: Form
-    reps: Tuple[Optional[Representation], ...]
 
 
 def cov_d(omega: Form, alpha: Form, reps: Sequence[Optional[Representation]]) -> Form:

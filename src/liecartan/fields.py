@@ -121,6 +121,9 @@ class _Lazy:
     def _eval(self, point, order) -> Jet:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def __neg__(self):
+        return FScale(self, -1)
+
 
 class FSum(_Lazy):
     __slots__ = ("parts",)

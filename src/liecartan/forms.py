@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -140,6 +141,16 @@ class Form:
         for key, bucket in self.comps.items():
             for sk, field in bucket.items():
                 yield key, sk, field
+
+    def component(self, idx: int) -> "Form":
+        """Slot-less form of the value component ``idx`` of a one-slot form,
+        with its terms in increasing chart-index order."""
+        out = Form(self.n, self.degree)
+        for K in sorted(self.comps):
+            fld = self.comps[K].get((idx,))
+            if fld is not None:
+                out.add_term(K, (), fld)
+        return out._finalize()
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "Form") -> "Form":
@@ -447,6 +458,9 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
                 out[sk] = [sum(chart[k] * V[k][A] for k in range(N)) for A in range(N)]
             return _unwrap(out, form)
         if form.degree == 2:
+            # zero chart entries are skipped; the start value keeps an
+            # all-zero coefficient in the backend's number type
+            zero = Fraction(0) if exact else 0.0
             out = {}
             for sk in slot_keys:
                 chart = [[0] * N for _ in range(N)]
@@ -455,8 +469,9 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
                         k, l = key
                         chart[k][l] = bucket[sk]
                         chart[l][k] = -bucket[sk]
-                frame = [[sum(chart[k][l] * V[k][A] * V[l][B]
-                              for k in range(N) for l in range(N))
+                frame = [[sum((chart[k][l] * V[k][A] * V[l][B]
+                               for k in range(N) for l in range(N)
+                               if chart[k][l] != 0), zero)
                           for B in range(N)] for A in range(N)]
                 out[sk] = frame
             return _unwrap(out, form)
@@ -495,11 +510,16 @@ def _unwrap(out, form: Form):
     return out[()] if not form.slots else out
 
 
-def reconstruct_cominor(coeffs: Dict[Tuple[int, ...], object], minors: CoframeMinors,
-                        n_chart: int) -> Form:
-    """Rebuild sum alpha^T e^{(N-k)}_T from coefficients on sorted tuples."""
-    out = None
-    for idx, c in coeffs.items():
-        term = minors.minor(idx).scale(c)
-        out = term if out is None else out + term
-    return out if out is not None else Form(n_chart, 0)
+def cominor_rows(minors: CoframeMinors, rows: Dict[Tuple[int, int], object],
+                 slot: Slot) -> Form:
+    """sum c e^{(N-1)}_U in slot component i, over ``rows`` {(i, U): c}.
+
+    Zero coefficients are skipped; terms are added in the order given.
+    """
+    out = Form(minors.N, minors.N - 1, (slot,))
+    for (i, U), c in rows.items():
+        if c == 0:
+            continue
+        for K, _, mf in minors.minor((U,)).terms():
+            out.add_term(K, (i,), f_scale(mf, c))
+    return out._finalize()

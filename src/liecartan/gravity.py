@@ -16,13 +16,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import SplitAlgebra, check_algebra
-from .charts import (Rng, TrivializedChart, base_probes,
+from .charts import (GravityChart, Rng, antisym, base_probes,
+                     build_connection_form, build_group_map,
                      coframe_from_algebra_form, frame_coeffs_1form,
                      frame_coeffs_2form, frame_partial_field)
-from .connection import (Representation, algebra_slot, bracket_wedge, cov_d,
-                         curvature)
+from .connection import (GroupMap, Representation, algebra_slot,
+                         apply_matrix_to_slot, bracket_wedge, cov_d, curvature)
 from .fields import f_add, f_mul, f_scale, f_zero
-from .forms import Coframe, Form, decompose, exterior_d
+from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
+                    exterior_d, wedge)
 from .kappa import KappaTensor
 from .scalars import Polynomial
 from .ym import pi_form_from_coeffs
@@ -83,17 +85,9 @@ def grav_el_residuals(fields: GravityFields) -> dict:
                         continue
                     r1 = max(r1, abs(pc[(I,)][A][B]))
         report["r1"][pt] = r1
-        pi_at = _pi_values(fields.pi_coeffs, pt)
+        pi_at = antisym({key: f.value(pt) for key, f in fields.pi_coeffs.items()})
         psi = psi_families(pc, pi_at, N)
-        rhs = Form(N, N - 1, (dual,))
-        for P in range(N):
-            for Q in range(N):
-                coefficient = psi["psi_mixed"][P][Q] - (psi["psi"] / 2 if P == Q else 0)
-                if coefficient == 0:
-                    continue
-                for K, _, mf in minors.minor((Q,)).terms():
-                    rhs.add_term(K, (P,), f_scale(mf, coefficient))
-        rhs._finalize()
+        rhs = source_form(minors, psi["psi_mixed"], psi["psi"], dual)
         r2 = (dpi - rhs).max_abs(pt)
         report["r2"][pt] = r2
         report["max_r1"] = max(report["max_r1"], r1)
@@ -101,13 +95,12 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     return report
 
 
-def _pi_values(pi_coeffs, pt) -> Dict[Tuple[int, int, int], object]:
-    out = {}
-    for (I, A, B), fld in pi_coeffs.items():
-        v = fld.value(pt)
-        out[(I, A, B)] = v
-        out[(I, B, A)] = -v
-    return out
+def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
+    """Q_p - 1/2 Q e^{(N-1)}_p from a mixed source family Q_P^Q and its trace."""
+    N = minors.N
+    rows = {(P, Q): mixed[P][Q] - (scalar / 2 if P == Q else 0)
+            for P in range(N) for Q in range(N)}
+    return cominor_rows(minors, rows, dual)
 
 
 def psi_families(curv_coeffs, pi_at, N: int) -> dict:
@@ -137,7 +130,7 @@ def psi_families(curv_coeffs, pi_at, N: int) -> dict:
 def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
                         exact: bool = True, probe_count: int = 2,
                         flat: bool = False, linear_group: bool = False,
-                        p_vars: Optional[str] = None) -> TrivializedChart:
+                        p_vars: Optional[str] = None) -> GravityChart:
     """Trivialized chart with certified invariants.
 
     flat=True zeroes the connection block (Theta = Omega = 0); linear_group
@@ -153,8 +146,6 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     N = n + r
     probes = base_probes(rng, n, r, probe_count)
     if linear_group:
-        from .connection import GroupMap
-
         eta = [f_zero(N) for _ in range(split.ambient.dim)]
         for pos, i in enumerate(split.l_indices):
             e = [0] * N
@@ -162,20 +153,13 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             eta[i] = Polynomial(N, {tuple(e): Fraction(1) if exact else 1.0})
         gm = GroupMap(split.ambient, eta, N, exact=exact)
     else:
-        from .charts import build_group_map
-
         gm = build_group_map(split, n, rng)
-    from .charts import build_connection_form
-
     A_form = build_connection_form(
         split, n, rng, probes,
         s_coframe="flat" if flat else "perturbed",
-        l_components=not flat)
+        l_rows="none" if flat else "random")
     e_form = A_form + gm.right_log_derivative()
     coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probes, exact)
-    chart = TrivializedChart(split, n, r, gm, A_form, e_form, coframe, probes, exact)
-    chart.extras["rng"] = rng
-    chart.extras["kappa"] = kappa
 
     # split A into theta (s rows) and omega (l rows)
     uslot = algebra_slot(split.ambient)
@@ -183,12 +167,12 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     omega = Form(N, 1, (uslot,))
     for (k,), (I,), fld in A_form.terms():
         (theta if I in split.s_indices else omega).add_term((k,), (I,), fld)
-    chart.extras["theta"] = theta._finalize()
-    chart.extras["omega"] = omega._finalize()
+    theta._finalize()
+    omega._finalize()
     adrep = Representation.adjoint(split.ambient)
-    chart.extras["torsion"] = cov_d(omega, theta, (adrep,))
-    chart.extras["curv_l"] = curvature(omega, split.ambient)
-    chart.extras["F_form"] = curvature(A_form, split.ambient)
+    torsion = cov_d(omega, theta, (adrep,))
+    curv_l = curvature(omega, split.ambient)
+    F_form = curvature(A_form, split.ambient)
 
     # dual field with the kappa block pinned and random sl / ll blocks
     p_coeffs = kappa_pi_block(split, kappa, N)
@@ -204,18 +188,18 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             for j2 in split.l_indices:
                 if j1 < j2:
                     p_coeffs[(I, j1, j2)] = rng.poly_in_vars(N, vars_, deg=2, terms=2)
-    chart.extras["p_coeffs"] = p_coeffs
+    chart = GravityChart(split, n, r, gm, A_form, e_form, coframe, probes, exact,
+                         rng, p_coeffs, F_form, kappa, theta, omega, torsion, curv_l)
     certify_gravity_chart(chart)
     return chart
 
 
-def certify_gravity_chart(chart: TrivializedChart):
+def certify_gravity_chart(chart: GravityChart):
     """F_{sl} = F_{ll} = 0, y-independence, and coframe rank at probes."""
     split = chart.split
     s_idx = split.s_indices
     floor = 0 if chart.exact else 1e-10
-    F = chart.extras["F_form"]
-    fc = frame_coeffs_2form(F, chart.coframe)
+    fc = frame_coeffs_2form(chart.F_form, chart.coframe)
     for p in chart.probes:
         pt = tuple(p)
         for (I, A, B), fld in fc.items():
@@ -231,28 +215,24 @@ def certify_gravity_chart(chart: TrivializedChart):
                     if abs(d.value(pt)) > floor:
                         raise ChartInvariantError(
                             f"F coefficient ({I},{A},{B}) varies along the fiber")
-    chart.extras["certified"] = True
 
 
-def fields_from_chart(chart: TrivializedChart) -> GravityFields:
+def fields_from_chart(chart: GravityChart) -> GravityFields:
     """Transport (e, p) back to the phi side: phi = Ad_{g^-1} e."""
-    gm = chart.gm
-    from .connection import apply_matrix_to_slot
-
-    phi = apply_matrix_to_slot(chart.e_form, 0, gm.ad_inv_entry)
+    phi = apply_matrix_to_slot(chart.e_form, 0, chart.gm.ad_inv_entry)
     # pi coefficients are only ever needed as probe values; transport there
-    return GravityFields(chart.split, chart.extras["kappa"], phi,
-                         chart.extras["p_coeffs"], chart.probes, chart.exact)
+    return GravityFields(chart.split, chart.kappa, phi, chart.p_coeffs,
+                         chart.probes, chart.exact)
 
 
-def pi_values_from_chart(chart: TrivializedChart, pt) -> Dict:
+def pi_values_from_chart(chart: GravityChart, pt) -> Dict:
     """pi^{PQ} values at a probe: inverse coefficient transport of p^{PQ}."""
     alg = chart.alg
     N = alg.dim
     gm = chart.gm
     ad = gm._Ad_inv.jets(pt, 0)          # Ad_{g^-1}
     ad_dual = gm._Ad.jets(pt, 0)         # (Ad_{g^-1})^* = Ad_g^T
-    p_at = _pi_values(chart.extras["p_coeffs"], pt)
+    p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
     out: Dict[Tuple[int, int, int], object] = {}
     for I in range(N):
         for A in range(N):
@@ -272,16 +252,15 @@ def pi_values_from_chart(chart: TrivializedChart, pt) -> Dict:
 # source families and the fundamental equation
 # ---------------------------------------------------------------------------
 
-def q_families(chart: TrivializedChart, pt) -> dict:
+def q_families(chart: GravityChart, pt) -> dict:
     """Q families from the gauge-side field strength and dual coefficients."""
-    F = chart.extras["F_form"]
-    fc = decompose(F, chart.coframe, "by-coframe", pt, chart.exact)
-    p_at = _pi_values(chart.extras["p_coeffs"], pt)
+    fc = decompose(chart.F_form, chart.coframe, "by-coframe", pt, chart.exact)
+    p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
     fam = psi_families(fc, p_at, chart.alg.dim)
     return {"q_full": fam["psi_full"], "q_mixed": fam["psi_mixed"], "q": fam["psi"]}
 
 
-def grav_psi_q(chart: TrivializedChart, control_sign: int = 1) -> dict:
+def grav_psi_q(chart: GravityChart, control_sign: int = 1) -> dict:
     """Psi on the phi side, Q on the e side, and the transport residual."""
     fields = fields_from_chart(chart)
     coframe = fields.coframe()
@@ -322,7 +301,7 @@ def grav_psi_q(chart: TrivializedChart, control_sign: int = 1) -> dict:
     return report
 
 
-def _q_l_rows_max(chart: TrivializedChart):
+def _q_l_rows_max(chart: GravityChart):
     worst = 0
     for p in chart.probes:
         q = q_families(chart, tuple(p))
@@ -332,34 +311,22 @@ def _q_l_rows_max(chart: TrivializedChart):
     return worst
 
 
-def q_source_form(chart: TrivializedChart, pt) -> Form:
+def q_source_form(chart: GravityChart, pt) -> Form:
     """Q_p - 1/2 Q e^{(N-1)}_p as a dual-slot (N-1)-form at one probe."""
-    alg = chart.alg
-    N = alg.dim
-    dual = algebra_slot(alg, dual=True)
-    minors = chart.coframe.minors()
     q = q_families(chart, pt)
-    out = Form(N, N - 1, (dual,))
-    for P in range(N):
-        for Q in range(N):
-            c = q["q_mixed"][P][Q] - (q["q"] / 2 if P == Q else 0)
-            if c == 0:
-                continue
-            for K, _, mf in minors.minor((Q,)).terms():
-                out.add_term(K, (P,), f_scale(mf, c))
-    return out._finalize()
+    return source_form(chart.coframe.minors(), q["q_mixed"], q["q"],
+                       algebra_slot(chart.alg, dual=True))
 
 
-def dAp_form(chart: TrivializedChart) -> Form:
+def dAp_form(chart: GravityChart) -> Form:
     alg = chart.alg
     dual = algebra_slot(alg, dual=True)
-    p_form = pi_form_from_coeffs(chart.extras["p_coeffs"], chart.coframe,
-                                 alg.dim, dual)
+    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, alg.dim, dual)
     coad = Representation.coadjoint(alg)
     return cov_d(chart.A_form, p_form, (coad,))
 
 
-def grav_fundamental_residual(chart: TrivializedChart) -> dict:
+def grav_fundamental_residual(chart: GravityChart) -> dict:
     """d^A p - (Q_p - 1/2 Q e^{(N-1)}) and the cross-consistency transport."""
     lhs = dAp_form(chart)
     fields = fields_from_chart(chart)
@@ -378,25 +345,16 @@ def grav_fundamental_residual(chart: TrivializedChart) -> dict:
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
-        res = (lhs - q_source_form(chart, pt)).max_abs(pt)
+        defect = lhs - q_source_form(chart, pt)
+        res = defect.max_abs(pt)
         report["residual"][pt] = res
         # cross-consistency: Ad*_g (r2 of the field-side EL defect) == residual
         pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
         pi_at = pi_values_from_chart(chart, pt)
         psi = psi_families(pc, pi_at, N)
-        rhs_phi = Form(N, N - 1, (dual,))
-        for P in range(N):
-            for Q in range(N):
-                c = psi["psi_mixed"][P][Q] - (psi["psi"] / 2 if P == Q else 0)
-                if c == 0:
-                    continue
-                for K, _, mf in minors_phi.minor((Q,)).terms():
-                    rhs_phi.add_term(K, (P,), f_scale(mf, c))
-        rhs_phi._finalize()
-        defect_phi = dpi - rhs_phi
+        defect_phi = dpi - source_form(minors_phi, psi["psi_mixed"], psi["psi"], dual)
         ad_dual = gm._Ad_inv.jets(pt, 0)
-        lhs_vals = {(K, sk): fld.value(pt)
-                    for K, sk, fld in (lhs - q_source_form(chart, pt)).terms()}
+        lhs_vals = {(K, sk): fld.value(pt) for K, sk, fld in defect.terms()}
         cross = 0
         for K in itertools.combinations(range(N), N - 1):
             for P in range(N):
@@ -411,14 +369,10 @@ def grav_fundamental_residual(chart: TrivializedChart) -> dict:
     return report
 
 
-def pi_form_from_coeffs_values(chart: TrivializedChart, coframe_phi: Coframe,
+def pi_form_from_coeffs_values(chart: GravityChart, coframe_phi: Coframe,
                                dual) -> Form:
     """pi as a form: field-level coadjoint transport of the p form."""
-    from .connection import apply_matrix_to_slot
-
-    alg = chart.alg
-    p_form = pi_form_from_coeffs(chart.extras["p_coeffs"], chart.coframe,
-                                 alg.dim, dual)
+    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, chart.alg.dim, dual)
     return apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
 
 
@@ -431,59 +385,27 @@ def theta_star_values(theta_c, s_idx, N):
     return [sum(theta_c[(sb,)][A][sb] for sb in s_idx) for A in range(N)]
 
 
-def grav_dAp_decomposition_residual(chart: TrivializedChart,
+def grav_dAp_decomposition_residual(chart: GravityChart,
                                     control_sign: int = 1) -> dict:
     """Direct d^A p against the two-row closed form, with block diagnostics."""
     split = chart.split
     alg = chart.alg
     N = alg.dim
     s_idx, l_idx = split.s_indices, split.l_indices
-    kappa: KappaTensor = chart.extras["kappa"]
-    p_coeffs = chart.extras["p_coeffs"]
+    kappa = chart.kappa
     minors = chart.coframe.minors()
     dual = algebra_slot(alg, dual=True)
     lhs = dAp_form(chart)
-    omega_frame = frame_coeffs_1form(chart.extras["omega"], chart.coframe)
-    V = chart.coframe.inverse_field()
-
-    def pc(I, A, B):
-        key = (I, A, B) if A < B else (I, B, A)
-        fld = p_coeffs.get(key)
-        if fld is None:
-            return None
-        return fld if A < B else f_scale(fld, -1)
+    omega_frame = frame_coeffs_1form(chart.omega, chart.coframe)
 
     report = {"max": 0, "blocks": {}}
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
-        theta_c = decompose(chart.extras["torsion"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
-        omega_c = decompose(chart.extras["curv_l"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
+        theta_c, omega_c = chart.torsion_curvature(pt)
         tstar = theta_star_values(theta_c, s_idx, N)
-        Vp = [[V.entry(kk, A).value(pt) for A in range(N)] for kk in range(N)]
         w_at = {key: f.value(pt) for key, f in omega_frame.items()}
-        p_at, dp_at = {}, {}
-        for I in range(N):
-            for A in range(N):
-                for B in range(N):
-                    if A == B:
-                        continue
-                    fld = pc(I, A, B)
-                    if fld is None:
-                        continue
-                    p_at[(I, A, B)] = fld.value(pt)
-                    grad = [fld.dvalue(pt, kk) for kk in range(N)]
-                    for C in range(N):
-                        dp_at[(I, A, B, C)] = sum(Vp[kk][C] * grad[kk]
-                                                  for kk in range(N))
-
-        def pv(I, A, B):
-            return p_at.get((I, A, B), 0)
-
-        def dpv(I, A, B, C):
-            return dp_at.get((I, A, B, C), 0)
+        pv, dpv = chart.p_tables(pt)
 
         def wv(i, B):
             return w_at.get((i, B), 0)
@@ -495,17 +417,17 @@ def grav_dAp_decomposition_residual(chart: TrivializedChart,
                 for m in l_idx:
                     cv = alg.c(J, m, I)
                     if cv != 0:
-                        acc -= cv * wv(m, sb) * pv(J, L, sb)
+                        acc -= cv * wv(m, sb) * pv[J, L, sb]
             for J in range(N):
                 for m in l_idx:
                     cv = alg.c(L, m, J)
                     if cv != 0:
-                        acc += cv * wv(m, sb) * pv(I, J, sb)
+                        acc += cv * wv(m, sb) * pv[I, J, sb]
             for J in range(N):
                 for m in l_idx:
                     cv = alg.c(sb, m, J)
                     if cv != 0:
-                        acc += cv * wv(m, sb) * pv(I, L, J)
+                        acc += cv * wv(m, sb) * pv[I, L, J]
             return acc
 
         l_rows: Dict[Tuple[int, int], object] = {}
@@ -517,24 +439,24 @@ def grav_dAp_decomposition_residual(chart: TrivializedChart,
                     for b in s_idx:
                         w = omega_c[(L,)][a][b]
                         if w != 0:
-                            acc += pv(I, a, b) * w / 2
+                            acc += pv[I, a, b] * w / 2
                 blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
                 for sb in s_idx:
-                    acc += dpv(I, L, sb, sb) + cov_term(I, L, sb)
-                    acc += tstar[sb] * pv(I, L, sb)
+                    acc += dpv[I, L, sb, sb] + cov_term(I, L, sb)
+                    acc += tstar[sb] * pv[I, L, sb]
                 # - c^{p}_{s P} p_p^{L s}
                 for sb in s_idx:
                     for J in range(N):
                         cv = alg.c(J, sb, I)
                         if cv != 0:
-                            acc -= cv * pv(J, L, sb)
+                            acc -= cv * pv[J, L, sb]
                 for l1 in l_idx:
-                    acc += dpv(I, L, l1, l1)
+                    acc += dpv[I, L, l1, l1]
                 for l1 in l_idx:
                     for l2 in l_idx:
                         cv = alg.c(L, l1, l2)
                         if cv != 0:
-                            acc += cv * pv(I, l1, l2) / 2
+                            acc += cv * pv[I, l1, l2] / 2
                 l_rows[(I, L)] = acc
         s_rows: Dict[Tuple[int, int], object] = {}
         for I in range(N):
@@ -546,23 +468,16 @@ def grav_dAp_decomposition_residual(chart: TrivializedChart,
                             + (tstar[b] if S == a else 0) \
                             - (tstar[a] if S == b else 0)
                         if ring != 0:
-                            acc += control_sign * pv(I, a, b) * ring / 2
+                            acc += control_sign * pv[I, a, b] * ring / 2
                 for l1 in l_idx:
-                    acc += dpv(I, S, l1, l1)
+                    acc += dpv[I, S, l1, l1]
                 for s1 in s_idx:
                     for J in range(N):
                         cv = alg.c(J, s1, I)
                         if cv != 0:
                             acc += cv * kappa.get(J, s1, S)
                 s_rows[(I, S)] = acc
-        rhs = Form(N, N - 1, (dual,))
-        for rows in (l_rows, s_rows):
-            for (I, U), vrow in rows.items():
-                if vrow == 0:
-                    continue
-                for K, _, mf in minors.minor((U,)).terms():
-                    rhs.add_term(K, (I,), f_scale(mf, vrow))
-        rhs._finalize()
+        rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)
         res = (lhs - rhs).max_abs(pt)
         report["blocks"][pt] = blocks
         worst = max(worst, abs(res))
@@ -605,14 +520,14 @@ def theta_ring_invert(ring, s_idx, n: int):
     return out
 
 
-def grav_tensors(chart: TrivializedChart) -> dict:
+def grav_tensors(chart: GravityChart) -> dict:
     """Cartan/Einstein tensors, the ring round-trip, and the constant."""
     split = chart.split
     alg = chart.alg
     N = alg.dim
     n = split.n
     s_idx, l_idx = split.s_indices, split.l_indices
-    kappa: KappaTensor = chart.extras["kappa"]
+    kappa = chart.kappa
     minors = chart.coframe.minors()
 
     report = {"roundtrip": {}, "implicit_theta": {}, "einstein_expansion": {},
@@ -623,10 +538,7 @@ def grav_tensors(chart: TrivializedChart) -> dict:
 
     for p in chart.probes:
         pt = tuple(p)
-        theta_c = decompose(chart.extras["torsion"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
-        omega_c = decompose(chart.extras["curv_l"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
+        theta_c, omega_c = chart.torsion_curvature(pt)
         ring = theta_ring_tensor(theta_c, s_idx, N)
         if n > 2:
             back = theta_ring_invert(ring, s_idx, n)
@@ -648,12 +560,9 @@ def grav_tensors(chart: TrivializedChart) -> dict:
                         lhs = lhs + minors.minor((S,)).scale(v)
                 rhs = Form(N, N - 1)
                 for S in range(N):
-                    row = _torsion_row(chart, S)
-                    if row is None:
-                        continue
-                    from .forms import wedge
-
-                    rhs = rhs + wedge(row, minors.minor((a, b, S)))
+                    row = chart.torsion.component(S)
+                    if row.comps:
+                        rhs = rhs + wedge(row, minors.minor((a, b, S)))
                 imp = max(imp, (lhs - rhs).max_abs(pt))
         report["implicit_theta"][pt] = imp
         # implicit form of the trace-extended curvature family: for every
@@ -661,8 +570,8 @@ def grav_tensors(chart: TrivializedChart) -> dict:
         # delta-extension contracted with the codegree-1 minors
         imp_o = 0
         for lI in l_idx:
-            row = _curvature_row(chart, lI)
-            if row is None:
+            row = chart.curv_l.component(lI)
+            if not row.comps:
                 continue
             for s1 in s_idx:
                 for s2 in s_idx:
@@ -676,8 +585,6 @@ def grav_tensors(chart: TrivializedChart) -> dict:
                                  + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
                             if v != 0:
                                 lhs = lhs + minors.minor((S,)).scale(v)
-                        from .forms import wedge
-
                         rhs = wedge(row, minors.minor((s1, s2, s3)))
                         imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
         report.setdefault("implicit_omega", {})[pt] = imp_o
@@ -734,24 +641,6 @@ def grav_tensors(chart: TrivializedChart) -> dict:
     return report
 
 
-def _torsion_row(chart: TrivializedChart, S: int) -> Optional[Form]:
-    return _form_row(chart.extras["torsion"], S)
-
-
-def _curvature_row(chart: TrivializedChart, L: int) -> Optional[Form]:
-    return _form_row(chart.extras["curv_l"], L)
-
-
-def _form_row(form: Form, idx: int) -> Optional[Form]:
-    row = Form(form.n, form.degree)
-    found = False
-    for K, (I,), fld in form.terms():
-        if I == idx:
-            row.add_term(K, (), fld)
-            found = True
-    return row._finalize() if found else None
-
-
 def _deformation_constant(split: SplitAlgebra):
     """Recover k from [t_a, t_b] = -k t_{ab} (zero when the block is absent)."""
     alg = split.ambient
@@ -765,18 +654,18 @@ def _deformation_constant(split: SplitAlgebra):
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
-def grav_bianchi_residuals(chart: TrivializedChart) -> dict:
+def grav_bianchi_residuals(chart: GravityChart) -> dict:
     """Simple and generalized Bianchi rows on an arbitrary chart."""
     split = chart.split
     alg = chart.alg
     N = alg.dim
     n = split.n
     s_idx, l_idx = split.s_indices, split.l_indices
-    kappa: KappaTensor = chart.extras["kappa"]
-    omega = chart.extras["omega"]
-    theta = chart.extras["theta"]
-    Theta = chart.extras["torsion"]
-    Omega = chart.extras["curv_l"]
+    kappa = chart.kappa
+    omega = chart.omega
+    theta = chart.theta
+    Theta = chart.torsion
+    Omega = chart.curv_l
     adrep = Representation.adjoint(alg)
 
     simple1 = cov_d(omega, Theta, (adrep,)) + bracket_wedge(alg, theta, Omega)
@@ -785,7 +674,7 @@ def grav_bianchi_residuals(chart: TrivializedChart) -> dict:
     # coefficient fields for the generalized rows
     theta_f = frame_coeffs_2form(Theta, chart.coframe)
     omega_f = frame_coeffs_2form(Omega, chart.coframe)
-    omega_conn = frame_coeffs_1form(chart.extras["omega"], chart.coframe)
+    omega_conn = frame_coeffs_1form(omega, chart.coframe)
 
     def tf(S, A, B):
         return theta_f.get((S, A, B), f_zero(N))
@@ -916,14 +805,14 @@ def grav_bianchi_residuals(chart: TrivializedChart) -> dict:
 # commutators and conservation
 # ---------------------------------------------------------------------------
 
-def grav_commutator_residuals(chart: TrivializedChart, test_count: int = 2) -> dict:
+def grav_commutator_residuals(chart: GravityChart, test_count: int = 2) -> dict:
     """All three commutation rows applied to random test scalars."""
     split = chart.split
     alg = chart.alg
     N = alg.dim
     s_idx, l_idx = split.s_indices, split.l_indices
-    rng: Rng = chart.extras["rng"]
-    omega_conn = frame_coeffs_1form(chart.extras["omega"], chart.coframe)
+    rng = chart.rng
+    omega_conn = frame_coeffs_1form(chart.omega, chart.coframe)
 
     def wf(m, B):
         return omega_conn.get((m, B), f_zero(N))
@@ -935,10 +824,7 @@ def grav_commutator_residuals(chart: TrivializedChart, test_count: int = 2) -> d
         df = {A: frame_partial_field(chart.coframe, f, A) for A in range(N)}
         for p in chart.probes:
             pt = tuple(p)
-            theta_c = decompose(chart.extras["torsion"], chart.coframe,
-                                "by-coframe", pt, chart.exact)
-            omega_c = decompose(chart.extras["curv_l"], chart.coframe,
-                                "by-coframe", pt, chart.exact)
+            theta_c, omega_c = chart.torsion_curvature(pt)
             dfv = {A: df[A].value(pt) for A in range(N)}
             row1 = 0
             for a in s_idx:
@@ -999,7 +885,7 @@ def grav_commutator_residuals(chart: TrivializedChart, test_count: int = 2) -> d
     return report
 
 
-def grav_T_conservation_residual(chart: TrivializedChart,
+def grav_T_conservation_residual(chart: GravityChart,
                                  control_sign: int = 1) -> dict:
     """T tensor, the conservation defect, the double-derivative lemma, and
     the derivation-chain check (d of the hidden-field defect equals the
@@ -1008,24 +894,16 @@ def grav_T_conservation_residual(chart: TrivializedChart,
     alg = chart.alg
     N = alg.dim
     s_idx, l_idx = split.s_indices, split.l_indices
-    kappa: KappaTensor = chart.extras["kappa"]
-    p_coeffs = chart.extras["p_coeffs"]
     minors = chart.coframe.minors()
     dual = algebra_slot(alg, dual=True)
-    omega_conn = frame_coeffs_1form(chart.extras["omega"], chart.coframe)
+    omega_conn = frame_coeffs_1form(chart.omega, chart.coframe)
+    p_full = antisym(chart.p_coeffs)
 
     def wf(m, B):
         return omega_conn.get((m, B), f_zero(N))
 
-    def pc(I, A, B):
-        key = (I, A, B) if A < B else (I, B, A)
-        fld = p_coeffs.get(key)
-        if fld is None:
-            return None
-        return fld if A < B else f_scale(fld, -1)
-
     def p_field(I, A, B):
-        fld = pc(I, A, B)
+        fld = p_full.get((I, A, B))
         return fld if fld is not None else f_zero(N)
 
     # T_P^a = sum_l frame-partial_l p_P^{a l}
@@ -1034,7 +912,7 @@ def grav_T_conservation_residual(chart: TrivializedChart,
         for a in s_idx:
             parts = []
             for L in l_idx:
-                fld = pc(P, a, L)
+                fld = p_full.get((P, a, L))
                 if fld is None:
                     continue
                 parts.append(frame_partial_field(chart.coframe, fld, L))
@@ -1081,10 +959,7 @@ def grav_T_conservation_residual(chart: TrivializedChart,
               "max_chain": 0, "max_defect": 0}
     for p in chart.probes:
         pt = tuple(p)
-        theta_c = decompose(chart.extras["torsion"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
-        omega_c = decompose(chart.extras["curv_l"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
+        theta_c, omega_c = chart.torsion_curvature(pt)
         tstar = theta_star_values(theta_c, s_idx, N)
         t_at = {key: f.value(pt) for key, f in T_fields.items()}
         report["T"][pt] = dict(t_at)
@@ -1172,11 +1047,11 @@ def grav_T_conservation_residual(chart: TrivializedChart,
     return report
 
 
-def _q_scalar(chart: TrivializedChart, pt, theta_c, omega_c):
+def _q_scalar(chart: GravityChart, pt, theta_c, omega_c):
     """Q = Theta kappa + (Omega + c) kappa, the contracted source scalar."""
     split = chart.split
     alg = chart.alg
-    kappa: KappaTensor = chart.extras["kappa"]
+    kappa = chart.kappa
     s_idx, l_idx = split.s_indices, split.l_indices
     acc = 0
     for s1 in s_idx:
@@ -1192,15 +1067,12 @@ def _q_scalar(chart: TrivializedChart, pt, theta_c, omega_c):
     return acc
 
 
-def q_scalar_consistency(chart: TrivializedChart) -> object:
+def q_scalar_consistency(chart: GravityChart) -> object:
     """Q from Theta/Omega/c agrees with the F-based definition."""
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
-        theta_c = decompose(chart.extras["torsion"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
-        omega_c = decompose(chart.extras["curv_l"], chart.coframe,
-                            "by-coframe", pt, chart.exact)
+        theta_c, omega_c = chart.torsion_curvature(pt)
         q1 = _q_scalar(chart, pt, theta_c, omega_c)
         q2 = q_families(chart, pt)["q"]
         worst = max(worst, abs(q1 - q2))

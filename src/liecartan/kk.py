@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .algebra import SplitAlgebra, killing_form
-from .charts import (Rng, TrivializedChart, assemble_chart,
-                     frame_coeffs_1form, frame_coeffs_2form, frame_partial_field)
+from .charts import (GaugeChart, antisym, assemble_chart, base_lc_gamma_fields,
+                     coframe_from_algebra_form, frame_coeffs_1form,
+                     frame_partial_field)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_is_zero, f_mul, f_scale, f_zero
-from .forms import Form, Slot, contracted_wedge, decompose, exterior_d
-from .scalars import Polynomial
+from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
 from .ym import pi_form_from_coeffs
 
 
@@ -77,8 +77,6 @@ def kk_el_residuals(fields: KKFields) -> dict:
     N = alg.dim
     s_idx, g_idx = split.s_indices, split.l_indices
     h = split.h_diag()
-    from .charts import coframe_from_algebra_form
-
     coframe = coframe_from_algebra_form(fields.theta, N, fields.probes, fields.exact)
     minors = coframe.minors()
     dual = algebra_slot(alg, dual=True)
@@ -102,12 +100,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
     half = Fraction(1, 2)
     phi_term = contracted_wedge(m3, Phi_up, [(0, 0), (1, 1)]).scale(half)
 
-    lam_term = Form(N, N - 1, (dual,))
-    if fields.lambda0 != 0:
-        for U in range(N):
-            for K, _, mf in minors.minor((U,)).terms():
-                lam_term.add_term(K, (U,), f_scale(mf, fields.lambda0))
-        lam_term._finalize()
+    lam_term = cominor_rows(minors, {(U, U): fields.lambda0 for U in range(N)}, dual)
 
     report = {"frobenius": {}, "torsion_free": {}, "einstein": {}, "max": 0}
     worst = 0
@@ -125,22 +118,16 @@ def kk_el_residuals(fields: KKFields) -> dict:
         tdef = torsion_defect.max_abs(pt)
         report["torsion_free"][pt] = tdef
         # source term Theta^{u}_{U s} pi_u^{g s} e^{(N-1)}_g
-        pi_at = {}
-        for (i, A, B), fld in fields.pi_coeffs.items():
-            v = fld.value(pt)
-            pi_at[(i, A, B)] = v
-            pi_at[(i, B, A)] = -v
-        src = Form(N, N - 1, (dual,))
+        pi_at = antisym({key: f.value(pt) for key, f in fields.pi_coeffs.items()})
+        src_rows = {}
         for U in range(N):
             for gg in g_idx:
                 acc = 0
                 for ub in range(N):
                     for sb in s_idx:
                         acc += tc[(ub,)][U][sb] * pi_at.get((ub, gg, sb), 0)
-                if acc != 0:
-                    for K, _, mf in minors.minor((gg,)).terms():
-                        src.add_term(K, (U,), f_scale(mf, acc))
-        src._finalize()
+                src_rows[(U, gg)] = acc
+        src = cominor_rows(minors, src_rows, dual)
         einstein = dpi + phi_term - lam_term - src
         ev = einstein.max_abs(pt)
         report["einstein"][pt] = ev
@@ -156,42 +143,22 @@ def kk_el_residuals(fields: KKFields) -> dict:
 def build_kk_chart(split: SplitAlgebra, n_base: int, seed: int,
                    exact: bool = True, probe_count: int = 2,
                    constant_F: bool = False,
-                   curved_base: bool = False) -> TrivializedChart:
+                   curved_base: bool = False) -> GaugeChart:
     """Chart e = beta(x) + A^g(x) + dg g^{-1} with p^{ss} = 0.
 
     The base coframe is flat by default (the setting of the decomposition
     formula); curved_base perturbs it for the curvature-identity suite.
+    constant_F uses potentials A^g = -c x^l dx^k with constant F.
     """
     inv = check_h_invariance(split)
     if inv != 0:
         raise ValueError("the block metric is not ad-invariant")
     chart = assemble_chart(split, n_base, seed, probe_count=probe_count,
-                           exact=exact,
-                           connection_kwargs={
-                               "s_coframe": "perturbed" if curved_base else "flat",
-                               "l_components": not constant_F})
-    chart.extras["curved_base"] = curved_base
-    rng: Rng = chart.extras["rng"]
-    alg = chart.alg
+                           exact=exact, curved_base=curved_base,
+                           l_rows="constant" if constant_F else "random")
+    rng = chart.rng
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
-    if constant_F:
-        # A^g = -x^1 F0 dx^0 style potentials give constant field strengths
-        A = chart.A_form
-        for i in g_idx:
-            for k in range(n_base):
-                for l in range(k + 1, n_base):
-                    c = rng.scalar(-2, 2)
-                    if c == 0:
-                        continue
-                    A.add_term((k,), (i,), Polynomial.coordinate(l, N).scale(-c))
-        A._finalize()
-        chart.e_form = A + chart.gm.right_log_derivative()
-        from .charts import coframe_from_algebra_form
-
-        chart.coframe = coframe_from_algebra_form(chart.e_form, N, chart.probes, exact)
-    F_form = curvature(chart.A_form, alg)
-    F_coeffs = frame_coeffs_2form(F_form, chart.coframe)
     p_coeffs: Dict[Tuple[int, int, int], object] = {}
     for i in g_idx:
         for a in s_idx:
@@ -202,34 +169,30 @@ def build_kk_chart(split: SplitAlgebra, n_base: int, seed: int,
             for j2 in g_idx:
                 if j1 < j2:
                     p_coeffs[(i, j1, j2)] = rng.poly(N, deg=2, terms=2)
-    chart.extras["p_coeffs"] = p_coeffs
-    chart.extras["F_form"] = F_form
-    chart.extras["F_coeffs"] = F_coeffs
+    chart.p_coeffs = p_coeffs
     return chart
 
 
-def kk_lc_connection(chart: TrivializedChart,
+def kk_lc_connection(chart: GaugeChart,
                      gamma_fields=None, control_sign: int = 1) -> Tuple[Form, dict]:
-    if gamma_fields is None and chart.extras.get("curved_base"):
-        from .charts import base_lc_gamma_fields
-
-        gamma_fields = base_lc_gamma_fields(chart)
     """The Levi-Civita matrix of the trivialized chart and its residuals.
 
     Blocks: w^s_s = gamma - 1/2 F_g^s_s e^g, w^s_g = 1/2 F_{gs}^s e^s,
     w^g_s = 1/2 F^g_{ss'} e^s', w^g_g = 1/2 c^g_{gg'} (e^g' - 2 A^g').
     Returns (w, report) with torsion and metric residuals at the probes.
     """
+    if gamma_fields is None and chart.curved_base:
+        gamma_fields = base_lc_gamma_fields(chart)
     split = chart.split
     alg = chart.alg
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
     h = split.h_diag()
-    F_coeffs = chart.extras["F_coeffs"]
+    F_coeffs = chart.F_coeffs
     uslot = algebra_slot(alg)
     omega = Form(N, 1, (uslot, Slot(alg.name, alg.dim, True)))
 
-    e_one = {A: _coframe_row(chart, A) for A in range(N)}
+    e_one = {A: chart.e_form.component(A) for A in range(N)}
     half = Fraction(1, 2)
 
     def fco(i, A, B):
@@ -281,7 +244,7 @@ def kk_lc_connection(chart: TrivializedChart,
                 cv = alg.c(i, j, m)
                 if cv == 0:
                     continue
-                em = e_one[m] - _connection_row(chart, m).scale(2)
+                em = e_one[m] - chart.A_form.component(m).scale(2)
                 for (k,), _, ef in em.terms():
                     omega.add_term((k,), (i, j), f_scale(ef, half * cv))
     omega._finalize()
@@ -308,27 +271,7 @@ def kk_lc_connection(chart: TrivializedChart,
     return omega, report
 
 
-def _coframe_row(chart: TrivializedChart, A: int) -> Form:
-    N = chart.N
-    out = Form(N, 1)
-    for k in range(N):
-        fld = chart.e_form.get((k,), (A,))
-        if not f_is_zero(fld):
-            out.add_term((k,), (), fld)
-    return out._finalize()
-
-
-def _connection_row(chart: TrivializedChart, A: int) -> Form:
-    N = chart.N
-    out = Form(N, 1)
-    for k in range(N):
-        fld = chart.A_form.get((k,), (A,))
-        if not f_is_zero(fld):
-            out.add_term((k,), (), fld)
-    return out._finalize()
-
-
-def riemann_blocks(chart: TrivializedChart, omega: Form, point) -> dict:
+def riemann_blocks(chart: GaugeChart, omega: Form, point) -> dict:
     """Riemann, Ricci, scalar and Einstein tensors of the chart metric."""
     alg = chart.alg
     N = chart.N
@@ -352,13 +295,13 @@ def riemann_blocks(chart: TrivializedChart, omega: Form, point) -> dict:
     return {"riemann": R, "ricci": ric, "scalar": scal, "einstein": einstein}
 
 
-def base_curvature_blocks(chart: TrivializedChart, gamma_fields, point):
+def base_curvature_blocks(chart: GaugeChart, gamma_fields, point):
     """Ricci scalar and Einstein tensor of the base connection gamma."""
     split = chart.split
     n = chart.n_base
     N = chart.N
     b = split.b_diag
-    e_one = {c: _coframe_row(chart, c) for c in split.s_indices}
+    e_one = {c: chart.e_form.component(c) for c in split.s_indices}
     gamma_form = Form(N, 1, (algebra_slot(chart.alg),
                              Slot(chart.alg.name, chart.alg.dim, True)))
     for a in range(n):
@@ -392,7 +335,7 @@ def base_curvature_blocks(chart: TrivializedChart, gamma_fields, point):
     return {"scalar": scal, "einstein": einstein}
 
 
-def kk_curvature_report(chart: TrivializedChart, gamma_scalar=0,
+def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
                         base_einstein=None, control_sign: int = 1) -> dict:
     """Identity residuals for the scalar curvature and Einstein blocks.
 
@@ -405,13 +348,9 @@ def kk_curvature_report(chart: TrivializedChart, gamma_scalar=0,
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
-    gamma_fields = None
-    if chart.extras.get("curved_base"):
-        from .charts import base_lc_gamma_fields
-
-        gamma_fields = base_lc_gamma_fields(chart)
+    gamma_fields = base_lc_gamma_fields(chart) if chart.curved_base else None
     omega, lc_report = kk_lc_connection(chart, gamma_fields=gamma_fields)
-    F_coeffs = chart.extras["F_coeffs"]
+    F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
     Bkill = killing_form(alg)
     bk = _bk_pairing(split, Bkill)
@@ -509,7 +448,7 @@ def kk_curvature_report(chart: TrivializedChart, gamma_scalar=0,
     return report
 
 
-def quad_mixed(chart: TrivializedChart, f_at, i, j):
+def quad_mixed(chart: GaugeChart, f_at, i, j):
     """F_i^{ss'} F^j_{ss'} with i lowered and j raised by the metrics."""
     split = chart.split
     s_idx, g_idx = split.s_indices, split.l_indices
@@ -530,11 +469,11 @@ def quad_mixed(chart: TrivializedChart, f_at, i, j):
     return acc
 
 
-def _f_up_field(chart: TrivializedChart, i, a2, sb):
+def _f_up_field(chart: GaugeChart, i, a2, sb):
     split = chart.split
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
-    fld = chart.extras["F_coeffs"].get((i, a2, sb))
+    fld = chart.F_coeffs.get((i, a2, sb))
     if fld is None:
         return f_zero(chart.N)
     return f_scale(fld, k[g_idx.index(i)] / (b[s_idx.index(a2)] * b[s_idx.index(sb)]))
@@ -548,7 +487,7 @@ def _bk_pairing(split: SplitAlgebra, Bkill):
     return acc / 2
 
 
-def kk_eym_residuals(chart: TrivializedChart, lam, base_einstein=None) -> dict:
+def kk_eym_residuals(chart: GaugeChart, lam, base_einstein=None) -> dict:
     """Residual of the reduced Einstein-Yang-Mills system on the base.
 
     The caller supplies the intended solution data; for the flat vacuum with
@@ -558,7 +497,7 @@ def kk_eym_residuals(chart: TrivializedChart, lam, base_einstein=None) -> dict:
     alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
-    F_coeffs = chart.extras["F_coeffs"]
+    F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
     report = {"einstein": {}, "yang_mills": {}, "max": 0}
     worst = 0
@@ -610,90 +549,53 @@ def kk_eym_residuals(chart: TrivializedChart, lam, base_einstein=None) -> dict:
     return report
 
 
-def kk_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> dict:
+def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     """Direct d^A p_u against the closed-form rows (p^{ss} = 0 case)."""
     split = chart.split
     alg = chart.alg
-    N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
-    p_coeffs = chart.extras["p_coeffs"]
     dual = algebra_slot(alg, dual=True)
     minors = chart.coframe.minors()
 
-    p_form = pi_form_from_coeffs(p_coeffs, chart.coframe, alg.dim, dual)
+    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, alg.dim, dual)
     coad = Representation.coadjoint(alg)
     lhs = cov_d(chart.A_form, p_form, (coad,))
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
-    V = chart.coframe.inverse_field()
-
-    def pc(i, A, B):
-        key = (i, A, B) if A < B else (i, B, A)
-        fld = p_coeffs.get(key)
-        if fld is None:
-            return None
-        return fld if A < B else f_scale(fld, -1)
 
     report = {"max": 0, "rows": {}}
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
-        Vp = [[V.entry(kk2, A).value(pt) for A in range(N)] for kk2 in range(N)]
         a_at = {key: f.value(pt) for key, f in A_frame.items()}
-        p_at, dp_at = {}, {}
-        for i in g_idx:
-            for A in range(N):
-                for B in range(N):
-                    if A == B:
-                        continue
-                    fld = pc(i, A, B)
-                    if fld is None:
-                        continue
-                    p_at[(i, A, B)] = fld.value(pt)
-                    grad = [fld.dvalue(pt, kk2) for kk2 in range(N)]
-                    for C in range(N):
-                        dp_at[(i, A, B, C)] = sum(Vp[kk2][C] * grad[kk2]
-                                                  for kk2 in range(N))
-
-        def pv(i, A, B):
-            return p_at.get((i, A, B), 0)
-
-        def dpv(i, A, B, C):
-            return dp_at.get((i, A, B, C), 0)
-
+        pv, dpv = chart.p_tables(pt)
         rows: Dict[Tuple[int, int], object] = {}
         for i in g_idx:
             for a in s_idx:
-                rows[(i, a)] = sum(dpv(i, a, gg, gg) for gg in g_idx)
+                rows[(i, a)] = sum(dpv[i, a, gg, gg] for gg in g_idx)
             for gup in g_idx:
                 acc = 0
                 for s1 in s_idx:
-                    d = dpv(i, gup, s1, s1)
+                    d = dpv[i, gup, s1, s1]
                     for j in g_idx:
                         for m in g_idx:
                             cv = alg.c(j, m, i)
                             if cv != 0:
-                                d -= cv * a_at.get((m, s1), 0) * pv(j, gup, s1)
+                                d -= cv * a_at.get((m, s1), 0) * pv[j, gup, s1]
                     for j in g_idx:
                         for m in g_idx:
                             cv = alg.c(gup, m, j)
                             if cv != 0:
-                                d += cv * a_at.get((m, s1), 0) * pv(i, j, s1)
+                                d += cv * a_at.get((m, s1), 0) * pv[i, j, s1]
                     acc += d
                 for g1 in g_idx:
-                    acc += dpv(i, gup, g1, g1)
+                    acc += dpv[i, gup, g1, g1]
                 for g1 in g_idx:
                     for g2 in g_idx:
                         cv = alg.c(gup, g1, g2)
                         if cv != 0:
-                            acc += control_sign * cv * pv(i, g1, g2) / 2
+                            acc += control_sign * cv * pv[i, g1, g2] / 2
                 rows[(i, gup)] = acc
-        rhs = Form(N, N - 1, (dual,))
-        for (i, U), vrow in rows.items():
-            if vrow == 0:
-                continue
-            for K, _, mf in minors.minor((U,)).terms():
-                rhs.add_term(K, (i,), f_scale(mf, vrow))
-        rhs._finalize()
+        rhs = cominor_rows(minors, rows, dual)
         res = (lhs - rhs).max_abs(pt)
         report["rows"][pt] = {key: v for key, v in rows.items()}
         worst = max(worst, abs(res))

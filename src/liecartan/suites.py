@@ -570,7 +570,7 @@ def suite_grav_commutators(config: SuiteConfig) -> List[dict]:
         seed = case_seed(config.seed, cid)
         split, kap, chart = _grav_setup(config, cid, seed, small_only=True)
         if config.corruption in SIGN_FLIP:
-            chart.extras["torsion"] = chart.extras["torsion"].scale(-1)
+            chart.torsion = chart.torsion.scale(-1)
         rep = grav_commutator_residuals(chart, test_count=1)
         cases.append(_case(cid, seed, rep["max"], config))
     return cases

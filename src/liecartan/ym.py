@@ -15,13 +15,12 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import SplitAlgebra
-from .charts import (Rng, TrivializedChart, assemble_chart, base_lc_gamma_fields,
+from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_coeffs_2form, frame_partial_field)
-from .connection import (Representation, algebra_slot, cov_d, curvature,
-                         levi_civita_coeff_fields)
-from .fields import f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
-from .forms import Coframe, Form, Slot, decompose, exterior_d, wedge
+                     frame_partial_field)
+from .connection import Representation, algebra_slot, cov_d, curvature
+from .fields import f_add, f_is_zero, f_mul, f_scale, f_zero
+from .forms import Coframe, Form, Slot, cominor_rows, decompose, exterior_d, wedge
 from .scalars import Polynomial
 
 
@@ -69,7 +68,6 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
     """
     split = fields.split
     alg = fields.alg
-    n, N = fields.n_base, alg.dim
     coframe = fields.f_coframe()
     minors = coframe.minors()
     theta_curv = curvature(fields.theta, alg)
@@ -80,14 +78,6 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
 
     b, k = split.b_diag, split.k_diag
     s_idx, g_idx = split.s_indices, split.l_indices
-
-    def coeff(i, A, B):
-        key = (i, A, B) if A < B else (i, B, A)
-        sign = 1 if A < B else -1
-        fld = fields.pi_coeffs.get(key)
-        if fld is None:
-            return 0
-        return sign
 
     report = {"r_pi_ss": {}, "r_pi_sg": {}, "r_pi_gg": {}, "max": 0}
     probes = fields.probes if tol_probe is None else [tuple(tol_probe)]
@@ -126,11 +116,7 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
                     report["r_pi_gg"][(i, j1, j2, p)] = res
                     worst = max(worst, abs(res))
         # r_theta: d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g
-        rhs = Form(N, N - 1, (dual,))
-        for i in g_idx:
-            for K, _, mf in minors.minor((i,)).terms():
-                rhs.add_term(K, (i,), f_scale(mf, norm2 / 2 if norm2 else 0))
-        rhs._finalize()
+        rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, dual)
         diff = dpi - rhs
         worst = max(worst, diff.max_abs(p))
         report.setdefault("r_theta", {})[p] = diff.max_abs(p)
@@ -144,23 +130,19 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
 
 def build_ym_chart(split: SplitAlgebra, n_base: int, seed: int,
                    curved_base: bool = False, exact: bool = True,
-                   probe_count: int = 2, p_y_dependent: bool = True) -> TrivializedChart:
+                   probe_count: int = 2, p_y_dependent: bool = True) -> GaugeChart:
     """Chart satisfying the decomposition hypotheses by construction.
 
     A has x-only dx components with A^s a base coframe; p^ss is pinned to
     minus the raised field strength; p^sg and p^gg are random fields.
     """
-    chart = assemble_chart(
-        split, n_base, seed, probe_count=probe_count, exact=exact,
-        connection_kwargs={"s_coframe": "perturbed" if curved_base else "flat"})
-    rng: Rng = chart.extras["rng"]
-    alg = chart.alg
+    chart = assemble_chart(split, n_base, seed, probe_count=probe_count,
+                           exact=exact, curved_base=curved_base)
+    rng = chart.rng
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
-
-    F_form = curvature(chart.A_form, alg)
-    F_coeffs = frame_coeffs_2form(F_form, chart.coframe)
+    F_coeffs = chart.F_coeffs
     p_coeffs: Dict[Tuple[int, int, int], object] = {}
     for i in g_idx:
         gi = g_idx.index(i)
@@ -182,14 +164,11 @@ def build_ym_chart(split: SplitAlgebra, n_base: int, seed: int,
             for j2 in g_idx:
                 if j1 < j2:
                     p_coeffs[(i, j1, j2)] = rng.poly_in_vars(N, vars_, deg=2, terms=2)
-    chart.extras["p_coeffs"] = p_coeffs
-    chart.extras["F_form"] = F_form
-    chart.extras["F_coeffs"] = F_coeffs
-    chart.extras["curved_base"] = curved_base
+    chart.p_coeffs = p_coeffs
     return chart
 
 
-def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> dict:
+def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     """Direct d^A p against its closed-form decomposition, at probe points.
 
     Returns the max residual and the three blocks (s-codegree, g-codegree,
@@ -199,7 +178,7 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
     alg = chart.alg
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
-    p_coeffs = chart.extras["p_coeffs"]
+    p_coeffs = chart.p_coeffs
     dual = algebra_slot(alg, dual=True)
     minors = chart.coframe.minors()
 
@@ -208,52 +187,20 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
     lhs = cov_d(chart.A_form, p_form, (coad,))
 
     # ingredients for the closed form
-    F_coeffs = chart.extras["F_coeffs"]
+    F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
     gamma = base_lc_gamma_fields(chart)
-    V = chart.coframe.inverse_field()
-
-    def pc(i, A, B):
-        key = (i, A, B) if A < B else (i, B, A)
-        fld = p_coeffs.get(key)
-        if fld is None:
-            return None
-        return fld if A < B else f_scale(fld, -1)
-
-    def fc(i, A, B):
-        return F_coeffs.get((i, A, B))
 
     report = {"blocks": {}, "max": 0}
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
-        Vp = [[V.entry(kk, A).value(pt) for A in range(N)] for kk in range(N)]
         a_at = {key: f.value(pt) for key, f in A_frame.items()}
         f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
         g_at = {(a, bb, c): gamma[a][bb][c].value(pt)
                 for a in range(chart.n_base) for bb in range(chart.n_base)
                 for c in range(chart.n_base)}
-        p_at: Dict[Tuple[int, int, int], object] = {}
-        dp_at: Dict[Tuple[int, int, int, int], object] = {}
-        for i in g_idx:
-            for A in range(N):
-                for B in range(N):
-                    if A == B:
-                        continue
-                    fld = pc(i, A, B)
-                    if fld is None:
-                        continue
-                    p_at[(i, A, B)] = fld.value(pt)
-                    grad = [fld.dvalue(pt, kk) for kk in range(N)]
-                    for C in range(N):
-                        dv = sum(Vp[kk][C] * grad[kk] for kk in range(N))
-                        dp_at[(i, A, B, C)] = dv
-
-        def pv(i, A, B):
-            return p_at.get((i, A, B), 0)
-
-        def dpv(i, A, B, C):
-            return dp_at.get((i, A, B, C), 0)
+        pv, dpv = chart.p_tables(pt)
 
         def av(m, B):
             return a_at.get((m, B), 0)
@@ -267,20 +214,20 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
             for a in s_idx:
                 acc = 0
                 for s1 in s_idx:
-                    d = dpv(i, a, s1, s1)
+                    d = dpv[i, a, s1, s1]
                     # coadjoint action on the g* index
                     for j in g_idx:
                         for m in g_idx:
                             c = alg.c(j, m, i)
                             if c != 0:
-                                d -= c * av(m, s1) * pv(j, a, s1)
+                                d -= c * av(m, s1) * pv[j, a, s1]
                     # gamma on both upper s indices
                     for ap in s_idx:
-                        d += gv(a, ap, s1) * pv(i, ap, s1)
-                        d += gv(s1, ap, s1) * pv(i, a, ap)
+                        d += gv(a, ap, s1) * pv[i, ap, s1]
+                        d += gv(s1, ap, s1) * pv[i, a, ap]
                     acc += d
                 for gg in g_idx:
-                    acc += dpv(i, a, gg, gg)
+                    acc += dpv[i, a, gg, gg]
                 s_row[(i, a)] = acc
         # g-row coefficients: cov_s p^{g s} + 1/2 F^g_{s1 s2} p^{s1 s2}
         g_row: Dict[Tuple[int, int], object] = {}
@@ -288,27 +235,27 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
             for gup in g_idx:
                 acc = 0
                 for s1 in s_idx:
-                    d = dpv(i, gup, s1, s1)
+                    d = dpv[i, gup, s1, s1]
                     for j in g_idx:
                         for m in g_idx:
                             c = alg.c(j, m, i)
                             if c != 0:
-                                d -= c * av(m, s1) * pv(j, gup, s1)
+                                d -= c * av(m, s1) * pv[j, gup, s1]
                     for j in g_idx:
                         for m in g_idx:
                             c = alg.c(gup, m, j)
                             if c != 0:
-                                d += c * av(m, s1) * pv(i, j, s1)
+                                d += c * av(m, s1) * pv[i, j, s1]
                     for ap in s_idx:
-                        d += gv(s1, ap, s1) * pv(i, gup, ap)
+                        d += gv(s1, ap, s1) * pv[i, gup, ap]
                     acc += d
                 for j in g_idx:
                     for s1 in s_idx:
                         for s2 in s_idx:
                             fv = f_at.get((j, s1, s2), 0)
                             if fv != 0:
-                                acc += control_sign * fv * pv(i, s1, s2) \
-                                    * alg_pair(alg, j, gup) / 2
+                                acc += control_sign * fv * pv[i, s1, s2] \
+                                    * (1 if j == gup else 0) / 2
                 g_row[(i, gup)] = acc
         # exact term d(1/2 p^{g1 g2} e^{(N-2)}_{g1 g2})
         exact_form = Form(N, N - 2, (dual,))
@@ -317,7 +264,7 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
                 for j2 in g_idx:
                     if j1 >= j2:
                         continue
-                    fld = pc(i, j1, j2)
+                    fld = p_coeffs.get((i, j1, j2))
                     if fld is None:
                         continue
                     for K, _, mf in minors.minor((j1, j2)).terms():
@@ -325,20 +272,7 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
         exact_form._finalize()
         exact_term = exterior_d(exact_form)
 
-        rhs = exact_term
-        row_form = Form(N, N - 1, (dual,))
-        for (i, a), vrow in s_row.items():
-            if vrow == 0:
-                continue
-            for K, _, mf in minors.minor((a,)).terms():
-                row_form.add_term(K, (i,), f_scale(mf, vrow))
-        for (i, gg), vrow in g_row.items():
-            if vrow == 0:
-                continue
-            for K, _, mf in minors.minor((gg,)).terms():
-                row_form.add_term(K, (i,), f_scale(mf, vrow))
-        row_form._finalize()
-        rhs = rhs + row_form
+        rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
         diff = lhs - rhs
         res = diff.max_abs(pt)
         worst = max(worst, abs(res))
@@ -351,12 +285,7 @@ def ym_dAp_identity_residual(chart: TrivializedChart, control_sign: int = 1) -> 
     return report
 
 
-def alg_pair(alg, j, gup):
-    """Kronecker pairing of a g* summation index with a g index."""
-    return 1 if j == gup else 0
-
-
-def ym_current(chart: TrivializedChart) -> dict:
+def ym_current(chart: GaugeChart) -> dict:
     """Current J_g^s = d_g p_g^{sg} and its covariant conservation residual.
 
     Also verifies the commutator input [d_g, d_s] = -c A d_g on test scalars.
@@ -365,15 +294,8 @@ def ym_current(chart: TrivializedChart) -> dict:
     alg = chart.alg
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
-    p_coeffs = chart.extras["p_coeffs"]
+    p_full = antisym(chart.p_coeffs)
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
-
-    def pc(i, A, B):
-        key = (i, A, B) if A < B else (i, B, A)
-        fld = p_coeffs.get(key)
-        if fld is None:
-            return None
-        return fld if A < B else f_scale(fld, -1)
 
     # J as fields: J_i^a = sum_g frame_partial_g p_i^{a g}
     J_fields: Dict[Tuple[int, int], object] = {}
@@ -381,7 +303,7 @@ def ym_current(chart: TrivializedChart) -> dict:
         for a in s_idx:
             parts = []
             for gg in g_idx:
-                fld = pc(i, a, gg)
+                fld = p_full.get((i, a, gg))
                 if fld is None:
                     continue
                 parts.append(frame_partial_field(chart.coframe, fld, gg))
@@ -389,8 +311,7 @@ def ym_current(chart: TrivializedChart) -> dict:
 
     report = {"J": {}, "conservation": {}, "commutator": {}, "max_conservation": 0,
               "max_commutator": 0}
-    rng: Rng = chart.extras["rng"]
-    test_scalar = rng.poly(N, deg=2, terms=3)
+    test_scalar = chart.rng.poly(N, deg=2, terms=3)
     for p in chart.probes:
         pt = tuple(p)
         a_at = {key: f.value(pt) for key, f in A_frame.items()}

@@ -356,15 +356,3 @@ def test_singular_coframe_rejected():
                [Polynomial.constant(F(1), 2), Polynomial.constant(F(1), 2)]]
     with pytest.raises(SingularCoframeError):
         Coframe(entries, probes=[(F(0), F(0))])
-
-
-def test_connection_bundle_type():
-    from liecartan.connection import Connection, Representation
-
-    rng = random.Random(61)
-    alg = build_algebra("su2")
-    omega = rand_alg_form(rng, alg, 3)
-    conn = Connection(omega, (Representation.adjoint(alg),))
-    alpha = rand_alg_form(rng, alg, 3)
-    out = cov_d(conn.omega, alpha, conn.reps)
-    assert out.degree == 2

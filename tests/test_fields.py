@@ -9,8 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from liecartan.charts import antisym
 from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixExpField,
-                              MatrixInverseField)
+                              MatrixInverseField, f_scale)
 from liecartan.scalars import Polynomial, poly_field
 
 N = 3
@@ -189,3 +190,23 @@ def test_two_distinct_points_alternately(exact):
             assert _same(fld.value(pt), ref.jet(pt, 0).value)
             for k in range(N):
                 assert _same(fld.dvalue(pt, k), ref.jet(pt, 1).deriv((k,)))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_negation_matches_scale_by_minus_one(exact):
+    # antisym mirrors coefficients with unary minus; on every node kind it
+    # must give what f_scale(f, -1) gives, values and partials alike
+    probe, nodes = _graph(exact)
+    _, scaled = _graph(exact)
+    for name, fld in nodes.items():
+        neg, ref = -fld, f_scale(scaled[name], -1)
+        assert repr(neg.value(probe)) == repr(ref.value(probe)), name
+        for k in range(N):
+            assert repr(neg.dvalue(probe, k)) == repr(ref.dvalue(probe, k)), name
+
+
+def test_antisym_follows_each_key_with_its_mirror():
+    table = {(0, 1, 2): F(5), (1, 0, 3): F(-2, 3)}
+    assert list(antisym(table).items()) == [
+        ((0, 1, 2), F(5)), ((0, 2, 1), F(-5)),
+        ((1, 0, 3), F(-2, 3)), ((1, 3, 0), F(2, 3))]

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
-                             UnsupportedDegreeError, contracted_wedge,
-                             decompose, exterior_d, interior, one_form,
-                             reconstruct_cominor, wedge)
+                             UnsupportedDegreeError, cominor_rows,
+                             contracted_wedge, decompose, exterior_d,
+                             interior, one_form, wedge)
 from liecartan.scalars import Polynomial
 
 
@@ -253,11 +253,36 @@ def test_decompose_examples():
     two = mins.minor((0, 1)).scale(F(2)) + mins.minor((2, 3)).scale(F(-7))
     co2 = decompose(two, cf, "by-cominors", probe)
     assert co2[(0, 1)] == 2 and co2[(2, 3)] == -7
-    rebuilt = reconstruct_cominor(co2, mins, 4)
-    assert (rebuilt - two).max_abs(probe) == 0
+    # codegree-1 rows in a two-component slot, rebuilt from their coefficients
+    slot = Slot("v", 2)
+    rows = Form(4, 3, (slot,))
+    for i, U, c in ((0, 1, F(2)), (1, 3, F(-7)), (1, 0, F(1, 3))):
+        for K, _, fld in mins.minor((U,)).scale(c).terms():
+            rows.add_term(K, (i,), fld)
+    rows._finalize()
+    co1 = decompose(rows, cf, "by-cominors", probe)
+    assert co1[(1,)][(3,)] == -7 and co1[(0,)][(2,)] == 0
+    rebuilt = cominor_rows(mins, {(sk[0], U): c for sk, row in co1.items()
+                                  for (U,), c in row.items()}, slot)
+    assert (rebuilt - rows).max_abs(probe) == 0
+    assert sum(1 for _ in rebuilt.terms()) == sum(1 for _ in rows.terms())
     three = mins.minor((0, 1, 3)).scale(F(5))
     co3 = decompose(three, cf, "by-cominors", probe)
     assert co3[(0, 1, 3)] == 5
+
+
+def test_component_keeps_increasing_index_order():
+    slot = Slot("v", 3)
+    x0, x1 = Polynomial.coordinate(0, 3), Polynomial.coordinate(1, 3)
+    form = Form(3, 1, (slot,))
+    form.add_term((2,), (0,), x0)
+    form.add_term((1,), (1,), x1)
+    form.add_term((0,), (0,), x1)
+    form._finalize()
+    row = form.component(0)
+    assert row.slots == () and list(row.comps) == [(0,), (2,)]
+    assert row.get((0,)) is x1 and row.get((2,)) is x0
+    assert list(form.component(2).terms()) == []
 
 
 def test_decompose_rejects_unsupported_degree():

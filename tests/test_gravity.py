@@ -31,8 +31,9 @@ def p03_chart(seed=42, **kw):
 
 
 def test_chart_certification():
+    # building certifies; certifying the built chart again passes too
     sp, kap, chart = p03_chart(probe_count=2)
-    assert chart.extras["certified"]
+    certify_gravity_chart(chart)
 
 
 def test_certification_rejects_broken_invariants():
@@ -48,7 +49,7 @@ def test_certification_rejects_broken_invariants():
     chart.e_form = bad + chart.gm.right_log_derivative()
     chart.coframe = coframe_from_algebra_form(chart.e_form, N, chart.probes,
                                               chart.exact)
-    chart.extras["F_form"] = curvature(bad, chart.alg)
+    chart.F_form = curvature(bad, chart.alg)
     with pytest.raises(ChartInvariantError):
         certify_gravity_chart(chart)
 
@@ -173,7 +174,7 @@ def test_decomposition_p03(seed):
 def test_decomposition_degenerate_block():
     # p^{sl} = p^{ll} = 0 and A = 0: only the kappa-constant block remains
     sp, kap, chart = p03_chart(seed=23, flat=True, probe_count=1)
-    chart.extras["p_coeffs"] = kappa_pi_block(sp, kap, chart.N)
+    chart.p_coeffs = kappa_pi_block(sp, kap, chart.N)
     assert grav_dAp_decomposition_residual(chart)["max"] == 0
 
 
@@ -267,7 +268,7 @@ def test_conservation_synthetic_constant_T():
         for pos_l, l in enumerate(sp.l_indices):
             y = Polynomial.coordinate(n + pos_l, N)
             key = (a, a, l) if a < l else (a, l, a)
-            chart.extras["p_coeffs"][key] = y.scale(tau / r)
+            chart.p_coeffs[key] = y.scale(tau / r)
     rep = grav_T_conservation_residual(chart)
     pt = chart.probes[0]
     for a in sp.s_indices:
@@ -327,7 +328,7 @@ def test_exact_term_identity():
     alg, N = chart.alg, chart.N
     minors = chart.coframe.minors()
     pt = chart.probes[0]
-    p_coeffs = chart.extras["p_coeffs"]
+    p_coeffs = chart.p_coeffs
     dual = algebra_slot(alg, dual=True)
     ll_only = {key: fld for key, fld in p_coeffs.items()
                if key[1] in sp.l_indices and key[2] in sp.l_indices}

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from liecartan.algebra import central_extension, euclidean_diag, killing_form, su2, u1
-from liecartan.charts import assemble_chart, frame_coeffs_2form
-from liecartan.connection import algebra_slot, curvature
+from liecartan.charts import assemble_chart
+from liecartan.connection import algebra_slot
 from liecartan.forms import Form
 from liecartan.kk import (KKFields, build_kk_chart, check_h_invariance,
                           kk_curvature_report, kk_dAp_identity_residual,
@@ -93,12 +93,7 @@ def test_lc_connection_residuals(fiber, const_F):
 
 def test_flat_chart_connection_vanishes_for_abelian():
     split = central_extension(u1(), 2, b_diag=euclidean_diag(2))
-    chart = assemble_chart(split, 2, seed=2,
-                           connection_kwargs={"s_coframe": "flat",
-                                              "l_components": False})
-    chart.extras["F_form"] = curvature(chart.A_form, chart.alg)
-    chart.extras["F_coeffs"] = frame_coeffs_2form(chart.extras["F_form"],
-                                                  chart.coframe)
+    chart = assemble_chart(split, 2, seed=2, l_rows="none")
     omega, rep = kk_lc_connection(chart)
     assert rep["max"] == 0
     for K, sk, fld in omega.terms():
@@ -117,12 +112,7 @@ def test_curvature_identities(fiber):
 def test_su2_pure_fiber_scalar_curvature():
     # F = 0: R(h) = -1/2 <B, k>, which is +3/2 for the unit su(2) metric
     split = central_extension(su2(), 2, b_diag=euclidean_diag(2))
-    chart = assemble_chart(split, 2, seed=3,
-                           connection_kwargs={"s_coframe": "flat",
-                                              "l_components": False})
-    chart.extras["F_form"] = curvature(chart.A_form, chart.alg)
-    chart.extras["F_coeffs"] = frame_coeffs_2form(chart.extras["F_form"],
-                                                  chart.coframe)
+    chart = assemble_chart(split, 2, seed=3, l_rows="none")
     omega, _ = kk_lc_connection(chart)
     blocks = riemann_blocks(chart, omega, chart.probes[0])
     assert blocks["scalar"] == F(3, 2)
@@ -143,11 +133,7 @@ def test_einstein_block_symmetry():
 
 def test_eym_vacuum_and_lambda():
     split = central_extension(u1(), 2, b_diag=euclidean_diag(2))
-    vac = assemble_chart(split, 2, seed=2,
-                         connection_kwargs={"s_coframe": "flat",
-                                            "l_components": False})
-    vac.extras["F_form"] = curvature(vac.A_form, vac.alg)
-    vac.extras["F_coeffs"] = frame_coeffs_2form(vac.extras["F_form"], vac.coframe)
+    vac = assemble_chart(split, 2, seed=2, l_rows="none")
     assert kk_eym_residuals(vac, F(0))["max"] == 0
     rep = kk_eym_residuals(vac, F(6))
     assert all(v == 6 for v in rep["einstein"].values())
@@ -159,7 +145,7 @@ def test_eym_quadratic_source_cross_check():
     rep = kk_eym_residuals(chart, F(0))
     pt = chart.probes[0]
     f_at = {key: fld.jet(pt, 0).value
-            for key, fld in chart.extras["F_coeffs"].items()}
+            for key, fld in chart.F_coeffs.items()}
     f01 = f_at.get((2, 0, 1), 0)
     # Euclidean metrics, n = 2: the diagonal source is F^2/2 - |F|^2/4 = F^2/4
     assert rep["einstein"][pt] == f01 * f01 / 4
@@ -185,7 +171,7 @@ def test_dAp_identity(fiber, n):
 def test_dAp_zero_dual_field():
     split = central_extension(su2(), 2)
     chart = build_kk_chart(split, 2, seed=47, probe_count=1)
-    chart.extras["p_coeffs"] = {}
+    chart.p_coeffs = {}
     assert kk_dAp_identity_residual(chart)["max"] == 0
 
 
@@ -194,7 +180,7 @@ def test_frobenius_structure_of_chart_F():
     split = central_extension(su2(), 2)
     chart = build_kk_chart(split, 2, seed=53, probe_count=1)
     pt = chart.probes[0]
-    for (I, A, B), fld in chart.extras["F_coeffs"].items():
+    for (I, A, B), fld in chart.F_coeffs.items():
         if not (A in split.s_indices and B in split.s_indices):
             assert fld.jet(pt, 0).value == 0
 

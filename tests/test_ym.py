@@ -98,7 +98,7 @@ def test_dAp_identity_on_charts(fiber, n, curved):
 def test_dAp_identity_zero_dual_field():
     split = central_extension(su2(), 2)
     chart = build_ym_chart(split, 2, seed=3, probe_count=1)
-    chart.extras["p_coeffs"] = {}
+    chart.p_coeffs = {}
     assert ym_dAp_identity_residual(chart)["max"] == 0
 
 
@@ -116,12 +116,8 @@ def test_dAp_identity_reduces_without_connection():
     chart.e_form = chart.A_form + chart.gm.right_log_derivative()
     chart.coframe = coframe_from_algebra_form(chart.e_form, chart.N,
                                               chart.probes, chart.exact)
-    chart.extras["F_form"] = curvature(chart.A_form, chart.alg)
-    chart.extras["F_coeffs"] = frame_coeffs_2form(chart.extras["F_form"],
-                                                  chart.coframe)
-    rng = chart.extras["rng"]
-    chart.extras["p_coeffs"] = {
-        key: fld for key, fld in chart.extras["p_coeffs"].items()}
+    chart.F_form = curvature(chart.A_form, chart.alg)
+    chart.F_coeffs = frame_coeffs_2form(chart.F_form, chart.coframe)
     assert ym_dAp_identity_residual(chart)["max"] == 0
 
 
@@ -142,7 +138,7 @@ def test_current_constant_read_off():
     N = chart.N
     g0 = split.l_indices[0]
     y = Polynomial.coordinate(2, N)
-    chart.extras["p_coeffs"][(g0, 0, g0)] = y.scale(F(7))
+    chart.p_coeffs[(g0, 0, g0)] = y.scale(F(7))
     rep = ym_current(chart)
     for pt, jv in rep["J"].items():
         assert jv[(g0, 0)] == 7
@@ -166,7 +162,7 @@ def test_pi_norm_gauge_invariance():
     ad = chart.gm._Ad.jets(pt, 0)
     ad_inv = chart.gm._Ad_inv.jets(pt, 0)
     p_at = {}
-    for (i, A, B), fld in chart.extras["p_coeffs"].items():
+    for (i, A, B), fld in chart.p_coeffs.items():
         v = fld.jet(pt, 0).value
         p_at[(i, A, B)] = v
         p_at[(i, B, A)] = -v
@@ -278,7 +274,7 @@ def _pc(chart, i, a, L):
     from liecartan.fields import f_scale
 
     key = (i, a, L) if a < L else (i, L, a)
-    fld = chart.extras["p_coeffs"].get(key)
+    fld = chart.p_coeffs.get(key)
     if fld is None:
         return None
     return fld if a < L else f_scale(fld, -1)
