@@ -1,7 +1,9 @@
 """Command-line runner for the verification suites.
 
 Deterministic: the same flags produce byte-identical JSON output up to the
-wall_time field.  Exit status is 0 exactly when the report passes.
+wall_time field.  Exit status is 0 exactly when the report passes, 1 when a
+checked identity fails, and 2 with a one-line error for bad input or an
+internal error.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _error_line(message: str) -> str:
+    return "error: " + " ".join(message.split())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -77,7 +83,10 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         report = run_suite(config)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(str(exc)), file=sys.stderr)
+        return 2
+    except Exception as exc:  # an internal error is still one line, exit 2
+        print(_error_line(f"{type(exc).__name__}: {exc}"), file=sys.stderr)
         return 2
     if args.format == "json":
         payload = json.dumps(report, indent=1, sort_keys=True)

@@ -395,6 +395,7 @@ class MatrixField:
         self.n = entries[0][0].n
         self.exact = exact
         self._cache: Dict[tuple, List[List[Jet]]] = {}
+        self._entries: Dict[tuple, "MatrixEntryField"] = {}
 
     def _raw(self, point, order):
         return [[f.jet(point, order) for f in row] for row in self.entries]
@@ -412,7 +413,12 @@ class MatrixField:
         return self._raw(point, order)
 
     def entry(self, i: int, j: int) -> "MatrixEntryField":
-        return MatrixEntryField(self, i, j)
+        """The lazy node of entry (i, j); one node per entry, so that its
+        memos are shared by every expression that reads it."""
+        node = self._entries.get((i, j))
+        if node is None:
+            node = self._entries[(i, j)] = MatrixEntryField(self, i, j)
+        return node
 
 
 class MatrixEntryField(_Lazy):

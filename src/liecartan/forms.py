@@ -102,8 +102,12 @@ class Form:
             raise SlotMismatchError("slot key arity does not match slot list")
         if sign < 0:
             field = f_scale(field, -1)
+        self._append(key, tuple(slotkey), field)
+        return self
+
+    def _append(self, key: Tuple[int, ...], sk: Tuple[int, ...], field) -> None:
+        """Accumulate ``field`` under a canonical index ``key``."""
         bucket = self.comps.setdefault(key, {})
-        sk = tuple(slotkey)
         cur = bucket.get(sk)
         if cur is None:
             bucket[sk] = [field]
@@ -111,7 +115,6 @@ class Form:
             cur.append(field)
         else:
             bucket[sk] = [cur, field]
-        return self
 
     def _finalize(self) -> "Form":
         """Collapse accumulated term lists into single fields."""
@@ -173,10 +176,6 @@ class Form:
         return out._finalize()
 
     # -- evaluation -------------------------------------------------------
-    def evaluate(self, point, order: int = 0):
-        return {(key, sk): fld.jet(tuple(point), order)
-                for key, sk, fld in self.terms()}
-
     def max_abs(self, point) -> object:
         point = tuple(point)
         worst = 0
@@ -212,20 +211,36 @@ class Form:
 # operations
 # ---------------------------------------------------------------------------
 
+def _index_mask(idx: Sequence[int]) -> int:
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    return mask
+
+
+# wedge and contracted_wedge visit the term pairs in nested-loop order (the
+# terms of a, then those of b in stored order).  A pair whose index masks
+# meet is skipped without calling merge_sign, which would reject it; the K
+# merge_sign returns is canonical, so products skip add_term's checks.
+
 def wedge(a: Form, b: Form) -> Form:
     if a.n != b.n:
         raise ValueError("chart dimension mismatch")
     out = Form(a.n, a.degree + b.degree, a.slots + b.slots)
     if out.degree > a.n:
         return out  # identically zero beyond top degree
+    b_terms = [(_index_mask(J), J, kb, fb) for J, kb, fb in b.terms()]
     for I, ka, fa in a.terms():
-        for J, kb, fb in b.terms():
-            merged = merge_sign(I, J)
-            if merged is None:
+        mask = _index_mask(I)
+        for mb, J, kb, fb in b_terms:
+            if mask & mb:
                 continue
-            K, sign = merged
+            K, sign = merge_sign(I, J)
             fld = f_mul(fa, fb)
-            out.add_term(K, ka + kb, fld if sign > 0 else f_scale(fld, -1))
+            if sign < 0:
+                fld = f_scale(fld, -1)
+            if not f_is_zero(fld):
+                out._append(K, ka + kb, fld)
     return out._finalize()
 
 
@@ -246,17 +261,26 @@ def contracted_wedge(a: Form, b: Form, plan: Sequence[Tuple[int, int]]) -> Form:
         return out
     pa = [i for i, _ in plan]
     pb = [j for _, j in plan]
+    # the terms of b by their paired slot keys, each group in stored order
+    groups: Dict[Tuple[int, ...], list] = {}
+    for J, kb, fb in b.terms():
+        groups.setdefault(tuple(kb[j] for j in pb), []).append(
+            (_index_mask(J), J, tuple(kb[j] for j in keep_b), fb))
     for I, ka, fa in a.terms():
-        for J, kb, fb in b.terms():
-            if any(ka[i] != kb[j] for i, j in plan):
+        group = groups.get(tuple(ka[i] for i in pa))
+        if group is None:
+            continue
+        mask = _index_mask(I)
+        head = tuple(ka[i] for i in keep_a)
+        for mb, J, tail, fb in group:
+            if mask & mb:
                 continue
-            merged = merge_sign(I, J)
-            if merged is None:
-                continue
-            K, sign = merged
-            sk = tuple(ka[i] for i in keep_a) + tuple(kb[j] for j in keep_b)
+            K, sign = merge_sign(I, J)
             fld = f_mul(fa, fb)
-            out.add_term(K, sk, fld if sign > 0 else f_scale(fld, -1))
+            if sign < 0:
+                fld = f_scale(fld, -1)
+            if not f_is_zero(fld):
+                out._append(K, head + tail, fld)
     return out._finalize()
 
 

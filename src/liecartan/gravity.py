@@ -336,7 +336,7 @@ def grav_fundamental_residual(chart: GravityChart) -> dict:
     dual = algebra_slot(alg, dual=True)
     minors_phi = coframe.minors()
     Phi = curvature(fields.phi, alg)
-    pi_form = pi_form_from_coeffs_values(chart, coframe, dual)
+    pi_form = pi_form_from_coeffs_values(chart, dual)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.phi, pi_form, (coad,))
     gm = chart.gm
@@ -369,8 +369,7 @@ def grav_fundamental_residual(chart: GravityChart) -> dict:
     return report
 
 
-def pi_form_from_coeffs_values(chart: GravityChart, coframe_phi: Coframe,
-                               dual) -> Form:
+def pi_form_from_coeffs_values(chart: GravityChart, dual) -> Form:
     """pi as a form: field-level coadjoint transport of the p form."""
     p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, chart.alg.dim, dual)
     return apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
@@ -819,12 +818,13 @@ def grav_commutator_residuals(chart: GravityChart, test_count: int = 2) -> dict:
 
     report = {"rows": {}, "max": 0}
     worst = 0
+    probes = [tuple(p) for p in chart.probes]
+    # the decompositions do not depend on the test scalar
+    decomps = [chart.torsion_curvature(pt) for pt in probes]
     for _ in range(test_count):
         f = rng.poly(N, deg=2, terms=3)
         df = {A: frame_partial_field(chart.coframe, f, A) for A in range(N)}
-        for p in chart.probes:
-            pt = tuple(p)
-            theta_c, omega_c = chart.torsion_curvature(pt)
+        for pt, (theta_c, omega_c) in zip(probes, decomps):
             dfv = {A: df[A].value(pt) for A in range(N)}
             row1 = 0
             for a in s_idx:

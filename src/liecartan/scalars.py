@@ -143,9 +143,9 @@ class Polynomial:
     """Exact multivariate polynomial; the default ScalarField backend.
 
     ``terms`` maps exponent tuples to coefficients.  Arithmetic is eager
-    (results stay polynomials); jets are computed by Taylor shift,
-    :meth:`value` gives the order-0 value without building a jet, and
-    :meth:`dvalue` reads a first partial off the memoised order-1 jet.
+    (results stay polynomials); jets are computed by Taylor shift, and
+    :meth:`value` and :meth:`dvalue` give the value and a first partial
+    without building a jet.
     """
 
     __slots__ = ("n", "terms", "_cache")
@@ -251,8 +251,37 @@ class Polynomial:
 
     def dvalue(self, point: Sequence, k: int):
         """First partial along ``k`` at ``point``, equal to
-        ``jet(point, 1).deriv((k,))``; read from the memoised order-1 jet."""
-        return self.jet(point, 1).deriv((k,))
+        ``jet(point, 1).deriv((k,))``; memoised per point and ``k``."""
+        key = (id(point), "d")
+        hit = self._cache.get(key)
+        if hit is None or hit[0] is not point:
+            hit = self._cache[key] = (point, [None] * self.n)
+        partials = hit[1]
+        d = partials[k]
+        if d is None:
+            d = partials[k] = self._partial_at(point, k)
+        return d
+
+    def _partial_at(self, point: Sequence, k: int):
+        # the h_k coefficient of the order-1 Taylor shift, with its
+        # products in the shift's order: c, the binomial factor e[k] at
+        # coordinate k (the factor 1 elsewhere), then the powers of each
+        # coordinate; terms are summed in ``terms`` order
+        total = 0
+        for e, c in self.terms.items():
+            if e[k] == 0:
+                continue
+            w = c
+            for i, m in enumerate(e):
+                if i == k:
+                    w = w * m
+                    m -= 1
+                if m:
+                    p = point[i]
+                    for _ in range(m):
+                        w = w * p
+            total = total + w
+        return total * 1 if total != 0 else 0  # as Jet.deriv: a zero is int 0
 
     def jet(self, point: Sequence, order: int) -> Jet:
         """Taylor data at ``point`` up to ``order`` (exact on rationals)."""

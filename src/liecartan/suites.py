@@ -85,6 +85,16 @@ def resolve_algebra(config: SuiteConfig, default: str):
     return alg
 
 
+def gravity_split(config: SuiteConfig, name: str) -> SplitAlgebra:
+    split = resolve_algebra(
+        SuiteConfig(suite=config.suite, algebra=name, seed=config.seed,
+                    corruption=config.corruption), name)
+    if not isinstance(split, SplitAlgebra):
+        raise ValueError(f"--algebra {name}: the {config.suite} suite needs a "
+                         f"split algebra such as p_0(3)")
+    return split
+
+
 def gauge_split(config: SuiteConfig, fiber: str = "su2") -> SplitAlgebra:
     inner = resolve_algebra(
         SuiteConfig(suite=config.suite, corruption=config.corruption,
@@ -92,6 +102,11 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2") -> SplitAlgebra:
                     algebra_path=config.algebra_path),
         fiber)
     if isinstance(inner, SplitAlgebra):
+        if inner.k_diag is None:
+            raise ValueError(
+                f"--algebra {config.algebra or config.algebra_path}: the "
+                f"{config.suite} suite needs a plain algebra or a split with "
+                f"a metric on l, not a gravity split")
         return inner
     return central_extension(inner, config.n,
                              b_diag=la.euclidean_diag(config.n))
@@ -109,6 +124,9 @@ def _sign(config: SuiteConfig):
 # ---------------------------------------------------------------------------
 
 def suite_forms_identities(config: SuiteConfig) -> List[dict]:
+    if config.n != 0 and config.n < 3:
+        raise ValueError(f"--dim {config.n}: forms-identities needs a chart "
+                         f"dimension of at least 3, or 0 to cycle through 3..6")
     cases = []
     dims = [3, 4, 5, 6]
     for cid in range(config.cases):
@@ -218,9 +236,7 @@ def suite_kappa(config: SuiteConfig) -> List[dict]:
     for cid in range(config.cases):
         seed = case_seed(config.seed, cid)
         name = config.algebra or ("p_1(4)" if cid % 2 else "p_0(4)")
-        split = resolve_algebra(
-            SuiteConfig(suite=config.suite, algebra=name, seed=config.seed,
-                        corruption=config.corruption), name)
+        split = gravity_split(config, name)
         kind, gamma = kappa_spec(config)
         kap = ka.build_kappa(kind, split, gamma=gamma)
         res = ka.kappa_invariance_residual(split, kap, samples=10, seed=seed)
@@ -343,6 +359,9 @@ def suite_ym_el(config: SuiteConfig) -> List[dict]:
         seed = case_seed(config.seed, cid)
         rng = Rng(seed, config.exact)
         split = gauge_split(config, "u1")
+        if split.n < 2:
+            raise ValueError(f"--dim {config.n}: ym-el needs a base dimension "
+                             f"of at least 2")
         alg = split.ambient
         n = split.n
         N = alg.dim
@@ -504,9 +523,7 @@ def _grav_setup(config: SuiteConfig, cid: int, seed: int, small_only=False):
     from .gravity import ChartInvariantError, build_gravity_chart
 
     name = config.algebra or ("p_0(3)" if (small_only or cid % 5 != 4) else "p_1(4)")
-    split = resolve_algebra(
-        SuiteConfig(suite=config.suite, algebra=name, seed=config.seed,
-                    corruption=config.corruption), name)
+    split = gravity_split(config, name)
     kind, gamma = kappa_spec(config)
     if kind == "holst" and split.n != 4:
         kind, gamma = "standard", None

@@ -149,9 +149,7 @@ def test_dvalue_zero_factor_drops_non_finite_partial():
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
 def test_two_points_alternately(exact):
     """Equal-coordinate probes that are different objects each keep their
-    own memo entry, whichever the node saw first.  (A polynomial's partial
-    is read off its memoised jet, so only lazy nodes return the very same
-    object again.)"""
+    own memo entry, whichever the node saw first."""
     probe, nodes = _graph(exact)
     _, by_jet = _graph(exact)
     twin = tuple(list(probe))
@@ -164,9 +162,7 @@ def test_two_points_alternately(exact):
             for k in range(N):
                 d = fld.dvalue(pt, k)
                 assert _same(d, ref.jet(probe, 1).deriv((k,))), (name, k)
-                first = seen.setdefault((id(pt), k), d)
-                if not isinstance(fld, Polynomial):
-                    assert d is first, (name, k)
+                assert d is seen.setdefault((id(pt), k), d), (name, k)
             v = fld.value(pt)
             assert _same(v, ref.jet(probe, 0).value), name
             assert v is seen.setdefault(id(pt), v), name
@@ -210,3 +206,55 @@ def test_antisym_follows_each_key_with_its_mirror():
     assert list(antisym(table).items()) == [
         ((0, 1, 2), F(5)), ((0, 2, 1), F(-5)),
         ((1, 0, 3), F(-2, 3)), ((1, 3, 0), F(2, 3))]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_polynomial_dvalue_equals_order1_jet_partial(exact):
+    """Polynomial.dvalue computes the partial without the Taylor shift; it
+    must still give the shift's number and type, for every k."""
+    probe = tuple(_num(x, exact) for x in ("1/3", "-2/5", "3/7", "5/4"))
+    n = len(probe)
+    polys = [
+        # coordinate 3 occurs in no monomial
+        poly_field(n, [((2, 1, 0, 0), _num("3/2", exact)),
+                       ((0, 3, 1, 0), _num(-7, exact)),
+                       ((1, 0, 2, 0), _num("2/9", exact)),
+                       ((0, 0, 0, 0), _num("1/4", exact))]),
+        # cubes: the factor 3 comes before the powers, as in the shift
+        poly_field(n, [((3, 0, 1, 0), _num("7/10", exact)),
+                       ((0, 3, 0, 0), _num("13/10", exact)),
+                       ((1, 0, 3, 0), _num("-29/10", exact)),
+                       ((0, 1, 0, 3), _num("11/3", exact))]),
+        # int coefficients: the partials stay ints where the shift's do
+        Polynomial.coordinate(2, n),
+        poly_field(n, [((1, 1, 0, 0), 3), ((0, 0, 0, 2), -1)]),
+        Polynomial.constant(_num(5, exact), n),
+        Polynomial.constant(0, n),
+    ]
+    for P in polys:
+        twin = Polynomial(n, P.terms)
+        for k in range(n):
+            d = P.dvalue(probe, k)
+            assert repr(d) == repr(twin.jet(probe, 1).deriv((k,))), (P, k)
+            assert P.dvalue(probe, k) is d
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_polynomial_dvalue_cancelling_to_zero_is_int(exact):
+    # d/dx0 of x0/2 - x0 x1 at x1 = 1/2 cancels exactly on both backends
+    probe = (_num(3, exact), _num("1/2", exact))
+    P = poly_field(2, [((1, 0), _num("1/2", exact)), ((1, 1), _num(-1, exact))])
+    d = P.dvalue(probe, 0)
+    assert d == 0 and type(d) is int
+    assert repr(d) == repr(Polynomial(2, P.terms).jet(probe, 1).deriv((0,)))
+    assert repr(P.dvalue(probe, 1)) == repr(
+        Polynomial(2, P.terms).jet(probe, 1).deriv((1,)))
+
+
+def test_matrix_entry_nodes_are_shared():
+    probe, _ = _graph(True)
+    x = [Polynomial.coordinate(k, N) for k in range(N)]
+    E = MatrixExpField([[x[0] - Polynomial.constant(probe[0], N), x[1]],
+                        [x[2], x[0]]], exact=True)
+    assert E.entry(0, 1) is E.entry(0, 1)
+    assert E.entry(0, 1) is not E.entry(1, 0)

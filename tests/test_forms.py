@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from liecartan.fields import FScale, f_mul, f_scale
 from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
                              UnsupportedDegreeError, cominor_rows,
                              contracted_wedge, decompose, exterior_d,
-                             interior, one_form, wedge)
+                             interior, merge_sign, one_form, wedge)
 from liecartan.scalars import Polynomial
 
 
@@ -115,6 +116,83 @@ def test_contracted_wedge_surviving_slots_shape():
     S._finalize(); T._finalize()
     out = contracted_wedge(S, T, [(0, 0)])
     assert out.slots == (W.dual_slot(), W.dual_slot(), W, W)
+
+
+def reference_contracted_wedge(a, b, plan):
+    """The plain nested loop over every term pair through ``add_term``;
+    with an empty plan it is the plain wedge."""
+    keep_a = [i for i in range(len(a.slots)) if i not in {i for i, _ in plan}]
+    keep_b = [j for j in range(len(b.slots)) if j not in {j for _, j in plan}]
+    out = Form(a.n, a.degree + b.degree,
+               tuple(a.slots[i] for i in keep_a) + tuple(b.slots[j] for j in keep_b))
+    if out.degree > a.n:
+        return out
+    for I, ka, fa in a.terms():
+        for J, kb, fb in b.terms():
+            if any(ka[i] != kb[j] for i, j in plan):
+                continue
+            merged = merge_sign(I, J)
+            if merged is None:
+                continue
+            K, sign = merged
+            sk = tuple(ka[i] for i in keep_a) + tuple(kb[j] for j in keep_b)
+            fld = f_mul(fa, fb)
+            out.add_term(K, sk, fld if sign > 0 else f_scale(fld, -1))
+    return out._finalize()
+
+
+def random_slotted_form(rng, n, degree, slots, exact, terms=10):
+    """Random terms, repeated (index, slot key) pairs included; some
+    coefficients are lazy and some polynomials large, so that products
+    stay lazy and the order of each bucket's sum shows in float bits."""
+    out = Form(n, degree, slots)
+    for _ in range(terms):
+        idx = rng.sample(range(n), degree)
+        sk = tuple(rng.randrange(s.dim) for s in slots)
+        coeffs = {}
+        for _ in range(rng.choice([1, 2, 7])):
+            e = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(n)] += 1
+            c = F(rng.randint(-9, 9), rng.randint(1, 7))
+            coeffs[tuple(e)] = c if exact else float(c) * 1.1
+        fld = Polynomial(n, coeffs)
+        if rng.random() < 0.3:
+            fld = FScale(fld, F(-3, 7) if exact else -0.3)
+        out.add_term(idx, sk, fld)
+    return out._finalize()
+
+
+def _layout(form, pt):
+    """Key order, bucket order, and each field's value and partials."""
+    return [(K, [(sk, repr(fld.value(pt)),
+                  repr([fld.dvalue(pt, k) for k in range(form.n)]))
+                 for sk, fld in bucket.items()])
+            for K, bucket in form.comps.items()]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+@pytest.mark.parametrize("seed", range(4))
+def test_wedge_matches_nested_loop_reference(exact, seed):
+    rng = random.Random(seed)
+    n = 6
+    V, W = Slot("v", 3), Slot("w", 2)
+    pt = tuple(F(rng.randint(-5, 5), 4) if exact else rng.uniform(-1, 1)
+               for _ in range(n))
+    cases = [((1, (V,)), (2, (W,)), None),
+             ((2, (V, W)), (2, (V,)), None),
+             ((1, ()), (3, ()), None),
+             ((4, (W,)), (3, ()), None),   # beyond the top degree
+             ((1, (V, W)), (2, (V.dual_slot(),)), [(0, 0)]),
+             ((2, (W, V)), (1, (V.dual_slot(), W.dual_slot())), [(1, 0), (0, 1)]),
+             ((0, (V,)), (2, (W, V.dual_slot())), [(0, 1)])]
+    for (pa, sa), (pb, sb), plan in cases:
+        a = random_slotted_form(rng, n, pa, sa, exact)
+        b = random_slotted_form(rng, n, pb, sb, exact)
+        got = wedge(a, b) if plan is None else contracted_wedge(a, b, plan)
+        want = reference_contracted_wedge(a, b, plan or [])
+        assert got.slots == want.slots and got.degree == want.degree
+        assert _layout(got, pt) == _layout(want, pt), (pa, pb, plan)
 
 
 def test_contracted_wedge_rejects_bad_pairing():

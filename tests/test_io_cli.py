@@ -154,3 +154,28 @@ def test_cli_float_backend():
     out = _run_cli("--suite", "forms-identities", "--cases", "2",
                    "--backend", "float", "--dim", "3", "--tol", "1e-9")
     assert out.returncode == 0
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("--suite", "grav-decomp", "--algebra", "su2"), "--algebra"),
+    (("--suite", "kk-decomp", "--algebra", "p_0(3)"), "--algebra"),
+    (("--suite", "ym-el", "--dim", "1"), "--dim"),
+    (("--suite", "forms-identities", "--dim", "1"), "--dim"),
+], ids=["grav-su2", "kk-p03", "ym-el-dim1", "forms-dim1"])
+def test_cli_rejects_inapplicable_flag_values(args, flag):
+    out = _run_cli(*args, "--cases", "1")
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), out.stderr
+
+
+def test_cli_internal_error_is_one_line(monkeypatch, capsys):
+    from liecartan import cli
+
+    def broken(config):
+        raise ArithmeticError("series did not\nconverge")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert cli.main(["--suite", "constants", "--cases", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: ArithmeticError: series did not converge\n"
