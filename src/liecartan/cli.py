@@ -29,9 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSON algebra file path")
     parser.add_argument("--dim", type=int, default=3,
                         help="base dimension n (chart = base + fiber)")
-    parser.add_argument("--fiber-dim", type=int, default=None,
-                        help="fiber dimension r (derived from the algebra "
-                             "when omitted)")
     parser.add_argument("--kappa", default="standard",
                         help="standard or holst:<gamma>")
     parser.add_argument("--backend", choices=["rational", "float"],
@@ -39,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     parser.add_argument("--cases", type=int, default=DEFAULTS["cases"])
     parser.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    parser.add_argument("--jet-order", type=int, default=3)
     parser.add_argument("--format", choices=["json", "text"], default="text")
     parser.add_argument("--out", default=None, help="write the report here")
     return parser
@@ -52,9 +48,8 @@ def config_from_args(args) -> SuiteConfig:
         algebra_path = algebra
         algebra = None
     return SuiteConfig(
-        suite=args.suite, n=args.dim, r=args.fiber_dim, algebra=algebra,
-        kappa=args.kappa, backend=args.backend, seed=args.seed,
-        cases=args.cases, tol=args.tol, jet_order=args.jet_order,
+        suite=args.suite, n=args.dim, algebra=algebra, kappa=args.kappa,
+        backend=args.backend, seed=args.seed, cases=args.cases, tol=args.tol,
         algebra_path=algebra_path)
 
 

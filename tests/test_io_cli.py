@@ -126,6 +126,23 @@ def test_cli_algebra_file(tmp_path):
     assert out.returncode == 0
 
 
+def test_cli_algebra_file_reaches_every_algebra_suite(tmp_path):
+    # a gravity suite must read the file: u1 is no split, so it is rejected
+    u1 = tmp_path / "u1.json"
+    save_algebra(build_algebra("u1"), str(u1))
+    out = _run_cli("--suite", "grav-decomp", "--algebra", str(u1),
+                   "--cases", "1")
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --algebra "), \
+        out.stderr
+    su2 = tmp_path / "su2.json"
+    save_algebra(build_algebra("su2"), str(su2))
+    out = _run_cli("--suite", "kk-decomp", "--dim", "2", "--algebra", str(su2),
+                   "--cases", "1")
+    assert out.returncode == 0, out.stderr
+
+
 def test_cli_split_less_algebra_file(tmp_path):
     path = tmp_path / "ab.json"
     path.write_text(json.dumps({"name": "ab2", "dim": 2, "basis": ["x", "y"],
@@ -161,7 +178,16 @@ def test_cli_float_backend():
     (("--suite", "kk-decomp", "--algebra", "p_0(3)"), "--algebra"),
     (("--suite", "ym-el", "--dim", "1"), "--dim"),
     (("--suite", "forms-identities", "--dim", "1"), "--dim"),
-], ids=["grav-su2", "kk-p03", "ym-el-dim1", "forms-dim1"])
+    (("--suite", "ym-decomp", "--dim", "1"), "--dim"),
+    (("--suite", "ym-decomp", "--dim", "-1"), "--dim"),
+    (("--suite", "kk-lc", "--dim", "0"), "--dim"),
+    (("--suite", "kk-lc", "--dim", "1"), "--dim"),
+    (("--suite", "kk-curvature", "--dim", "0"), "--dim"),
+    (("--suite", "kk-curvature", "--dim", "1"), "--dim"),
+    (("--suite", "grav-el", "--kappa", "holst:0"), "--kappa holst:0:"),
+], ids=["grav-su2", "kk-p03", "ym-el-dim1", "forms-dim1", "ym-decomp-dim1",
+        "ym-decomp-dim-1", "kk-lc-dim0", "kk-lc-dim1", "kk-curvature-dim0",
+        "kk-curvature-dim1", "grav-el-holst0"])
 def test_cli_rejects_inapplicable_flag_values(args, flag):
     out = _run_cli(*args, "--cases", "1")
     assert out.returncode == 2, out.stderr

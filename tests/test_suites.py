@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liecartan.suites import REGISTRY, SuiteConfig, run_suite
+from liecartan.suites import REGISTRY, SuiteConfig, case_seed, run_suite
 
 EXPECTED_SUITES = {
     "forms-identities", "lie-checks", "kappa", "gauge-lemmas",
@@ -83,6 +83,30 @@ def test_cases_sorted_and_counted():
     rep = run_suite(SuiteConfig(suite="constants", cases=7))
     assert [c["id"] for c in rep["cases"]] == list(range(7))
     assert rep["config"]["cases"] == 7
+
+
+def test_run_suite_is_the_case_loop(monkeypatch):
+    calls = []
+
+    def recording_case(config, cid, seed):
+        calls.append((cid, seed))
+        return cid / 10
+
+    monkeypatch.setitem(REGISTRY, "recording", recording_case)
+    config = SuiteConfig(suite="recording", seed=5, cases=4, tol=0.15)
+    rep = run_suite(config)
+    want = [(cid, case_seed(5, cid)) for cid in range(4)]
+    assert calls == want
+    assert [(c["id"], c["seed"]) for c in rep["cases"]] == want
+    assert [c["pass"] for c in rep["cases"]] == [True, True, False, False]
+    assert rep["max_residual"] == 0.3 and not rep["pass"]
+
+    def failing_case(config, cid, seed):
+        raise ArithmeticError(f"case {cid}")
+
+    monkeypatch.setitem(REGISTRY, "recording", failing_case)
+    with pytest.raises(ArithmeticError, match="case 0"):
+        run_suite(config)
 
 
 def test_constants_report_notes_lambda():
