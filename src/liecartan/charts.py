@@ -25,6 +25,7 @@ by-coframe coefficients of torsion and curvature, and
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .algebra import SplitAlgebra
-from .connection import GroupMap, algebra_slot, curvature
-from .fields import f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
-from .forms import Coframe, Form, decompose
+from .connection import GroupMap, Representation, algebra_slot, cov_d, curvature
+from .fields import Taylor, f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
+from .forms import Coframe, CoframeMinors, Form, Slot, decompose
 from .scalars import Polynomial
 
 if TYPE_CHECKING:
@@ -152,6 +153,34 @@ class TrivializedChart:
                 dp_at[key + (C,)] = sum(Vp[k][C] * grad[k] for k in range(N))
         return p_at, dp_at
 
+    def at(self, pt) -> "TrivializedChart":
+        """A copy whose non-polynomial coframe entries, ``p_coeffs`` and
+        ``A_form`` coefficients are Taylor numbers at the probe ``pt``.
+
+        Forms built from the copy hold Taylor numbers wherever this chart's
+        would hold lazy nodes, and are read only at ``pt``.  The copy is
+        for ``dAp``; its other fields are this chart's own.
+        """
+        def at_pt(f):
+            return f if isinstance(f, Polynomial) else Taylor.of(f, pt, self.exact)
+
+        A_form = Form(self.A_form.n, self.A_form.degree, self.A_form.slots)
+        A_form.comps = {K: {sk: at_pt(f) for sk, f in bucket.items()}
+                        for K, bucket in self.A_form.comps.items()}
+        coframe = Coframe([[at_pt(f) for f in row] for row in self.coframe.entries],
+                          exact=self.exact)
+        return dataclasses.replace(
+            self, A_form=A_form, coframe=coframe,
+            p_coeffs={key: at_pt(f) for key, f in self.p_coeffs.items()})
+
+    def dAp(self) -> Tuple[Form, CoframeMinors]:
+        """d^A p = dp + ad*(A) ^ p for p = 1/2 p_I^{AB} e^{(N-2)}_{AB}, and
+        the coframe minors p is built from."""
+        dual = algebra_slot(self.alg, dual=True)
+        p_form = pi_form_from_coeffs(self.p_coeffs, self.coframe, self.alg.dim, dual)
+        lhs = cov_d(self.A_form, p_form, (Representation.coadjoint(self.alg),))
+        return lhs, self.coframe.minors()
+
 
 @dataclass
 class GaugeChart(TrivializedChart):
@@ -192,6 +221,21 @@ def antisym(table: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, i
         out[(I, A, B)] = x
         out[(I, B, A)] = -x
     return out
+
+
+def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Coframe,
+                        alg_dim: int, dual_slot: Slot) -> Form:
+    """pi = 1/2 pi_i^{AB} e^{(N-2)}_{AB} as a dual-slot (N-2)-form."""
+    N = coframe.N
+    minors = coframe.minors()
+    out = Form(N, N - 2, (dual_slot,))
+    for (i, A, B), fld in coeffs.items():
+        if f_is_zero(fld):
+            continue
+        m = minors.minor((A, B))
+        for K, _, mf in m.terms():
+            out.add_term(K, (i,), f_mul(fld, mf))
+    return out._finalize()
 
 
 class ChartError(ValueError):

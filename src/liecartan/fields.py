@@ -21,6 +21,21 @@ object: probe tuples are shared, and hashing tuples of Fractions would
 cost more than the memo saves.  A node keeps the value and first partials
 at the first point it sees in its own slots; a dict is created only when
 the node is asked for a jet or evaluated at a further point.
+
+A ``Taylor`` number is a value and the nonzero first partials at one
+point, computed eagerly (forward-mode by operator overloading).
+``TrivializedChart.at`` turns a chart's non-polynomial coefficients into
+Taylor numbers at a probe, and from there ``f_add``, ``f_mul``,
+``f_scale`` and ``f_partial`` build a Taylor number wherever they would
+build a lazy node, with that node's operand order, zero-drop rule and
+int zero; polynomial arithmetic is unchanged.  So d^A p at a probe comes
+out with the same numbers as through the graph, without the graph.  A
+zero Taylor number counts as zero only on the exact backend, where
+dropping it cannot change a result; on floats it is kept, because a sum
+that lost it could become a polynomial whose products round differently.
+Everything evaluated at more than one point, or built before the probe
+is known (chart construction, the matrix fields, ``jet_at``,
+``finite_difference_check``), stays on the lazy graph.
 """
 
 from __future__ import annotations
@@ -223,6 +238,128 @@ class FPartial(_Lazy):
         return self.a.dvalue(point, self.k)
 
 
+class TaylorError(ArithmeticError):
+    """A Taylor number was read at another point, or for a partial it does
+    not hold."""
+
+
+class Taylor:
+    """Order-1 Taylor number of a field at one point.
+
+    ``v`` is the value and ``d`` maps a coordinate k to the first partial
+    along it; only nonzero partials are stored, so a missing k is the int
+    0.  ``d`` is None on an order-0 number, which a partial leaves behind:
+    it holds no partials of its own.  ``exact`` is the chart's backend,
+    which decides whether a zero counts as zero (see ``f_is_zero``).
+    """
+
+    __slots__ = ("n", "pt", "exact", "v", "d")
+
+    def __init__(self, n: int, pt: tuple, exact: bool, v, d):
+        self.n = n
+        self.pt = pt
+        self.exact = exact
+        self.v = v
+        self.d = d
+
+    @staticmethod
+    def of(field, pt: tuple, exact: bool) -> "Taylor":
+        """The value and first partials of ``field`` at ``pt``."""
+        return Taylor(field.n, pt, exact, field.value(pt), _partials(field, pt))
+
+    def _check(self, point):
+        if point is not self.pt and point != self.pt:
+            raise TaylorError(f"Taylor number at {self.pt} read at {point}")
+
+    def value(self, point):
+        self._check(point)
+        return self.v
+
+    def dvalue(self, point, k: int):
+        self._check(point)
+        if self.d is None:
+            raise TaylorError("an order-0 Taylor number holds no partials")
+        return self.d.get(k, 0)
+
+
+def _partials(field, pt) -> dict:
+    """Nonzero first partials of a polynomial or lazy node at ``pt``."""
+    out = {}
+    for k in range(field.n):
+        x = field.dvalue(pt, k)
+        if x != 0:
+            out[k] = x
+    return out
+
+
+def _value_at(t: Taylor, f):
+    """Value of an operand ``f`` at the point of ``t``."""
+    if isinstance(f, Taylor):
+        if f.pt is not t.pt:
+            f._check(t.pt)
+        return f.v
+    return f.value(t.pt)
+
+
+def _partials_at(t: Taylor, f) -> dict:
+    return f.d if isinstance(f, Taylor) else _partials(f, t.pt)
+
+
+def _nonzero(d: dict) -> dict:
+    return {k: x for k, x in d.items() if x != 0}
+
+
+def _order1(fields) -> bool:
+    return all(f.d is not None for f in fields if isinstance(f, Taylor))
+
+
+# Taylor arithmetic follows FSum, FProd, FScale and FPartial: operands in
+# the same order, a zero factor dropped before it multiplies, and a zero
+# result the int 0, so that float bits agree with the lazy graph.  A
+# result is order 0 when an operand is.  A polynomial or lazy operand is
+# read at the Taylor number's point, its partials only where they count.
+
+def _taylor_sum(t: Taylor, parts) -> Taylor:
+    v = _value_at(t, parts[0])
+    for f in parts[1:]:
+        v = v + _value_at(t, f)
+    d = None
+    if _order1(parts):
+        d = {}
+        for f in parts:
+            for k, x in _partials_at(t, f).items():
+                d[k] = d[k] + x if k in d else x
+        d = _nonzero(d)
+    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d)
+
+
+def _taylor_prod(t: Taylor, a, b) -> Taylor:
+    va = _value_at(t, a)
+    vb = _value_at(t, b)
+    v = va * vb if va != 0 and vb != 0 else 0
+    d = None
+    if _order1((a, b)):
+        d = {}
+        if va != 0:
+            for k, x in _partials_at(t, b).items():
+                d[k] = va * x
+        if vb != 0:
+            for k, x in _partials_at(t, a).items():
+                d[k] = d[k] + x * vb if k in d else x * vb
+        d = _nonzero(d)
+    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d)
+
+
+def _taylor_scale(a: Taylor, c) -> Taylor:
+    v = c * a.v if a.v != 0 else 0
+    d = None if a.d is None else _nonzero({k: c * x for k, x in a.d.items()})
+    return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d)
+
+
+def _taylor_partial(a: Taylor, k: int) -> Taylor:
+    return Taylor(a.n, a.pt, a.exact, a.dvalue(a.pt, k), None)
+
+
 def f_add(*fields):
     live = [f for f in fields if not (isinstance(f, Polynomial) and f.is_zero())]
     if not live:
@@ -234,6 +371,9 @@ def f_add(*fields):
         for f in live[1:]:
             out = out + f
         return out
+    for f in live:
+        if isinstance(f, Taylor):
+            return _taylor_sum(f, live)
     return FSum(live)
 
 
@@ -253,6 +393,10 @@ def f_mul(a, b):
         # large products stay lazy: only their jets are ever needed
         if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
             return a * b
+    if isinstance(a, Taylor):
+        return _taylor_prod(a, a, b)
+    if isinstance(b, Taylor):
+        return _taylor_prod(b, a, b)
     return FProd(a, b)
 
 
@@ -261,17 +405,27 @@ def f_scale(a, c):
         return f_zero(a.n)
     if isinstance(a, Polynomial):
         return a.scale(c)
+    if isinstance(a, Taylor):
+        return _taylor_scale(a, c)
     return FScale(a, c)
 
 
 def f_partial(a, k: int):
     if isinstance(a, Polynomial):
         return a.partial_poly(k)
+    if isinstance(a, Taylor):
+        return _taylor_partial(a, k)
     return FPartial(a, k)
 
 
 def f_is_zero(a) -> bool:
-    return isinstance(a, Polynomial) and a.is_zero()
+    """True for the zero polynomial, and on the exact backend for a Taylor
+    number whose value and partials are all zero.  A float zero is kept:
+    dropping it could turn a mixed sum into a polynomial, whose products
+    and values round differently from the lazy graph's."""
+    if isinstance(a, Polynomial):
+        return a.is_zero()
+    return isinstance(a, Taylor) and a.exact and a.v == 0 and not a.d
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def one_form(n: int, coeffs: Sequence) -> Form:
 
 
 def _as_field(c, n: int):
-    if hasattr(c, "jet"):
+    if hasattr(c, "value"):
         return c
     return Polynomial.constant(c, n)
 

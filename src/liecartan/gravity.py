@@ -19,7 +19,8 @@ from .algebra import SplitAlgebra, check_algebra
 from .charts import (GravityChart, Rng, antisym, base_probes,
                      build_connection_form, build_group_map,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_coeffs_2form, frame_partial_field)
+                     frame_coeffs_2form, frame_partial_field,
+                     pi_form_from_coeffs)
 from .connection import (GroupMap, Representation, algebra_slot,
                          apply_matrix_to_slot, bracket_wedge, cov_d, curvature)
 from .fields import f_add, f_mul, f_scale, f_zero
@@ -27,7 +28,6 @@ from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
                     exterior_d, wedge)
 from .kappa import KappaTensor
 from .scalars import Polynomial
-from .ym import pi_form_from_coeffs
 
 
 class ChartInvariantError(ValueError):
@@ -318,17 +318,9 @@ def q_source_form(chart: GravityChart, pt) -> Form:
                        algebra_slot(chart.alg, dual=True))
 
 
-def dAp_form(chart: GravityChart) -> Form:
-    alg = chart.alg
-    dual = algebra_slot(alg, dual=True)
-    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, alg.dim, dual)
-    coad = Representation.coadjoint(alg)
-    return cov_d(chart.A_form, p_form, (coad,))
-
-
 def grav_fundamental_residual(chart: GravityChart) -> dict:
     """d^A p - (Q_p - 1/2 Q e^{(N-1)}) and the cross-consistency transport."""
-    lhs = dAp_form(chart)
+    lhs, _ = chart.dAp()
     fields = fields_from_chart(chart)
     coframe = fields.coframe()
     alg = chart.alg
@@ -392,15 +384,14 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
     N = alg.dim
     s_idx, l_idx = split.s_indices, split.l_indices
     kappa = chart.kappa
-    minors = chart.coframe.minors()
     dual = algebra_slot(alg, dual=True)
-    lhs = dAp_form(chart)
     omega_frame = frame_coeffs_1form(chart.omega, chart.coframe)
 
     report = {"max": 0, "blocks": {}}
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
+        lhs, minors = chart.at(pt).dAp()
         theta_c, omega_c = chart.torsion_curvature(pt)
         tstar = theta_star_values(theta_c, s_idx, N)
         w_at = {key: f.value(pt) for key, f in omega_frame.items()}

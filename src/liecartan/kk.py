@@ -18,11 +18,10 @@ from typing import Dict, List, Tuple
 from .algebra import SplitAlgebra, killing_form
 from .charts import (GaugeChart, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field)
+                     frame_partial_field, pi_form_from_coeffs)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_is_zero, f_mul, f_scale, f_zero
 from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
-from .ym import pi_form_from_coeffs
 
 
 @dataclass
@@ -555,17 +554,13 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
     dual = algebra_slot(alg, dual=True)
-    minors = chart.coframe.minors()
-
-    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, alg.dim, dual)
-    coad = Representation.coadjoint(alg)
-    lhs = cov_d(chart.A_form, p_form, (coad,))
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
 
     report = {"max": 0, "rows": {}}
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
+        lhs, minors = chart.at(pt).dAp()
         a_at = {key: f.value(pt) for key, f in A_frame.items()}
         pv, dpv = chart.p_tables(pt)
         rows: Dict[Tuple[int, int], object] = {}

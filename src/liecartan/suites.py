@@ -10,7 +10,9 @@ The one exception to the return value is ``constants``, which returns
 ``run_suite`` is the only case loop: it calls the case function for
 ``cid = 0 .. config.cases - 1`` in order and builds the report, which
 passes iff every case residual is within ``config.tol``.  A case function
-rejects a flag value it cannot use with a ``ValueError`` naming the flag.
+rejects a flag value it cannot use with a ``ValueError`` naming the flag;
+``run_suite`` rejects a ``--kappa`` or ``--algebra`` that the suite never
+reads before any case runs.
 The ``corruption`` hook feeds deliberately broken inputs through the same
 code paths so that vacuously-green suites are detectable.
 """
@@ -113,6 +115,22 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
         return inner
     n = config.n if n is None else n
     return central_extension(inner, n, b_diag=la.euclidean_diag(n))
+
+
+# the suites that read --kappa, and those that read no --algebra
+KAPPA_SUITES = frozenset({"kappa", "grav-el", "grav-decomp", "grav-bianchi",
+                          "grav-commutators", "grav-conservation"})
+NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
+
+
+def _reject_unread_flags(config: SuiteConfig):
+    if config.kappa != "standard" and config.suite not in KAPPA_SUITES:
+        raise ValueError(f"--kappa {config.kappa}: the {config.suite} suite "
+                         f"builds no kappa tensor")
+    algebra = config.algebra or config.algebra_path
+    if algebra and config.suite in NO_ALGEBRA_SUITES:
+        raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
+                         f"takes no algebra")
 
 
 def _require_dim(config: SuiteConfig, least: int, cycle: str = "",
@@ -417,6 +435,7 @@ def case_kk_el(config: SuiteConfig, cid: int, seed: int):
     from .connection import algebra_slot
     from .kk import KKFields, kk_el_residuals
 
+    _require_dim(config, 1)
     rng = Rng(seed, config.exact)
     split = gauge_split(config, "u1")
     alg = split.ambient
@@ -464,6 +483,7 @@ def case_kk_curvature(config: SuiteConfig, cid: int, seed: int):
 def case_kk_decomp(config: SuiteConfig, cid: int, seed: int):
     from .kk import build_kk_chart, kk_dAp_identity_residual
 
+    _require_dim(config, 1, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
     split = gauge_split(config, "su2" if cid % 3 != 2 else "u1", n)
     chart = build_kk_chart(split, n, seed=seed, exact=config.exact,
@@ -599,6 +619,7 @@ def run_suite(config: SuiteConfig) -> dict:
     if config.suite not in REGISTRY:
         raise ValueError(f"unknown suite {config.suite!r}; "
                          f"known: {sorted(REGISTRY)}")
+    _reject_unread_flags(config)
     case_fn = REGISTRY[config.suite]
     start = time.perf_counter()
     cases = []

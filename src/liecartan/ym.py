@@ -17,10 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .algebra import SplitAlgebra
 from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field)
+                     frame_partial_field, pi_form_from_coeffs)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_add, f_is_zero, f_mul, f_scale, f_zero
-from .forms import Coframe, Form, Slot, cominor_rows, decompose, exterior_d, wedge
+from .forms import Coframe, Form, cominor_rows, decompose, exterior_d, wedge
 from .scalars import Polynomial
 
 
@@ -43,21 +43,6 @@ class YMFields:
     def f_coframe(self) -> Coframe:
         f_form = self.beta + self.theta
         return coframe_from_algebra_form(f_form, self.alg.dim, self.probes, self.exact)
-
-
-def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Coframe,
-                        alg_dim: int, dual_slot: Slot) -> Form:
-    """pi = 1/2 pi_i^{AB} e^{(N-2)}_{AB} as a dual-slot (N-2)-form."""
-    N = coframe.N
-    minors = coframe.minors()
-    out = Form(N, N - 2, (dual_slot,))
-    for (i, A, B), fld in coeffs.items():
-        if f_is_zero(fld):
-            continue
-        m = minors.minor((A, B))
-        for K, _, mf in m.terms():
-            out.add_term(K, (i,), f_mul(fld, mf))
-    return out._finalize()
 
 
 def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> dict:
@@ -176,15 +161,8 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     """
     split = chart.split
     alg = chart.alg
-    N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
-    p_coeffs = chart.p_coeffs
     dual = algebra_slot(alg, dual=True)
-    minors = chart.coframe.minors()
-
-    p_form = pi_form_from_coeffs(p_coeffs, chart.coframe, alg.dim, dual)
-    coad = Representation.coadjoint(alg)
-    lhs = cov_d(chart.A_form, p_form, (coad,))
 
     # ingredients for the closed form
     F_coeffs = chart.F_coeffs
@@ -195,6 +173,8 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     worst = 0
     for p in chart.probes:
         pt = tuple(p)
+        at = chart.at(pt)
+        lhs, minors = at.dAp()
         a_at = {key: f.value(pt) for key, f in A_frame.items()}
         f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
         g_at = {(a, bb, c): gamma[a][bb][c].value(pt)
@@ -258,19 +238,10 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                                     * (1 if j == gup else 0) / 2
                 g_row[(i, gup)] = acc
         # exact term d(1/2 p^{g1 g2} e^{(N-2)}_{g1 g2})
-        exact_form = Form(N, N - 2, (dual,))
-        for i in g_idx:
-            for j1 in g_idx:
-                for j2 in g_idx:
-                    if j1 >= j2:
-                        continue
-                    fld = p_coeffs.get((i, j1, j2))
-                    if fld is None:
-                        continue
-                    for K, _, mf in minors.minor((j1, j2)).terms():
-                        exact_form.add_term(K, (i,), f_mul(fld, mf))
-        exact_form._finalize()
-        exact_term = exterior_d(exact_form)
+        p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
+                for i in g_idx for j1 in g_idx for j2 in g_idx
+                if j1 < j2 and (i, j1, j2) in at.p_coeffs}
+        exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, alg.dim, dual))
 
         rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
         diff = lhs - rhs

@@ -2,7 +2,8 @@
 
 ``value(point)`` must give ``jet(point, 0).value`` and ``dvalue(point, k)``
 must give ``jet(point, 1).deriv((k,))`` exactly (same number, same type)
-on both backends: every residual goes through these fast paths.
+on both backends: every residual goes through these fast paths.  Taylor
+numbers must give the value and partials of the lazy node they replace.
 """
 
 from fractions import Fraction as F
@@ -11,7 +12,9 @@ import pytest
 
 from liecartan.charts import antisym
 from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixExpField,
-                              MatrixInverseField, f_scale)
+                              MatrixInverseField, Taylor, TaylorError, f_add,
+                              f_is_zero, f_mul, f_partial, f_scale)
+from liecartan.forms import Form, wedge
 from liecartan.scalars import Polynomial, poly_field
 
 N = 3
@@ -258,3 +261,103 @@ def test_matrix_entry_nodes_are_shared():
                         [x[2], x[0]]], exact=True)
     assert E.entry(0, 1) is E.entry(0, 1)
     assert E.entry(0, 1) is not E.entry(1, 0)
+
+
+def _same_by_repr(taylor, node, probe, order1=True):
+    assert repr(taylor.value(probe)) == repr(node.value(probe))
+    if order1:
+        for k in range(N):
+            assert repr(taylor.dvalue(probe, k)) == repr(node.dvalue(probe, k)), k
+
+
+# operand names from _graph: polynomials, matrix entries and lazy nodes,
+# with zeros at the probe among them
+_PAIRS = [("poly", "exp-entry"), ("exp-entry", "poly"), ("inverse-entry", "nested"),
+          ("poly-zero-at-probe", "exp-entry-off-diagonal"), ("prod-zero-factor", "poly"),
+          ("sum-cancelling", "scale"), ("partial", "sum"), ("exp-entry", "exp-entry")]
+_SUMS = [("poly", "exp-entry", "Q"), ("sum-cancelling", "poly", "inverse-entry"),
+         ("exp-entry", "sum-cancelling-then-lazy", "prod-zero-factor"),
+         ("poly-zero-at-probe", "scale"), ("partial", "nested", "sum", "prod"),
+         ("poly", "-poly"), ("exp-entry", "poly", "-poly")]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_taylor_arithmetic_matches_lazy_nodes(exact):
+    """f_add, f_mul, f_scale and f_partial with a Taylor operand give the
+    value and partials of FSum, FProd, FScale and FPartial, by repr."""
+    probe, nodes = _graph(exact)
+    _, ref = _graph(exact)
+    nodes["Q"] = ref["Q"] = poly_field(N, [((1, 0, 2), _num("-5/3", exact)),
+                                           ((0, 1, 0), _num(2, exact))])
+    nodes["-poly"] = ref["-poly"] = nodes["poly"].scale(-1)
+
+    def tay(name):
+        return Taylor.of(nodes[name], probe, exact)
+
+    for a, b in _PAIRS:
+        for ta, tb in ((tay(a), nodes[b]), (nodes[a], tay(b)), (tay(a), tay(b))):
+            _same_by_repr(f_mul(ta, tb), FProd(ref[a], ref[b]), probe)
+    for names in _SUMS:
+        for i in range(len(names)):
+            parts = [tay(x) if j == i else nodes[x] for j, x in enumerate(names)]
+            _same_by_repr(f_add(*parts), FSum([ref[x] for x in names]), probe)
+        _same_by_repr(f_add(*map(tay, names)), FSum([ref[x] for x in names]), probe)
+    for name in nodes:
+        for c in (-1, _num("-2/7", exact), _num(3, exact)):
+            _same_by_repr(f_scale(tay(name), c), FScale(ref[name], c), probe)
+        for k in range(N):
+            d = f_partial(tay(name), k)
+            _same_by_repr(d, FPartial(ref[name], k), probe, order1=False)
+            # a term with an order-0 operand is order 0 as well
+            prod = f_mul(d, tay("exp-entry"))
+            _same_by_repr(prod, FProd(FPartial(ref[name], k), ref["exp-entry"]),
+                          probe, order1=False)
+            assert prod.d is None
+
+
+def test_taylor_zero_factor_drops_non_finite_values():
+    probe, nodes = _graph(False)
+    inf = Polynomial.constant(float("inf"), N)
+    inf_slope = poly_field(N, [((1, 0, 0), float("inf"))])
+    zero_at_probe = Taylor.of(nodes["poly-zero-at-probe"], probe, False)
+    for t, ref in ((f_mul(zero_at_probe, inf), FProd(nodes["poly-zero-at-probe"], inf)),
+                   (f_mul(inf, Taylor.of(nodes["prod-zero-factor"], probe, False)),
+                    FProd(inf, nodes["prod-zero-factor"])),
+                   (f_mul(inf_slope, Taylor.of(nodes["sum-cancelling"], probe, False)),
+                    FProd(inf_slope, nodes["sum-cancelling"]))):
+        assert t.value(probe) == 0 and type(t.value(probe)) is int
+        _same_by_repr(t, ref, probe)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_zero_taylor_is_dropped_only_on_exact_backend(exact):
+    probe, nodes = _graph(exact)
+    zero = Taylor.of(nodes["sum-cancelling"], probe, exact)
+    live = Taylor.of(nodes["exp-entry"], probe, exact)
+    assert zero.v == 0 and type(zero.v) is int and not zero.d
+    assert f_is_zero(zero) is exact and not f_is_zero(live)
+    a = Form(N, 1)
+    a.comps = {(0,): {(): zero}}
+    b = Form(N, 1)
+    b.comps = {(1,): {(): live}}
+    assert ((0, 1) in wedge(a, b).comps) is not exact
+    summed = Form(N, 1)
+    summed._append((2,), (), zero)
+    assert ((2,) in summed._finalize().comps) is not exact
+    assert ((0,) in Form(N, 1).add_term((0,), (), zero).comps) is not exact
+
+
+def test_taylor_reads_only_its_own_point_and_order():
+    probe, nodes = _graph(True)
+    other = (F(1), F(2), F(3))
+    t = Taylor.of(nodes["nested"], probe, True)
+    assert t.value(tuple(list(probe))) == t.value(probe)
+    for read in (lambda: t.value(other), lambda: t.dvalue(other, 0),
+                 lambda: f_mul(t, Taylor.of(nodes["poly"], other, True))):
+        with pytest.raises(TaylorError):
+            read()
+    d = f_partial(t, 0)
+    with pytest.raises(TaylorError):
+        f_partial(d, 1)
+    with pytest.raises(TaylorError):
+        d.dvalue(probe, 1)

@@ -19,7 +19,7 @@ from liecartan.gravity import (ChartInvariantError, GravityFields,
                                grav_psi_q, grav_T_conservation_residual,
                                grav_tensors, kappa_pi_block,
                                q_scalar_consistency, q_source_form,
-                               theta_ring_invert, theta_ring_tensor, dAp_form)
+                               theta_ring_invert, theta_ring_tensor)
 from liecartan.kappa import build_kappa
 from liecartan.scalars import Polynomial
 
@@ -82,7 +82,7 @@ def test_maurer_cartan_fields_are_flat():
     assert rep["max_r1"] == 0
     # r2 reduces to d^phi pi alone: psi rows are zero by Phi = 0
     from liecartan.connection import Representation, cov_d
-    from liecartan.ym import pi_form_from_coeffs
+    from liecartan.charts import pi_form_from_coeffs
 
     coframe = fields.coframe()
     pi_form = pi_form_from_coeffs(pi, coframe, N, algebra_slot(alg, dual=True))
@@ -158,7 +158,7 @@ def test_fundamental_equation_flat_chart():
     # residual is d^A p itself
     sp, kap, chart = p03_chart(seed=19, flat=True)
     rep = grav_fundamental_residual(chart)
-    lhs = dAp_form(chart)
+    lhs, _ = chart.dAp()
     pt = chart.probes[0]
     q = q_source_form(chart, pt)
     assert q.max_abs(pt) == 0
@@ -291,7 +291,7 @@ def test_abelian_toy_el_residuals():
     from liecartan.algebra import LieAlgebra, SplitAlgebra
     from liecartan.connection import Representation, cov_d
     from liecartan.kappa import KappaTensor
-    from liecartan.ym import pi_form_from_coeffs
+    from liecartan.charts import pi_form_from_coeffs
 
     N = 3
     alg = LieAlgebra("abelian3", ["a0", "a1", "a2"], {})
@@ -319,10 +319,9 @@ def test_abelian_toy_el_residuals():
 
 def test_exact_term_identity():
     # d(1/2 p^{ll} e^{(N-2)}_{ll}) = (d_l p^{ll} + 1/2 c p^{ll}) e^{(N-1)}_l
-    from liecartan.charts import frame_partial_field
+    from liecartan.charts import frame_partial_field, pi_form_from_coeffs
     from liecartan.fields import f_scale
     from liecartan.forms import Form as FormCls, exterior_d
-    from liecartan.ym import pi_form_from_coeffs
 
     sp, kap, chart = p03_chart(seed=47, probe_count=1)
     alg, N = chart.alg, chart.N
@@ -369,7 +368,7 @@ def test_action_density_invariance_constant_gauge():
     from liecartan.connection import curvature
     from liecartan.forms import merge_sign
     from liecartan.gravity import pi_values_from_chart
-    from liecartan.ym import pi_form_from_coeffs
+    from liecartan.charts import pi_form_from_coeffs
     import liecartan.linalg as la
 
     sp, kap, chart = p03_chart(seed=49, probe_count=1)

@@ -185,9 +185,17 @@ def test_cli_float_backend():
     (("--suite", "kk-curvature", "--dim", "0"), "--dim"),
     (("--suite", "kk-curvature", "--dim", "1"), "--dim"),
     (("--suite", "grav-el", "--kappa", "holst:0"), "--kappa holst:0:"),
+    (("--suite", "kk-el", "--kappa", "holst:0"), "--kappa holst:0:"),
+    (("--suite", "lie-checks", "--kappa", "holst:0"), "--kappa holst:0:"),
+    (("--suite", "constants", "--algebra", "su2"), "--algebra su2:"),
+    (("--suite", "forms-identities", "--algebra", "u1"), "--algebra u1:"),
+    (("--suite", "kk-el", "--dim", "-2"), "--dim -2:"),
+    (("--suite", "kk-decomp", "--dim", "-1"), "--dim -1:"),
 ], ids=["grav-su2", "kk-p03", "ym-el-dim1", "forms-dim1", "ym-decomp-dim1",
         "ym-decomp-dim-1", "kk-lc-dim0", "kk-lc-dim1", "kk-curvature-dim0",
-        "kk-curvature-dim1", "grav-el-holst0"])
+        "kk-curvature-dim1", "grav-el-holst0", "kk-el-holst0",
+        "lie-checks-holst0", "constants-su2", "forms-u1", "kk-el-dim-2",
+        "kk-decomp-dim-1"])
 def test_cli_rejects_inapplicable_flag_values(args, flag):
     out = _run_cli(*args, "--cases", "1")
     assert out.returncode == 2, out.stderr

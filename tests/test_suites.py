@@ -43,6 +43,11 @@ QUICK = {
 
 FLOAT_SUITES = sorted(EXPECTED_SUITES)
 
+# one-case reports on charts that no QUICK run builds, under their golden key
+PINNED = {
+    "grav-decomp/p_1(4)": dict(suite="grav-decomp", algebra="p_1(4)", cases=1),
+}
+
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
 
@@ -77,6 +82,14 @@ def test_float_backend_within_tolerance(suite, golden):
     rep = run_suite(_quick_config(suite, "float"))
     assert rep["pass"], rep
     assert _canonical(rep) == _canonical(golden[f"{suite}/float"])
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_reports_match_golden(name, backend, golden):
+    rep = run_suite(SuiteConfig(backend=backend, **PINNED[name]))
+    assert rep["pass"], rep
+    assert _canonical(rep) == _canonical(golden[f"{name}/{backend}"])
 
 
 def test_cases_sorted_and_counted():
@@ -123,5 +136,10 @@ if __name__ == "__main__":
         rep = run_suite(_quick_config(suite, backend))
         rep.pop("wall_time")
         reports[f"{suite}/{backend}"] = rep
+    for name, kwargs in sorted(PINNED.items()):
+        for backend in ("rational", "float"):
+            rep = run_suite(SuiteConfig(backend=backend, **kwargs))
+            rep.pop("wall_time")
+            reports[f"{name}/{backend}"] = rep
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")

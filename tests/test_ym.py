@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from liecartan.algebra import central_extension, euclidean_diag, su2, u1
-from liecartan.charts import Rng, frame_partial_field
+from liecartan.charts import Rng, frame_partial_field, pi_form_from_coeffs
 from liecartan.connection import algebra_slot
 from liecartan.forms import Form
 from liecartan.scalars import Polynomial
 from liecartan.ym import (YMFields, build_ym_chart, maxwell_q_transport_residual,
-                          maxwell_scenario, pi_form_from_coeffs,
-                          ym_current, ym_dAp_identity_residual, ym_el_residuals)
+                          maxwell_scenario, ym_current, ym_dAp_identity_residual,
+                          ym_el_residuals)
 
 
 def flat_vacuum_fields(split, n, pi=None):
