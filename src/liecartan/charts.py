@@ -140,7 +140,8 @@ class TrivializedChart:
         """p_I^{AB} and its frame derivatives X_C p_I^{AB} at a probe.
 
         The tables cover both index orders, key the derivatives
-        (I, A, B, C) and read 0 where p has no entry.
+        (I, A, B, C) and read 0 where p has no entry.  A derivative sums
+        only the nonzero partials of p, in ascending k.
         """
         N = self.N
         V = self.coframe.inverse_field()
@@ -148,9 +149,9 @@ class TrivializedChart:
         p_at, dp_at = defaultdict(int), defaultdict(int)
         for key, fld in antisym(self.p_coeffs).items():
             p_at[key] = fld.value(pt)
-            grad = [fld.dvalue(pt, k) for k in range(N)]
+            grad = [(k, g) for k in range(N) for g in (fld.dvalue(pt, k),) if g != 0]
             for C in range(N):
-                dp_at[key + (C,)] = sum(Vp[k][C] * grad[k] for k in range(N))
+                dp_at[key + (C,)] = sum(Vp[k][C] * g for k, g in grad)
         return p_at, dp_at
 
     def at(self, pt) -> "TrivializedChart":

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim", type=int, default=3,
                         help="base dimension n (chart = base + fiber)")
     parser.add_argument("--kappa", default="standard",
-                        help="standard or holst:<gamma>")
+                        help="standard, holst (gamma = 2) or holst:<gamma>")
     parser.add_argument("--backend", choices=["rational", "float"],
                         default=DEFAULTS["backend"])
     parser.add_argument("--seed", type=int, default=DEFAULTS["seed"])

@@ -36,6 +36,17 @@ that lost it could become a polynomial whose products round differently.
 Everything evaluated at more than one point, or built before the probe
 is known (chart construction, the matrix fields, ``jet_at``,
 ``finite_difference_check``), stays on the lazy graph.
+
+A Taylor coefficient of a form at index K keeps only its partials along
+k not in K: ``exterior_d`` reads d_k alpha_K only for those k, so the
+others would be computed for nothing (on a codegree-2 minor of a
+10-chart, 8 of 10).  ``Form._append`` drops them and records them in the
+number's ``drop`` bitmask; sums, products and scalings OR their
+operands' masks and skip those partials, and reading a dropped partial
+raises ``TaylorError`` rather than returning a wrong 0.  Kept partials
+are computed by the same operations in the same order as before.
+``gravity.certify_gravity_chart`` builds no lazy frame graph: it works on
+the coframe matrix, its inverse and their first partials at each probe.
 """
 
 from __future__ import annotations
@@ -240,7 +251,7 @@ class FPartial(_Lazy):
 
 class TaylorError(ArithmeticError):
     """A Taylor number was read at another point, or for a partial it does
-    not hold."""
+    not hold (an order-0 number, or a partial it dropped)."""
 
 
 class Taylor:
@@ -251,16 +262,19 @@ class Taylor:
     0.  ``d`` is None on an order-0 number, which a partial leaves behind:
     it holds no partials of its own.  ``exact`` is the chart's backend,
     which decides whether a zero counts as zero (see ``f_is_zero``).
+    Bit k of ``drop`` marks a partial along k that was not kept (see
+    ``without``); it is absent from ``d`` and cannot be read.
     """
 
-    __slots__ = ("n", "pt", "exact", "v", "d")
+    __slots__ = ("n", "pt", "exact", "v", "d", "drop")
 
-    def __init__(self, n: int, pt: tuple, exact: bool, v, d):
+    def __init__(self, n: int, pt: tuple, exact: bool, v, d, drop: int = 0):
         self.n = n
         self.pt = pt
         self.exact = exact
         self.v = v
         self.d = d
+        self.drop = drop
 
     @staticmethod
     def of(field, pt: tuple, exact: bool) -> "Taylor":
@@ -279,13 +293,31 @@ class Taylor:
         self._check(point)
         if self.d is None:
             raise TaylorError("an order-0 Taylor number holds no partials")
+        if self.drop >> k & 1:
+            raise TaylorError(f"the partial along {k} of this Taylor number "
+                              f"was dropped")
         return self.d.get(k, 0)
 
+    def without(self, mask: int) -> "Taylor":
+        """This number with its partials along the bits of ``mask`` dropped
+        (itself when they already are, or when it is order 0)."""
+        if self.d is None or not mask & ~self.drop:
+            return self
+        return Taylor(self.n, self.pt, self.exact, self.v, _kept(self.d, mask),
+                      self.drop | mask)
 
-def _partials(field, pt) -> dict:
-    """Nonzero first partials of a polynomial or lazy node at ``pt``."""
+
+def _kept(d: dict, drop: int) -> dict:
+    return {k: x for k, x in d.items() if not drop >> k & 1}
+
+
+def _partials(field, pt, drop: int = 0) -> dict:
+    """Nonzero first partials of a polynomial or lazy node at ``pt``,
+    except along the bits of ``drop``."""
     out = {}
     for k in range(field.n):
+        if drop >> k & 1:
+            continue
         x = field.dvalue(pt, k)
         if x != 0:
             out[k] = x
@@ -301,16 +333,27 @@ def _value_at(t: Taylor, f):
     return f.value(t.pt)
 
 
-def _partials_at(t: Taylor, f) -> dict:
-    return f.d if isinstance(f, Taylor) else _partials(f, t.pt)
+def _partials_at(t: Taylor, f, drop: int) -> dict:
+    """Partials of an operand ``f`` at the point of ``t``, except along
+    the bits of ``drop``."""
+    if isinstance(f, Taylor):
+        return _kept(f.d, drop) if drop & ~f.drop else f.d
+    return _partials(f, t.pt, drop)
+
+
+def _joined(fields):
+    """The partials any operand dropped, as a bitmask, and whether every
+    Taylor operand is order 1."""
+    drop, order1 = 0, True
+    for f in fields:
+        if isinstance(f, Taylor):
+            drop |= f.drop
+            order1 = order1 and f.d is not None
+    return drop, order1
 
 
 def _nonzero(d: dict) -> dict:
     return {k: x for k, x in d.items() if x != 0}
-
-
-def _order1(fields) -> bool:
-    return all(f.d is not None for f in fields if isinstance(f, Taylor))
 
 
 # Taylor arithmetic follows FSum, FProd, FScale and FPartial: operands in
@@ -318,19 +361,23 @@ def _order1(fields) -> bool:
 # result the int 0, so that float bits agree with the lazy graph.  A
 # result is order 0 when an operand is.  A polynomial or lazy operand is
 # read at the Taylor number's point, its partials only where they count.
+# The result drops every partial that an operand dropped.
 
 def _taylor_sum(t: Taylor, parts) -> Taylor:
+    if len(parts) == 1:
+        return t
     v = _value_at(t, parts[0])
     for f in parts[1:]:
         v = v + _value_at(t, f)
     d = None
-    if _order1(parts):
+    drop, order1 = _joined(parts)
+    if order1:
         d = {}
         for f in parts:
-            for k, x in _partials_at(t, f).items():
+            for k, x in _partials_at(t, f, drop).items():
                 d[k] = d[k] + x if k in d else x
         d = _nonzero(d)
-    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d)
+    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
 
 
 def _taylor_prod(t: Taylor, a, b) -> Taylor:
@@ -338,22 +385,23 @@ def _taylor_prod(t: Taylor, a, b) -> Taylor:
     vb = _value_at(t, b)
     v = va * vb if va != 0 and vb != 0 else 0
     d = None
-    if _order1((a, b)):
+    drop, order1 = _joined((a, b))
+    if order1:
         d = {}
         if va != 0:
-            for k, x in _partials_at(t, b).items():
+            for k, x in _partials_at(t, b, drop).items():
                 d[k] = va * x
         if vb != 0:
-            for k, x in _partials_at(t, a).items():
+            for k, x in _partials_at(t, a, drop).items():
                 d[k] = d[k] + x * vb if k in d else x * vb
         d = _nonzero(d)
-    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d)
+    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
 
 
 def _taylor_scale(a: Taylor, c) -> Taylor:
     v = c * a.v if a.v != 0 else 0
-    d = None if a.d is None else _nonzero({k: c * x for k, x in a.d.items()})
-    return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d)
+    d = _nonzero({k: c * x for k, x in a.d.items()}) if a.d else a.d
+    return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d, a.drop)
 
 
 def _taylor_partial(a: Taylor, k: int) -> Taylor:

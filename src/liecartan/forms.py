@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (MatrixField, MatrixInverseField, f_add, f_is_zero, f_mul,
-                     f_partial, f_scale, f_zero)
+from .fields import (MatrixField, MatrixInverseField, Taylor, f_add, f_is_zero,
+                     f_mul, f_partial, f_scale, f_zero)
 from .scalars import Polynomial
 
 
@@ -106,7 +106,13 @@ class Form:
         return self
 
     def _append(self, key: Tuple[int, ...], sk: Tuple[int, ...], field) -> None:
-        """Accumulate ``field`` under a canonical index ``key``."""
+        """Accumulate ``field`` under a canonical index ``key``.
+
+        A Taylor coefficient loses its partials along ``key``: ``d`` never
+        reads them, and the dropped ones raise if read.
+        """
+        if isinstance(field, Taylor):
+            field = field.without(_index_mask(key))
         bucket = self.comps.setdefault(key, {})
         cur = bucket.get(sk)
         if cur is None:
@@ -482,8 +488,9 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
                 out[sk] = [sum(chart[k] * V[k][A] for k in range(N)) for A in range(N)]
             return _unwrap(out, form)
         if form.degree == 2:
-            # zero chart entries are skipped; the start value keeps an
-            # all-zero coefficient in the backend's number type
+            # zero chart and V entries are skipped, keeping the term order;
+            # the start value keeps an all-zero coefficient in the backend's
+            # number type
             zero = Fraction(0) if exact else 0.0
             out = {}
             for sk in slot_keys:
@@ -493,9 +500,10 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
                         k, l = key
                         chart[k][l] = bucket[sk]
                         chart[l][k] = -bucket[sk]
-                frame = [[sum((chart[k][l] * V[k][A] * V[l][B]
-                               for k in range(N) for l in range(N)
-                               if chart[k][l] != 0), zero)
+                nz = [(k, l, c) for k in range(N) for l, c in enumerate(chart[k])
+                      if c != 0]
+                frame = [[sum((c * V[k][A] * V[l][B] for k, l, c in nz
+                               if V[k][A] != 0 and V[l][B] != 0), zero)
                           for B in range(N)] for A in range(N)]
                 out[sk] = frame
             return _unwrap(out, form)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import linalg
 from .algebra import SplitAlgebra, check_algebra
 from .charts import (GravityChart, Rng, antisym, base_probes,
                      build_connection_form, build_group_map,
@@ -195,26 +196,71 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
 
 
 def certify_gravity_chart(chart: GravityChart):
-    """F_{sl} = F_{ll} = 0, y-independence, and coframe rank at probes."""
+    """F_{sl} = F_{ll} = 0, y-independence, and coframe rank at probes.
+
+    Checked on matrices at each probe, with no lazy frame graph.  With E
+    the coframe matrix, V = E^-1 and F^I the antisymmetric chart matrix of
+    F^I, the frame coefficients are W^I = V^T F^I V.  A frame derivative
+    D_L X = sum_j V[j][L] d_j X gives D_L V = -V (D_L E) V, so on the s-s
+    block D_L W^I = M - M^T + V^T (D_L F^I) V with M = (D_L V)^T F^I V.
+    Zero entries are skipped.
+    """
     split = chart.split
-    s_idx = split.s_indices
+    s_idx, l_idx = split.s_indices, split.l_indices
+    N = chart.N
     floor = 0 if chart.exact else 1e-10
-    fc = frame_coeffs_2form(chart.F_form, chart.coframe)
+    F_terms: Dict[int, list] = {}
+    for (k, l), (I,), fld in chart.F_form.terms():
+        F_terms.setdefault(I, []).append((k, l, fld))
+    ss = [(A, B) for A in sorted(s_idx) for B in sorted(s_idx) if A < B]
     for p in chart.probes:
         pt = tuple(p)
-        for (I, A, B), fld in fc.items():
-            if A in s_idx and B in s_idx:
-                continue
-            if abs(fld.value(pt)) > floor:
-                raise ChartInvariantError(
-                    f"F block ({A},{B}) does not vanish at {pt}")
-        for (I, A, B), fld in fc.items():
-            if A in s_idx and B in s_idx:
-                for l in split.l_indices:
-                    d = frame_partial_field(chart.coframe, fld, l)
-                    if abs(d.value(pt)) > floor:
+        V = linalg.mat_inverse(chart.coframe.matrix_at(pt), chart.exact)
+        FV = {}
+        for I, terms in F_terms.items():
+            F = [[0] * N for _ in range(N)]
+            for k, l, fld in terms:
+                v = fld.value(pt)
+                F[k][l], F[l][k] = v, -v
+            FV[I] = linalg.mat_mul(F, V)
+            for A in range(N):
+                for B in range(A + 1, N):
+                    if A in s_idx and B in s_idx:
+                        continue
+                    if abs(_col_dot(V, FV[I], A, B)) > floor:
+                        raise ChartInvariantError(
+                            f"F block ({A},{B}) does not vanish at {pt}")
+        dE = [[[f.dvalue(pt, j) for j in range(N)] for f in row]
+              for row in chart.coframe.entries]
+        DV = {}
+        for L in l_idx:
+            DE = [[_frame_partial(V, d, L) for d in row] for row in dE]
+            DV[L] = [[-x for x in row]
+                     for row in linalg.mat_mul(V, linalg.mat_mul(DE, V))]
+        for I, terms in F_terms.items():
+            grads = [(k, l, [fld.dvalue(pt, j) for j in range(N)])
+                     for k, l, fld in terms]
+            dF = {L: [(k, l, c) for k, l, g in grads
+                      for c in (_frame_partial(V, g, L),) if c != 0]
+                  for L in l_idx}
+            for A, B in ss:
+                for L in l_idx:
+                    d = _col_dot(DV[L], FV[I], A, B) - _col_dot(DV[L], FV[I], B, A)
+                    for k, l, c in dF[L]:
+                        d += c * (V[k][A] * V[l][B] - V[l][A] * V[k][B])
+                    if abs(d) > floor:
                         raise ChartInvariantError(
                             f"F coefficient ({I},{A},{B}) varies along the fiber")
+
+
+def _col_dot(X, Y, A, B):
+    """(X^T Y)[A][B], skipping the zero entries of X."""
+    return sum(X[k][A] * Y[k][B] for k in range(len(X)) if X[k][A] != 0)
+
+
+def _frame_partial(V, grad, L):
+    """sum_j V[j][L] grad[j]: the derivative along X_L from a gradient."""
+    return sum(V[j][L] * g for j, g in enumerate(grad) if g != 0)
 
 
 def fields_from_chart(chart: GravityChart) -> GravityFields:

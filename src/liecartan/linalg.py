@@ -18,9 +18,15 @@ class SingularMatrixError(ArithmeticError):
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+    """A B.  Zero entries of A are skipped; each entry still sums its terms
+    in ascending k from the int 0."""
+    out = [[0] * len(B[0]) for _ in A]
+    for row, orow in zip(A, out):
+        for k, a in enumerate(row):
+            if a != 0:
+                for j, b in enumerate(B[k]):
+                    orow[j] += a * b
+    return out
 
 
 def mat_vec(A, v):

@@ -20,6 +20,7 @@ code paths so that vacuously-green suites are detectable.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +48,10 @@ class SuiteConfig:
     algebra_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol {self.tol}: the tolerance must be a finite "
+                             f"positive number")
+        kappa_spec(self)
         if self.cases < 1:
             raise ValueError("case count must be at least 1")
         if self.backend not in ("rational", "float"):
@@ -65,13 +68,22 @@ def case_seed(master: int, case_id: int) -> int:
 
 
 def kappa_spec(config: SuiteConfig):
-    if config.kappa == "standard":
+    """(kind, gamma) of ``--kappa``: ``standard``, ``holst`` (gamma = 2) or
+    ``holst:<gamma>`` for a nonzero rational gamma."""
+    kind, colon, gamma = config.kappa.partition(":")
+    if kind == "standard" and not colon:
         return "standard", None
-    if config.kappa.startswith("holst"):
-        gamma = Fraction(config.kappa.split(":", 1)[1]) if ":" in config.kappa \
-            else Fraction(2)
-        return "holst", gamma
-    raise ValueError(f"unknown kappa kind {config.kappa!r}")
+    if kind == "holst":
+        if not colon:
+            return "holst", Fraction(2)
+        try:
+            value = Fraction(gamma)
+        except (ValueError, ZeroDivisionError):
+            value = 0
+        if value != 0:
+            return "holst", value
+    raise ValueError(f"--kappa {config.kappa}: expected standard, holst or "
+                     f"holst:<gamma> with a nonzero rational gamma")
 
 
 def resolve_algebra(config: SuiteConfig, default: str):

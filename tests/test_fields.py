@@ -14,7 +14,7 @@ from liecartan.charts import antisym
 from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixExpField,
                               MatrixInverseField, Taylor, TaylorError, f_add,
                               f_is_zero, f_mul, f_partial, f_scale)
-from liecartan.forms import Form, wedge
+from liecartan.forms import Form, exterior_d, wedge
 from liecartan.scalars import Polynomial, poly_field
 
 N = 3
@@ -361,3 +361,59 @@ def test_taylor_reads_only_its_own_point_and_order():
         f_partial(d, 1)
     with pytest.raises(TaylorError):
         d.dvalue(probe, 1)
+
+
+def _form_of(terms, wrap):
+    out = Form(N, 1)
+    for k, fld in terms:
+        out.add_term((k,), (), wrap(fld))
+    return out._finalize()
+
+
+def _index_bits(K):
+    return sum(1 << k for k in K)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_form_coefficients_keep_only_partials_off_their_index(exact):
+    """A Taylor coefficient stored at K holds the lazy node's value and its
+    partials along k not in K, by repr; those along K raise."""
+    probe, nodes = _graph(exact)
+    a_terms = [(0, nodes["exp-entry"]), (1, nodes["nested"])]
+    b_terms = [(1, nodes["inverse-entry"]), (2, nodes["sum"])]
+
+    def tay(f):
+        return Taylor.of(f, probe, exact)
+
+    taylor = wedge(_form_of(a_terms, tay), _form_of(b_terms, tay))
+    lazy = wedge(_form_of(a_terms, lambda f: f), _form_of(b_terms, lambda f: f))
+    added = Form(N, 2).add_term((2, 0), (), tay(nodes["scale"]))._finalize()
+    added_lazy = Form(N, 2).add_term((2, 0), (), nodes["scale"])._finalize()
+    for out, ref in ((taylor, lazy), (added, added_lazy)):
+        assert sorted(out.comps) == sorted(ref.comps)
+        for K, sk, fld in out.terms():
+            node = ref.comps[K][sk]
+            assert fld.drop == _index_bits(K)
+            assert repr(fld.value(probe)) == repr(node.value(probe))
+            for k in range(N):
+                if k in K:
+                    with pytest.raises(TaylorError):
+                        fld.dvalue(probe, k)
+                    with pytest.raises(TaylorError):
+                        f_partial(fld, k)
+                else:
+                    assert repr(fld.dvalue(probe, k)) == repr(node.dvalue(probe, k))
+        d, d_lazy = exterior_d(out), exterior_d(ref)
+        assert sorted(d.comps) == sorted(d_lazy.comps)
+        for K, sk, fld in d.terms():
+            assert repr(fld.value(probe)) == repr(d_lazy.comps[K][sk].value(probe))
+
+
+def test_taylor_arithmetic_joins_dropped_partials():
+    probe, nodes = _graph(True)
+    a = Taylor.of(nodes["nested"], probe, True).without(0b001)
+    b = Taylor.of(nodes["exp-entry-off-diagonal"], probe, True).without(0b100)
+    assert a.without(0b001) is a and 0 not in a.d
+    assert f_mul(a, b).drop == f_add(a, b).drop == 0b101
+    assert f_scale(a, 3).drop == f_mul(nodes["poly"], a).drop == 0b001
+    assert set(f_mul(a, b).d) | set(f_add(a, b).d) <= {1}

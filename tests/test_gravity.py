@@ -37,21 +37,56 @@ def test_chart_certification():
 
 
 def test_certification_rejects_broken_invariants():
-    sp, kap, chart = p03_chart()
-    # inject a fiber-direction component into A: F gains sl/ll blocks
-    N = chart.N
-    bad = chart.A_form
-    bad.add_term((sp.n,), (0,), Polynomial.constant(F(1), N))
-    bad._finalize()
     from liecartan.charts import coframe_from_algebra_form
     from liecartan.connection import curvature
 
-    chart.e_form = bad + chart.gm.right_log_derivative()
-    chart.coframe = coframe_from_algebra_form(chart.e_form, N, chart.probes,
-                                              chart.exact)
-    chart.F_form = curvature(bad, chart.alg)
-    with pytest.raises(ChartInvariantError):
+    for exact in (True, False):
+        sp, kap, chart = p03_chart(exact=exact)
+        # inject a fiber-direction component into A: F gains sl/ll blocks
+        N = chart.N
+        bad = chart.A_form
+        bad.add_term((sp.n,), (0,), Polynomial.constant(F(1) if exact else 1.0, N))
+        bad._finalize()
+        chart.e_form = bad + chart.gm.right_log_derivative()
+        chart.coframe = coframe_from_algebra_form(chart.e_form, N, chart.probes,
+                                                  chart.exact)
+        chart.F_form = curvature(bad, chart.alg)
+        with pytest.raises(ChartInvariantError, match="does not vanish"):
+            certify_gravity_chart(chart)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_certification_rejects_fiber_dependent_ss_block(exact):
+    # y_0 dx^0 ^ dx^1 in slot 0 vanishes at the probes (y = 0), so only the
+    # frame derivative along the fiber sees it
+    sp, kap, chart = p03_chart(exact=exact)
+    y0 = Polynomial.coordinate(sp.n, chart.N)
+    chart.F_form.add_term((0, 1), (0,), y0 if exact else y0.scale(1.0))
+    chart.F_form._finalize()
+    with pytest.raises(ChartInvariantError, match=r"\(0,0,1\) varies along the fiber"):
         certify_gravity_chart(chart)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_certification_rejects_fiber_dependent_frame(exact):
+    # F is unchanged, but the s frame now moves along the fiber, so the
+    # frame coefficients of the s-s block do
+    from liecartan.forms import Coframe
+
+    sp, kap, chart = p03_chart(exact=exact)
+    y0 = Polynomial.coordinate(sp.n, chart.N)
+    entries = [row[:] for row in chart.coframe.entries]
+    entries[0][0] = entries[0][0] + (y0 if exact else y0.scale(1.0))
+    chart.coframe = Coframe(entries, probes=chart.probes, exact=exact)
+    with pytest.raises(ChartInvariantError, match="varies along the fiber"):
+        certify_gravity_chart(chart)
+
+
+def test_float_p14_chart_certifies():
+    sp = build_algebra("p_1(4)")
+    chart = build_gravity_chart(sp, build_kappa("standard", sp), seed=5,
+                                exact=False, probe_count=1)
+    certify_gravity_chart(chart)
 
 
 def test_maurer_cartan_fields_are_flat():

@@ -191,11 +191,19 @@ def test_cli_float_backend():
     (("--suite", "forms-identities", "--algebra", "u1"), "--algebra u1:"),
     (("--suite", "kk-el", "--dim", "-2"), "--dim -2:"),
     (("--suite", "kk-decomp", "--dim", "-1"), "--dim -1:"),
+    (("--suite", "kappa", "--kappa", "holster"), "--kappa holster:"),
+    (("--suite", "kappa", "--kappa", "holst:abc"), "--kappa holst:abc:"),
+    (("--suite", "kappa", "--kappa", "holst:"), "--kappa holst::"),
+    (("--suite", "kappa", "--kappa", "holst:1/0"), "--kappa holst:1/0:"),
+    (("--suite", "kappa", "--tol", "nan"), "--tol nan:"),
+    (("--suite", "kappa", "--tol", "inf"), "--tol inf:"),
 ], ids=["grav-su2", "kk-p03", "ym-el-dim1", "forms-dim1", "ym-decomp-dim1",
         "ym-decomp-dim-1", "kk-lc-dim0", "kk-lc-dim1", "kk-curvature-dim0",
         "kk-curvature-dim1", "grav-el-holst0", "kk-el-holst0",
         "lie-checks-holst0", "constants-su2", "forms-u1", "kk-el-dim-2",
-        "kk-decomp-dim-1"])
+        "kk-decomp-dim-1", "kappa-holster", "kappa-holst-abc",
+        "kappa-holst-empty", "kappa-holst-1-0", "kappa-tol-nan",
+        "kappa-tol-inf"])
 def test_cli_rejects_inapplicable_flag_values(args, flag):
     out = _run_cli(*args, "--cases", "1")
     assert out.returncode == 2, out.stderr
