@@ -185,16 +185,20 @@ def jacobi_residual(alg: LieAlgebra):
     return worst
 
 
-def _trace_ad(alg: LieAlgebra, i: int, indices=None):
-    idx = range(alg.dim) if indices is None else indices
-    return sum(alg.c(j, i, j) for j in idx)
+def _trace_ad(alg: LieAlgebra, i: int):
+    return sum(alg.c(j, i, j) for j in range(alg.dim))
+
+
+def is_unimodular(alg: LieAlgebra) -> bool:
+    """tr ad_x = 0 for every basis element x."""
+    return all(_trace_ad(alg, i) == 0 for i in range(alg.dim))
 
 
 def check_algebra(alg: LieAlgebra, split: Optional[SplitAlgebra] = None) -> dict:
     """Verify the algebra invariants; reports, never raises."""
     report = {
         "jacobi_residual": jacobi_residual(alg),
-        "unimodular_ambient": all(_trace_ad(alg, i) == 0 for i in range(alg.dim)),
+        "unimodular_ambient": is_unimodular(alg),
     }
     if split is not None:
         s, l = split.s_indices, split.l_indices

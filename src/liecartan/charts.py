@@ -36,7 +36,7 @@ from .algebra import SplitAlgebra
 from .connection import GroupMap, Representation, algebra_slot, cov_d, curvature
 from .fields import Taylor, f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
 from .forms import Coframe, CoframeMinors, Form, Slot, decompose
-from .scalars import Polynomial
+from .scalars import Polynomial, _add, _mul
 
 if TYPE_CHECKING:
     from .kappa import KappaTensor
@@ -151,7 +151,10 @@ class TrivializedChart:
             p_at[key] = fld.value(pt)
             grad = [(k, g) for k in range(N) for g in (fld.dvalue(pt, k),) if g != 0]
             for C in range(N):
-                dp_at[key + (C,)] = sum(Vp[k][C] * g for k, g in grad)
+                dp = 0
+                for k, g in grad:
+                    dp = _add(dp, _mul(Vp[k][C], g))
+                dp_at[key + (C,)] = dp
         return p_at, dp_at
 
     def at(self, pt) -> "TrivializedChart":

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .scalars import Jet, Polynomial
+from .scalars import Jet, Polynomial, _add, _mul
 
 SERIES_CAP = 64
 FLOAT_SERIES_TOL = 1e-17
@@ -167,13 +167,13 @@ class FSum(_Lazy):
     def _value(self, point):
         out = self.parts[0].value(point)
         for f in self.parts[1:]:
-            out = out + f.value(point)
+            out = _add(out, f.value(point))
         return out
 
     def _dvalue(self, point, k):
         out = self.parts[0].dvalue(point, k)
         for f in self.parts[1:]:
-            out = out + f.dvalue(point, k)
+            out = _add(out, f.dvalue(point, k))
         return out
 
 
@@ -192,7 +192,7 @@ class FProd(_Lazy):
         # like Jet.__mul__: a zero factor drops the term (0 * inf is 0 here)
         va = self.a.value(point)
         vb = self.b.value(point)
-        return va * vb if va != 0 and vb != 0 else 0
+        return _mul(va, vb) if va != 0 and vb != 0 else 0
 
     def _dvalue(self, point, k):
         # product rule with Jet.__mul__'s terms: va * db, then + da * vb,
@@ -203,12 +203,12 @@ class FProd(_Lazy):
         if va != 0:
             db = b.dvalue(point, k)
             if db != 0:
-                out = va * db
+                out = _mul(va, db)
         vb = b.value(point)
         if vb != 0:
             da = a.dvalue(point, k)
             if da != 0:
-                out = out + da * vb
+                out = _add(out, _mul(da, vb))
         return out
 
 
@@ -225,11 +225,11 @@ class FScale(_Lazy):
 
     def _value(self, point):
         v = self.a.value(point)
-        return self.c * v if v != 0 and self.c != 0 else 0
+        return _mul(self.c, v) if v != 0 and self.c != 0 else 0
 
     def _dvalue(self, point, k):
         d = self.a.dvalue(point, k)
-        return self.c * d if d != 0 and self.c != 0 else 0
+        return _mul(self.c, d) if d != 0 and self.c != 0 else 0
 
 
 class FPartial(_Lazy):
@@ -368,14 +368,14 @@ def _taylor_sum(t: Taylor, parts) -> Taylor:
         return t
     v = _value_at(t, parts[0])
     for f in parts[1:]:
-        v = v + _value_at(t, f)
+        v = _add(v, _value_at(t, f))
     d = None
     drop, order1 = _joined(parts)
     if order1:
         d = {}
         for f in parts:
             for k, x in _partials_at(t, f, drop).items():
-                d[k] = d[k] + x if k in d else x
+                d[k] = _add(d[k], x) if k in d else x
         d = _nonzero(d)
     return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
 
@@ -383,24 +383,25 @@ def _taylor_sum(t: Taylor, parts) -> Taylor:
 def _taylor_prod(t: Taylor, a, b) -> Taylor:
     va = _value_at(t, a)
     vb = _value_at(t, b)
-    v = va * vb if va != 0 and vb != 0 else 0
+    v = _mul(va, vb) if va != 0 and vb != 0 else 0
     d = None
     drop, order1 = _joined((a, b))
     if order1:
         d = {}
         if va != 0:
             for k, x in _partials_at(t, b, drop).items():
-                d[k] = va * x
+                d[k] = _mul(va, x)
         if vb != 0:
             for k, x in _partials_at(t, a, drop).items():
-                d[k] = d[k] + x * vb if k in d else x * vb
+                xb = _mul(x, vb)
+                d[k] = _add(d[k], xb) if k in d else xb
         d = _nonzero(d)
     return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
 
 
 def _taylor_scale(a: Taylor, c) -> Taylor:
-    v = c * a.v if a.v != 0 else 0
-    d = _nonzero({k: c * x for k, x in a.d.items()}) if a.d else a.d
+    v = _mul(c, a.v) if a.v != 0 else 0
+    d = _nonzero({k: _mul(c, x) for k, x in a.d.items()}) if a.d else a.d
     return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d, a.drop)
 
 
@@ -521,11 +522,12 @@ def jet_mat_series(M: List[List[Jet]], coeff, exact: bool) -> List[List[Jet]]:
     dim = len(M)
     probe = M[0][0]
     out = jet_mat_scale(jet_identity(dim, probe.n, probe.order, probe.base), coeff(0))
-    term = jet_identity(dim, probe.n, probe.order, probe.base)
+    term = M  # M^1; the identity times M would give the same jets
     if _value_part_is_zero(M):
         # nilpotent in the truncated jet algebra: M^(order+1) == 0
         for k in range(1, probe.order + 1):
-            term = jet_mat_mul(term, M)
+            if k > 1:
+                term = jet_mat_mul(term, M)
             out = jet_mat_add(out, jet_mat_scale(term, coeff(k)))
         return out
     if exact:
@@ -534,7 +536,8 @@ def jet_mat_series(M: List[List[Jet]], coeff, exact: bool) -> List[List[Jet]]:
             "exponent vanishes at the evaluation point")
     scale = max(1.0, _max_norm(M))
     for k in range(1, SERIES_CAP):
-        term = jet_mat_mul(term, M)
+        if k > 1:
+            term = jet_mat_mul(term, M)
         out = jet_mat_add(out, jet_mat_scale(term, coeff(k)))
         if _max_norm(term) * abs(coeff(k)) < FLOAT_SERIES_TOL * scale:
             return out

@@ -354,6 +354,7 @@ class Coframe:
         self.exact = exact
         self.probes = [tuple(p) for p in probes]
         self._inv: Optional[MatrixField] = None
+        self._inv_at: Dict[int, tuple] = {}
         self._minors: Optional["CoframeMinors"] = None
         for p in self.probes:
             self.certify(p)
@@ -366,10 +367,20 @@ class Coframe:
         return [[f.value(point) for f in row] for row in self.entries]
 
     def certify(self, point):
+        self.inverse_at(point)
+
+    def inverse_at(self, point) -> List[List]:
+        """The inverse of ``matrix_at(point)``, memoised by the identity of
+        the point like the fields' memos; callers must not mutate it."""
+        hit = self._inv_at.get(id(point))
+        if hit is not None and hit[0] is point:
+            return hit[1]
         try:
-            linalg.mat_inverse(self.matrix_at(point), self.exact)
+            V = linalg.mat_inverse(self.matrix_at(point), self.exact)
         except linalg.SingularMatrixError as exc:
             raise SingularCoframeError(f"coframe singular at {point}") from exc
+        self._inv_at[id(point)] = (point, V)
+        return V
 
     def inverse_field(self) -> MatrixField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""
@@ -466,9 +477,10 @@ class UnsupportedDegreeError(ValueError):
 def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True):
     """Coefficients of ``form`` in the coframe basis at one probe point.
 
-    ``by-coframe`` handles degrees 1 and 2 and returns alpha_A / alpha_AB;
-    ``by-cominors`` handles codegrees 1..3 and returns alpha^A etc.  Raises
-    for other degrees.
+    ``by-coframe`` handles degrees 1 and 2 and returns alpha_A / alpha_AB,
+    from the coframe's memoised inverse at the point; ``by-cominors``
+    handles codegrees 1..3 and returns alpha^A etc.  Raises for other
+    degrees.
     """
     N = coframe.N
     point = tuple(point)
@@ -479,8 +491,7 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
     slot_keys = _slot_keyspace(form)
 
     if mode == "by-coframe":
-        E = coframe.matrix_at(point)
-        V = linalg.mat_inverse(E, exact)
+        V = coframe.inverse_at(point)
         if form.degree == 1:
             out = {}
             for sk in slot_keys:

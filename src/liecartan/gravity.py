@@ -28,7 +28,7 @@ from .fields import f_add, f_mul, f_scale, f_zero
 from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
                     exterior_d, wedge)
 from .kappa import KappaTensor
-from .scalars import Polynomial
+from .scalars import Polynomial, _add, _mul
 
 
 class ChartInvariantError(ValueError):
@@ -215,7 +215,7 @@ def certify_gravity_chart(chart: GravityChart):
     ss = [(A, B) for A in sorted(s_idx) for B in sorted(s_idx) if A < B]
     for p in chart.probes:
         pt = tuple(p)
-        V = linalg.mat_inverse(chart.coframe.matrix_at(pt), chart.exact)
+        V = chart.coframe.inverse_at(pt)
         FV = {}
         for I, terms in F_terms.items():
             F = [[0] * N for _ in range(N)]
@@ -255,12 +255,20 @@ def certify_gravity_chart(chart: GravityChart):
 
 def _col_dot(X, Y, A, B):
     """(X^T Y)[A][B], skipping the zero entries of X."""
-    return sum(X[k][A] * Y[k][B] for k in range(len(X)) if X[k][A] != 0)
+    out = 0
+    for row, yrow in zip(X, Y):
+        if row[A] != 0:
+            out = _add(out, _mul(row[A], yrow[B]))
+    return out
 
 
 def _frame_partial(V, grad, L):
     """sum_j V[j][L] grad[j]: the derivative along X_L from a gradient."""
-    return sum(V[j][L] * g for j, g in enumerate(grad) if g != 0)
+    out = 0
+    for row, g in zip(V, grad):
+        if g != 0:
+            out = _add(out, _mul(row[L], g))
+    return out
 
 
 def fields_from_chart(chart: GravityChart) -> GravityFields:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
+from .scalars import _add, _mul
+
 PIVOT_TOL = 1e-12
 
 
@@ -18,14 +20,14 @@ class SingularMatrixError(ArithmeticError):
 
 
 def mat_mul(A, B):
-    """A B.  Zero entries of A are skipped; each entry still sums its terms
-    in ascending k from the int 0."""
+    """A B.  Zero entries of A are skipped; each entry sums its terms in
+    ascending k from the int 0, by ``_add`` and ``_mul``."""
     out = [[0] * len(B[0]) for _ in A]
     for row, orow in zip(A, out):
         for k, a in enumerate(row):
             if a != 0:
                 for j, b in enumerate(B[k]):
-                    orow[j] += a * b
+                    orow[j] = _add(orow[j], _mul(a, b))
     return out
 
 

@@ -4,6 +4,32 @@ A jet holds the Taylor data of a function at a base point, up to order 3,
 as a sparse dict mapping exponent tuples to Taylor coefficients.  All
 arithmetic is exact when the coefficients are Fractions; the same code
 runs on floats for the non-exact backend.
+
+Most coefficient operations have an operand that is 0 or +-1, and a
+``Fraction`` operation costs microseconds, so ``_add`` and ``_mul`` (used
+here, in ``fields``, ``linalg`` and the models) skip an operation whose
+result is already known:
+
+- ``x + 0`` is ``x``;
+- ``x * 1`` is ``x``, ``x * (-1)`` is ``-x`` and an exact ``x * 0`` is a
+  zero;
+- a sum starts from its first term instead of the int 0;
+- ``eval``, ``_partial_at`` and the Taylor shift in ``jet`` drop a
+  monomial as soon as it has a power of a zero coordinate.  Such a term
+  is a zero product that the sum would only add, so a value with no
+  monomial left is the int 0 (``value`` and ``dvalue`` give every zero as
+  the int 0 anyway).
+
+Two rules keep every result bit-identical to doing the operations:
+
+- a skip returns an operand, its negation or a Fraction zero only where
+  the operation gives that type.  ``_add`` skips the int 0 beside an int
+  or a Fraction and a Fraction 0 beside a Fraction.  ``_mul`` skips an
+  int +-1 beside anything, a Fraction +-1 beside a Fraction or a float,
+  and an int or Fraction 0 beside a Fraction (a Fraction 0 beside an int
+  too).  A float 1.0 times a Fraction, or a Fraction 1 times an int, is
+  still multiplied;
+- a float is always added, so ``0 + -0.0`` still becomes ``0.0``.
 """
 
 from __future__ import annotations
@@ -31,6 +57,53 @@ def _zero_exp(n: int) -> Exponent:
 
 def _exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _add(a, b):
+    """``a + b``; an exact zero beside an int or a Fraction is skipped."""
+    ca, cb = a.__class__, b.__class__
+    if (ca is Fraction or ca is int) and (cb is Fraction or cb is int):
+        if (cb is int or ca is Fraction) and not b:
+            return a
+        if (ca is int or cb is Fraction) and not a:
+            return b
+    return a + b
+
+
+def _mul(a, b):
+    """``a * b``; a 0 or +-1 operand is applied without the operation
+    when the product's type is known."""
+    ca, cb = a.__class__, b.__class__
+    if ca is int:
+        if a == 1:
+            return b
+        if a == -1:
+            return -b
+        if a == 0 and cb is Fraction:
+            return _FRACTION_ZERO
+    elif ca is Fraction and a.denominator == 1:
+        n = a.numerator
+        if n == 0 and (cb is Fraction or cb is int):
+            return a
+        if n * n == 1 and (cb is Fraction or cb is float):
+            return b if n == 1 else -b
+    if cb is int:
+        if b == 1:
+            return a
+        if b == -1:
+            return -a
+        if b == 0 and ca is Fraction:
+            return _FRACTION_ZERO
+    elif cb is Fraction and b.denominator == 1:
+        n = b.numerator
+        if n == 0 and (ca is Fraction or ca is int):
+            return b
+        if n * n == 1 and (ca is Fraction or ca is float):
+            return a if n == 1 else -a
+    return a * b
 
 
 class Jet:
@@ -65,7 +138,7 @@ class Jet:
         terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
         for e, c in other.terms.items():
             if sum(e) <= order:
-                terms[e] = terms.get(e, 0) + c
+                terms[e] = terms[e] + c if e in terms else c
         return Jet(self.n, order, self.base, terms)
 
     def __neg__(self) -> "Jet":
@@ -77,7 +150,8 @@ class Jet:
     def scale(self, c) -> "Jet":
         if c == 0:
             return Jet(self.n, self.order, self.base, {})
-        return Jet(self.n, self.order, self.base, {e: c * v for e, v in self.terms.items()})
+        return Jet(self.n, self.order, self.base,
+                   {e: _mul(c, v) for e, v in self.terms.items()})
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check(other)
@@ -91,7 +165,8 @@ class Jet:
                 if da + sum(eb) > order:
                     continue
                 e = _exp_add(ea, eb)
-                terms[e] = terms.get(e, 0) + ca * cb
+                p = _mul(ca, cb)
+                terms[e] = _add(terms[e], p) if e in terms else p
         return Jet(self.n, order, self.base, terms)
 
     def partial(self, k: int) -> "Jet":
@@ -104,7 +179,7 @@ class Jet:
                 continue
             de = list(e)
             de[k] -= 1
-            terms[tuple(de)] = c * e[k]
+            terms[tuple(de)] = _mul(c, e[k])
         return Jet(self.n, self.order - 1, self.base, terms)
 
     # -- accessors ----------------------------------------------------
@@ -120,7 +195,7 @@ class Jet:
         w = 1
         for m in e:
             w *= math.factorial(m)
-        return self.terms.get(tuple(e), 0) * w
+        return _mul(self.terms.get(tuple(e), 0), w)
 
     def grad(self) -> list:
         return [self.deriv((i,)) for i in range(self.n)]
@@ -161,7 +236,7 @@ class Polynomial:
             if any(x < 0 for x in e):
                 raise MalformedFieldError("negative exponent")
             if c != 0:
-                clean[e] = clean.get(e, 0) + c
+                clean[e] = _add(clean[e], c) if e in clean else c
         self.n = n
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._cache: Dict[object, tuple] = {}
@@ -189,7 +264,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             terms = dict(self.terms)
             for e, c in other.terms.items():
-                terms[e] = terms.get(e, 0) + c
+                terms[e] = terms[e] + c if e in terms else c
             return Polynomial._make(self.n, terms)
         return NotImplemented
 
@@ -207,12 +282,13 @@ class Polynomial:
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
                     e = _exp_add(ea, eb)
-                    terms[e] = terms.get(e, 0) + ca * cb
+                    p = _mul(ca, cb)
+                    terms[e] = _add(terms[e], p) if e in terms else p
             return Polynomial._make(self.n, terms)
         return NotImplemented
 
     def scale(self, c) -> "Polynomial":
-        return Polynomial._make(self.n, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._make(self.n, {e: _mul(c, v) for e, v in self.terms.items()})
 
     def partial_poly(self, k: int) -> "Polynomial":
         terms: Dict[Exponent, object] = {}
@@ -221,20 +297,27 @@ class Polynomial:
                 continue
             de = list(e)
             de[k] -= 1
-            terms[tuple(de)] = c * e[k]
+            terms[tuple(de)] = _mul(c, e[k])
         return Polynomial._make(self.n, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def eval(self, point: Sequence):
+        """Value at ``point``.  A monomial with a zero coordinate is a zero
+        product and is dropped, so the value is the int 0 when no monomial
+        is left."""
         total = 0
         for e, c in self.terms.items():
             v = c
             for x, m in zip(point, e):
-                for _ in range(m):
-                    v = v * x
-            total = total + v
+                if m:
+                    if x == 0:
+                        break
+                    for _ in range(m):
+                        v = _mul(v, x)
+            else:
+                total = _add(total, v)
         return total
 
     def value(self, point: Sequence):
@@ -274,14 +357,17 @@ class Polynomial:
             w = c
             for i, m in enumerate(e):
                 if i == k:
-                    w = w * m
+                    w = _mul(w, m)
                     m -= 1
                 if m:
                     p = point[i]
+                    if p == 0:
+                        break
                     for _ in range(m):
-                        w = w * p
-            total = total + w
-        return total * 1 if total != 0 else 0  # as Jet.deriv: a zero is int 0
+                        w = _mul(w, p)
+            else:
+                total = _add(total, w)
+        return total if total != 0 else 0  # as Jet.deriv: a zero is int 0
 
     def jet(self, point: Sequence, order: int) -> Jet:
         """Taylor data at ``point`` up to ``order`` (exact on rationals)."""
@@ -298,25 +384,29 @@ class Polynomial:
             return jet
         terms: Dict[Exponent, object] = {}
         for e, c in self.terms.items():
-            # expand prod_i (p_i + h_i)^{e_i}, truncated at total degree `order`
+            # expand prod_i (p_i + h_i)^{e_i}, truncated at total degree
+            # `order`; each (pe, j) gives its own exponent, and a term with
+            # a power of a zero p_i is dropped
             partial = {(): c}
             for i, m in enumerate(e):
                 p = point[i]
+                top = m - 1 if p == 0 else -1  # j <= top has a factor p^(m-j)
                 nxt: Dict[Exponent, object] = {}
                 for pe, pc in partial.items():
                     deg = sum(pe)
                     for j in range(m + 1):
                         if deg + j > order:
                             break
-                        w = pc * math.comb(m, j)
+                        if j <= top:
+                            continue
+                        w = _mul(pc, math.comb(m, j))
                         for _ in range(m - j):
-                            w = w * p
-                        ne = pe + (j,)
-                        nxt[ne] = nxt.get(ne, 0) + w
+                            w = _mul(w, p)
+                        nxt[pe + (j,)] = w
                 partial = nxt
             for pe, pc in partial.items():
                 full = pe + (0,) * (n - len(pe))
-                terms[full] = terms.get(full, 0) + pc
+                terms[full] = _add(terms[full], pc) if full in terms else pc
         jet = Jet(n, order, point, terms)
         self._cache[key] = (point, jet)
         return jet
@@ -349,7 +439,7 @@ def poly_field(dim: int, monomials: Iterable[Tuple[Sequence[int], object]]) -> P
             raise MalformedFieldError("exponent length does not match dimension")
         if any(x < 0 for x in e):
             raise MalformedFieldError("negative exponent")
-        terms[e] = terms.get(e, 0) + coeff
+        terms[e] = _add(terms[e], coeff) if e in terms else coeff
     return Polynomial(dim, terms)
 
 

@@ -12,7 +12,8 @@ The one exception to the return value is ``constants``, which returns
 passes iff every case residual is within ``config.tol``.  A case function
 rejects a flag value it cannot use with a ``ValueError`` naming the flag;
 ``run_suite`` rejects a ``--kappa`` or ``--algebra`` that the suite never
-reads before any case runs.
+reads, and a non-unimodular ``--algebra`` for a suite whose identities
+assume tr ad = 0, before any case runs.
 The ``corruption`` hook feeds deliberately broken inputs through the same
 code paths so that vacuously-green suites are detectable.
 """
@@ -86,13 +87,16 @@ def kappa_spec(config: SuiteConfig):
                      f"holst:<gamma> with a nonzero rational gamma")
 
 
-def resolve_algebra(config: SuiteConfig, default: str):
+def _load_algebra(config: SuiteConfig, default: Optional[str]):
     if config.algebra_path:
         from .algebra_io import load_algebra
 
-        alg = load_algebra(config.algebra_path)
-    else:
-        alg = build_algebra(config.algebra or default)
+        return load_algebra(config.algebra_path)
+    return build_algebra(config.algebra or default)
+
+
+def resolve_algebra(config: SuiteConfig, default: str):
+    alg = _load_algebra(config, default)
     if config.corruption == "structure":
         if isinstance(alg, SplitAlgebra):
             broken = corrupt_algebra(alg.ambient, config.seed)
@@ -129,13 +133,15 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
     return central_extension(inner, n, b_diag=la.euclidean_diag(n))
 
 
-# the suites that read --kappa, and those that read no --algebra
+# the suites that read --kappa, those that read no --algebra, and those
+# whose identities hold only on a unimodular algebra
 KAPPA_SUITES = frozenset({"kappa", "grav-el", "grav-decomp", "grav-bianchi",
                           "grav-commutators", "grav-conservation"})
 NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
+UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp"})
 
 
-def _reject_unread_flags(config: SuiteConfig):
+def _reject_unusable_flags(config: SuiteConfig):
     if config.kappa != "standard" and config.suite not in KAPPA_SUITES:
         raise ValueError(f"--kappa {config.kappa}: the {config.suite} suite "
                          f"builds no kappa tensor")
@@ -143,6 +149,14 @@ def _reject_unread_flags(config: SuiteConfig):
     if algebra and config.suite in NO_ALGEBRA_SUITES:
         raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
                          f"takes no algebra")
+    if algebra and config.suite in UNIMODULAR_SUITES:
+        # the uncorrupted algebra: a corrupted one must reach the identities
+        alg = _load_algebra(config, None)
+        if isinstance(alg, SplitAlgebra):
+            alg = alg.ambient
+        if not la.is_unimodular(alg):
+            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
+                             f"needs a unimodular algebra (tr ad_x = 0)")
 
 
 def _require_dim(config: SuiteConfig, least: int, cycle: str = "",
@@ -631,7 +645,7 @@ def run_suite(config: SuiteConfig) -> dict:
     if config.suite not in REGISTRY:
         raise ValueError(f"unknown suite {config.suite!r}; "
                          f"known: {sorted(REGISTRY)}")
-    _reject_unread_flags(config)
+    _reject_unusable_flags(config)
     case_fn = REGISTRY[config.suite]
     start = time.perf_counter()
     cases = []

@@ -1,0 +1,49 @@
+"""Fixtures shared by the test modules."""
+
+from fractions import Fraction
+
+import pytest
+
+from liecartan.scalars import poly_field
+
+
+class FractionOps(list):
+    """(kind, a, b) for every Fraction add or multiply, kind "add" or "mul"."""
+
+    def with_known_result(self):
+        """The operations with a zero operand, or a factor of +-1."""
+        return [(kind, a, b) for kind, a, b in self
+                if a == 0 or b == 0
+                or (kind == "mul" and (a in (1, -1) or b in (1, -1)))]
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Record the Fraction adds and multiplies made while the test runs;
+    monkeypatch restores the dunders afterwards."""
+    ops = FractionOps()
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        kind = "add" if "add" in name else "mul"
+
+        def wrapped(a, b, _orig=getattr(Fraction, name), _kind=kind):
+            ops.append((_kind, a, b))
+            return _orig(a, b)
+
+        monkeypatch.setattr(Fraction, name, wrapped)
+    return ops
+
+
+@pytest.fixture
+def skip_polys():
+    """``build(exact)``: two polynomials with unit coefficients, and a point
+    with a zero and a unit coordinate, on the exact or the float backend."""
+    def build(exact):
+        def c(x):
+            return Fraction(x) if exact else float(Fraction(x))
+        p = poly_field(3, [((0, 0, 0), c("2/3")), ((1, 0, 0), c(1)),
+                           ((0, 1, 0), c(-1)), ((1, 1, 0), c("5/4")),
+                           ((0, 1, 1), c(1)), ((0, 0, 2), c("-7/3"))])
+        q = poly_field(3, [((0, 0, 1), c(-1)), ((0, 1, 0), c(3)),
+                           ((0, 0, 0), c(1)), ((1, 0, 1), c("1/2"))])
+        return p, q, (c(0), c(1), c("-3/2"))
+    return build

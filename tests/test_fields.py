@@ -417,3 +417,49 @@ def test_taylor_arithmetic_joins_dropped_partials():
     assert f_mul(a, b).drop == f_add(a, b).drop == 0b101
     assert f_scale(a, 3).drop == f_mul(nodes["poly"], a).drop == 0b001
     assert set(f_mul(a, b).d) | set(f_add(a, b).d) <= {1}
+
+
+# the value and partials of an FSum and an FProd over the skip_polys,
+# computed without skips
+LAZY_REPRS = {
+    True: {"sum": "(Fraction(-973, 24), [Fraction(307, 16), Fraction(-69, 2), "
+                  "Fraction(697, 12)])",
+           "prod": "(Fraction(-935, 24), [Fraction(283, 16), Fraction(-35, 1), "
+                   "Fraction(613, 12)])"},
+    False: {"sum": "(-40.54166666666667, [19.1875, -34.5, 58.083333333333336])",
+            "prod": "(-38.958333333333336, [17.6875, -35.0, 51.083333333333336])"},
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_lazy_sum_and_product_skip_zero_and_unit_operands(exact, skip_polys,
+                                                          fraction_ops):
+    p, q, pt = skip_polys(exact)
+    got = {}
+    for name, node in (("sum", FSum([p, q, FProd(p, q)])), ("prod", FProd(q, p))):
+        got[name] = repr((node.value(pt), [node.dvalue(pt, k) for k in range(3)]))
+    assert fraction_ops.with_known_result() == []
+    assert got == LAZY_REPRS[exact]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_matrix_series_starts_its_term_at_m(exact, monkeypatch):
+    from liecartan import fields
+
+    products = []
+    mat_mul = fields.jet_mat_mul
+    monkeypatch.setattr(fields, "jet_mat_mul",
+                        lambda A, B: products.append(1) or mat_mul(A, B))
+    probe, nodes = _graph(exact)
+    z = nodes["poly-zero-at-probe"].jet(probe, 2)  # no value part
+    M = [[z, z.scale(_num(2, exact))], [z.scale(_num(-1, exact)), z]]
+    out = fields.jet_mat_exp(M, exact)
+    assert len(products) == 1  # M^2 only: the series never forms I * M
+    half = _num("1/2", exact)
+    for i in range(2):
+        for j in range(2):
+            want = M[i][j] + mat_mul(M, M)[i][j].scale(half)
+            if i == j:
+                want = want + fields.Jet.constant(_num(1, exact), N, 2, probe)
+            assert repr(sorted(out[i][j].terms.items())) == \
+                repr(sorted(want.terms.items()))

@@ -363,6 +363,24 @@ def test_component_keeps_increasing_index_order():
     assert list(form.component(2).terms()) == []
 
 
+def test_coframe_inverts_once_per_probe(monkeypatch):
+    from liecartan import linalg
+
+    calls = []
+    inverse = linalg.mat_inverse
+    monkeypatch.setattr(linalg, "mat_inverse",
+                        lambda A, exact: calls.append(1) or inverse(A, exact))
+    cf, probe = seeded_coframe(31, 4)  # certified at the probe
+    V = cf.inverse_at(probe)
+    assert V == inverse(cf.matrix_at(probe), True) and cf.inverse_at(probe) is V
+    beta = wedge(cf.one_form(0), cf.one_form(1))
+    decompose(cf.one_form(2), cf, "by-coframe", probe)
+    decompose(beta, cf, "by-coframe", probe)
+    assert len(calls) == 1  # the certification inverted the coframe
+    other = tuple(probe)[:3] + (probe[3] + 1,)
+    assert cf.inverse_at(other) == inverse(cf.matrix_at(other), True)
+
+
 def test_decompose_rejects_unsupported_degree():
     cf, probe = seeded_coframe(31, 4)
     top = cf.minors().top

@@ -211,6 +211,31 @@ def test_cli_rejects_inapplicable_flag_values(args, flag):
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), out.stderr
 
 
+@pytest.mark.parametrize("args", [("--suite", "gauge-lemmas"),
+                                  ("--suite", "ym-decomp", "--dim", "2"),
+                                  ("--suite", "ym-el", "--dim", "2")],
+                         ids=["gauge-lemmas", "ym-decomp", "ym-el"])
+def test_cli_rejects_non_unimodular_algebra(tmp_path, args):
+    # aff(1) x R: [t0, t1] = t1, so tr ad_t0 = 1
+    path = tmp_path / "aff1xR.json"
+    path.write_text(json.dumps({"name": "aff1xR", "dim": 3,
+                                "basis": ["t0", "t1", "t2"],
+                                "constants": [[0, 1, 1, "1"]]}))
+    out = _run_cli(*args, "--algebra", str(path), "--cases", "1")
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --algebra {path}: ") \
+        and "unimodular" in lines[0], out.stderr
+
+
+@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el"])
+def test_structure_corruption_still_reaches_the_identities(suite):
+    # the unimodular check reads the algebra before it is corrupted
+    report = run_suite(SuiteConfig(suite=suite, n=2, algebra="su2", cases=1,
+                                   corruption="structure"))
+    assert not report["pass"] and report["max_residual"] >= 1e-3
+
+
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):
     from liecartan import cli
 

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from liecartan.scalars import (Jet, JetOrderError, MalformedFieldError,
-                               Polynomial, finite_difference_check, jet_at,
-                               poly_field)
+                               Polynomial, _add, _mul, finite_difference_check,
+                               jet_at, poly_field)
 
 
 def test_product_rule_on_xy():
@@ -131,3 +131,124 @@ def test_substitute_composes_polynomials():
     g = poly_field(2, [((0, 1), F(1)), ((0, 0), F(1))])   # y + 1
     comp = f.substitute({0: g})                  # (y+1)^2
     assert comp.eval((F(9), F(2))) == 9
+
+
+# -- operations with a known result are skipped ------------------------------
+
+# (a, b, skipped): whether _mul(a, b) and _mul(b, a) make no Fraction call
+MUL_CASES = [
+    (1, F(2, 3), True), (-1, F(2, 3), True), (F(1), F(2, 3), True),
+    (F(-1), F(2, 3), True), (F(1), F(1), True), (F(-1), F(-1), True),
+    (F(1), 2.5, True), (F(-1), 2.5, True), (F(-1), 0.0, True),
+    (0, F(2, 3), True), (F(0), F(2, 3), True), (F(0), 7, True),
+    (1.0, F(2, 3), False), (-1.0, F(2, 3), False), (1.0, F(1), True),
+    (F(1), 7, False), (F(-1), 7, False), (F(0), 2.5, False),
+    (0.0, F(2, 3), False), (F(2, 3), F(-5, 7), False), (F(2), F(3), False),
+]
+
+
+@pytest.mark.parametrize("a,b,skipped", MUL_CASES)
+def test_mul_keeps_the_product_type(a, b, skipped, fraction_ops):
+    for x, y in ((a, b), (b, a)):
+        want = x * y
+        fraction_ops.clear()
+        got = _mul(x, y)
+        assert type(got) is type(want) and repr(got) == repr(want), (x, y)
+        assert (not fraction_ops) == skipped, (x, y)
+
+
+@pytest.mark.parametrize("a,b", [(1, 2.5), (-1, 2.5), (-1, 0.0), (-1, -0.0),
+                                 (0, -2.5), (1, 7), (-1, 7), (0, 7), (1.0, 2.5),
+                                 (-1.0, 0.0)])
+def test_mul_of_ints_and_floats_is_the_product(a, b):
+    for x, y in ((a, b), (b, a)):
+        got = _mul(x, y)
+        assert type(got) is type(x * y) and repr(got) == repr(x * y), (x, y)
+
+
+# (a, b, skipped) as for MUL_CASES; a float is always added, so 0 + -0.0
+# still gives 0.0
+ADD_CASES = [
+    (0, F(2, 3), True), (F(0), F(2, 3), True), (0, F(0), True),
+    (F(0), 5, False), (F(0), -0.0, False), (0.0, F(2, 3), False),
+    (F(1, 3), F(-1, 3), False),
+]
+
+
+@pytest.mark.parametrize("a,b,skipped", ADD_CASES)
+def test_add_keeps_the_sum_type(a, b, skipped, fraction_ops):
+    for x, y in ((a, b), (b, a)):
+        want = x + y
+        fraction_ops.clear()
+        got = _add(x, y)
+        assert type(got) is type(want) and repr(got) == repr(want), (x, y)
+        assert (not fraction_ops) == skipped, (x, y)
+
+
+@pytest.mark.parametrize("a,b", [(0, -0.0), (0.0, -0.0), (-0.0, -0.0),
+                                 (0, 0.0), (-0.0, 2.5), (0, 7)])
+def test_add_keeps_the_sign_of_a_float_zero(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert repr(_add(x, y)) == repr(x + y), (x, y)
+
+
+# the results of the same operations computed without skips
+POLY_REPRS = {
+    True: {
+        "add": "Polynomial(n=3, terms={(0, 0, 0): Fraction(5, 3), (1, 0, 0): "
+               "Fraction(1, 1), (0, 1, 0): Fraction(2, 1), (1, 1, 0): Fraction(5, 4), "
+               "(0, 1, 1): Fraction(1, 1), (0, 0, 2): Fraction(-7, 3), (0, 0, 1): "
+               "Fraction(-1, 1), (1, 0, 1): Fraction(1, 2)})",
+        "mul": "Polynomial(n=3, terms={(0, 0, 1): Fraction(-2, 3), (0, 1, 0): "
+               "Fraction(1, 1), (0, 0, 0): Fraction(2, 3), (1, 0, 1): Fraction(-2, 3), "
+               "(1, 1, 0): Fraction(17, 4), (1, 0, 0): Fraction(1, 1), (2, 0, 1): "
+               "Fraction(1, 2), (0, 1, 1): Fraction(2, 1), (0, 2, 0): Fraction(-3, 1), "
+               "(1, 1, 1): Fraction(-7, 4), (1, 2, 0): Fraction(15, 4), (2, 1, 1): "
+               "Fraction(5, 8), (0, 1, 2): Fraction(-8, 1), (0, 2, 1): Fraction(3, 1), "
+               "(1, 1, 2): Fraction(1, 2), (0, 0, 3): Fraction(7, 3), (0, 0, 2): "
+               "Fraction(-7, 3), (1, 0, 3): Fraction(-7, 6)})",
+        "neg": "Polynomial(n=3, terms={(0, 0, 0): Fraction(-2, 3), (1, 0, 0): "
+               "Fraction(-1, 1), (0, 1, 0): Fraction(1, 1), (1, 1, 0): Fraction(-5, 4), "
+               "(0, 1, 1): Fraction(-1, 1), (0, 0, 2): Fraction(7, 3)})",
+        "eval": "Fraction(-85, 12)",
+        "jet": "Jet(n=3, order=1, terms={(0, 0, 0): Fraction(-85, 12), (1, 0, 0): "
+               "Fraction(9, 4), (0, 1, 0): Fraction(-5, 2), (0, 0, 1): Fraction(8, 1)})",
+    },
+    False: {
+        "add": "Polynomial(n=3, terms={(0, 0, 0): 1.6666666666666665, (1, 0, 0): 1.0, "
+               "(0, 1, 0): 2.0, (1, 1, 0): 1.25, (0, 1, 1): 1.0, (0, 0, 2): "
+               "-2.3333333333333335, (0, 0, 1): -1.0, (1, 0, 1): 0.5})",
+        "mul": "Polynomial(n=3, terms={(0, 0, 1): -0.6666666666666666, (0, 1, 0): 1.0, "
+               "(0, 0, 0): 0.6666666666666666, (1, 0, 1): -0.6666666666666667, "
+               "(1, 1, 0): 4.25, (1, 0, 0): 1.0, (2, 0, 1): 0.5, (0, 1, 1): 2.0, "
+               "(0, 2, 0): -3.0, (1, 1, 1): -1.75, (1, 2, 0): 3.75, (2, 1, 1): 0.625, "
+               "(0, 1, 2): -8.0, (0, 2, 1): 3.0, (1, 1, 2): 0.5, (0, 0, 3): "
+               "2.3333333333333335, (0, 0, 2): -2.3333333333333335, (1, 0, 3): "
+               "-1.1666666666666667})",
+        "neg": "Polynomial(n=3, terms={(0, 0, 0): -0.6666666666666666, (1, 0, 0): -1.0, "
+               "(0, 1, 0): 1.0, (1, 1, 0): -1.25, (0, 1, 1): -1.0, (0, 0, 2): "
+               "2.3333333333333335})",
+        "eval": "-7.083333333333334",
+        "jet": "Jet(n=3, order=1, terms={(0, 0, 0): -7.083333333333334, (1, 0, 0): "
+               "2.25, (0, 1, 0): -2.5, (0, 0, 1): 8.0})",
+    },
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_polynomial_arithmetic_skips_zero_and_unit_operands(exact, skip_polys,
+                                                           fraction_ops):
+    p, q, pt = skip_polys(exact)
+    got = {"add": p + q, "mul": p * q, "neg": p.scale(-1), "eval": p.eval(pt),
+           "jet": p.jet(pt, 1)}
+    assert fraction_ops.with_known_result() == []
+    assert {k: repr(v) for k, v in got.items()} == POLY_REPRS[exact]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_eval_drops_monomials_at_a_zero_coordinate(exact, fraction_ops):
+    zero, two = (F(0), F(2)) if exact else (0.0, 2.0)
+    f = poly_field(2, [((1, 0), two), ((1, 1), two)])
+    assert repr(f.eval((zero, two))) == "0"  # no monomial left
+    assert f.value((zero, two)) == 0 and f.dvalue((zero, two), 1) == 0
+    assert fraction_ops == []
