@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .fields import TruncationError
@@ -22,6 +23,12 @@ def minkowski_diag(n: int) -> List[Fraction]:
 
 def euclidean_diag(n: int) -> List[Fraction]:
     return [Fraction(1)] * n
+
+
+# what ``c`` and ``c_rows`` give for a missing entry or row: shared, and
+# read-only so that no caller can change it for the others
+_ZERO = Fraction(0)
+_EMPTY_ROW: Mapping[int, Fraction] = MappingProxyType({})
 
 
 class LieAlgebra:
@@ -43,10 +50,10 @@ class LieAlgebra:
         self._ad_cache: Dict[int, List[List[Fraction]]] = {}
 
     def c(self, k: int, i: int, j: int) -> Fraction:
-        return self.table.get((i, j), {}).get(k, Fraction(0))
+        return self.table.get((i, j), _EMPTY_ROW).get(k, _ZERO)
 
-    def c_rows(self, i: int, j: int) -> Dict[int, Fraction]:
-        return self.table.get((i, j), {})
+    def c_rows(self, i: int, j: int) -> Mapping[int, Fraction]:
+        return self.table.get((i, j), _EMPTY_ROW)
 
     def entries(self):
         """Yield (K, I, J, value) over the canonical I < J half of the table."""

@@ -28,7 +28,7 @@ from .fields import f_add, f_mul, f_scale, f_zero
 from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
                     exterior_d, wedge)
 from .kappa import KappaTensor
-from .scalars import Polynomial, _add, _mul
+from .scalars import Polynomial, _add, _mul, _sub
 
 
 class ChartInvariantError(ValueError):
@@ -461,17 +461,17 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                 for m in l_idx:
                     cv = alg.c(J, m, I)
                     if cv != 0:
-                        acc -= cv * wv(m, sb) * pv[J, L, sb]
+                        acc = _sub(acc, _mul(_mul(cv, wv(m, sb)), pv[J, L, sb]))
             for J in range(N):
                 for m in l_idx:
                     cv = alg.c(L, m, J)
                     if cv != 0:
-                        acc += cv * wv(m, sb) * pv[I, J, sb]
+                        acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, J, sb]))
             for J in range(N):
                 for m in l_idx:
                     cv = alg.c(sb, m, J)
                     if cv != 0:
-                        acc += cv * wv(m, sb) * pv[I, L, J]
+                        acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, L, J]))
             return acc
 
         l_rows: Dict[Tuple[int, int], object] = {}
@@ -483,24 +483,24 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                     for b in s_idx:
                         w = omega_c[(L,)][a][b]
                         if w != 0:
-                            acc += pv[I, a, b] * w / 2
+                            acc = _add(acc, _mul(pv[I, a, b], w) / 2)
                 blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
                 for sb in s_idx:
-                    acc += dpv[I, L, sb, sb] + cov_term(I, L, sb)
-                    acc += tstar[sb] * pv[I, L, sb]
+                    acc = _add(acc, _add(dpv[I, L, sb, sb], cov_term(I, L, sb)))
+                    acc = _add(acc, _mul(tstar[sb], pv[I, L, sb]))
                 # - c^{p}_{s P} p_p^{L s}
                 for sb in s_idx:
                     for J in range(N):
                         cv = alg.c(J, sb, I)
                         if cv != 0:
-                            acc -= cv * pv[J, L, sb]
+                            acc = _sub(acc, _mul(cv, pv[J, L, sb]))
                 for l1 in l_idx:
-                    acc += dpv[I, L, l1, l1]
+                    acc = _add(acc, dpv[I, L, l1, l1])
                 for l1 in l_idx:
                     for l2 in l_idx:
                         cv = alg.c(L, l1, l2)
                         if cv != 0:
-                            acc += cv * pv[I, l1, l2] / 2
+                            acc = _add(acc, _mul(cv, pv[I, l1, l2]) / 2)
                 l_rows[(I, L)] = acc
         s_rows: Dict[Tuple[int, int], object] = {}
         for I in range(N):
@@ -508,18 +508,18 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                 acc = 0
                 for a in s_idx:
                     for b in s_idx:
-                        ring = theta_c[(S,)][a][b] \
-                            + (tstar[b] if S == a else 0) \
-                            - (tstar[a] if S == b else 0)
+                        ring = _sub(_add(theta_c[(S,)][a][b],
+                                         tstar[b] if S == a else 0),
+                                    tstar[a] if S == b else 0)
                         if ring != 0:
-                            acc += control_sign * pv[I, a, b] * ring / 2
+                            acc = _add(acc, _mul(_mul(control_sign, pv[I, a, b]), ring) / 2)
                 for l1 in l_idx:
-                    acc += dpv[I, S, l1, l1]
+                    acc = _add(acc, dpv[I, S, l1, l1])
                 for s1 in s_idx:
                     for J in range(N):
                         cv = alg.c(J, s1, I)
                         if cv != 0:
-                            acc += cv * kappa.get(J, s1, S)
+                            acc = _add(acc, _mul(cv, kappa.get(J, s1, S)))
                 s_rows[(I, S)] = acc
         rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)
         res = (lhs - rhs).max_abs(pt)

@@ -5,10 +5,19 @@ as a sparse dict mapping exponent tuples to Taylor coefficients.  All
 arithmetic is exact when the coefficients are Fractions; the same code
 runs on floats for the non-exact backend.
 
-Most coefficient operations have an operand that is 0 or +-1, and a
-``Fraction`` operation costs microseconds, so ``_add`` and ``_mul`` (used
-here, in ``fields``, ``linalg`` and the models) skip an operation whose
-result is already known:
+Coefficient arithmetic goes through four helpers, ``_add``, ``_sub``,
+``_mul`` and ``_neg`` (used here, in ``fields``, ``linalg`` and the
+models).  Two exact operands, an int and a Fraction or two Fractions, are
+computed on their numerators and denominators with the gcd steps of
+CPython's ``Fraction._add`` and ``_mul``, and the result is built with
+``object.__new__(Fraction)`` and its ``_numerator``/``_denominator``
+slots.  That skips the operator dispatch, the ``numerator``/
+``denominator`` properties and ``Fraction.__new__``, which cost most of
+the time of a Fraction operation on the small operands here.  Two ints
+and anything with a float go through the plain operator.
+
+Most coefficient operations have an operand that is 0 or +-1, so the
+helpers also skip an operation whose result is already known:
 
 - ``x + 0`` is ``x``;
 - ``x * 1`` is ``x``, ``x * (-1)`` is ``-x`` and an exact ``x * 0`` is a
@@ -20,16 +29,25 @@ result is already known:
   monomial left is the int 0 (``value`` and ``dvalue`` give every zero as
   the int 0 anyway).
 
-Two rules keep every result bit-identical to doing the operations:
+The results are bit-identical to the plain operators:
 
+- a kernel result is a real Fraction in lowest terms with a positive
+  denominator, the one form a Fraction value has, so its ``repr``,
+  ``hash`` and ``==`` are those of the operator's result;
+- a float operand is never given to a kernel;
 - a skip returns an operand, its negation or a Fraction zero only where
-  the operation gives that type.  ``_add`` skips the int 0 beside an int
-  or a Fraction and a Fraction 0 beside a Fraction.  ``_mul`` skips an
-  int +-1 beside anything, a Fraction +-1 beside a Fraction or a float,
-  and an int or Fraction 0 beside a Fraction (a Fraction 0 beside an int
-  too).  A float 1.0 times a Fraction, or a Fraction 1 times an int, is
-  still multiplied;
-- a float is always added, so ``0 + -0.0`` still becomes ``0.0``.
+  the operation gives that type.  ``_add`` skips the int 0 beside a
+  Fraction and a Fraction 0 beside a Fraction.  ``_mul`` skips an int
+  +-1 or a Fraction +-1 beside a Fraction, a Fraction +-1 beside a float,
+  and an int or Fraction 0 beside a Fraction.  A float 1.0 times a
+  Fraction, or a Fraction 1 times an int, is still multiplied, and a
+  float is always added, so ``0 + -0.0`` still becomes ``0.0``.
+
+The kernels rely on Fraction keeping its value in the ``_numerator`` and
+``_denominator`` slots, as CPython's ``fractions`` does;
+``tests/test_scalars.py::test_kernels_match_the_operators`` compares them
+with the operators on ints, Fractions and floats and fails if that
+layout changes.
 """
 
 from __future__ import annotations
@@ -60,50 +78,122 @@ def _exp_add(a: Exponent, b: Exponent) -> Exponent:
 
 
 _FRACTION_ZERO = Fraction(0)
+_new = object.__new__  # a bare Fraction, whose slots the kernels set
+_gcd = math.gcd
+
+
+def _neg(a):
+    """``-a``; a Fraction is negated on its numerator."""
+    if a.__class__ is Fraction:
+        r = _new(Fraction)
+        r._numerator = -a._numerator
+        r._denominator = a._denominator
+        return r
+    return -a
 
 
 def _add(a, b):
-    """``a + b``; an exact zero beside an int or a Fraction is skipped."""
+    """``a + b``; two exact operands are added on their numerators and
+    denominators, and an exact zero is skipped where the sum has the
+    other operand's type."""
+    ca, cb = a.__class__, b.__class__
+    if ca is Fraction:
+        na, da = a._numerator, a._denominator
+        if cb is Fraction:
+            nb, db = b._numerator, b._denominator
+            if not na:
+                return b
+        elif cb is int:
+            nb, db = b, 1
+        else:
+            return a + b
+        if not nb:
+            return a
+    elif ca is int and cb is Fraction:
+        if not a:
+            return b
+        na, da, nb, db = a, 1, b._numerator, b._denominator
+    else:
+        return a + b
+    # Fraction._add's steps; the result is in lowest terms
+    if da == 1:
+        n, d = na * db + nb, db
+    elif db == 1:
+        n, d = na + nb * da, da
+    else:
+        g = _gcd(da, db)
+        if g == 1:
+            n, d = na * db + da * nb, da * db
+        else:
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = _gcd(t, g)
+            if g2 == 1:
+                n, d = t, s * db
+            else:
+                n, d = t // g2, s * (db // g2)
+    r = _new(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _sub(a, b):
+    """``a - b``; two exact operands as ``_add(a, -b)``, which gives the
+    same value and type (a float is subtracted: ``-0.0 + -0`` would be
+    ``0.0``)."""
     ca, cb = a.__class__, b.__class__
     if (ca is Fraction or ca is int) and (cb is Fraction or cb is int):
-        if (cb is int or ca is Fraction) and not b:
-            return a
-        if (ca is int or cb is Fraction) and not a:
-            return b
-    return a + b
+        return _add(a, _neg(b))
+    return a - b
 
 
 def _mul(a, b):
-    """``a * b``; a 0 or +-1 operand is applied without the operation
-    when the product's type is known."""
+    """``a * b``; two exact operands are multiplied on their numerators
+    and denominators, and a 0 or +-1 operand is applied without the
+    operation where the product's type is known."""
     ca, cb = a.__class__, b.__class__
-    if ca is int:
-        if a == 1:
-            return b
-        if a == -1:
-            return -b
-        if a == 0 and cb is Fraction:
-            return _FRACTION_ZERO
-    elif ca is Fraction and a.denominator == 1:
-        n = a.numerator
-        if n == 0 and (cb is Fraction or cb is int):
-            return a
-        if n * n == 1 and (cb is Fraction or cb is float):
-            return b if n == 1 else -b
-    if cb is int:
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        if b == 0 and ca is Fraction:
-            return _FRACTION_ZERO
-    elif cb is Fraction and b.denominator == 1:
-        n = b.numerator
-        if n == 0 and (ca is Fraction or ca is int):
-            return b
-        if n * n == 1 and (ca is Fraction or ca is float):
-            return a if n == 1 else -a
-    return a * b
+    if ca is Fraction:
+        na, da = a._numerator, a._denominator
+        if cb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif cb is int:
+            nb, db = b, 1
+        else:
+            if da == 1 and cb is float and (na == 1 or na == -1):
+                return b if na == 1 else -b
+            return a * b
+    elif cb is Fraction:
+        nb, db = b._numerator, b._denominator
+        if ca is not int:
+            if db == 1 and ca is float and (nb == 1 or nb == -1):
+                return a if nb == 1 else -a
+            return a * b
+        na, da = a, 1
+    else:
+        return a * b
+    if not na or not nb:
+        return _FRACTION_ZERO
+    # a +-1 gives the other operand unless that is an int beside a Fraction
+    if da == 1 and (na == 1 or na == -1) and (cb is Fraction or ca is int):
+        return b if na == 1 else _neg(b)
+    if db == 1 and (nb == 1 or nb == -1) and (ca is Fraction or cb is int):
+        return a if nb == 1 else _neg(a)
+    # Fraction._mul's steps; the result is in lowest terms
+    if db != 1:
+        g = _gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+    if da != 1:
+        g = _gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+    r = _new(Fraction)
+    r._numerator = na * nb
+    r._denominator = da * db
+    return r
 
 
 class Jet:
@@ -138,11 +228,11 @@ class Jet:
         terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
         for e, c in other.terms.items():
             if sum(e) <= order:
-                terms[e] = terms[e] + c if e in terms else c
+                terms[e] = _add(terms[e], c) if e in terms else c
         return Jet(self.n, order, self.base, terms)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.n, self.order, self.base, {e: -c for e, c in self.terms.items()})
+        return Jet(self.n, self.order, self.base, {e: _neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
@@ -264,12 +354,12 @@ class Polynomial:
         if isinstance(other, Polynomial):
             terms = dict(self.terms)
             for e, c in other.terms.items():
-                terms[e] = terms[e] + c if e in terms else c
+                terms[e] = _add(terms[e], c) if e in terms else c
             return Polynomial._make(self.n, terms)
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial._make(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.n, {e: _neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):

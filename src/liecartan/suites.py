@@ -138,7 +138,7 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
 KAPPA_SUITES = frozenset({"kappa", "grav-el", "grav-decomp", "grav-bianchi",
                           "grav-commutators", "grav-conservation"})
 NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
-UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp"})
+UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp", "kk-el"})
 
 
 def _reject_unusable_flags(config: SuiteConfig):

@@ -1,14 +1,17 @@
 """Fixtures shared by the test modules."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from liecartan import scalars
 from liecartan.scalars import poly_field
 
 
 class FractionOps(list):
-    """(kind, a, b) for every Fraction add or multiply, kind "add" or "mul"."""
+    """(kind, a, b) for every exact add, subtract or multiply made, kind
+    "add", "sub" or "mul"."""
 
     def with_known_result(self):
         """The operations with a zero operand, or a factor of +-1."""
@@ -19,11 +22,26 @@ class FractionOps(list):
 
 @pytest.fixture
 def fraction_ops(monkeypatch):
-    """Record the Fraction adds and multiplies made while the test runs;
-    monkeypatch restores the dunders afterwards."""
+    """Record the exact adds, subtracts and multiplies made while the test
+    runs: those the ``scalars`` kernels compute, and those that reach
+    Fraction's operators (a float beside a Fraction, or arithmetic outside
+    the helpers).  The kernels build each result with ``scalars._new``;
+    the recorder takes the operands from the kernel's frame.  ``_sub``
+    computes through ``_add`` with ``-b``, so a kernel subtraction is
+    recorded as that add.  monkeypatch restores everything afterwards."""
     ops = FractionOps()
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-        kind = "add" if "add" in name else "mul"
+    kernels = {"_add": "add", "_mul": "mul"}
+
+    def new(cls, _orig=scalars._new):
+        frame = sys._getframe(1)
+        kind = kernels.get(frame.f_code.co_name)
+        if kind is not None:
+            ops.append((kind, frame.f_locals["a"], frame.f_locals["b"]))
+        return _orig(cls)
+
+    monkeypatch.setattr(scalars, "_new", new)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        kind = name.strip("_")[-3:]
 
         def wrapped(a, b, _orig=getattr(Fraction, name), _kind=kind):
             ops.append((_kind, a, b))

@@ -213,8 +213,9 @@ def test_cli_rejects_inapplicable_flag_values(args, flag):
 
 @pytest.mark.parametrize("args", [("--suite", "gauge-lemmas"),
                                   ("--suite", "ym-decomp", "--dim", "2"),
-                                  ("--suite", "ym-el", "--dim", "2")],
-                         ids=["gauge-lemmas", "ym-decomp", "ym-el"])
+                                  ("--suite", "ym-el", "--dim", "2"),
+                                  ("--suite", "kk-el")],
+                         ids=["gauge-lemmas", "ym-decomp", "ym-el", "kk-el"])
 def test_cli_rejects_non_unimodular_algebra(tmp_path, args):
     # aff(1) x R: [t0, t1] = t1, so tr ad_t0 = 1
     path = tmp_path / "aff1xR.json"
@@ -228,7 +229,7 @@ def test_cli_rejects_non_unimodular_algebra(tmp_path, args):
         and "unimodular" in lines[0], out.stderr
 
 
-@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el"])
+@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el", "kk-el"])
 def test_structure_corruption_still_reaches_the_identities(suite):
     # the unimodular check reads the algebra before it is corrupted
     report = run_suite(SuiteConfig(suite=suite, n=2, algebra="su2", cases=1,

@@ -1,13 +1,15 @@
 """Scalar jet layer: exactness, Leibniz, and the finite-difference oracle."""
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liecartan.scalars import (Jet, JetOrderError, MalformedFieldError,
-                               Polynomial, _add, _mul, finite_difference_check,
-                               jet_at, poly_field)
+                               Polynomial, _add, _mul, _neg, _sub,
+                               finite_difference_check, jet_at, poly_field)
 
 
 def test_product_rule_on_xy():
@@ -133,9 +135,46 @@ def test_substitute_composes_polynomials():
     assert comp.eval((F(9), F(2))) == 9
 
 
+# -- the exact kernels equal the operators -----------------------------------
+
+_INTS = st.one_of(st.sampled_from([0, 1, -1, 2, -6, 2**64 + 1, -3 * 2**70]),
+                  st.integers(-12, 12), st.integers(-2**100, 2**100))
+# denominators with shared factors, and above 2**64
+_DENOMINATORS = st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 36, 2**65,
+                                           3 * 2**64]),
+                          st.integers(1, 2**80))
+_FRACTIONS = st.builds(F, _INTS, _DENOMINATORS)
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_SCALARS = st.one_of(_INTS, _FRACTIONS, _FLOATS)
+
+
+def _same(got, want):
+    return (type(got) is type(want) and repr(got) == repr(want)
+            and hash(got) == hash(want) and got == want)
+
+
+@settings(max_examples=600, database=None, derandomize=True)
+@given(_SCALARS, _SCALARS)
+@example(0, -0.0)
+@example(-1, 0.0)
+@example(F(1), 7)
+def test_kernels_match_the_operators(a, b):
+    """The helpers give the operators' results by type, repr, hash and ==,
+    in both operand orders.  A kernel reads and builds the ``_numerator``
+    and ``_denominator`` slots of Fraction, so a change in that layout
+    fails here."""
+    for x, y in ((a, b), (b, a)):
+        for helper, op in ((_add, operator.add), (_sub, operator.sub),
+                           (_mul, operator.mul)):
+            assert _same(helper(x, y), op(x, y)), (helper.__name__, x, y)
+        assert _same(_neg(x), -x), x
+
+
 # -- operations with a known result are skipped ------------------------------
 
-# (a, b, skipped): whether _mul(a, b) and _mul(b, a) make no Fraction call
+# (a, b, skipped): whether _mul(a, b) and _mul(b, a) compute no product,
+# neither in the kernel nor by a Fraction operator
 MUL_CASES = [
     (1, F(2, 3), True), (-1, F(2, 3), True), (F(1), F(2, 3), True),
     (F(-1), F(2, 3), True), (F(1), F(1), True), (F(-1), F(-1), True),
@@ -241,6 +280,7 @@ def test_polynomial_arithmetic_skips_zero_and_unit_operands(exact, skip_polys,
     p, q, pt = skip_polys(exact)
     got = {"add": p + q, "mul": p * q, "neg": p.scale(-1), "eval": p.eval(pt),
            "jet": p.jet(pt, 1)}
+    assert fraction_ops or not exact  # the exact operations are seen
     assert fraction_ops.with_known_result() == []
     assert {k: repr(v) for k, v in got.items()} == POLY_REPRS[exact]
 
