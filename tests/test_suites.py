@@ -1,7 +1,8 @@
 """Suite registry coverage, cross-suite smoke checks and golden reports.
 
-The QUICK runs compare their reports, apart from ``wall_time``, with the
-committed ``golden/quick_reports.json``.  After a deliberate change to the
+The QUICK runs, plain and with the ``sign`` corruption, compare their
+reports, apart from ``wall_time``, with the committed
+``golden/quick_reports.json``.  After a deliberate change to the
 reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``.
 """
 
@@ -51,8 +52,9 @@ PINNED = {
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
 
-def _quick_config(suite, backend):
-    return SuiteConfig(suite=suite, backend=backend, **QUICK[suite])
+def _quick_config(suite, backend, corruption=None):
+    return SuiteConfig(suite=suite, backend=backend, corruption=corruption,
+                       **QUICK[suite])
 
 
 def _canonical(report) -> str:
@@ -82,6 +84,13 @@ def test_float_backend_within_tolerance(suite, golden):
     rep = run_suite(_quick_config(suite, "float"))
     assert rep["pass"], rep
     assert _canonical(rep) == _canonical(golden[f"{suite}/float"])
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
+def test_sign_corrupted_reports_match_golden(suite, backend, golden):
+    rep = run_suite(_quick_config(suite, backend, "sign"))
+    assert _canonical(rep) == _canonical(golden[f"{suite}/{backend}/sign"])
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
@@ -136,6 +145,9 @@ if __name__ == "__main__":
         rep = run_suite(_quick_config(suite, backend))
         rep.pop("wall_time")
         reports[f"{suite}/{backend}"] = rep
+        rep = run_suite(_quick_config(suite, backend, "sign"))
+        rep.pop("wall_time")
+        reports[f"{suite}/{backend}/sign"] = rep
     for name, kwargs in sorted(PINNED.items()):
         for backend in ("rational", "float"):
             rep = run_suite(SuiteConfig(backend=backend, **kwargs))
