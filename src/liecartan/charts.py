@@ -18,8 +18,8 @@ theta/omega split of A, its torsion and the l-curvature.
 The helpers shared by the three models' identities live here and in
 ``forms``: ``antisym`` gives both index orders of an antisymmetric
 coefficient table, ``TrivializedChart.p_tables`` the values and frame
-derivatives of p at a probe, ``GravityChart.torsion_curvature`` the
-by-coframe coefficients of torsion and curvature, and
+derivatives of p at the probe, ``GravityChart.torsion_curvature`` the
+by-coframe coefficients of torsion and curvature there, and
 ``forms.cominor_rows`` and ``Form.component`` assemble and split rows.
 """
 
@@ -112,7 +112,8 @@ class TrivializedChart:
     """Local model: coframe e = A(x) + dg g^{-1} with g = exp(eta(y)).
 
     ``p_coeffs`` holds the dual field p_I^{AB} on A < B keys and ``rng`` is
-    the chart's seeded source, which later checks keep drawing from.
+    the chart's seeded source, which later checks keep drawing from.  The
+    identities are checked at the one point ``probe``.
     """
 
     split: SplitAlgebra
@@ -122,7 +123,7 @@ class TrivializedChart:
     A_form: Form                 # ambient-algebra-valued, dx components only
     e_form: Form
     coframe: Coframe
-    probes: List[Tuple]
+    probe: Tuple
     exact: bool
     rng: Rng
     p_coeffs: Dict[Tuple[int, int, int], object]
@@ -136,14 +137,15 @@ class TrivializedChart:
     def alg(self):
         return self.split.ambient
 
-    def p_tables(self, pt):
-        """p_I^{AB} and its frame derivatives X_C p_I^{AB} at a probe.
+    def p_tables(self):
+        """p_I^{AB} and its frame derivatives X_C p_I^{AB} at the probe.
 
         The tables cover both index orders, key the derivatives
         (I, A, B, C) and read 0 where p has no entry.  A derivative sums
         only the nonzero partials of p, in ascending k.
         """
         N = self.N
+        pt = self.probe
         V = self.coframe.inverse_field()
         Vp = [[V.entry(k, A).value(pt) for A in range(N)] for k in range(N)]
         p_at, dp_at = defaultdict(int), defaultdict(int)
@@ -157,14 +159,16 @@ class TrivializedChart:
                 dp_at[key + (C,)] = dp
         return p_at, dp_at
 
-    def at(self, pt) -> "TrivializedChart":
+    def at(self) -> "TrivializedChart":
         """A copy whose non-polynomial coframe entries, ``p_coeffs`` and
-        ``A_form`` coefficients are Taylor numbers at the probe ``pt``.
+        ``A_form`` coefficients are Taylor numbers at the probe.
 
         Forms built from the copy hold Taylor numbers wherever this chart's
-        would hold lazy nodes, and are read only at ``pt``.  The copy is
+        would hold lazy nodes, and are read only at the probe.  The copy is
         for ``dAp``; its other fields are this chart's own.
         """
+        pt = self.probe
+
         def at_pt(f):
             return f if isinstance(f, Polynomial) else Taylor.of(f, pt, self.exact)
 
@@ -206,11 +210,12 @@ class GravityChart(TrivializedChart):
     torsion: Form
     curv_l: Form
 
-    def torsion_curvature(self, pt):
-        """By-coframe coefficients of ``torsion`` and ``curv_l`` at a point.
+    def torsion_curvature(self):
+        """By-coframe coefficients of ``torsion`` and ``curv_l`` at the probe.
 
         Not memoised: a corrupted run replaces ``torsion`` after building.
         """
+        pt = self.probe
         return (decompose(self.torsion, self.coframe, "by-coframe", pt, self.exact),
                 decompose(self.curv_l, self.coframe, "by-coframe", pt, self.exact))
 
@@ -246,14 +251,12 @@ class ChartError(ValueError):
     pass
 
 
-def base_probes(rng: Rng, n_base: int, r_fib: int, count: int) -> List[Tuple]:
-    """Probe points on the y = 0 section (exp series terminate there)."""
-    pts = []
+def base_probe(rng: Rng, n_base: int, r_fib: int) -> Tuple:
+    """The chart's probe point, on the y = 0 section (exp series terminate
+    there)."""
     zero = Fraction(0) if rng.exact else 0.0
-    for _ in range(count):
-        x = [rng.scalar(-2, 2) for _ in range(n_base)]
-        pts.append(tuple(x) + (zero,) * r_fib)
-    return pts
+    x = [rng.scalar(-2, 2) for _ in range(n_base)]
+    return tuple(x) + (zero,) * r_fib
 
 
 def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
@@ -285,10 +288,13 @@ def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
 
 
 def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
-                          probes: Sequence[Tuple],
+                          probe: Tuple,
                           s_coframe: str = "perturbed",
                           l_rows: str = "random") -> Form:
     """A = A^I_k(x) dx^k: s rows form a base coframe, l rows a connection.
+
+    A "perturbed" base coframe differs from dx by terms vanishing at
+    ``probe``.
 
     ``l_rows`` is "random" (quadratic x-polynomials), "none", or "constant":
     potentials -c x^l dx^k (k < l), whose field strengths are constant.
@@ -303,7 +309,7 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
             if k == pos:
                 parts.append(Polynomial.constant(Fraction(1) if rng.exact else 1.0, N))
             if s_coframe == "perturbed":
-                parts.append(rng.vanishing_poly(N, probes, x_vars))
+                parts.append(rng.vanishing_poly(N, [probe], x_vars))
             if parts:
                 out.add_term((k,), (a,), f_add(*parts))
     for i in split.l_indices:
@@ -319,8 +325,8 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
 
 
 def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
-                   probe_count: int = 2, exact: bool = True,
-                   curved_base: bool = False, l_rows: str = "random") -> GaugeChart:
+                   exact: bool = True, curved_base: bool = False,
+                   l_rows: str = "random") -> GaugeChart:
     """Gauge chart with F and its frame coefficients, and no dual field yet.
 
     ``curved_base`` perturbs the base coframe; ``l_rows`` is passed on to
@@ -328,25 +334,27 @@ def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
     """
     rng = Rng(seed, exact)
     r = split.r
-    probes = base_probes(rng, n_base, r, probe_count)
+    probe = base_probe(rng, n_base, r)
     gm = build_group_map(split, n_base, rng)
-    A_form = build_connection_form(split, n_base, rng, probes,
+    A_form = build_connection_form(split, n_base, rng, probe,
                                    s_coframe="perturbed" if curved_base else "flat",
                                    l_rows=l_rows)
     e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probes, exact)
+    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probe, exact)
     F_form = curvature(A_form, split.ambient)
-    return GaugeChart(split, n_base, r, gm, A_form, e_form, coframe, probes,
+    return GaugeChart(split, n_base, r, gm, A_form, e_form, coframe, probe,
                       exact, rng, {}, F_form, frame_coeffs_2form(F_form, coframe),
                       curved_base)
 
 
-def coframe_from_algebra_form(e_form: Form, dim: int, probes, exact: bool) -> Coframe:
+def coframe_from_algebra_form(e_form: Form, dim: int, probe: Tuple,
+                              exact: bool) -> Coframe:
+    """The coframe of an algebra-valued 1-form, certified at ``probe``."""
     N = e_form.n
     if dim != N:
         raise ChartError("algebra dimension must match the chart dimension")
     entries = [[e_form.get((k,), (I,)) for k in range(N)] for I in range(dim)]
-    return Coframe(entries, probes=probes, exact=exact)
+    return Coframe(entries, probes=[probe], exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -260,27 +260,13 @@ def coadjoint_transport(gm: GroupMap, form: Form) -> Form:
 # Levi-Civita coefficients from torsion data
 # ---------------------------------------------------------------------------
 
-def levi_civita_coeffs(theta_coeffs, h_diag: Sequence):
-    """gamma^a_bc from the coefficients of d(theta) in its own coframe.
+def levi_civita_coeff_fields(theta_fields, h_diag: Sequence, n_chart: int):
+    """gamma^a_bc fields from the coefficients of d(theta) in its own coframe.
 
-    ``theta_coeffs[a][b][c]`` holds Theta^a_bc (antisymmetric in b, c) with
+    ``theta_fields[a][b][c]`` holds Theta^a_bc (antisymmetric in b, c) with
     d e^a = 1/2 Theta^a_bc e^b ^ e^c.  The returned gamma satisfies
     d e^a + gamma^a_b ^ e^b = 0 and gamma^{ab} = -gamma^{ba}.
     """
-    n = len(h_diag)
-    gamma = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                t1 = theta_coeffs[a][b][c]
-                t2 = h_diag[b] * theta_coeffs[b][a][c] / h_diag[a]
-                t3 = h_diag[c] * theta_coeffs[c][a][b] / h_diag[a]
-                gamma[a][b][c] = (t1 - t2 - t3) / 2
-    return gamma
-
-
-def levi_civita_coeff_fields(theta_fields, h_diag: Sequence, n_chart: int):
-    """Field-valued variant of :func:`levi_civita_coeffs`."""
     n = len(h_diag)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):

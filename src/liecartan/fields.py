@@ -16,11 +16,11 @@ with a .jet(point, order), a .value(point) and a .dvalue(point, k)".
   and the matrix series.
 
 Both paths give a zero as the int 0, like ``Jet.value`` and ``Jet.deriv``.
-Results are memoised per point, keyed by the identity of the point
-object: probe tuples are shared, and hashing tuples of Fractions would
-cost more than the memo saves.  A node keeps the value and first partials
-at the first point it sees in its own slots; a dict is created only when
-the node is asked for a jet or evaluated at a further point.
+A chart is read at one probe, so a node memoises its value, first
+partials and jets at the last point object it was read at, in its own
+slots, and drops them when a different object arrives.  Points are told
+apart by identity: probe tuples are shared, and hashing tuples of
+Fractions would cost more than the memo saves.
 
 A ``Taylor`` number is a value and the nonzero first partials at one
 point, computed eagerly (forward-mode by operator overloading).
@@ -33,9 +33,9 @@ out with the same numbers as through the graph, without the graph.  A
 zero Taylor number counts as zero only on the exact backend, where
 dropping it cannot change a result; on floats it is kept, because a sum
 that lost it could become a polynomial whose products round differently.
-Everything evaluated at more than one point, or built before the probe
-is known (chart construction, the matrix fields, ``jet_at``,
-``finite_difference_check``), stays on the lazy graph.
+Everything built before the probe is known (chart construction, the
+matrix fields) or read at several points (``jet_at``,
+``finite_difference_check``) stays on the lazy graph.
 
 A Taylor coefficient of a form at index K keeps only its partials along
 k not in K: ``exterior_d`` reads d_k alpha_K only for those k, so the
@@ -46,7 +46,7 @@ operands' masks and skip those partials, and reading a dropped partial
 raises ``TaylorError`` rather than returning a wrong 0.  Kept partials
 are computed by the same operations in the same order as before.
 ``gravity.certify_gravity_chart`` builds no lazy frame graph: it works on
-the coframe matrix, its inverse and their first partials at each probe.
+the coframe matrix, its inverse and their first partials at the probe.
 """
 
 from __future__ import annotations
@@ -71,51 +71,40 @@ def _as_tuple(point) -> tuple:
 
 
 def _zero_as_int(x):
-    return 0 if x == 0 else x  # a zero is the int 0, as in Jet.value/deriv
+    return x if x else 0  # a zero is the int 0, as in Jet.value/deriv
 
 
 class _Lazy:
-    # _pt is the first point seen; _v and _d (a list indexed by k) are the
-    # value and first partials there.  _memo holds jets under (id, order)
-    # and, for every further point, a [point, value, partials] record
-    # under its id.
-    __slots__ = ("n", "_pt", "_v", "_d", "_memo")
+    # _pt is the last point object read; _v, _d (a list indexed by k) and
+    # _jets (a dict by order) hold the value, first partials and jets
+    # there, and are set by _move_to when another point object arrives
+    __slots__ = ("n", "_pt", "_v", "_d", "_jets")
 
     def __init__(self, n: int):
         self.n = n
         self._pt = None
+
+    def _move_to(self, point):
+        self._pt = point
         self._v = _UNSET
         self._d = None
-        self._memo = None
+        self._jets = None
 
     def jet(self, point, order) -> Jet:
-        if self._memo is None:
-            self._memo = {}
-        key = (id(point), order)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is point:
-            return hit[1]
-        out = self._eval(_as_tuple(point), order)
-        self._memo[key] = (point, out)
+        if point is not self._pt:
+            self._move_to(point)
+        jets = self._jets
+        if jets is None:
+            jets = self._jets = {}
+        out = jets.get(order)
+        if out is None:
+            out = jets[order] = self._eval(_as_tuple(point), order)
         return out
-
-    def _record(self, point) -> list:
-        if self._memo is None:
-            self._memo = {}
-        rec = self._memo.get(id(point))
-        if rec is None or rec[0] is not point:
-            rec = self._memo[id(point)] = [point, _UNSET, [_UNSET] * self.n]
-        return rec
 
     def value(self, point):
         """Scalar value at ``point``, equal to ``jet(point, 0).value``."""
         if point is not self._pt:
-            if self._pt is not None:
-                rec = self._record(point)
-                if rec[1] is _UNSET:
-                    rec[1] = _zero_as_int(self._value(_as_tuple(point)))
-                return rec[1]
-            self._pt = point
+            self._move_to(point)
         v = self._v
         if v is _UNSET:
             v = self._v = _zero_as_int(self._value(_as_tuple(point)))
@@ -124,13 +113,9 @@ class _Lazy:
     def dvalue(self, point, k: int):
         """First partial along ``k`` at ``point``, equal to
         ``jet(point, 1).deriv((k,))``."""
-        if point is self._pt:
-            d = self._d
-        elif self._pt is None:
-            self._pt = point
-            d = None
-        else:
-            d = self._record(point)[2]
+        if point is not self._pt:
+            self._move_to(point)
+        d = self._d
         if d is None:
             d = self._d = [_UNSET] * self.n
         out = d[k]
@@ -319,7 +304,7 @@ def _partials(field, pt, drop: int = 0) -> dict:
         if drop >> k & 1:
             continue
         x = field.dvalue(pt, k)
-        if x != 0:
+        if x:
             out[k] = x
     return out
 
@@ -353,7 +338,7 @@ def _joined(fields):
 
 
 def _nonzero(d: dict) -> dict:
-    return {k: x for k, x in d.items() if x != 0}
+    return {k: x for k, x in d.items() if x}
 
 
 # Taylor arithmetic follows FSum, FProd, FScale and FPartial: operands in
@@ -383,15 +368,15 @@ def _taylor_sum(t: Taylor, parts) -> Taylor:
 def _taylor_prod(t: Taylor, a, b) -> Taylor:
     va = _value_at(t, a)
     vb = _value_at(t, b)
-    v = _mul(va, vb) if va != 0 and vb != 0 else 0
+    v = _mul(va, vb) if va and vb else 0
     d = None
     drop, order1 = _joined((a, b))
     if order1:
         d = {}
-        if va != 0:
+        if va:
             for k, x in _partials_at(t, b, drop).items():
                 d[k] = _mul(va, x)
-        if vb != 0:
+        if vb:
             for k, x in _partials_at(t, a, drop).items():
                 xb = _mul(x, vb)
                 d[k] = _add(d[k], xb) if k in d else xb
@@ -474,7 +459,7 @@ def f_is_zero(a) -> bool:
     and values round differently from the lazy graph's."""
     if isinstance(a, Polynomial):
         return a.is_zero()
-    return isinstance(a, Taylor) and a.exact and a.v == 0 and not a.d
+    return isinstance(a, Taylor) and a.exact and not a.v and not a.d
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +576,8 @@ def jet_mat_inverse(M: List[List[Jet]], exact: bool) -> List[List[Jet]]:
 # ---------------------------------------------------------------------------
 
 class MatrixField:
-    """Matrix-valued function; computes the full matrix jet once per point."""
+    """Matrix-valued function; computes the full matrix jet once per order
+    at the last point object it was read at."""
 
     def __init__(self, entries: List[List[object]], exact: bool = True):
         self.entries = entries
@@ -599,19 +585,20 @@ class MatrixField:
         self.dim_in = len(entries[0])
         self.n = entries[0][0].n
         self.exact = exact
-        self._cache: Dict[tuple, List[List[Jet]]] = {}
+        self._pt = None
+        self._jets: Dict[int, List[List[Jet]]] = {}
         self._entries: Dict[tuple, "MatrixEntryField"] = {}
 
     def _raw(self, point, order):
         return [[f.jet(point, order) for f in row] for row in self.entries]
 
     def jets(self, point, order) -> List[List[Jet]]:
-        key = (id(point), order)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is point:
-            return hit[1]
-        out = self._compute(_as_tuple(point), order)
-        self._cache[key] = (point, out)
+        if point is not self._pt:
+            self._pt = point
+            self._jets = {}
+        out = self._jets.get(order)
+        if out is None:
+            out = self._jets[order] = self._compute(_as_tuple(point), order)
         return out
 
     def _compute(self, point, order):

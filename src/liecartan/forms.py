@@ -354,7 +354,7 @@ class Coframe:
         self.exact = exact
         self.probes = [tuple(p) for p in probes]
         self._inv: Optional[MatrixField] = None
-        self._inv_at: Dict[int, tuple] = {}
+        self._inv_pt = self._inv_V = None
         self._minors: Optional["CoframeMinors"] = None
         for p in self.probes:
             self.certify(p)
@@ -370,17 +370,16 @@ class Coframe:
         self.inverse_at(point)
 
     def inverse_at(self, point) -> List[List]:
-        """The inverse of ``matrix_at(point)``, memoised by the identity of
-        the point like the fields' memos; callers must not mutate it."""
-        hit = self._inv_at.get(id(point))
-        if hit is not None and hit[0] is point:
-            return hit[1]
-        try:
-            V = linalg.mat_inverse(self.matrix_at(point), self.exact)
-        except linalg.SingularMatrixError as exc:
-            raise SingularCoframeError(f"coframe singular at {point}") from exc
-        self._inv_at[id(point)] = (point, V)
-        return V
+        """The inverse of ``matrix_at(point)``, memoised at the last point
+        object asked for, like the fields' memos; callers must not mutate
+        it."""
+        if point is not self._inv_pt:
+            try:
+                V = linalg.mat_inverse(self.matrix_at(point), self.exact)
+            except linalg.SingularMatrixError as exc:
+                raise SingularCoframeError(f"coframe singular at {point}") from exc
+            self._inv_pt, self._inv_V = point, V
+        return self._inv_V
 
     def inverse_field(self) -> MatrixField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""

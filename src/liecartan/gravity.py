@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import SplitAlgebra, check_algebra
-from .charts import (GravityChart, Rng, antisym, base_probes,
+from .charts import (GravityChart, Rng, antisym, base_probe,
                      build_connection_form, build_group_map,
                      coframe_from_algebra_form, frame_coeffs_1form,
                      frame_coeffs_2form, frame_partial_field,
@@ -43,12 +43,12 @@ class GravityFields:
     kappa: KappaTensor
     phi: Form
     pi_coeffs: Dict[Tuple[int, int, int], object]   # includes the kappa block
-    probes: List[Tuple]
+    probe: Tuple
     exact: bool = True
 
     def coframe(self) -> Coframe:
         return coframe_from_algebra_form(self.phi, self.split.ambient.dim,
-                                         self.probes, self.exact)
+                                         self.probe, self.exact)
 
 
 def kappa_pi_block(split: SplitAlgebra, kappa: KappaTensor, N: int) -> Dict:
@@ -74,26 +74,20 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.phi, pi_form, (coad,))
 
-    report = {"r1": {}, "r2": {}, "max_r1": 0, "max_r2": 0}
-    for p in fields.probes:
-        pt = tuple(p)
-        pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
-        r1 = 0
-        for I in range(N):
-            for A in range(N):
-                for B in range(N):
-                    if A in s_idx and B in s_idx:
-                        continue
-                    r1 = max(r1, abs(pc[(I,)][A][B]))
-        report["r1"][pt] = r1
-        pi_at = antisym({key: f.value(pt) for key, f in fields.pi_coeffs.items()})
-        psi = psi_families(pc, pi_at, N)
-        rhs = source_form(minors, psi["psi_mixed"], psi["psi"], dual)
-        r2 = (dpi - rhs).max_abs(pt)
-        report["r2"][pt] = r2
-        report["max_r1"] = max(report["max_r1"], r1)
-        report["max_r2"] = max(report["max_r2"], abs(r2))
-    return report
+    pt = fields.probe
+    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
+    r1 = 0
+    for I in range(N):
+        for A in range(N):
+            for B in range(N):
+                if A in s_idx and B in s_idx:
+                    continue
+                r1 = max(r1, abs(pc[(I,)][A][B]))
+    pi_at = antisym({key: f.value(pt) for key, f in fields.pi_coeffs.items()})
+    psi = psi_families(pc, pi_at, N)
+    rhs = source_form(minors, psi["psi_mixed"], psi["psi"], dual)
+    r2 = (dpi - rhs).max_abs(pt)
+    return {"r1": r1, "r2": r2, "max_r1": r1, "max_r2": max(0, abs(r2))}
 
 
 def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
@@ -129,7 +123,7 @@ def psi_families(curv_coeffs, pi_at, N: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
-                        exact: bool = True, probe_count: int = 2,
+                        exact: bool = True,
                         flat: bool = False, linear_group: bool = False,
                         p_vars: Optional[str] = None) -> GravityChart:
     """Trivialized chart with certified invariants.
@@ -145,7 +139,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     rng = Rng(seed, exact)
     n, r = split.n, split.r
     N = n + r
-    probes = base_probes(rng, n, r, probe_count)
+    probe = base_probe(rng, n, r)
     if linear_group:
         eta = [f_zero(N) for _ in range(split.ambient.dim)]
         for pos, i in enumerate(split.l_indices):
@@ -156,11 +150,11 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     else:
         gm = build_group_map(split, n, rng)
     A_form = build_connection_form(
-        split, n, rng, probes,
+        split, n, rng, probe,
         s_coframe="flat" if flat else "perturbed",
         l_rows="none" if flat else "random")
     e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probes, exact)
+    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probe, exact)
 
     # split A into theta (s rows) and omega (l rows)
     uslot = algebra_slot(split.ambient)
@@ -189,16 +183,16 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             for j2 in split.l_indices:
                 if j1 < j2:
                     p_coeffs[(I, j1, j2)] = rng.poly_in_vars(N, vars_, deg=2, terms=2)
-    chart = GravityChart(split, n, r, gm, A_form, e_form, coframe, probes, exact,
+    chart = GravityChart(split, n, r, gm, A_form, e_form, coframe, probe, exact,
                          rng, p_coeffs, F_form, kappa, theta, omega, torsion, curv_l)
     certify_gravity_chart(chart)
     return chart
 
 
 def certify_gravity_chart(chart: GravityChart):
-    """F_{sl} = F_{ll} = 0, y-independence, and coframe rank at probes.
+    """F_{sl} = F_{ll} = 0, y-independence, and coframe rank at the probe.
 
-    Checked on matrices at each probe, with no lazy frame graph.  With E
+    Checked on matrices at the probe, with no lazy frame graph.  With E
     the coframe matrix, V = E^-1 and F^I the antisymmetric chart matrix of
     F^I, the frame coefficients are W^I = V^T F^I V.  A frame derivative
     D_L X = sum_j V[j][L] d_j X gives D_L V = -V (D_L E) V, so on the s-s
@@ -208,49 +202,48 @@ def certify_gravity_chart(chart: GravityChart):
     split = chart.split
     s_idx, l_idx = split.s_indices, split.l_indices
     N = chart.N
+    pt = chart.probe
     floor = 0 if chart.exact else 1e-10
     F_terms: Dict[int, list] = {}
     for (k, l), (I,), fld in chart.F_form.terms():
         F_terms.setdefault(I, []).append((k, l, fld))
     ss = [(A, B) for A in sorted(s_idx) for B in sorted(s_idx) if A < B]
-    for p in chart.probes:
-        pt = tuple(p)
-        V = chart.coframe.inverse_at(pt)
-        FV = {}
-        for I, terms in F_terms.items():
-            F = [[0] * N for _ in range(N)]
-            for k, l, fld in terms:
-                v = fld.value(pt)
-                F[k][l], F[l][k] = v, -v
-            FV[I] = linalg.mat_mul(F, V)
-            for A in range(N):
-                for B in range(A + 1, N):
-                    if A in s_idx and B in s_idx:
-                        continue
-                    if abs(_col_dot(V, FV[I], A, B)) > floor:
-                        raise ChartInvariantError(
-                            f"F block ({A},{B}) does not vanish at {pt}")
-        dE = [[[f.dvalue(pt, j) for j in range(N)] for f in row]
-              for row in chart.coframe.entries]
-        DV = {}
-        for L in l_idx:
-            DE = [[_frame_partial(V, d, L) for d in row] for row in dE]
-            DV[L] = [[-x for x in row]
-                     for row in linalg.mat_mul(V, linalg.mat_mul(DE, V))]
-        for I, terms in F_terms.items():
-            grads = [(k, l, [fld.dvalue(pt, j) for j in range(N)])
-                     for k, l, fld in terms]
-            dF = {L: [(k, l, c) for k, l, g in grads
-                      for c in (_frame_partial(V, g, L),) if c != 0]
-                  for L in l_idx}
-            for A, B in ss:
-                for L in l_idx:
-                    d = _col_dot(DV[L], FV[I], A, B) - _col_dot(DV[L], FV[I], B, A)
-                    for k, l, c in dF[L]:
-                        d += c * (V[k][A] * V[l][B] - V[l][A] * V[k][B])
-                    if abs(d) > floor:
-                        raise ChartInvariantError(
-                            f"F coefficient ({I},{A},{B}) varies along the fiber")
+    V = chart.coframe.inverse_at(pt)
+    FV = {}
+    for I, terms in F_terms.items():
+        F = [[0] * N for _ in range(N)]
+        for k, l, fld in terms:
+            v = fld.value(pt)
+            F[k][l], F[l][k] = v, -v
+        FV[I] = linalg.mat_mul(F, V)
+        for A in range(N):
+            for B in range(A + 1, N):
+                if A in s_idx and B in s_idx:
+                    continue
+                if abs(_col_dot(V, FV[I], A, B)) > floor:
+                    raise ChartInvariantError(
+                        f"F block ({A},{B}) does not vanish at {pt}")
+    dE = [[[f.dvalue(pt, j) for j in range(N)] for f in row]
+          for row in chart.coframe.entries]
+    DV = {}
+    for L in l_idx:
+        DE = [[_frame_partial(V, d, L) for d in row] for row in dE]
+        DV[L] = [[-x for x in row]
+                 for row in linalg.mat_mul(V, linalg.mat_mul(DE, V))]
+    for I, terms in F_terms.items():
+        grads = [(k, l, [fld.dvalue(pt, j) for j in range(N)])
+                 for k, l, fld in terms]
+        dF = {L: [(k, l, c) for k, l, g in grads
+                  for c in (_frame_partial(V, g, L),) if c != 0]
+              for L in l_idx}
+        for A, B in ss:
+            for L in l_idx:
+                d = _col_dot(DV[L], FV[I], A, B) - _col_dot(DV[L], FV[I], B, A)
+                for k, l, c in dF[L]:
+                    d += c * (V[k][A] * V[l][B] - V[l][A] * V[k][B])
+                if abs(d) > floor:
+                    raise ChartInvariantError(
+                        f"F coefficient ({I},{A},{B}) varies along the fiber")
 
 
 def _col_dot(X, Y, A, B):
@@ -276,16 +269,21 @@ def fields_from_chart(chart: GravityChart) -> GravityFields:
     phi = apply_matrix_to_slot(chart.e_form, 0, chart.gm.ad_inv_entry)
     # pi coefficients are only ever needed as probe values; transport there
     return GravityFields(chart.split, chart.kappa, phi, chart.p_coeffs,
-                         chart.probes, chart.exact)
+                         chart.probe, chart.exact)
 
 
-def pi_values_from_chart(chart: GravityChart, pt) -> Dict:
-    """pi^{PQ} values at a probe: inverse coefficient transport of p^{PQ}."""
+def _entry_values(entry, N: int, pt) -> List[List]:
+    """The N x N matrix of a group map's entry nodes at ``pt``."""
+    return [[entry(i, j).value(pt) for j in range(N)] for i in range(N)]
+
+
+def pi_values_from_chart(chart: GravityChart) -> Dict:
+    """pi^{PQ} values at the probe: inverse coefficient transport of p^{PQ}."""
     alg = chart.alg
     N = alg.dim
-    gm = chart.gm
-    ad = gm._Ad_inv.jets(pt, 0)          # Ad_{g^-1}
-    ad_dual = gm._Ad.jets(pt, 0)         # (Ad_{g^-1})^* = Ad_g^T
+    pt = chart.probe
+    ad = _entry_values(chart.gm.ad_inv_entry, N, pt)     # Ad_{g^-1}
+    ad_dual = _entry_values(chart.gm.ad_entry, N, pt)    # (Ad_{g^-1})^* = Ad_g^T
     p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
     out: Dict[Tuple[int, int, int], object] = {}
     for I in range(N):
@@ -295,7 +293,7 @@ def pi_values_from_chart(chart: GravityChart, pt) -> Dict:
                 for (J, C, D), w in p_at.items():
                     if w == 0:
                         continue
-                    acc += ad_dual[J][I].value * ad[A][C].value * ad[B][D].value * w
+                    acc += ad_dual[J][I] * ad[A][C] * ad[B][D] * w
                 if acc != 0:
                     out[(I, A, B)] = acc
                     out[(I, B, A)] = -acc
@@ -306,8 +304,10 @@ def pi_values_from_chart(chart: GravityChart, pt) -> Dict:
 # source families and the fundamental equation
 # ---------------------------------------------------------------------------
 
-def q_families(chart: GravityChart, pt) -> dict:
-    """Q families from the gauge-side field strength and dual coefficients."""
+def q_families(chart: GravityChart) -> dict:
+    """Q families at the probe from the gauge-side field strength and dual
+    coefficients."""
+    pt = chart.probe
     fc = decompose(chart.F_form, chart.coframe, "by-coframe", pt, chart.exact)
     p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
     fam = psi_families(fc, p_at, chart.alg.dim)
@@ -320,54 +320,37 @@ def grav_psi_q(chart: GravityChart, control_sign: int = 1) -> dict:
     coframe = fields.coframe()
     alg = chart.alg
     N = alg.dim
+    pt = chart.probe
     Phi = curvature(fields.phi, alg)
-    gm = chart.gm
-    report = {"transport": {}, "scalar": {}, "psi": {}, "q": {}, "max": 0}
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
-        pi_at = pi_values_from_chart(chart, pt)
-        psi = psi_families(pc, pi_at, N)
-        q = q_families(chart, pt)
-        report["psi"][pt] = psi
-        report["q"][pt] = q
-        # transport: Q_P^Q = (Ad*_g (x) Ad_g Psi)_P^Q
-        ad = gm._Ad.jets(pt, 0)
-        ad_inv = gm._Ad_inv.jets(pt, 0)
-        res_t = 0
-        for P in range(N):
-            for Q in range(N):
-                acc = 0
-                for Pp in range(N):
-                    for Qp in range(N):
-                        w = psi["psi_mixed"][Pp][Qp]
-                        if w == 0:
-                            continue
-                        acc += ad_inv[Pp][P].value * ad[Q][Qp].value * w
-                res_t = max(res_t, abs(q["q_mixed"][P][Q] - control_sign * acc))
-        res_s = abs(q["q"] - psi["psi"])
-        report["transport"][pt] = res_t
-        report["scalar"][pt] = res_s
-        worst = max(worst, res_t, res_s)
-    report["max"] = worst
-    report["q_zero_rows"] = _q_l_rows_max(chart)
-    return report
+    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
+    psi = psi_families(pc, pi_values_from_chart(chart), N)
+    q = q_families(chart)
+    # transport: Q_P^Q = (Ad*_g (x) Ad_g Psi)_P^Q
+    ad = _entry_values(chart.gm.ad_entry, N, pt)
+    ad_inv = _entry_values(chart.gm.ad_inv_entry, N, pt)
+    res_t = 0
+    for P in range(N):
+        for Q in range(N):
+            acc = 0
+            for Pp in range(N):
+                for Qp in range(N):
+                    w = psi["psi_mixed"][Pp][Qp]
+                    if w == 0:
+                        continue
+                    acc += ad_inv[Pp][P] * ad[Q][Qp] * w
+            res_t = max(res_t, abs(q["q_mixed"][P][Q] - control_sign * acc))
+    res_s = abs(q["q"] - psi["psi"])
+    q_zero_rows = 0
+    for P in chart.split.l_indices:
+        for Q in range(N):
+            q_zero_rows = max(q_zero_rows, abs(q["q_mixed"][P][Q]))
+    return {"transport": res_t, "scalar": res_s, "psi": psi, "q": q,
+            "max": max(0, res_t, res_s), "q_zero_rows": q_zero_rows}
 
 
-def _q_l_rows_max(chart: GravityChart):
-    worst = 0
-    for p in chart.probes:
-        q = q_families(chart, tuple(p))
-        for P in chart.split.l_indices:
-            for Q in range(chart.alg.dim):
-                worst = max(worst, abs(q["q_mixed"][P][Q]))
-    return worst
-
-
-def q_source_form(chart: GravityChart, pt) -> Form:
-    """Q_p - 1/2 Q e^{(N-1)}_p as a dual-slot (N-1)-form at one probe."""
-    q = q_families(chart, pt)
+def q_source_form(chart: GravityChart) -> Form:
+    """Q_p - 1/2 Q e^{(N-1)}_p as a dual-slot (N-1)-form at the probe."""
+    q = q_families(chart)
     return source_form(chart.coframe.minors(), q["q_mixed"], q["q"],
                        algebra_slot(chart.alg, dual=True))
 
@@ -379,40 +362,31 @@ def grav_fundamental_residual(chart: GravityChart) -> dict:
     coframe = fields.coframe()
     alg = chart.alg
     N = alg.dim
+    pt = chart.probe
     dual = algebra_slot(alg, dual=True)
     minors_phi = coframe.minors()
     Phi = curvature(fields.phi, alg)
     pi_form = pi_form_from_coeffs_values(chart, dual)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.phi, pi_form, (coad,))
-    gm = chart.gm
 
-    report = {"residual": {}, "cross": {}, "max": 0}
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        defect = lhs - q_source_form(chart, pt)
-        res = defect.max_abs(pt)
-        report["residual"][pt] = res
-        # cross-consistency: Ad*_g (r2 of the field-side EL defect) == residual
-        pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
-        pi_at = pi_values_from_chart(chart, pt)
-        psi = psi_families(pc, pi_at, N)
-        defect_phi = dpi - source_form(minors_phi, psi["psi_mixed"], psi["psi"], dual)
-        ad_dual = gm._Ad_inv.jets(pt, 0)
-        lhs_vals = {(K, sk): fld.value(pt) for K, sk, fld in defect.terms()}
-        cross = 0
-        for K in itertools.combinations(range(N), N - 1):
-            for P in range(N):
-                transported = 0
-                for Pp in range(N):
-                    fld = defect_phi.get(K, (Pp,))
-                    transported += ad_dual[Pp][P].value * fld.value(pt)
-                cross = max(cross, abs(transported - lhs_vals.get((K, (P,)), 0)))
-        report["cross"][pt] = cross
-        worst = max(worst, abs(res), cross)
-    report["max"] = worst
-    return report
+    defect = lhs - q_source_form(chart)
+    res = defect.max_abs(pt)
+    # cross-consistency: Ad*_g (r2 of the field-side EL defect) == residual
+    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
+    psi = psi_families(pc, pi_values_from_chart(chart), N)
+    defect_phi = dpi - source_form(minors_phi, psi["psi_mixed"], psi["psi"], dual)
+    ad_dual = _entry_values(chart.gm.ad_inv_entry, N, pt)
+    lhs_vals = {(K, sk): fld.value(pt) for K, sk, fld in defect.terms()}
+    cross = 0
+    for K in itertools.combinations(range(N), N - 1):
+        for P in range(N):
+            transported = 0
+            for Pp in range(N):
+                fld = defect_phi.get(K, (Pp,))
+                transported += ad_dual[Pp][P] * fld.value(pt)
+            cross = max(cross, abs(transported - lhs_vals.get((K, (P,)), 0)))
+    return {"residual": res, "cross": cross, "max": max(0, abs(res), cross)}
 
 
 def pi_form_from_coeffs_values(chart: GravityChart, dual) -> Form:
@@ -441,92 +415,86 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
     dual = algebra_slot(alg, dual=True)
     omega_frame = frame_coeffs_1form(chart.omega, chart.coframe)
 
-    report = {"max": 0, "blocks": {}}
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        lhs, minors = chart.at(pt).dAp()
-        theta_c, omega_c = chart.torsion_curvature(pt)
-        tstar = theta_star_values(theta_c, s_idx, N)
-        w_at = {key: f.value(pt) for key, f in omega_frame.items()}
-        pv, dpv = chart.p_tables(pt)
+    pt = chart.probe
+    lhs, minors = chart.at().dAp()
+    theta_c, omega_c = chart.torsion_curvature()
+    tstar = theta_star_values(theta_c, s_idx, N)
+    w_at = {key: f.value(pt) for key, f in omega_frame.items()}
+    pv, dpv = chart.p_tables()
 
-        def wv(i, B):
-            return w_at.get((i, B), 0)
+    def wv(i, B):
+        return w_at.get((i, B), 0)
 
-        def cov_term(I, L, sb):
-            """(partial^omega)_sb p_I^{L sb} connection terms."""
+    def cov_term(I, L, sb):
+        """(partial^omega)_sb p_I^{L sb} connection terms."""
+        acc = 0
+        for J in range(N):
+            for m in l_idx:
+                cv = alg.c(J, m, I)
+                if cv:
+                    acc = _sub(acc, _mul(_mul(cv, wv(m, sb)), pv[J, L, sb]))
+        for J in range(N):
+            for m in l_idx:
+                cv = alg.c(L, m, J)
+                if cv:
+                    acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, J, sb]))
+        for J in range(N):
+            for m in l_idx:
+                cv = alg.c(sb, m, J)
+                if cv:
+                    acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, L, J]))
+        return acc
+
+    l_rows: Dict[Tuple[int, int], object] = {}
+    blocks = {"omega_kappa": 0, "cov": 0, "exact_block": 0, "theta_ring": 0}
+    for I in range(N):
+        for L in l_idx:
             acc = 0
-            for J in range(N):
-                for m in l_idx:
-                    cv = alg.c(J, m, I)
+            for a in s_idx:
+                for b in s_idx:
+                    w = omega_c[(L,)][a][b]
+                    if w != 0:
+                        acc = _add(acc, _mul(pv[I, a, b], w) / 2)
+            blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
+            for sb in s_idx:
+                acc = _add(acc, _add(dpv[I, L, sb, sb], cov_term(I, L, sb)))
+                acc = _add(acc, _mul(tstar[sb], pv[I, L, sb]))
+            # - c^{p}_{s P} p_p^{L s}
+            for sb in s_idx:
+                for J in range(N):
+                    cv = alg.c(J, sb, I)
                     if cv != 0:
-                        acc = _sub(acc, _mul(_mul(cv, wv(m, sb)), pv[J, L, sb]))
-            for J in range(N):
-                for m in l_idx:
-                    cv = alg.c(L, m, J)
+                        acc = _sub(acc, _mul(cv, pv[J, L, sb]))
+            for l1 in l_idx:
+                acc = _add(acc, dpv[I, L, l1, l1])
+            for l1 in l_idx:
+                for l2 in l_idx:
+                    cv = alg.c(L, l1, l2)
                     if cv != 0:
-                        acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, J, sb]))
-            for J in range(N):
-                for m in l_idx:
-                    cv = alg.c(sb, m, J)
+                        acc = _add(acc, _mul(cv, pv[I, l1, l2]) / 2)
+            l_rows[(I, L)] = acc
+    s_rows: Dict[Tuple[int, int], object] = {}
+    for I in range(N):
+        for S in s_idx:
+            acc = 0
+            for a in s_idx:
+                for b in s_idx:
+                    ring = _sub(_add(theta_c[(S,)][a][b],
+                                     tstar[b] if S == a else 0),
+                                tstar[a] if S == b else 0)
+                    if ring != 0:
+                        acc = _add(acc, _mul(_mul(control_sign, pv[I, a, b]), ring) / 2)
+            for l1 in l_idx:
+                acc = _add(acc, dpv[I, S, l1, l1])
+            for s1 in s_idx:
+                for J in range(N):
+                    cv = alg.c(J, s1, I)
                     if cv != 0:
-                        acc = _add(acc, _mul(_mul(cv, wv(m, sb)), pv[I, L, J]))
-            return acc
-
-        l_rows: Dict[Tuple[int, int], object] = {}
-        blocks = {"omega_kappa": 0, "cov": 0, "exact_block": 0, "theta_ring": 0}
-        for I in range(N):
-            for L in l_idx:
-                acc = 0
-                for a in s_idx:
-                    for b in s_idx:
-                        w = omega_c[(L,)][a][b]
-                        if w != 0:
-                            acc = _add(acc, _mul(pv[I, a, b], w) / 2)
-                blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
-                for sb in s_idx:
-                    acc = _add(acc, _add(dpv[I, L, sb, sb], cov_term(I, L, sb)))
-                    acc = _add(acc, _mul(tstar[sb], pv[I, L, sb]))
-                # - c^{p}_{s P} p_p^{L s}
-                for sb in s_idx:
-                    for J in range(N):
-                        cv = alg.c(J, sb, I)
-                        if cv != 0:
-                            acc = _sub(acc, _mul(cv, pv[J, L, sb]))
-                for l1 in l_idx:
-                    acc = _add(acc, dpv[I, L, l1, l1])
-                for l1 in l_idx:
-                    for l2 in l_idx:
-                        cv = alg.c(L, l1, l2)
-                        if cv != 0:
-                            acc = _add(acc, _mul(cv, pv[I, l1, l2]) / 2)
-                l_rows[(I, L)] = acc
-        s_rows: Dict[Tuple[int, int], object] = {}
-        for I in range(N):
-            for S in s_idx:
-                acc = 0
-                for a in s_idx:
-                    for b in s_idx:
-                        ring = _sub(_add(theta_c[(S,)][a][b],
-                                         tstar[b] if S == a else 0),
-                                    tstar[a] if S == b else 0)
-                        if ring != 0:
-                            acc = _add(acc, _mul(_mul(control_sign, pv[I, a, b]), ring) / 2)
-                for l1 in l_idx:
-                    acc = _add(acc, dpv[I, S, l1, l1])
-                for s1 in s_idx:
-                    for J in range(N):
-                        cv = alg.c(J, s1, I)
-                        if cv != 0:
-                            acc = _add(acc, _mul(cv, kappa.get(J, s1, S)))
-                s_rows[(I, S)] = acc
-        rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)
-        res = (lhs - rhs).max_abs(pt)
-        report["blocks"][pt] = blocks
-        worst = max(worst, abs(res))
-    report["max"] = worst
-    return report
+                        acc = _add(acc, _mul(cv, kappa.get(J, s1, S)))
+            s_rows[(I, S)] = acc
+    rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)
+    res = (lhs - rhs).max_abs(pt)
+    return {"max": max(0, abs(res)), "blocks": blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -574,115 +542,105 @@ def grav_tensors(chart: GravityChart) -> dict:
     kappa = chart.kappa
     minors = chart.coframe.minors()
 
-    report = {"roundtrip": {}, "implicit_theta": {}, "einstein_expansion": {},
-              "cartan": {}, "einstein": {}, "max": 0}
-    worst = 0
-    lam = None
+    pt = chart.probe
     from .kappa import lambda_constant
 
-    for p in chart.probes:
-        pt = tuple(p)
-        theta_c, omega_c = chart.torsion_curvature(pt)
-        ring = theta_ring_tensor(theta_c, s_idx, N)
-        if n > 2:
-            back = theta_ring_invert(ring, s_idx, n)
-            rt = max(abs(back[(c, a, b)] - theta_c[(c,)][a][b])
-                     for c in s_idx for a in s_idx for b in s_idx)
-        else:
-            rt = None
-        report["roundtrip"][pt] = rt
-        # implicit definition: ring^{s_}_{ab} e^{(N-1)}_{s_} == Theta^{s_} ^ e^{(N-3)}_{a b s_}
-        imp = 0
-        for a in s_idx:
-            for b in s_idx:
-                if a >= b:
-                    continue
-                lhs = Form(N, N - 1)
-                for S in s_idx:
-                    v = ring[(S, a, b)]
-                    if v != 0:
-                        lhs = lhs + minors.minor((S,)).scale(v)
-                rhs = Form(N, N - 1)
-                for S in range(N):
-                    row = chart.torsion.component(S)
-                    if row.comps:
-                        rhs = rhs + wedge(row, minors.minor((a, b, S)))
-                imp = max(imp, (lhs - rhs).max_abs(pt))
-        report["implicit_theta"][pt] = imp
-        # implicit form of the trace-extended curvature family: for every
-        # (s1, s2, s3), Omega^g ^ e^{(N-3)}_{s1 s2 s3} equals the cyclic
-        # delta-extension contracted with the codegree-1 minors
-        imp_o = 0
-        for lI in l_idx:
-            row = chart.curv_l.component(lI)
-            if not row.comps:
+    theta_c, omega_c = chart.torsion_curvature()
+    ring = theta_ring_tensor(theta_c, s_idx, N)
+    if n > 2:
+        back = theta_ring_invert(ring, s_idx, n)
+        rt = max(abs(back[(c, a, b)] - theta_c[(c,)][a][b])
+                 for c in s_idx for a in s_idx for b in s_idx)
+    else:
+        rt = None
+    # implicit definition: ring^{s_}_{ab} e^{(N-1)}_{s_} == Theta^{s_} ^ e^{(N-3)}_{a b s_}
+    imp = 0
+    for a in s_idx:
+        for b in s_idx:
+            if a >= b:
                 continue
-            for s1 in s_idx:
-                for s2 in s_idx:
-                    for s3 in s_idx:
-                        if not s1 < s2 < s3:
-                            continue
-                        lhs = Form(N, N - 1)
-                        for S in s_idx:
-                            v = (omega_c[(lI,)][s1][s2] * (1 if S == s3 else 0)
-                                 + omega_c[(lI,)][s2][s3] * (1 if S == s1 else 0)
-                                 + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
-                            if v != 0:
-                                lhs = lhs + minors.minor((S,)).scale(v)
-                        rhs = wedge(row, minors.minor((s1, s2, s3)))
-                        imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
-        report.setdefault("implicit_omega", {})[pt] = imp_o
-        # Cartan and Einstein tensors
-        cartan = {}
-        for I in l_idx:
+            lhs = Form(N, N - 1)
             for S in s_idx:
-                acc = 0
-                for a in s_idx:
-                    for b in s_idx:
-                        kv = kappa.get(I, a, b)
-                        if kv != 0:
-                            acc += kv * ring[(S, a, b)]
-                cartan[(I, S)] = -acc / 2
-        ricci = {}
-        for a in s_idx:
-            for b in s_idx:
-                acc = 0
-                for lI in l_idx:
-                    for s1 in s_idx:
-                        w = omega_c[(lI,)][s1][a]
-                        if w != 0:
-                            acc += w * kappa.get(lI, s1, b)
-                ricci[(a, b)] = acc
-        scal = sum(ricci[(a, a)] for a in s_idx)
-        einstein = {key: v - (scal / 2 if key[0] == key[1] else 0)
-                    for key, v in ricci.items()}
-        # three-term expansion check of the Einstein tensor
-        exp_res = 0
-        for a in s_idx:
-            for b in s_idx:
-                acc = 0
-                for lI in l_idx:
-                    for s1 in s_idx:
-                        for s2 in s_idx:
-                            kv = kappa.get(lI, s1, s2)
-                            if kv == 0:
-                                continue
-                            w = omega_c[(lI,)][s1][s2]
-                            ring_o = (w * (1 if a == b else 0)
-                                      + omega_c[(lI,)][s2][a] * (1 if s1 == b else 0)
-                                      + omega_c[(lI,)][a][s1] * (1 if s2 == b else 0))
-                            acc += kv * ring_o
-                exp_res = max(exp_res, abs(einstein[(a, b)] + acc / 2))
-        report["einstein_expansion"][pt] = exp_res
-        report["cartan"][pt] = cartan
-        report["einstein"][pt] = einstein
-        worst = max(worst, imp, imp_o, exp_res, rt or 0)
+                v = ring[(S, a, b)]
+                if v != 0:
+                    lhs = lhs + minors.minor((S,)).scale(v)
+            rhs = Form(N, N - 1)
+            for S in range(N):
+                row = chart.torsion.component(S)
+                if row.comps:
+                    rhs = rhs + wedge(row, minors.minor((a, b, S)))
+            imp = max(imp, (lhs - rhs).max_abs(pt))
+    # implicit form of the trace-extended curvature family: for every
+    # (s1, s2, s3), Omega^g ^ e^{(N-3)}_{s1 s2 s3} equals the cyclic
+    # delta-extension contracted with the codegree-1 minors
+    imp_o = 0
+    for lI in l_idx:
+        row = chart.curv_l.component(lI)
+        if not row.comps:
+            continue
+        for s1 in s_idx:
+            for s2 in s_idx:
+                for s3 in s_idx:
+                    if not s1 < s2 < s3:
+                        continue
+                    lhs = Form(N, N - 1)
+                    for S in s_idx:
+                        v = (omega_c[(lI,)][s1][s2] * (1 if S == s3 else 0)
+                             + omega_c[(lI,)][s2][s3] * (1 if S == s1 else 0)
+                             + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
+                        if v != 0:
+                            lhs = lhs + minors.minor((S,)).scale(v)
+                    rhs = wedge(row, minors.minor((s1, s2, s3)))
+                    imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
+    # Cartan and Einstein tensors
+    cartan = {}
+    for I in l_idx:
+        for S in s_idx:
+            acc = 0
+            for a in s_idx:
+                for b in s_idx:
+                    kv = kappa.get(I, a, b)
+                    if kv != 0:
+                        acc += kv * ring[(S, a, b)]
+            cartan[(I, S)] = -acc / 2
+    ricci = {}
+    for a in s_idx:
+        for b in s_idx:
+            acc = 0
+            for lI in l_idx:
+                for s1 in s_idx:
+                    w = omega_c[(lI,)][s1][a]
+                    if w != 0:
+                        acc += w * kappa.get(lI, s1, b)
+            ricci[(a, b)] = acc
+    scal = sum(ricci[(a, a)] for a in s_idx)
+    einstein = {key: v - (scal / 2 if key[0] == key[1] else 0)
+                for key, v in ricci.items()}
+    # three-term expansion check of the Einstein tensor
+    exp_res = 0
+    for a in s_idx:
+        for b in s_idx:
+            acc = 0
+            for lI in l_idx:
+                for s1 in s_idx:
+                    for s2 in s_idx:
+                        kv = kappa.get(lI, s1, s2)
+                        if kv == 0:
+                            continue
+                        w = omega_c[(lI,)][s1][s2]
+                        ring_o = (w * (1 if a == b else 0)
+                                  + omega_c[(lI,)][s2][a] * (1 if s1 == b else 0)
+                                  + omega_c[(lI,)][a][s1] * (1 if s2 == b else 0))
+                        acc += kv * ring_o
+            exp_res = max(exp_res, abs(einstein[(a, b)] + acc / 2))
+    lam = None
     if kappa.kind == "standard":
         k_const = _deformation_constant(split)
         lam = lambda_constant("gravity", n=n, k=k_const, split=split, kappa=kappa)
-    report["lambda"] = lam
-    report["max"] = worst
-    return report
+    return {"roundtrip": rt, "implicit_theta": imp, "implicit_omega": imp_o,
+            "einstein_expansion": exp_res, "cartan": cartan,
+            "einstein": einstein, "lambda": lam,
+            "max": max(0, imp, imp_o, exp_res, rt or 0)}
 
 
 def _deformation_constant(split: SplitAlgebra):
@@ -800,49 +758,41 @@ def grav_bianchi_residuals(chart: GravityChart) -> dict:
                     parts.append(f_scale(f_mul(wf(m, B), einstein_f[(a, sp)]), cv))
         return f_add(*parts)
 
-    report = {"simple": {}, "row1": {}, "row2": {}, "max": 0}
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        s1 = simple1.max_abs(pt)
-        s2 = simple2.max_abs(pt)
-        report["simple"][pt] = max(s1, s2)
-        r1 = 0
-        for I in l_idx:
-            parts = []
-            for S in s_idx:
-                parts.append(cov_partial_cartan(I, S, S))
-                parts.append(f_mul(tstar_f[S], cartan_f[(I, S)]))
-            acc = f_add(*parts).value(pt)
-            for s0 in s_idx:
-                for sb in s_idx:
-                    cv = alg.c(s0, I, sb)
-                    if cv != 0:
-                        acc += cv * einstein_f[(s0, sb)].value(pt)
-            r1 = max(r1, abs(acc))
-        report["row1"][pt] = r1
-        r2 = 0
-        for a in s_idx:
-            parts = []
-            for S in s_idx:
-                parts.append(cov_partial_einstein(a, S, S))
-                parts.append(f_mul(tstar_f[S], einstein_f[(a, S)]))
-            acc = f_add(*parts).value(pt)
-            for s0 in s_idx:
-                for s1b in s_idx:
-                    tv = tf(s0, a, s1b).value(pt)
-                    if tv != 0:
-                        acc -= tv * einstein_f[(s0, s1b)].value(pt)
-            for l0 in l_idx:
-                for s1b in s_idx:
-                    ov = of(l0, a, s1b).value(pt)
-                    if ov != 0:
-                        acc -= ov * cartan_f[(l0, s1b)].value(pt)
-            r2 = max(r2, abs(acc))
-        report["row2"][pt] = r2
-        worst = max(worst, max(s1, s2), r1, r2)
-    report["max"] = worst
-    return report
+    pt = chart.probe
+    simple = max(simple1.max_abs(pt), simple2.max_abs(pt))
+    r1 = 0
+    for I in l_idx:
+        parts = []
+        for S in s_idx:
+            parts.append(cov_partial_cartan(I, S, S))
+            parts.append(f_mul(tstar_f[S], cartan_f[(I, S)]))
+        acc = f_add(*parts).value(pt)
+        for s0 in s_idx:
+            for sb in s_idx:
+                cv = alg.c(s0, I, sb)
+                if cv != 0:
+                    acc += cv * einstein_f[(s0, sb)].value(pt)
+        r1 = max(r1, abs(acc))
+    r2 = 0
+    for a in s_idx:
+        parts = []
+        for S in s_idx:
+            parts.append(cov_partial_einstein(a, S, S))
+            parts.append(f_mul(tstar_f[S], einstein_f[(a, S)]))
+        acc = f_add(*parts).value(pt)
+        for s0 in s_idx:
+            for s1b in s_idx:
+                tv = tf(s0, a, s1b).value(pt)
+                if tv != 0:
+                    acc -= tv * einstein_f[(s0, s1b)].value(pt)
+        for l0 in l_idx:
+            for s1b in s_idx:
+                ov = of(l0, a, s1b).value(pt)
+                if ov != 0:
+                    acc -= ov * cartan_f[(l0, s1b)].value(pt)
+        r2 = max(r2, abs(acc))
+    return {"simple": simple, "row1": r1, "row2": r2,
+            "max": max(0, simple, r1, r2)}
 
 
 # ---------------------------------------------------------------------------
@@ -861,73 +811,64 @@ def grav_commutator_residuals(chart: GravityChart, test_count: int = 2) -> dict:
     def wf(m, B):
         return omega_conn.get((m, B), f_zero(N))
 
-    report = {"rows": {}, "max": 0}
+    pt = chart.probe
+    rows = []
     worst = 0
-    probes = [tuple(p) for p in chart.probes]
     # the decompositions do not depend on the test scalar
-    decomps = [chart.torsion_curvature(pt) for pt in probes]
+    theta_c, omega_c = chart.torsion_curvature()
     for _ in range(test_count):
         f = rng.poly(N, deg=2, terms=3)
         df = {A: frame_partial_field(chart.coframe, f, A) for A in range(N)}
-        for pt, (theta_c, omega_c) in zip(probes, decomps):
-            dfv = {A: df[A].value(pt) for A in range(N)}
-            row1 = 0
-            for a in s_idx:
-                for b in s_idx:
-                    if a >= b:
-                        continue
-                    lhs = (frame_partial_field(chart.coframe, df[b], a)
-                           .value(pt)
-                           - frame_partial_field(chart.coframe, df[a], b)
-                           .value(pt))
-                    rhs = 0
-                    for S in s_idx:
-                        rhs -= theta_c[(S,)][a][b] * dfv[S]
-                    for L in l_idx:
-                        rhs -= omega_c[(L,)][a][b] * dfv[L]
-                    for S in s_idx:
-                        for m in l_idx:
-                            cv = alg.c(S, m, b)
-                            if cv != 0:
-                                rhs += cv * wf(m, a).value(pt) * dfv[S]
-                            cv = alg.c(S, m, a)
-                            if cv != 0:
-                                rhs -= cv * wf(m, b).value(pt) * dfv[S]
-                    row1 = max(row1, abs(lhs - rhs))
-            row2 = 0
-            for a in s_idx:
-                for i in l_idx:
-                    lhs = (frame_partial_field(chart.coframe, df[i], a)
-                           .value(pt)
-                           - frame_partial_field(chart.coframe, df[a], i)
-                           .value(pt))
-                    rhs = 0
-                    for L in l_idx:
-                        for m in l_idx:
-                            cv = alg.c(L, m, i)
-                            if cv != 0:
-                                rhs += cv * wf(m, a).value(pt) * dfv[L]
-                    row2 = max(row2, abs(lhs - rhs))
-            row3 = 0
-            for i in l_idx:
-                for j in l_idx:
-                    if i >= j:
-                        continue
-                    lhs = (frame_partial_field(chart.coframe, df[j], i)
-                           .value(pt)
-                           - frame_partial_field(chart.coframe, df[i], j)
-                           .value(pt))
-                    rhs = 0
-                    for L in l_idx:
-                        cv = alg.c(L, i, j)
+        dfv = {A: df[A].value(pt) for A in range(N)}
+        row1 = 0
+        for a in s_idx:
+            for b in s_idx:
+                if a >= b:
+                    continue
+                lhs = (frame_partial_field(chart.coframe, df[b], a).value(pt)
+                       - frame_partial_field(chart.coframe, df[a], b).value(pt))
+                rhs = 0
+                for S in s_idx:
+                    rhs -= theta_c[(S,)][a][b] * dfv[S]
+                for L in l_idx:
+                    rhs -= omega_c[(L,)][a][b] * dfv[L]
+                for S in s_idx:
+                    for m in l_idx:
+                        cv = alg.c(S, m, b)
                         if cv != 0:
-                            rhs -= cv * dfv[L]
-                    row3 = max(row3, abs(lhs - rhs))
-            rows = {"row1": row1, "row2": row2, "row3": row3}
-            report["rows"][(pt, id(f))] = rows
-            worst = max(worst, row1, row2, row3)
-    report["max"] = worst
-    return report
+                            rhs += cv * wf(m, a).value(pt) * dfv[S]
+                        cv = alg.c(S, m, a)
+                        if cv != 0:
+                            rhs -= cv * wf(m, b).value(pt) * dfv[S]
+                row1 = max(row1, abs(lhs - rhs))
+        row2 = 0
+        for a in s_idx:
+            for i in l_idx:
+                lhs = (frame_partial_field(chart.coframe, df[i], a).value(pt)
+                       - frame_partial_field(chart.coframe, df[a], i).value(pt))
+                rhs = 0
+                for L in l_idx:
+                    for m in l_idx:
+                        cv = alg.c(L, m, i)
+                        if cv != 0:
+                            rhs += cv * wf(m, a).value(pt) * dfv[L]
+                row2 = max(row2, abs(lhs - rhs))
+        row3 = 0
+        for i in l_idx:
+            for j in l_idx:
+                if i >= j:
+                    continue
+                lhs = (frame_partial_field(chart.coframe, df[j], i).value(pt)
+                       - frame_partial_field(chart.coframe, df[i], j).value(pt))
+                rhs = 0
+                for L in l_idx:
+                    cv = alg.c(L, i, j)
+                    if cv != 0:
+                        rhs -= cv * dfv[L]
+                row3 = max(row3, abs(lhs - rhs))
+        rows.append({"row1": row1, "row2": row2, "row3": row3})
+        worst = max(worst, row1, row2, row3)
+    return {"rows": rows, "max": worst}
 
 
 def grav_T_conservation_residual(chart: GravityChart,
@@ -1000,99 +941,90 @@ def grav_T_conservation_residual(chart: GravityChart,
                         parts.append(f_scale(f_mul(wf(m, sb), p_field(P, s2, L)), cv))
         return f_add(*parts) if parts else f_zero(N)
 
-    report = {"T": {}, "defect": {}, "lemma": {}, "chain": {}, "max_lemma": 0,
-              "max_chain": 0, "max_defect": 0}
-    for p in chart.probes:
-        pt = tuple(p)
-        theta_c, omega_c = chart.torsion_curvature(pt)
-        tstar = theta_star_values(theta_c, s_idx, N)
-        t_at = {key: f.value(pt) for key, f in T_fields.items()}
-        report["T"][pt] = dict(t_at)
-        # lemma: sum_l frame-partial_l (cov_inner) == sum_s cov_T with a = s
-        lem = 0
-        for P in range(N):
-            lhs = 0
-            for L in l_idx:
-                lhs += frame_partial_field(chart.coframe, cov_inner(P, L), L) \
-                    .value(pt)
-            rhs = sum(cov_T(P, a, a).value(pt) for a in s_idx)
-            lem = max(lem, abs(lhs - control_sign * rhs))
-        report["lemma"][pt] = lem
-        report["max_lemma"] = max(report["max_lemma"], lem)
-        # conservation defect rows
-        defect = {}
-        for P in range(N):
-            acc = sum(cov_T(P, a, a).value(pt) for a in s_idx)
-            acc += sum(tstar[a] * t_at[(P, a)] for a in s_idx)
+    pt = chart.probe
+    theta_c, omega_c = chart.torsion_curvature()
+    tstar = theta_star_values(theta_c, s_idx, N)
+    t_at = {key: f.value(pt) for key, f in T_fields.items()}
+    # lemma: sum_l frame-partial_l (cov_inner) == sum_s cov_T with a = s
+    lem = 0
+    for P in range(N):
+        lhs = 0
+        for L in l_idx:
+            lhs += frame_partial_field(chart.coframe, cov_inner(P, L), L) \
+                .value(pt)
+        rhs = sum(cov_T(P, a, a).value(pt) for a in s_idx)
+        lem = max(lem, abs(lhs - control_sign * rhs))
+    # conservation defect rows
+    defect = {}
+    for P in range(N):
+        acc = sum(cov_T(P, a, a).value(pt) for a in s_idx)
+        acc += sum(tstar[a] * t_at[(P, a)] for a in s_idx)
+        for s0 in s_idx:
+            for sb in s_idx:
+                cv = alg.c(s0, P, sb)
+                if cv != 0:
+                    acc += cv * t_at[(s0, sb)]
+        for s0 in s_idx:
+            for s1 in s_idx:
+                acc -= theta_c[(s0,)][P][s1] * t_at[(s0, s1)]
+        for l0 in l_idx:
+            for s1 in s_idx:
+                acc -= omega_c[(l0,)][P][s1] * t_at[(l0, s1)]
+        defect[P] = acc
+    # derivation chain: coefficient of d(hidden-field defect form)
+    def_form = Form(N, N - 1, (dual,))
+    for P in range(N):
+        for L in l_idx:
+            parts = []
+            for a in s_idx:
+                for b in s_idx:
+                    w = omega_c[(L,)][a][b]
+                    if w != 0:
+                        parts.append(f_scale(p_field(P, a, b), w / 2))
+            # (d^omega_s + Theta*_s) p_P^{L s}; cov_inner uses p^{s L}
+            parts.append(f_scale(cov_inner(P, L), -1))
+            for sb in s_idx:
+                parts.append(f_scale(p_field(P, L, sb), tstar[sb]))
             for s0 in s_idx:
                 for sb in s_idx:
                     cv = alg.c(s0, P, sb)
                     if cv != 0:
-                        acc += cv * t_at[(s0, sb)]
+                        parts.append(f_scale(p_field(s0, L, sb), cv))
+            # minus the right hand side sources
             for s0 in s_idx:
                 for s1 in s_idx:
-                    acc -= theta_c[(s0,)][P][s1] * t_at[(s0, s1)]
+                    tv = theta_c[(s0,)][P][s1]
+                    if tv != 0:
+                        parts.append(f_scale(p_field(s0, L, s1), -tv))
             for l0 in l_idx:
                 for s1 in s_idx:
-                    acc -= omega_c[(l0,)][P][s1] * t_at[(l0, s1)]
-            defect[P] = acc
-        report["defect"][pt] = defect
-        report["max_defect"] = max(report["max_defect"],
-                                   max(abs(v) for v in defect.values()))
-        # derivation chain: coefficient of d(hidden-field defect form)
-        def_form = Form(N, N - 1, (dual,))
-        for P in range(N):
-            for L in l_idx:
-                parts = []
-                for a in s_idx:
-                    for b in s_idx:
-                        w = omega_c[(L,)][a][b]
-                        if w != 0:
-                            parts.append(f_scale(p_field(P, a, b), w / 2))
-                # (d^omega_s + Theta*_s) p_P^{L s}; cov_inner uses p^{s L}
-                parts.append(f_scale(cov_inner(P, L), -1))
-                for sb in s_idx:
-                    parts.append(f_scale(p_field(P, L, sb), tstar[sb]))
-                for s0 in s_idx:
-                    for sb in s_idx:
-                        cv = alg.c(s0, P, sb)
-                        if cv != 0:
-                            parts.append(f_scale(p_field(s0, L, sb), cv))
-                # minus the right hand side sources
-                for s0 in s_idx:
-                    for s1 in s_idx:
-                        tv = theta_c[(s0,)][P][s1]
-                        if tv != 0:
-                            parts.append(f_scale(p_field(s0, L, s1), -tv))
-                for l0 in l_idx:
-                    for s1 in s_idx:
-                        ov = omega_c[(l0,)][P][s1]
-                        if ov != 0:
-                            parts.append(f_scale(p_field(l0, L, s1), -ov))
-                coeff = f_add(*parts) if parts else f_zero(N)
-                for K, _, mf in minors.minor((L,)).terms():
-                    def_form.add_term(K, (P,), f_mul(coeff, mf))
-        def_form._finalize()
-        # add the -(-1/2 Q delta) = +1/2 Q delta_P^L row (Q is y-independent)
-        qv = _q_scalar(chart, pt, theta_c, omega_c)
-        for L in l_idx:
+                    ov = omega_c[(l0,)][P][s1]
+                    if ov != 0:
+                        parts.append(f_scale(p_field(l0, L, s1), -ov))
+            coeff = f_add(*parts) if parts else f_zero(N)
             for K, _, mf in minors.minor((L,)).terms():
-                def_form.add_term(K, (L,), f_scale(mf, qv / 2))
-        def_form._finalize()
-        dd = exterior_d(def_form)
-        top = tuple(range(N))
-        det = minors.top.get(top).value(pt)
-        chain = 0
-        for P in range(N):
-            fld = dd.get(top, (P,))
-            # the defect rows carry the opposite orientation of the d-image
-            chain = max(chain, abs(fld.value(pt) / det + defect[P]))
-        report["chain"][pt] = chain
-        report["max_chain"] = max(report["max_chain"], chain)
-    return report
+                def_form.add_term(K, (P,), f_mul(coeff, mf))
+    def_form._finalize()
+    # add the -(-1/2 Q delta) = +1/2 Q delta_P^L row (Q is y-independent)
+    qv = _q_scalar(chart, theta_c, omega_c)
+    for L in l_idx:
+        for K, _, mf in minors.minor((L,)).terms():
+            def_form.add_term(K, (L,), f_scale(mf, qv / 2))
+    def_form._finalize()
+    dd = exterior_d(def_form)
+    top = tuple(range(N))
+    det = minors.top.get(top).value(pt)
+    chain = 0
+    for P in range(N):
+        fld = dd.get(top, (P,))
+        # the defect rows carry the opposite orientation of the d-image
+        chain = max(chain, abs(fld.value(pt) / det + defect[P]))
+    return {"T": t_at, "defect": defect, "lemma": lem, "chain": chain,
+            "max_lemma": lem, "max_chain": chain,
+            "max_defect": max(0, max(abs(v) for v in defect.values()))}
 
 
-def _q_scalar(chart: GravityChart, pt, theta_c, omega_c):
+def _q_scalar(chart: GravityChart, theta_c, omega_c):
     """Q = Theta kappa + (Omega + c) kappa, the contracted source scalar."""
     split = chart.split
     alg = chart.alg
@@ -1114,11 +1046,7 @@ def _q_scalar(chart: GravityChart, pt, theta_c, omega_c):
 
 def q_scalar_consistency(chart: GravityChart) -> object:
     """Q from Theta/Omega/c agrees with the F-based definition."""
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        theta_c, omega_c = chart.torsion_curvature(pt)
-        q1 = _q_scalar(chart, pt, theta_c, omega_c)
-        q2 = q_families(chart, pt)["q"]
-        worst = max(worst, abs(q1 - q2))
-    return worst
+    theta_c, omega_c = chart.torsion_curvature()
+    q1 = _q_scalar(chart, theta_c, omega_c)
+    q2 = q_families(chart)["q"]
+    return max(0, abs(q1 - q2))

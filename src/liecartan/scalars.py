@@ -210,7 +210,7 @@ class Jet:
         self.n = n
         self.order = order
         self.base = tuple(base)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -310,10 +310,13 @@ class Polynomial:
     ``terms`` maps exponent tuples to coefficients.  Arithmetic is eager
     (results stay polynomials); jets are computed by Taylor shift, and
     :meth:`value` and :meth:`dvalue` give the value and a first partial
-    without building a jet.
+    without building a jet.  Like a lazy node, a polynomial memoises its
+    value (``_v``), first partials (``_d``) and jets (``_jets``) at the
+    last point object it was read at (``_pt``), and drops them when a
+    different object arrives.
     """
 
-    __slots__ = ("n", "terms", "_cache")
+    __slots__ = ("n", "terms", "_pt", "_v", "_d", "_jets")
 
     def __init__(self, n: int, terms: Dict[Exponent, object]):
         if n < 1:
@@ -329,15 +332,15 @@ class Polynomial:
                 clean[e] = _add(clean[e], c) if e in clean else c
         self.n = n
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._cache: Dict[object, tuple] = {}
+        self._pt = None
 
     @staticmethod
     def _make(n: int, terms: Dict[Exponent, object]) -> "Polynomial":
         """Result of internal arithmetic: exponents are already valid."""
         out = object.__new__(Polynomial)
         out.n = n
-        out.terms = {e: c for e, c in terms.items() if c != 0}
-        out._cache = {}
+        out.terms = {e: c for e, c in terms.items() if c}
+        out._pt = None
         return out
 
     @staticmethod
@@ -410,26 +413,34 @@ class Polynomial:
                 total = _add(total, v)
         return total
 
+    def _move_to(self, point):
+        self._pt = point
+        self._v = None
+        self._d = None
+        self._jets = None
+
     def value(self, point: Sequence):
-        """Value at ``point``, equal to ``jet(point, 0).value``; memoised."""
-        # identity-keyed like the jets: the bare id is the value's key
-        hit = self._cache.get(id(point))
-        if hit is not None and hit[0] is point:
-            return hit[1]
-        v = self.eval(point)
-        if v == 0:
-            v = 0  # a zero value is the int 0, as in Jet.value
-        self._cache[id(point)] = (point, v)
+        """Value at ``point``, equal to ``jet(point, 0).value``; memoised
+        at the last point object read."""
+        if point is not self._pt:
+            self._move_to(point)
+        v = self._v
+        if v is None:
+            v = self.eval(point)
+            if not v:
+                v = 0  # a zero value is the int 0, as in Jet.value
+            self._v = v
         return v
 
     def dvalue(self, point: Sequence, k: int):
         """First partial along ``k`` at ``point``, equal to
-        ``jet(point, 1).deriv((k,))``; memoised per point and ``k``."""
-        key = (id(point), "d")
-        hit = self._cache.get(key)
-        if hit is None or hit[0] is not point:
-            hit = self._cache[key] = (point, [None] * self.n)
-        partials = hit[1]
+        ``jet(point, 1).deriv((k,))``; memoised per ``k`` at the last
+        point object read."""
+        if point is not self._pt:
+            self._move_to(point)
+        partials = self._d
+        if partials is None:
+            partials = self._d = [None] * self.n
         d = partials[k]
         if d is None:
             d = partials[k] = self._partial_at(point, k)
@@ -463,14 +474,17 @@ class Polynomial:
         """Taylor data at ``point`` up to ``order`` (exact on rationals)."""
         if order < 0 or order > MAX_ORDER:
             raise JetOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
-        key = (id(point), order)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is point:
-            return hit[1]
+        if point is not self._pt:
+            self._move_to(point)
+        jets = self._jets
+        if jets is None:
+            jets = self._jets = {}
+        jet = jets.get(order)
+        if jet is not None:
+            return jet
         n = self.n
         if order == 0:
-            jet = Jet.constant(self.value(point), n, 0, point)
-            self._cache[key] = (point, jet)
+            jet = jets[0] = Jet.constant(self.value(point), n, 0, point)
             return jet
         terms: Dict[Exponent, object] = {}
         for e, c in self.terms.items():
@@ -497,8 +511,7 @@ class Polynomial:
             for pe, pc in partial.items():
                 full = pe + (0,) * (n - len(pe))
                 terms[full] = _add(terms[full], pc) if full in terms else pc
-        jet = Jet(n, order, point, terms)
-        self._cache[key] = (point, jet)
+        jet = jets[order] = Jet(n, order, point, terms)
         return jet
 
     def substitute(self, replacements: Dict[int, "Polynomial"]) -> "Polynomial":

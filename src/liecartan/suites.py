@@ -403,17 +403,17 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     for pos, i in enumerate(split.l_indices):
         theta.add_term((n + pos,), (i,), Polynomial.constant(one, N))
     theta._finalize()
-    probes = [tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))]
+    probe = tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))
     mag = rng.nonzero_scalar(-2, 2)
     i0 = split.l_indices[0]
     a0, b0 = split.s_indices[0], split.s_indices[1]
     pi = {(i0, a0, b0): Polynomial.constant(mag, N)}
-    fields = YMFields(split, n, beta, theta, pi, probes, config.exact)
+    fields = YMFields(split, n, beta, theta, pi, probe, config.exact)
     rep = ym_el_residuals(fields)
     # a sign corruption models an error in the oracle prediction
     low = mag * _sign(config) * split.b_diag[0] * split.b_diag[1] / split.k_diag[0]
     res = 0
-    for (i, a, b, p), v in rep["r_pi_ss"].items():
+    for (i, a, b), v in rep["r_pi_ss"].items():
         want = low if (i, a, b) == (i0, a0, b0) else 0
         res = max(res, abs(v - want))
     for v in rep["r_pi_sg"].values():
@@ -421,9 +421,7 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     for v in rep["r_pi_gg"].values():
         res = max(res, abs(v))
     norm2 = mag * low
-    for p, v in rep["r_theta"].items():
-        res = max(res, abs(v - abs(norm2) / 2))
-    return res
+    return max(res, abs(rep["r_theta"] - abs(norm2) / 2))
 
 
 def case_ym_maxwell(config: SuiteConfig, cid: int, seed: int):
@@ -450,8 +448,7 @@ def case_ym_decomp(config: SuiteConfig, cid: int, seed: int):
     n = config.n or (2, 3, 4)[cid % 3]
     split = gauge_split(config, "su2" if cid % 3 != 2 else "u1", n)
     chart = build_ym_chart(split, n, seed=seed,
-                           curved_base=(cid % 2 == 1), exact=config.exact,
-                           probe_count=1)
+                           curved_base=(cid % 2 == 1), exact=config.exact)
     rep = ym_dAp_identity_residual(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -474,13 +471,12 @@ def case_kk_el(config: SuiteConfig, cid: int, seed: int):
     theta._finalize()
     phi = Form(N, 1, (slot, slot.dual_slot()))
     lam = rng.nonzero_scalar(-2, 2)
-    probes = [tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))]
-    fields = KKFields(split, theta, phi, {}, lam, probes, config.exact)
+    probe = tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))
+    fields = KKFields(split, theta, phi, {}, lam, probe, config.exact)
     rep = kk_el_residuals(fields)
     predicted = abs(lam) * _sign(config)
-    res = max(abs(rep["einstein"][p] - predicted) for p in rep["einstein"])
-    return max(res, max(rep["frobenius"].values()),
-               max(rep["torsion_free"].values()))
+    return max(abs(rep["einstein"] - predicted), rep["frobenius"],
+               rep["torsion_free"])
 
 
 def case_kk_lc(config: SuiteConfig, cid: int, seed: int):
@@ -489,7 +485,7 @@ def case_kk_lc(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 2)
     split = gauge_split(config, "u1" if cid % 2 == 0 else "su2")
     chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
-                           probe_count=1, constant_F=(cid % 3 == 0))
+                           constant_F=(cid % 3 == 0))
     _, rep = kk_lc_connection(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -500,7 +496,7 @@ def case_kk_curvature(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 2)
     split = gauge_split(config, "u1" if cid % 2 == 0 else "su2")
     chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
-                           probe_count=1, constant_F=(cid % 2 == 0),
+                           constant_F=(cid % 2 == 0),
                            curved_base=(config.n == 2 and cid % 3 == 2))
     rep = kk_curvature_report(chart, control_sign=_sign(config))
     return rep["max"]
@@ -512,8 +508,7 @@ def case_kk_decomp(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 1, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
     split = gauge_split(config, "su2" if cid % 3 != 2 else "u1", n)
-    chart = build_kk_chart(split, n, seed=seed, exact=config.exact,
-                           probe_count=1)
+    chart = build_kk_chart(split, n, seed=seed, exact=config.exact)
     rep = kk_dAp_identity_residual(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -530,8 +525,7 @@ def _grav_setup(config: SuiteConfig, cid: int, seed: int, small_only=False):
             f"{cid} of {config.suite} runs on "
             f"{config.algebra_path or config.algebra or default} (n = {split.n})")
     kap = ka.build_kappa(kind, split, gamma=gamma)
-    return build_gravity_chart(split, kap, seed=seed, exact=config.exact,
-                               probe_count=1)
+    return build_gravity_chart(split, kap, seed=seed, exact=config.exact)
 
 
 def case_grav_el(config: SuiteConfig, cid: int, seed: int):

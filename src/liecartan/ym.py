@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from .algebra import SplitAlgebra
 from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
@@ -33,7 +33,7 @@ class YMFields:
     beta: Form            # s-part coframe, x-dependent, dx components
     theta: Form           # g-valued 1-form (full rank on fibers)
     pi_coeffs: Dict[Tuple[int, int, int], object]   # (i, A, B) -> field, A < B
-    probes: List[Tuple]
+    probe: Tuple
     exact: bool = True
 
     @property
@@ -42,17 +42,19 @@ class YMFields:
 
     def f_coframe(self) -> Coframe:
         f_form = self.beta + self.theta
-        return coframe_from_algebra_form(f_form, self.alg.dim, self.probes, self.exact)
+        return coframe_from_algebra_form(f_form, self.alg.dim, self.probe, self.exact)
 
 
-def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> dict:
-    """Residual blocks of the two Euler-Lagrange equations.
+def ym_el_residuals(fields: YMFields) -> dict:
+    """Residual blocks of the two Euler-Lagrange equations at the probe.
 
-    r_pi collects (pi^g_ss + Theta^g_ss, Theta^g_sg, Theta^g_gg); r_theta is
-    the codegree-1 defect of d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g.
+    r_pi collects (pi^g_ss + Theta^g_ss, Theta^g_sg, Theta^g_gg), keyed by
+    their (i, A, B) indices; r_theta is the codegree-1 defect of
+    d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g.
     """
     split = fields.split
     alg = fields.alg
+    p = fields.probe
     coframe = fields.f_coframe()
     minors = coframe.minors()
     theta_curv = curvature(fields.theta, alg)
@@ -64,48 +66,45 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
     b, k = split.b_diag, split.k_diag
     s_idx, g_idx = split.s_indices, split.l_indices
 
-    report = {"r_pi_ss": {}, "r_pi_sg": {}, "r_pi_gg": {}, "max": 0}
-    probes = fields.probes if tol_probe is None else [tuple(tol_probe)]
+    report = {"r_pi_ss": {}, "r_pi_sg": {}, "r_pi_gg": {}}
     worst = 0
-    for p in probes:
-        theta_c = decompose(theta_curv, coframe, "by-coframe", p, fields.exact)
-        pi_at = {key: f.value(p) for key, f in fields.pi_coeffs.items()}
-        # |pi^ss|^2 and the raised-lowered pi^g_ss
-        norm2 = 0
-        for (i, a, bb), v in pi_at.items():
-            if a in s_idx and bb in s_idx:
-                gi = g_idx.index(i)
-                low = v * b[a] * b[bb] / k[gi]
-                norm2 += v * low          # sum over a<b twice = 1/2 * full sum
-        for i in g_idx:
+    theta_c = decompose(theta_curv, coframe, "by-coframe", p, fields.exact)
+    pi_at = {key: f.value(p) for key, f in fields.pi_coeffs.items()}
+    # |pi^ss|^2 and the raised-lowered pi^g_ss
+    norm2 = 0
+    for (i, a, bb), v in pi_at.items():
+        if a in s_idx and bb in s_idx:
             gi = g_idx.index(i)
-            for a in s_idx:
-                for bb in s_idx:
-                    if a >= bb:
-                        continue
-                    v = pi_at.get((i, a, bb), 0)
-                    low = v * b[a] * b[bb] / k[gi]
-                    res = low + theta_c[(i,)][a][bb]
-                    report["r_pi_ss"][(i, a, bb, p)] = res
-                    worst = max(worst, abs(res))
-            for a in s_idx:
-                for j in g_idx:
-                    res = theta_c[(i,)][a][j]
-                    report["r_pi_sg"][(i, a, j, p)] = res
-                    worst = max(worst, abs(res))
-            for j1 in g_idx:
-                for j2 in g_idx:
-                    if j1 >= j2:
-                        continue
-                    res = theta_c[(i,)][j1][j2]
-                    report["r_pi_gg"][(i, j1, j2, p)] = res
-                    worst = max(worst, abs(res))
-        # r_theta: d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g
-        rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, dual)
-        diff = dpi - rhs
-        worst = max(worst, diff.max_abs(p))
-        report.setdefault("r_theta", {})[p] = diff.max_abs(p)
-    report["max"] = worst
+            low = v * b[a] * b[bb] / k[gi]
+            norm2 += v * low          # sum over a<b twice = 1/2 * full sum
+    for i in g_idx:
+        gi = g_idx.index(i)
+        for a in s_idx:
+            for bb in s_idx:
+                if a >= bb:
+                    continue
+                v = pi_at.get((i, a, bb), 0)
+                low = v * b[a] * b[bb] / k[gi]
+                res = low + theta_c[(i,)][a][bb]
+                report["r_pi_ss"][(i, a, bb)] = res
+                worst = max(worst, abs(res))
+        for a in s_idx:
+            for j in g_idx:
+                res = theta_c[(i,)][a][j]
+                report["r_pi_sg"][(i, a, j)] = res
+                worst = max(worst, abs(res))
+        for j1 in g_idx:
+            for j2 in g_idx:
+                if j1 >= j2:
+                    continue
+                res = theta_c[(i,)][j1][j2]
+                report["r_pi_gg"][(i, j1, j2)] = res
+                worst = max(worst, abs(res))
+    # r_theta: d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g
+    rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, dual)
+    r_theta = (dpi - rhs).max_abs(p)
+    report["r_theta"] = r_theta
+    report["max"] = max(worst, r_theta)
     return report
 
 
@@ -115,14 +114,14 @@ def ym_el_residuals(fields: YMFields, tol_probe: Optional[Sequence] = None) -> d
 
 def build_ym_chart(split: SplitAlgebra, n_base: int, seed: int,
                    curved_base: bool = False, exact: bool = True,
-                   probe_count: int = 2, p_y_dependent: bool = True) -> GaugeChart:
+                   p_y_dependent: bool = True) -> GaugeChart:
     """Chart satisfying the decomposition hypotheses by construction.
 
     A has x-only dx components with A^s a base coframe; p^ss is pinned to
     minus the raised field strength; p^sg and p^gg are random fields.
     """
-    chart = assemble_chart(split, n_base, seed, probe_count=probe_count,
-                           exact=exact, curved_base=curved_base)
+    chart = assemble_chart(split, n_base, seed, exact=exact,
+                           curved_base=curved_base)
     rng = chart.rng
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
@@ -154,7 +153,7 @@ def build_ym_chart(split: SplitAlgebra, n_base: int, seed: int,
 
 
 def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
-    """Direct d^A p against its closed-form decomposition, at probe points.
+    """Direct d^A p against its closed-form decomposition, at the probe.
 
     Returns the max residual and the three blocks (s-codegree, g-codegree,
     exact term) separately.
@@ -163,101 +162,98 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
     dual = algebra_slot(alg, dual=True)
+    pt = chart.probe
 
     # ingredients for the closed form
     F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
     gamma = base_lc_gamma_fields(chart)
 
-    report = {"blocks": {}, "max": 0}
-    worst = 0
-    for p in chart.probes:
-        pt = tuple(p)
-        at = chart.at(pt)
-        lhs, minors = at.dAp()
-        a_at = {key: f.value(pt) for key, f in A_frame.items()}
-        f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
-        g_at = {(a, bb, c): gamma[a][bb][c].value(pt)
-                for a in range(chart.n_base) for bb in range(chart.n_base)
-                for c in range(chart.n_base)}
-        pv, dpv = chart.p_tables(pt)
+    at = chart.at()
+    lhs, minors = at.dAp()
+    a_at = {key: f.value(pt) for key, f in A_frame.items()}
+    f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
+    g_at = {(a, bb, c): gamma[a][bb][c].value(pt)
+            for a in range(chart.n_base) for bb in range(chart.n_base)
+            for c in range(chart.n_base)}
+    pv, dpv = chart.p_tables()
 
-        def av(m, B):
-            return a_at.get((m, B), 0)
+    def av(m, B):
+        return a_at.get((m, B), 0)
 
-        def gv(a, bb, c):
-            return g_at.get((a, bb, c), 0)
+    def gv(a, bb, c):
+        return g_at.get((a, bb, c), 0)
 
-        # s-row coefficients: cov_s1 p^{a s1} + d_g p^{a g}
-        s_row: Dict[Tuple[int, int], object] = {}
-        for i in g_idx:
-            for a in s_idx:
-                acc = 0
-                for s1 in s_idx:
-                    d = dpv[i, a, s1, s1]
-                    # coadjoint action on the g* index
-                    for j in g_idx:
-                        for m in g_idx:
-                            c = alg.c(j, m, i)
-                            if c != 0:
-                                d -= c * av(m, s1) * pv[j, a, s1]
-                    # gamma on both upper s indices
-                    for ap in s_idx:
-                        d += gv(a, ap, s1) * pv[i, ap, s1]
-                        d += gv(s1, ap, s1) * pv[i, a, ap]
-                    acc += d
-                for gg in g_idx:
-                    acc += dpv[i, a, gg, gg]
-                s_row[(i, a)] = acc
-        # g-row coefficients: cov_s p^{g s} + 1/2 F^g_{s1 s2} p^{s1 s2}
-        g_row: Dict[Tuple[int, int], object] = {}
-        for i in g_idx:
-            for gup in g_idx:
-                acc = 0
-                for s1 in s_idx:
-                    d = dpv[i, gup, s1, s1]
-                    for j in g_idx:
-                        for m in g_idx:
-                            c = alg.c(j, m, i)
-                            if c != 0:
-                                d -= c * av(m, s1) * pv[j, gup, s1]
-                    for j in g_idx:
-                        for m in g_idx:
-                            c = alg.c(gup, m, j)
-                            if c != 0:
-                                d += c * av(m, s1) * pv[i, j, s1]
-                    for ap in s_idx:
-                        d += gv(s1, ap, s1) * pv[i, gup, ap]
-                    acc += d
+    # s-row coefficients: cov_s1 p^{a s1} + d_g p^{a g}
+    s_row: Dict[Tuple[int, int], object] = {}
+    for i in g_idx:
+        for a in s_idx:
+            acc = 0
+            for s1 in s_idx:
+                d = dpv[i, a, s1, s1]
+                # coadjoint action on the g* index
                 for j in g_idx:
-                    for s1 in s_idx:
-                        for s2 in s_idx:
-                            fv = f_at.get((j, s1, s2), 0)
-                            if fv != 0:
-                                acc += control_sign * fv * pv[i, s1, s2] \
-                                    * (1 if j == gup else 0) / 2
-                g_row[(i, gup)] = acc
-        # exact term d(1/2 p^{g1 g2} e^{(N-2)}_{g1 g2})
-        p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
-                for i in g_idx for j1 in g_idx for j2 in g_idx
-                if j1 < j2 and (i, j1, j2) in at.p_coeffs}
-        exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, alg.dim, dual))
+                    for m in g_idx:
+                        c = alg.c(j, m, i)
+                        if c != 0:
+                            d -= c * av(m, s1) * pv[j, a, s1]
+                # gamma on both upper s indices
+                for ap in s_idx:
+                    d += gv(a, ap, s1) * pv[i, ap, s1]
+                    d += gv(s1, ap, s1) * pv[i, a, ap]
+                acc += d
+            for gg in g_idx:
+                acc += dpv[i, a, gg, gg]
+            s_row[(i, a)] = acc
+    # g-row coefficients: cov_s p^{g s} + 1/2 F^g_{s1 s2} p^{s1 s2}
+    g_row: Dict[Tuple[int, int], object] = {}
+    for i in g_idx:
+        for gup in g_idx:
+            acc = 0
+            for s1 in s_idx:
+                d = dpv[i, gup, s1, s1]
+                for j in g_idx:
+                    for m in g_idx:
+                        c = alg.c(j, m, i)
+                        if c != 0:
+                            d -= c * av(m, s1) * pv[j, gup, s1]
+                for j in g_idx:
+                    for m in g_idx:
+                        c = alg.c(gup, m, j)
+                        if c != 0:
+                            d += c * av(m, s1) * pv[i, j, s1]
+                for ap in s_idx:
+                    d += gv(s1, ap, s1) * pv[i, gup, ap]
+                acc += d
+            for j in g_idx:
+                for s1 in s_idx:
+                    for s2 in s_idx:
+                        fv = f_at.get((j, s1, s2), 0)
+                        if fv != 0:
+                            acc += control_sign * fv * pv[i, s1, s2] \
+                                * (1 if j == gup else 0) / 2
+            g_row[(i, gup)] = acc
+    # exact term d(1/2 p^{g1 g2} e^{(N-2)}_{g1 g2})
+    p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
+            for i in g_idx for j1 in g_idx for j2 in g_idx
+            if j1 < j2 and (i, j1, j2) in at.p_coeffs}
+    exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, alg.dim, dual))
 
-        rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
-        diff = lhs - rhs
-        res = diff.max_abs(pt)
-        worst = max(worst, abs(res))
-        report["blocks"][pt] = {
+    rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
+    res = (lhs - rhs).max_abs(pt)
+    return {
+        "blocks": {
             "s_row": max((abs(v) for v in s_row.values()), default=0),
             "g_row": max((abs(v) for v in g_row.values()), default=0),
             "exact": exact_term.max_abs(pt),
-        }
-    report["max"] = worst
-    return report
+        },
+        "max": max(0, abs(res)),
+    }
 
 
 def ym_current(chart: GaugeChart) -> dict:
-    """Current J_g^s = d_g p_g^{sg} and its covariant conservation residual.
+    """Current J_g^s = d_g p_g^{sg} and its covariant conservation residual
+    at the probe.
 
     Also verifies the commutator input [d_g, d_s] = -c A d_g on test scalars.
     """
@@ -265,6 +261,7 @@ def ym_current(chart: GaugeChart) -> dict:
     alg = chart.alg
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
+    pt = chart.probe
     p_full = antisym(chart.p_coeffs)
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
 
@@ -280,47 +277,41 @@ def ym_current(chart: GaugeChart) -> dict:
                 parts.append(frame_partial_field(chart.coframe, fld, gg))
             J_fields[(i, a)] = f_add(*parts) if parts else f_zero(N)
 
-    report = {"J": {}, "conservation": {}, "commutator": {}, "max_conservation": 0,
-              "max_commutator": 0}
     test_scalar = chart.rng.poly(N, deg=2, terms=3)
-    for p in chart.probes:
-        pt = tuple(p)
-        a_at = {key: f.value(pt) for key, f in A_frame.items()}
-        jv = {key: f.value(pt) for key, f in J_fields.items()}
-        report["J"][pt] = dict(jv)
-        res_max = 0
-        for i in g_idx:
-            acc = 0
-            for a in s_idx:
-                acc += frame_partial_field(chart.coframe, J_fields[(i, a)], a).value(pt)
-                for j in g_idx:
-                    for m in g_idx:
-                        c = alg.c(j, m, i)
-                        if c != 0:
-                            acc -= c * a_at.get((m, a), 0) * jv[(j, a)]
-            report["conservation"][(i, pt)] = acc
-            res_max = max(res_max, abs(acc))
-        report["max_conservation"] = max(report["max_conservation"], res_max)
-        # commutator check on a scalar: [d_g, d_s] f + c^g_{g0 g} A^{g0}_s d_g f = 0
-        worst_c = 0
-        for gg in g_idx:
-            dg = frame_partial_field(chart.coframe, test_scalar, gg)
-            for a in s_idx:
-                ds = frame_partial_field(chart.coframe, test_scalar, a)
-                lhs = (frame_partial_field(chart.coframe, ds, gg).value(pt)
-                       - frame_partial_field(chart.coframe, dg, a).value(pt))
-                rhs = 0
-                for j in g_idx:
-                    for m in g_idx:
-                        c = alg.c(j, m, gg)
-                        if c != 0:
-                            rhs -= (c * a_at.get((m, a), 0)
-                                    * frame_partial_field(chart.coframe, test_scalar, j)
-                                    .value(pt))
-                worst_c = max(worst_c, abs(lhs - rhs))
-        report["commutator"][pt] = worst_c
-        report["max_commutator"] = max(report["max_commutator"], worst_c)
-    return report
+    a_at = {key: f.value(pt) for key, f in A_frame.items()}
+    jv = {key: f.value(pt) for key, f in J_fields.items()}
+    conservation = {}
+    res_max = 0
+    for i in g_idx:
+        acc = 0
+        for a in s_idx:
+            acc += frame_partial_field(chart.coframe, J_fields[(i, a)], a).value(pt)
+            for j in g_idx:
+                for m in g_idx:
+                    c = alg.c(j, m, i)
+                    if c != 0:
+                        acc -= c * a_at.get((m, a), 0) * jv[(j, a)]
+        conservation[i] = acc
+        res_max = max(res_max, abs(acc))
+    # commutator check on a scalar: [d_g, d_s] f + c^g_{g0 g} A^{g0}_s d_g f = 0
+    worst_c = 0
+    for gg in g_idx:
+        dg = frame_partial_field(chart.coframe, test_scalar, gg)
+        for a in s_idx:
+            ds = frame_partial_field(chart.coframe, test_scalar, a)
+            lhs = (frame_partial_field(chart.coframe, ds, gg).value(pt)
+                   - frame_partial_field(chart.coframe, dg, a).value(pt))
+            rhs = 0
+            for j in g_idx:
+                for m in g_idx:
+                    c = alg.c(j, m, gg)
+                    if c != 0:
+                        rhs -= (c * a_at.get((m, a), 0)
+                                * frame_partial_field(chart.coframe, test_scalar, j)
+                                .value(pt))
+            worst_c = max(worst_c, abs(lhs - rhs))
+    return {"J": jv, "conservation": conservation, "max_conservation": res_max,
+            "max_commutator": worst_c}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from liecartan.connection import (GroupMap, Representation, algebra_slot,
                                   adjoint_transport, bracket_wedge,
                                   coadjoint_transport, cov_d, curvature,
                                   gauge_transform, identity_group_map,
-                                  levi_civita_coeffs, maurer_cartan_form,
+                                  levi_civita_coeff_fields, maurer_cartan_form,
                                   maurer_cartan_residual, torsion)
 from liecartan.forms import Coframe, Form, contracted_wedge, exterior_d, one_form
 from liecartan.scalars import Polynomial
@@ -276,14 +276,20 @@ def test_minor_leibniz_unimodular():
             - contracted_wedge(dwe, m3, [(0, 2)])).max_abs(probe) == 0
 
 
+def _constant_fields(table, n_chart):
+    return [[[Polynomial.constant(v, n_chart) for v in row] for row in block]
+            for block in table]
+
+
 def test_levi_civita_coeffs():
     # flat torsion data gives a vanishing connection
     n = 2
+    probe = (F(0), F(0))
     zero_theta = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
     h = [F(1), F(1)]
-    gamma = levi_civita_coeffs(zero_theta, h)
-    assert all(gamma[a][b][c] == 0 for a in range(n) for b in range(n)
-               for c in range(n))
+    gamma = levi_civita_coeff_fields(_constant_fields(zero_theta, n), h, n)
+    assert all(gamma[a][b][c].value(probe) == 0 for a in range(n)
+               for b in range(n) for c in range(n))
     # antisymmetry of gamma^{ab}_c on random antisymmetric torsion input
     rng = random.Random(12)
     theta = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
@@ -294,12 +300,13 @@ def test_levi_civita_coeffs():
                 theta[a][b][c] = v
                 theta[a][c][b] = -v
     h3 = [F(-1), F(1), F(1)]
-    gamma = levi_civita_coeffs(theta, h3)
+    probe3 = (F(0),) * 3
+    gamma = levi_civita_coeff_fields(_constant_fields(theta, 3), h3, 3)
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                up_ab = gamma[a][b][c] / h3[b]
-                up_ba = gamma[b][a][c] / h3[a]
+                up_ab = gamma[a][b][c].value(probe3) / h3[b]
+                up_ba = gamma[b][a][c].value(probe3) / h3[a]
                 assert up_ab + up_ba == 0
 
 
@@ -315,18 +322,19 @@ def test_levi_civita_torsion_free_2d():
     # d e^1 = dx^0 ^ dx^1 = (1/(1+x^0)) e^0 ^ e^1: Theta^1_{01} = 1/(1+x^0)
     from liecartan.forms import decompose, exterior_d
 
-    x0 = probe[0]
     theta = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
     de1 = decompose(exterior_d(cf.one_form(1)), cf, "by-coframe", probe)
     theta[1] = de1
-    gamma = levi_civita_coeffs(theta, [F(1), F(1)])
+    gamma = levi_civita_coeff_fields(_constant_fields(theta, n), [F(1), F(1)], n)
     # torsion-free: Theta^a_bc = gamma^a_bc - gamma^a_cb, metric residual 0
     for a in range(n):
         de = decompose(exterior_d(cf.one_form(a)), cf, "by-coframe", probe)
         for b in range(n):
             for c in range(n):
-                assert de[b][c] - gamma[a][b][c] + gamma[a][c][b] == 0
-                assert gamma[a][b][c] + gamma[b][a][c] == 0  # Euclidean metric
+                g_abc = gamma[a][b][c].value(probe)
+                assert de[b][c] - g_abc + gamma[a][c][b].value(probe) == 0
+                # Euclidean metric
+                assert g_abc + gamma[b][a][c].value(probe) == 0
 
 
 def test_curvature_abelian_coordinate_instance():
