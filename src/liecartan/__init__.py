@@ -1,6 +1,7 @@
 """Verification engine for Lie-algebra-valued exterior calculus on charts.
 
-Exact rational jets carry every coefficient function; forms, coframe
+Every coefficient function is an exact rational polynomial or a lazy
+field read by its value and first partials at a probe; forms, coframe
 minors, covariant derivatives and gauge transports are built on top; the
 model layers reproduce the Euler-Lagrange systems and decomposition
 identities of the Yang-Mills, Kaluza-Klein and dynamical-fibration gravity

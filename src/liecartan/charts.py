@@ -2,8 +2,8 @@
 
 A chart lives on coordinates (x_0..x_{n-1}, y_0..y_{r-1}).  The group map
 g = exp(eta(y)) has eta valued in the l (or g) block and vanishing on the
-probe set {y = 0}, so every jet series terminates and the rational backend
-stays exact.  The connection part A is an x-only 1-form in dx components,
+probe set {y = 0}, so exp and dexp of ad(eta) have closed first-order
+data there and the rational backend stays exact.  The connection part A is an x-only 1-form in dx components,
 which realizes the hypotheses under which the decomposition formulas are
 derived: A has no fiber components and its coefficients are constant on
 the fibers.

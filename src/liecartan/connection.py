@@ -39,10 +39,6 @@ class Representation:
     def coadjoint(alg: LieAlgebra) -> "Representation":
         return Representation.adjoint(alg).dual()
 
-    @staticmethod
-    def matrix(mats, dim: int) -> "Representation":
-        return Representation("matrix", mats, dim)
-
     def dual(self) -> "Representation":
         mats = [{(j, i): -v for (i, j), v in m.items()} for m in self.mats]
         return Representation(self.name + "*", mats, self.dim)
@@ -125,8 +121,9 @@ def torsion(omega: Form, e_s: Form, rep: Representation) -> Form:
 class GroupMap:
     """g = exp(eta) for an algebra-valued field tuple eta on the chart.
 
-    Exact evaluation requires eta to vanish at the probe points (the jet
-    series then terminate); the float backend converges regardless.
+    Exact evaluation requires eta to vanish at the probe, where exp and
+    dexp of ad(eta) have the closed first-order data I and c_1 d ad(eta);
+    the float backend sums their series to convergence elsewhere.
     """
 
     def __init__(self, alg: LieAlgebra, eta: Sequence, n_chart: int, exact: bool = True):

@@ -1,60 +1,32 @@
-"""Lazy field algebra on top of jets.
+"""Lazy fields: a value and first partials at a probe.
 
 Polynomials stay eager; anything built from matrix exponentials or
-coframe inverses becomes a lazy node.  Every coefficient is "something
-with a .jet(point, order), a .value(point) and a .dvalue(point, k)".
+coframe inverses becomes a lazy node.  Every coefficient has a
+``.value(point)`` and a ``.dvalue(point, k)``, the first partial along k.
 
-- ``value`` is the order-0 path: the scalar ``jet(point, 0).value``.
-- ``dvalue`` is the order-1 path: the first partial along coordinate k,
-  ``jet(point, 1).deriv((k,))``.  Sums, products and scalings combine the
-  values and first partials of their children by the sum and product
-  rules (forward-mode differentiation), in the operand order and with the
-  zero-drop rule of ``Jet``, so that even float bits agree with the jets.
-  ``FPartial``'s value is its child's ``dvalue``; ``FPartial`` and
-  ``MatrixEntryField`` take their own first partials from order-1 jets.
-- Jets are only built where a node asks for them: partials of partials
-  and the matrix series.
-
-Both paths give a zero as the int 0, like ``Jet.value`` and ``Jet.deriv``.
-A chart is read at one probe, so a node memoises its value, first
-partials and jets at the last point object it was read at, in its own
-slots, and drops them when a different object arrives.  Points are told
-apart by identity: probe tuples are shared, and hashing tuples of
-Fractions would cost more than the memo saves.
-
-A ``Taylor`` number is a value and the nonzero first partials at one
-point, computed eagerly (forward-mode by operator overloading).
-``TrivializedChart.at`` turns a chart's non-polynomial coefficients into
-Taylor numbers at a probe, and from there ``f_add``, ``f_mul``,
-``f_scale`` and ``f_partial`` build a Taylor number wherever they would
-build a lazy node, with that node's operand order, zero-drop rule and
-int zero; polynomial arithmetic is unchanged.  So d^A p at a probe comes
-out with the same numbers as through the graph, without the graph.  A
-zero Taylor number counts as zero only on the exact backend, where
-dropping it cannot change a result; on floats it is kept, because a sum
-that lost it could become a polynomial whose products round differently.
-Everything built before the probe is known (chart construction, the
-matrix fields) or read at several points (``jet_at``,
-``finite_difference_check``) stays on the lazy graph.
-
-A Taylor coefficient of a form at index K keeps only its partials along
-k not in K: ``exterior_d`` reads d_k alpha_K only for those k, so the
-others would be computed for nothing (on a codegree-2 minor of a
-10-chart, 8 of 10).  ``Form._append`` drops them and records them in the
-number's ``drop`` bitmask; sums, products and scalings OR their
-operands' masks and skip those partials, and reading a dropped partial
-raises ``TaylorError`` rather than returning a wrong 0.  Kept partials
-are computed by the same operations in the same order as before.
-``gravity.certify_gravity_chart`` builds no lazy frame graph: it works on
-the coframe matrix, its inverse and their first partials at the probe.
+- Sums, products and scalings combine their children's values and first
+  partials by the sum and product rules (forward mode), in a fixed
+  operand order and dropping a term with a zero factor, so that even
+  float bits do not depend on the path a number took.  A zero is the int
+  0.  ``FPartial``'s value is its child's ``dvalue``.  ``Taylor`` numbers
+  stand in for lazy nodes once a chart is read at its probe.
+- A ``MatrixField`` computes its value matrix from its entries' values
+  and, when first asked, its partials from their values and partials.
+  An inverse takes V from ``linalg.mat_inverse`` and its partials as
+  -V (dE) V.  exp and dexp sum c_k M^k: where M vanishes at the point, as
+  every exact case needs, that is I c_0 with partials c_1 dM; otherwise
+  (floats) the series runs to convergence, on the values and then on the
+  values and partials together.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, List
 
-from .scalars import Jet, Polynomial, _add, _mul
+from . import linalg
+from .scalars import Polynomial, _add, _mul
 
 SERIES_CAP = 64
 FLOAT_SERIES_TOL = 1e-17
@@ -66,19 +38,25 @@ class TruncationError(ArithmeticError):
     """Series failed to converge within the hard term cap."""
 
 
+class TaylorError(ArithmeticError):
+    """A Taylor number was read at another point, or for a partial it does
+    not hold (an order-0 number, or a partial it dropped)."""
+
+
 def _as_tuple(point) -> tuple:
     return point if isinstance(point, tuple) else tuple(point)
 
 
 def _zero_as_int(x):
-    return x if x else 0  # a zero is the int 0, as in Jet.value/deriv
+    return x if x else 0  # a zero is the int 0 on every path
 
 
 class _Lazy:
-    # _pt is the last point object read; _v, _d (a list indexed by k) and
-    # _jets (a dict by order) hold the value, first partials and jets
-    # there, and are set by _move_to when another point object arrives
-    __slots__ = ("n", "_pt", "_v", "_d", "_jets")
+    # _v and _d (a list indexed by k) hold the value and first partials,
+    # computed by a subclass's _value and _dvalue, at the point object _pt;
+    # points are told apart by identity, since a chart is read at one
+    # shared probe tuple and hashing tuples of Fractions costs more
+    __slots__ = ("n", "_pt", "_v", "_d")
 
     def __init__(self, n: int):
         self.n = n
@@ -88,21 +66,9 @@ class _Lazy:
         self._pt = point
         self._v = _UNSET
         self._d = None
-        self._jets = None
-
-    def jet(self, point, order) -> Jet:
-        if point is not self._pt:
-            self._move_to(point)
-        jets = self._jets
-        if jets is None:
-            jets = self._jets = {}
-        out = jets.get(order)
-        if out is None:
-            out = jets[order] = self._eval(_as_tuple(point), order)
-        return out
 
     def value(self, point):
-        """Scalar value at ``point``, equal to ``jet(point, 0).value``."""
+        """Scalar value at ``point``."""
         if point is not self._pt:
             self._move_to(point)
         v = self._v
@@ -111,8 +77,7 @@ class _Lazy:
         return v
 
     def dvalue(self, point, k: int):
-        """First partial along ``k`` at ``point``, equal to
-        ``jet(point, 1).deriv((k,))``."""
+        """First partial along ``k`` at ``point``."""
         if point is not self._pt:
             self._move_to(point)
         d = self._d
@@ -122,15 +87,6 @@ class _Lazy:
         if out is _UNSET:
             out = d[k] = _zero_as_int(self._dvalue(_as_tuple(point), k))
         return out
-
-    def _value(self, point):
-        return self.jet(point, 0).value
-
-    def _dvalue(self, point, k):
-        return self.jet(point, 1).deriv((k,))
-
-    def _eval(self, point, order) -> Jet:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def __neg__(self):
         return FScale(self, -1)
@@ -142,12 +98,6 @@ class FSum(_Lazy):
     def __init__(self, parts):
         super().__init__(parts[0].n)
         self.parts = list(parts)
-
-    def _eval(self, point, order):
-        out = self.parts[0].jet(point, order)
-        for f in self.parts[1:]:
-            out = out + f.jet(point, order)
-        return out
 
     def _value(self, point):
         out = self.parts[0].value(point)
@@ -170,29 +120,26 @@ class FProd(_Lazy):
         self.a = a
         self.b = b
 
-    def _eval(self, point, order):
-        return self.a.jet(point, order) * self.b.jet(point, order)
-
     def _value(self, point):
-        # like Jet.__mul__: a zero factor drops the term (0 * inf is 0 here)
+        # a zero factor drops the term (0 * inf is 0 here)
         va = self.a.value(point)
         vb = self.b.value(point)
-        return _mul(va, vb) if va != 0 and vb != 0 else 0
+        return _mul(va, vb) if va and vb else 0
 
     def _dvalue(self, point, k):
-        # product rule with Jet.__mul__'s terms: va * db, then + da * vb,
-        # each dropped when a factor is zero
+        # product rule: va * db, then + da * vb, each dropped when a factor
+        # is zero
         a, b = self.a, self.b
         out = 0
         va = a.value(point)
-        if va != 0:
+        if va:
             db = b.dvalue(point, k)
-            if db != 0:
+            if db:
                 out = _mul(va, db)
         vb = b.value(point)
-        if vb != 0:
+        if vb:
             da = a.dvalue(point, k)
-            if da != 0:
+            if da:
                 out = _add(out, _mul(da, vb))
         return out
 
@@ -205,20 +152,19 @@ class FScale(_Lazy):
         self.a = a
         self.c = c
 
-    def _eval(self, point, order):
-        return self.a.jet(point, order).scale(self.c)
-
     def _value(self, point):
         v = self.a.value(point)
-        return _mul(self.c, v) if v != 0 and self.c != 0 else 0
+        return _mul(self.c, v) if v and self.c else 0
 
     def _dvalue(self, point, k):
         d = self.a.dvalue(point, k)
-        return _mul(self.c, d) if d != 0 and self.c != 0 else 0
+        return _mul(self.c, d) if d and self.c else 0
 
 
 class FPartial(_Lazy):
-    """Partial derivative; consumes one unit of the jet-order budget."""
+    """Partial derivative along k.  Its value is the operand's first
+    partial; its partials are those of the operand differentiated once
+    more by ``_derivative``."""
 
     __slots__ = ("a", "k")
 
@@ -227,16 +173,35 @@ class FPartial(_Lazy):
         self.a = a
         self.k = k
 
-    def _eval(self, point, order):
-        return self.a.jet(point, order + 1).partial(self.k)
-
     def _value(self, point):
         return self.a.dvalue(point, self.k)
 
+    def _dvalue(self, point, k):
+        return _derivative(self.a, self.k, {}).dvalue(point, k)
 
-class TaylorError(ArithmeticError):
-    """A Taylor number was read at another point, or for a partial it does
-    not hold (an order-0 number, or a partial it dropped)."""
+
+def _derivative(f, k: int, memo: dict):
+    """d_k f as a field, by the sum and product rules over the lazy nodes
+    down to polynomials; ``memo`` maps the id of a node of f to its
+    derivative.  A matrix entry has no second partials, so one in f
+    raises ``TaylorError``."""
+    out = memo.get(id(f))
+    if out is None:
+        if isinstance(f, Polynomial):
+            out = f.partial_poly(k)
+        elif isinstance(f, FSum):
+            out = f_add(*[_derivative(p, k, memo) for p in f.parts])
+        elif isinstance(f, FProd):
+            out = f_add(f_mul(_derivative(f.a, k, memo), f.b),
+                        f_mul(f.a, _derivative(f.b, k, memo)))
+        elif isinstance(f, FScale):
+            out = f_scale(_derivative(f.a, k, memo), f.c)
+        elif isinstance(f, FPartial):
+            out = _derivative(_derivative(f.a, f.k, {}), k, memo)
+        else:
+            raise TaylorError("a matrix entry has no second partials")
+        memo[id(f)] = out
+    return out
 
 
 class Taylor:
@@ -341,12 +306,10 @@ def _nonzero(d: dict) -> dict:
     return {k: x for k, x in d.items() if x}
 
 
-# Taylor arithmetic follows FSum, FProd, FScale and FPartial: operands in
-# the same order, a zero factor dropped before it multiplies, and a zero
-# result the int 0, so that float bits agree with the lazy graph.  A
-# result is order 0 when an operand is.  A polynomial or lazy operand is
-# read at the Taylor number's point, its partials only where they count.
-# The result drops every partial that an operand dropped.
+# Taylor arithmetic follows FSum, FProd, FScale and FPartial (operand
+# order, zero-drop rule, int zero), so float bits agree with the lazy
+# graph.  A result is order 0 when an operand is, and drops every partial
+# an operand dropped; a polynomial or lazy operand is read at its point.
 
 def _taylor_sum(t: Taylor, parts) -> Taylor:
     if len(parts) == 1:
@@ -385,7 +348,7 @@ def _taylor_prod(t: Taylor, a, b) -> Taylor:
 
 
 def _taylor_scale(a: Taylor, c) -> Taylor:
-    v = _mul(c, a.v) if a.v != 0 else 0
+    v = _mul(c, a.v) if a.v else 0
     d = _nonzero({k: _mul(c, x) for k, x in a.d.items()}) if a.d else a.d
     return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d, a.drop)
 
@@ -424,7 +387,7 @@ def f_mul(a, b):
     if isinstance(b, Polynomial) and b.is_zero():
         return b
     if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-        # large products stay lazy: only their jets are ever needed
+        # large products stay lazy: only their values and partials are read
         if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
             return a * b
     if isinstance(a, Taylor):
@@ -435,7 +398,7 @@ def f_mul(a, b):
 
 
 def f_scale(a, c):
-    if c == 0:
+    if not c:
         return f_zero(a.n)
     if isinstance(a, Polynomial):
         return a.scale(c)
@@ -463,146 +426,34 @@ def f_is_zero(a) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# jet-matrix helpers
-# ---------------------------------------------------------------------------
-
-def jet_mat_mul(A: List[List[Jet]], B: List[List[Jet]]) -> List[List[Jet]]:
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                t = A[i][k] * B[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def jet_mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def jet_mat_scale(A, c):
-    return [[a.scale(c) for a in row] for row in A]
-
-
-def jet_identity(dim: int, n: int, order: int, point) -> List[List[Jet]]:
-    return [[Jet.constant(1 if i == j else 0, n, order, point)
-             for j in range(dim)] for i in range(dim)]
-
-
-def _value_part_is_zero(M) -> bool:
-    return all(j.value == 0 for row in M for j in row)
-
-
-def _max_norm(M) -> float:
-    return max((j.max_abs() for row in M for j in row), default=0)
-
-
-def jet_mat_series(M: List[List[Jet]], coeff, exact: bool) -> List[List[Jet]]:
-    """sum_k coeff(k) M^k; terminates exactly when M has no value part."""
-    dim = len(M)
-    probe = M[0][0]
-    out = jet_mat_scale(jet_identity(dim, probe.n, probe.order, probe.base), coeff(0))
-    term = M  # M^1; the identity times M would give the same jets
-    if _value_part_is_zero(M):
-        # nilpotent in the truncated jet algebra: M^(order+1) == 0
-        for k in range(1, probe.order + 1):
-            if k > 1:
-                term = jet_mat_mul(term, M)
-            out = jet_mat_add(out, jet_mat_scale(term, coeff(k)))
-        return out
-    if exact:
-        raise TruncationError(
-            "matrix series does not terminate on the exact backend unless the "
-            "exponent vanishes at the evaluation point")
-    scale = max(1.0, _max_norm(M))
-    for k in range(1, SERIES_CAP):
-        if k > 1:
-            term = jet_mat_mul(term, M)
-        out = jet_mat_add(out, jet_mat_scale(term, coeff(k)))
-        if _max_norm(term) * abs(coeff(k)) < FLOAT_SERIES_TOL * scale:
-            return out
-    raise TruncationError(f"series did not converge within {SERIES_CAP} terms")
-
-
-def jet_mat_exp(M, exact: bool):
-    return jet_mat_series(M, lambda k: _frac_coeff(1, math.factorial(k), exact), exact)
-
-
-def jet_mat_dexp(M, exact: bool):
-    """Transport factor sum_k M^k / (k+1)!."""
-    return jet_mat_series(M, lambda k: _frac_coeff(1, math.factorial(k + 1), exact), exact)
-
-
-def _frac_coeff(num, den, exact):
-    if exact:
-        from fractions import Fraction
-
-        return Fraction(num, den)
-    return num / den
-
-
-def jet_mat_inverse(M: List[List[Jet]], exact: bool) -> List[List[Jet]]:
-    """Inverse of a jet matrix via Neumann series around its value part."""
-    from . import linalg
-
-    dim = len(M)
-    probe = M[0][0]
-    V = [[j.value for j in row] for row in M]
-    V_inv = linalg.mat_inverse(V, exact)
-    V_inv_j = [[Jet.constant(V_inv[i][j], probe.n, probe.order, probe.base)
-                for j in range(dim)] for i in range(dim)]
-    # u = V^-1 M - 1 has no value part (up to float rounding, stripped here);
-    # (1+u)^-1 = sum (-u)^k terminates in the truncated jet algebra
-    U = jet_mat_mul(V_inv_j, M)
-    for i in range(dim):
-        for j in range(dim):
-            target = 1 if i == j else 0
-            v = U[i][j].value
-            if v != target:
-                U[i][j] = U[i][j] - Jet.constant(v - target, probe.n, probe.order,
-                                                 probe.base)
-        U[i][i] = U[i][i] - Jet.constant(1, probe.n, probe.order, probe.base)
-    series = jet_mat_series(U, lambda k: (-1) ** k, exact=True)
-    return jet_mat_mul(series, V_inv_j)
-
-
-# ---------------------------------------------------------------------------
 # shared lazy matrix nodes (exp of polynomial matrices, coframe inverses)
 # ---------------------------------------------------------------------------
 
 class MatrixField:
-    """Matrix-valued function; computes the full matrix jet once per order
-    at the last point object it was read at."""
+    """Matrix-valued function of the chart point.  ``value_at`` is its value
+    matrix and ``partials_at`` gives each entry's nonzero first partials as
+    a dict by coordinate; each is computed once at the last point object
+    read, the partials only when first asked for."""
 
     def __init__(self, entries: List[List[object]], exact: bool = True):
         self.entries = entries
-        self.dim_out = len(entries)
-        self.dim_in = len(entries[0])
         self.n = entries[0][0].n
         self.exact = exact
         self._pt = None
-        self._jets: Dict[int, List[List[Jet]]] = {}
         self._entries: Dict[tuple, "MatrixEntryField"] = {}
 
-    def _raw(self, point, order):
-        return [[f.jet(point, order) for f in row] for row in self.entries]
-
-    def jets(self, point, order) -> List[List[Jet]]:
+    def value_at(self, point) -> List[List]:
         if point is not self._pt:
-            self._pt = point
-            self._jets = {}
-        out = self._jets.get(order)
-        if out is None:
-            out = self._jets[order] = self._compute(_as_tuple(point), order)
-        return out
+            self._pt, self._V, self._D = point, None, None
+        if self._V is None:
+            self._V = self._values(point)
+        return self._V
 
-    def _compute(self, point, order):
-        return self._raw(point, order)
+    def partials_at(self, point) -> List[List[dict]]:
+        V = self.value_at(point)
+        if self._D is None:
+            self._D = self._partials(point, V)
+        return self._D
 
     def entry(self, i: int, j: int) -> "MatrixEntryField":
         """The lazy node of entry (i, j); one node per entry, so that its
@@ -622,25 +473,107 @@ class MatrixEntryField(_Lazy):
         self.i = i
         self.j = j
 
-    def _eval(self, point, order):
-        return self.mat.jets(point, order)[self.i][self.j]
+    def _value(self, point):
+        return self.mat.value_at(point)[self.i][self.j]
+
+    def _dvalue(self, point, k):
+        return self.mat.partials_at(point)[self.i][self.j].get(k, 0)
 
 
 class MatrixExpField(MatrixField):
-    """exp(M(x)) entrywise; exact when M vanishes at evaluation points."""
+    """exp(M(x)) = sum_k M^k / k!; exact when M vanishes at the point."""
 
-    def _compute(self, point, order):
-        return jet_mat_exp(self._raw(point, order), self.exact)
+    shift = 0
+
+    def _coeff(self, k: int):
+        f = math.factorial(k + self.shift)
+        return Fraction(1, f) if self.exact else 1 / f
+
+    def _values(self, pt):
+        M = [[Taylor(self.n, pt, self.exact, f.value(pt), None) for f in row]
+             for row in self.entries]
+        return [[t.v for t in row] for row in _series(M, self._coeff, self.exact)]
+
+    def _partials(self, pt, V):
+        M = [[Taylor.of(f, pt, self.exact) for f in row] for row in self.entries]
+        return [[t.d for t in row] for row in _series(M, self._coeff, self.exact)]
 
 
-class MatrixDexpField(MatrixField):
+class MatrixDexpField(MatrixExpField):
     """Right-transport factor sum_k ad^k/(k+1)! applied on the left."""
 
-    def _compute(self, point, order):
-        return jet_mat_dexp(self._raw(point, order), self.exact)
+    shift = 1
+
+
+def _mat_prod(A, B):
+    """A B over Taylor numbers, each entry summed in ascending inner index."""
+    return [[_taylor_sum(t[0], t) for t in
+             ([_taylor_prod(a, a, brow[j]) for a, brow in zip(row, B)]
+              for j in range(len(B[0])))] for row in A]
+
+
+def _norm(M):
+    """Largest absolute value among the entries' values and partials."""
+    return max((abs(x) for row in M for t in row
+                for x in ([t.v] if t.d is None else [t.v, *t.d.values()])), default=0)
+
+
+def _series(M, coeff, exact: bool):
+    """sum_k coeff(k) M^k over Taylor numbers, all of order 0 or all of
+    order 1.  Where M vanishes at the point the series stops after its
+    first-order term, I c_0 + c_1 M; otherwise (floats only) it stops at
+    the first term whose values and partials are all below the tolerance."""
+    t, dim = M[0][0], len(M)
+    out = [[Taylor(t.n, t.pt, exact, _mul(coeff(0), 1) if i == j else 0,
+                   None if t.d is None else {}) for j in range(dim)] for i in range(dim)]
+    vanishing = not any(t.v for row in M for t in row)
+    if not vanishing and exact:
+        raise TruncationError("matrix series does not terminate on the exact "
+                              "backend unless the exponent vanishes there")
+    scale = max(1.0, _norm(M))
+    term = M  # M^1; the identity times M would give the same numbers
+    for k in range(1, SERIES_CAP):
+        if k > 1:
+            term = _mat_prod(term, M)
+        c = coeff(k)
+        out = [[_taylor_sum(a, [a, _taylor_scale(b, c)]) for a, b in zip(ro, rt)]
+               for ro, rt in zip(out, term)]
+        if vanishing or _norm(term) * abs(c) < FLOAT_SERIES_TOL * scale:
+            return out
+    raise TruncationError(f"series did not converge within {SERIES_CAP} terms")
+
+
+def _dot(pairs):
+    """sum a b over the pairs with both factors nonzero, in order; a sum
+    that cancels to zero restarts at the next term."""
+    acc = 0
+    for a, b in pairs:
+        if a and b:
+            x = _mul(a, b)
+            acc = _add(acc, x) if acc else x
+    return acc or 0
 
 
 class MatrixInverseField(MatrixField):
-    def _compute(self, point, order):
-        return jet_mat_inverse(self._raw(point, order), self.exact)
+    """E(x)^-1: V from ``linalg.mat_inverse``, and the partials of V as
+    -V (dE) V, formed as (-(V dE)) V like the Neumann series
+    (1 + V (E - E(p)))^-1 V."""
 
+    def _values(self, pt):
+        E = [[f.value(pt) for f in row] for row in self.entries]
+        return linalg.mat_inverse(E, self.exact)
+
+    def _partials(self, pt, V):
+        dim = len(V)
+        dE = [[_partials(f, pt) for f in row] for row in self.entries]
+        out = [[{} for _ in range(dim)] for _ in range(dim)]
+        for k in range(self.n):
+            cols = [[d.get(k, 0) for d in row] for row in dE]
+            U = [[_mul(-1, _dot(zip(V[i], (r[j] for r in cols)))) for j in range(dim)]
+                 for i in range(dim)]
+            for i in range(dim):
+                for j in range(dim):
+                    x = _dot(zip(U[i], (r[j] for r in V)))
+                    if x:
+                        out[i][j][k] = x
+        return out

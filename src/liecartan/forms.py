@@ -354,7 +354,6 @@ class Coframe:
         self.exact = exact
         self.probes = [tuple(p) for p in probes]
         self._inv: Optional[MatrixField] = None
-        self._inv_pt = self._inv_V = None
         self._minors: Optional["CoframeMinors"] = None
         for p in self.probes:
             self.certify(p)
@@ -370,16 +369,13 @@ class Coframe:
         self.inverse_at(point)
 
     def inverse_at(self, point) -> List[List]:
-        """The inverse of ``matrix_at(point)``, memoised at the last point
-        object asked for, like the fields' memos; callers must not mutate
-        it."""
-        if point is not self._inv_pt:
-            try:
-                V = linalg.mat_inverse(self.matrix_at(point), self.exact)
-            except linalg.SingularMatrixError as exc:
-                raise SingularCoframeError(f"coframe singular at {point}") from exc
-            self._inv_pt, self._inv_V = point, V
-        return self._inv_V
+        """The inverse of ``matrix_at(point)``: the inverse field's value
+        matrix, memoised at the last point object asked for; callers must
+        not mutate it."""
+        try:
+            return self.inverse_field().value_at(point)
+        except linalg.SingularMatrixError as exc:
+            raise SingularCoframeError(f"coframe singular at {point}") from exc
 
     def inverse_field(self) -> MatrixField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""
@@ -511,9 +507,9 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
                         chart[k][l] = bucket[sk]
                         chart[l][k] = -bucket[sk]
                 nz = [(k, l, c) for k in range(N) for l, c in enumerate(chart[k])
-                      if c != 0]
+                      if c]
                 frame = [[sum((c * V[k][A] * V[l][B] for k, l, c in nz
-                               if V[k][A] != 0 and V[l][B] != 0), zero)
+                               if V[k][A] and V[l][B]), zero)
                           for B in range(N)] for A in range(N)]
                 out[sk] = frame
             return _unwrap(out, form)

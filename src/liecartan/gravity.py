@@ -60,7 +60,9 @@ def kappa_pi_block(split: SplitAlgebra, kappa: KappaTensor, N: int) -> Dict:
 
 
 def grav_el_residuals(fields: GravityFields) -> dict:
-    """r1 = (Phi_{ll}, Phi_{sl}) blocks; r2 = d^phi pi - source rows."""
+    """r1 = (Phi_{ll}, Phi_{sl}) blocks; r2 = d^phi pi - source rows.
+    ``phi_table`` is Phi by coframe at the probe, which ``grav_psi_q``
+    reads."""
     split = fields.split
     alg = split.ambient
     N = alg.dim
@@ -87,7 +89,8 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     psi = psi_families(pc, pi_at, N)
     rhs = source_form(minors, psi["psi_mixed"], psi["psi"], dual)
     r2 = (dpi - rhs).max_abs(pt)
-    return {"r1": r1, "r2": r2, "max_r1": r1, "max_r2": max(0, abs(r2))}
+    return {"r1": r1, "r2": r2, "max_r1": r1, "max_r2": max(0, abs(r2)),
+            "phi_table": pc}
 
 
 def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
@@ -250,7 +253,7 @@ def _col_dot(X, Y, A, B):
     """(X^T Y)[A][B], skipping the zero entries of X."""
     out = 0
     for row, yrow in zip(X, Y):
-        if row[A] != 0:
+        if row[A]:
             out = _add(out, _mul(row[A], yrow[B]))
     return out
 
@@ -259,7 +262,7 @@ def _frame_partial(V, grad, L):
     """sum_j V[j][L] grad[j]: the derivative along X_L from a gradient."""
     out = 0
     for row, g in zip(V, grad):
-        if g != 0:
+        if g:
             out = _add(out, _mul(row[L], g))
     return out
 
@@ -314,16 +317,13 @@ def q_families(chart: GravityChart) -> dict:
     return {"q_full": fam["psi_full"], "q_mixed": fam["psi_mixed"], "q": fam["psi"]}
 
 
-def grav_psi_q(chart: GravityChart, control_sign: int = 1) -> dict:
-    """Psi on the phi side, Q on the e side, and the transport residual."""
-    fields = fields_from_chart(chart)
-    coframe = fields.coframe()
-    alg = chart.alg
-    N = alg.dim
+def grav_psi_q(chart: GravityChart, phi_table, control_sign: int = 1) -> dict:
+    """Psi on the phi side, Q on the e side, and the transport residual.
+    ``phi_table`` is Phi of ``fields_from_chart(chart)`` by coframe at the
+    probe, the ``phi_table`` of ``grav_el_residuals``."""
+    N = chart.alg.dim
     pt = chart.probe
-    Phi = curvature(fields.phi, alg)
-    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
-    psi = psi_families(pc, pi_values_from_chart(chart), N)
+    psi = psi_families(phi_table, pi_values_from_chart(chart), N)
     q = q_families(chart)
     # transport: Q_P^Q = (Ad*_g (x) Ad_g Psi)_P^Q
     ad = _entry_values(chart.gm.ad_entry, N, pt)
@@ -446,14 +446,14 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
         return acc
 
     l_rows: Dict[Tuple[int, int], object] = {}
-    blocks = {"omega_kappa": 0, "cov": 0, "exact_block": 0, "theta_ring": 0}
+    blocks = {"omega_kappa": 0}
     for I in range(N):
         for L in l_idx:
             acc = 0
             for a in s_idx:
                 for b in s_idx:
                     w = omega_c[(L,)][a][b]
-                    if w != 0:
+                    if w:
                         acc = _add(acc, _mul(pv[I, a, b], w) / 2)
             blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
             for sb in s_idx:
@@ -463,14 +463,14 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
             for sb in s_idx:
                 for J in range(N):
                     cv = alg.c(J, sb, I)
-                    if cv != 0:
+                    if cv:
                         acc = _sub(acc, _mul(cv, pv[J, L, sb]))
             for l1 in l_idx:
                 acc = _add(acc, dpv[I, L, l1, l1])
             for l1 in l_idx:
                 for l2 in l_idx:
                     cv = alg.c(L, l1, l2)
-                    if cv != 0:
+                    if cv:
                         acc = _add(acc, _mul(cv, pv[I, l1, l2]) / 2)
             l_rows[(I, L)] = acc
     s_rows: Dict[Tuple[int, int], object] = {}
@@ -482,14 +482,14 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                     ring = _sub(_add(theta_c[(S,)][a][b],
                                      tstar[b] if S == a else 0),
                                 tstar[a] if S == b else 0)
-                    if ring != 0:
+                    if ring:
                         acc = _add(acc, _mul(_mul(control_sign, pv[I, a, b]), ring) / 2)
             for l1 in l_idx:
                 acc = _add(acc, dpv[I, S, l1, l1])
             for s1 in s_idx:
                 for J in range(N):
                     cv = alg.c(J, s1, I)
-                    if cv != 0:
+                    if cv:
                         acc = _add(acc, _mul(cv, kappa.get(J, s1, S)))
             s_rows[(I, S)] = acc
     rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)

@@ -35,12 +35,6 @@ class KappaTensor:
             return self.entries.get((I, a, b), 0)
         return -self.entries.get((I, b, a), 0)
 
-    def dense(self) -> List[List[List[object]]]:
-        d = self.split.ambient.dim
-        n = self.split.n
-        return [[[self.get(I, a, b) for b in range(n)] for a in range(n)]
-                for I in range(d)]
-
     def s_pairs(self) -> List[Tuple[int, int]]:
         n = self.split.n
         return [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -1,9 +1,11 @@
-"""Scalar coefficient functions with truncated-Taylor (jet) evaluation.
+"""Polynomial coefficient functions, their values and first partials,
+and the exact-arithmetic helpers.
 
-A jet holds the Taylor data of a function at a base point, up to order 3,
-as a sparse dict mapping exponent tuples to Taylor coefficients.  All
-arithmetic is exact when the coefficients are Fractions; the same code
-runs on floats for the non-exact backend.
+A polynomial also gives its truncated Taylor data (a jet) at a base
+point, up to order 3, as a sparse dict mapping exponent tuples to Taylor
+coefficients; no suite reads it.  All arithmetic is exact when the
+coefficients are Fractions; the same code runs on floats for the
+non-exact backend.
 
 Coefficient arithmetic goes through four helpers, ``_add``, ``_sub``,
 ``_mul`` and ``_neg`` (used here, in ``fields``, ``linalg`` and the
@@ -311,12 +313,11 @@ class Polynomial:
     (results stay polynomials); jets are computed by Taylor shift, and
     :meth:`value` and :meth:`dvalue` give the value and a first partial
     without building a jet.  Like a lazy node, a polynomial memoises its
-    value (``_v``), first partials (``_d``) and jets (``_jets``) at the
-    last point object it was read at (``_pt``), and drops them when a
-    different object arrives.
+    value (``_v``) and first partials (``_d``) at the last point object it
+    was read at (``_pt``), and drops them when a different object arrives.
     """
 
-    __slots__ = ("n", "terms", "_pt", "_v", "_d", "_jets")
+    __slots__ = ("n", "terms", "_pt", "_v", "_d")
 
     def __init__(self, n: int, terms: Dict[Exponent, object]):
         if n < 1:
@@ -405,7 +406,7 @@ class Polynomial:
             v = c
             for x, m in zip(point, e):
                 if m:
-                    if x == 0:
+                    if not x:
                         break
                     for _ in range(m):
                         v = _mul(v, x)
@@ -417,7 +418,6 @@ class Polynomial:
         self._pt = point
         self._v = None
         self._d = None
-        self._jets = None
 
     def value(self, point: Sequence):
         """Value at ``point``, equal to ``jet(point, 0).value``; memoised
@@ -462,30 +462,21 @@ class Polynomial:
                     m -= 1
                 if m:
                     p = point[i]
-                    if p == 0:
+                    if not p:
                         break
                     for _ in range(m):
                         w = _mul(w, p)
             else:
                 total = _add(total, w)
-        return total if total != 0 else 0  # as Jet.deriv: a zero is int 0
+        return total if total else 0  # as Jet.deriv: a zero is int 0
 
     def jet(self, point: Sequence, order: int) -> Jet:
         """Taylor data at ``point`` up to ``order`` (exact on rationals)."""
         if order < 0 or order > MAX_ORDER:
             raise JetOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
-        if point is not self._pt:
-            self._move_to(point)
-        jets = self._jets
-        if jets is None:
-            jets = self._jets = {}
-        jet = jets.get(order)
-        if jet is not None:
-            return jet
         n = self.n
         if order == 0:
-            jet = jets[0] = Jet.constant(self.value(point), n, 0, point)
-            return jet
+            return Jet.constant(self.value(point), n, 0, point)
         terms: Dict[Exponent, object] = {}
         for e, c in self.terms.items():
             # expand prod_i (p_i + h_i)^{e_i}, truncated at total degree
@@ -511,8 +502,7 @@ class Polynomial:
             for pe, pc in partial.items():
                 full = pe + (0,) * (n - len(pe))
                 terms[full] = _add(terms[full], pc) if full in terms else pc
-        jet = jets[order] = Jet(n, order, point, terms)
-        return jet
+        return Jet(n, order, point, terms)
 
     def substitute(self, replacements: Dict[int, "Polynomial"]) -> "Polynomial":
         """Composition: substitute coordinate k by a polynomial (same arity)."""
@@ -546,15 +536,18 @@ def poly_field(dim: int, monomials: Iterable[Tuple[Sequence[int], object]]) -> P
     return Polynomial(dim, terms)
 
 
-def jet_at(field, point: Sequence, order: int) -> Jet:
-    """Taylor data of a field at a point; orders above 3 are rejected."""
+def jet_at(field: Polynomial, point: Sequence, order: int) -> Jet:
+    """Taylor data of a polynomial at a point; orders above 3 are
+    rejected."""
     if order < 0 or order > MAX_ORDER:
         raise JetOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
     return field.jet(tuple(point), order)
 
 
-def finite_difference_check(field, point: Sequence, h: float = 1e-4) -> float:
-    """Max relative deviation between jet partials and central differences.
+def finite_difference_check(field: Polynomial, point: Sequence,
+                            h: float = 1e-4) -> float:
+    """Max relative deviation between a polynomial's jet partials and
+    central differences.
 
     Only first and second derivatives are compared; the divided-difference
     noise floor at third order makes that comparison meaningless.  Used by

@@ -535,7 +535,7 @@ def case_grav_el(config: SuiteConfig, cid: int, seed: int):
     fields = fields_from_chart(chart)
     rep = grav_el_residuals(fields)
     res = rep["max_r1"]
-    q = grav_psi_q(chart, control_sign=_sign(config))
+    q = grav_psi_q(chart, rep["phi_table"], control_sign=_sign(config))
     return max(res, q["max"], q["q_zero_rows"])
 
 

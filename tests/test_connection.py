@@ -83,9 +83,9 @@ def test_cov_d_constant_section_bracket_oracle():
     # direct bracket expansion: (d^w xi)^k_m = c^k_{ij} w^i_m xi^j
     for m in range(n):
         for k in range(3):
-            expect = sum(alg.c(k, i, j) * omega.get((m,), (i,)).jet(pt, 0).value
+            expect = sum(alg.c(k, i, j) * omega.get((m,), (i,)).value(pt)
                          * xi[j] for i in range(3) for j in range(3))
-            assert got.get((m,), (k,)).jet(pt, 0).value == expect
+            assert got.get((m,), (k,)).value(pt) == expect
 
 
 def test_curvature_u1_symbolic_oracle():
@@ -98,7 +98,7 @@ def test_curvature_u1_symbolic_oracle():
     omega._finalize()
     Om = curvature(omega, alg)
     for pt in [(F(0), F(0)), (F(3), F(1))]:
-        assert Om.get((0, 1), (0,)).jet(pt, 0).value == 2 * pt[0]
+        assert Om.get((0, 1), (0,)).value(pt) == 2 * pt[0]
 
 
 def test_curvature_zero_connection():
@@ -346,7 +346,7 @@ def test_curvature_abelian_coordinate_instance():
     omega.add_term((0,), (0,), Polynomial.coordinate(1, n))
     omega._finalize()
     Om = curvature(omega, alg)
-    assert Om.get((0, 1), (0,)).jet((F(0), F(0)), 0).value == -1
+    assert Om.get((0, 1), (0,)).value((F(0), F(0))) == -1
 
 
 def test_exp_adjoint_u1_is_identity():

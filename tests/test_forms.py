@@ -48,8 +48,8 @@ def test_wedge_basics():
     d = dx(3)
     pt = (F(0),) * 3
     assert not wedge(d[0], d[0]).comps
-    assert wedge(d[0], d[1]).get((0, 1)).jet(pt, 0).value == 1
-    assert wedge(d[1], d[0]).get((0, 1)).jet(pt, 0).value == -1
+    assert wedge(d[0], d[1]).get((0, 1)).value(pt) == 1
+    assert wedge(d[1], d[0]).get((0, 1)).value(pt) == -1
 
 
 def test_wedge_coefficient_product():
@@ -57,7 +57,7 @@ def test_wedge_coefficient_product():
     y = Polynomial.coordinate(1, 2)
     a = one_form(2, [x, Polynomial.constant(0, 2)])
     b = one_form(2, [Polynomial.constant(0, 2), y])
-    assert wedge(a, b).get((0, 1)).jet((F(2), F(3)), 0).value == 6
+    assert wedge(a, b).get((0, 1)).value((F(2), F(3))) == 6
 
 
 def test_wedge_degree_overflow_is_zero():
@@ -84,7 +84,7 @@ def test_graded_slot_swap():
     # alpha ^ beta = (-1)^{pq} slot-swapped beta ^ alpha with p = q = 1
     for K, sk, fld in w1.terms():
         mirrored = w2.get(K, (sk[1], sk[0]))
-        assert fld.jet(pt, 0).value == -mirrored.jet(pt, 0).value
+        assert fld.value(pt) == -mirrored.value(pt)
 
 
 def test_contracted_wedge_duality_sum():
@@ -98,10 +98,10 @@ def test_contracted_wedge_duality_sum():
     x.add_term((), (1,), Polynomial.constant(F(4), n))
     ell._finalize(); x._finalize()
     paired = contracted_wedge(ell, x, [(0, 0)])
-    assert paired.get((), ()).jet((F(0), F(0)), 0).value == 11
+    assert paired.get((), ()).value((F(0), F(0))) == 11
     unpaired = contracted_wedge(ell, x, [])
     assert unpaired.slots == (sl.dual_slot(), sl)
-    assert unpaired.get((), (0, 1)).jet((F(0), F(0)), 0).value == 4
+    assert unpaired.get((), (0, 1)).value((F(0), F(0))) == 4
 
 
 def test_contracted_wedge_surviving_slots_shape():
@@ -207,10 +207,10 @@ def test_contracted_wedge_rejects_bad_pairing():
 def test_interior_product():
     d = dx(3)
     pt = (F(0),) * 3
-    assert interior(0, d[0]).get(()).jet(pt, 0).value == 1
-    assert interior(1, d[0]).get(()).jet(pt, 0).value == 0
+    assert interior(0, d[0]).get(()).value(pt) == 1
+    assert interior(1, d[0]).get(()).value(pt) == 0
     w = wedge(d[0], d[1])
-    assert interior(0, w).get((1,)).jet(pt, 0).value == 1
+    assert interior(0, w).get((1,)).value(pt) == 1
     # X _| X _| alpha = 0
     cf, probe = seeded_coframe(4, 4)
     top = cf.minors().top
@@ -228,7 +228,7 @@ def test_exterior_d_symbolic_oracle():
     # symbolic differentiation oracle
     oracle = f.partial_poly(1).scale(-1)
     for pt in [(F(0), F(0)), (F(1), F(2)), (F(-1, 3), F(5, 7))]:
-        assert got.jet(pt, 0).value == oracle.jet(pt, 0).value
+        assert got.value(pt) == oracle.value(pt)
 
 
 def test_d_squared_zero():

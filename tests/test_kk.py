@@ -98,7 +98,7 @@ def test_flat_chart_connection_vanishes_for_abelian():
         omega, rep = kk_lc_connection(chart)
         assert rep["max"] == 0
         for K, sk, fld in omega.terms():
-            assert fld.jet(chart.probe, 0).value == 0
+            assert fld.value(chart.probe) == 0
 
 
 @pytest.mark.parametrize("fiber", ["u1", "su2"])
@@ -147,7 +147,7 @@ def test_eym_quadratic_source_cross_check():
     chart = build_kk_chart(split, 2, seed=41, constant_F=True)
     rep = kk_eym_residuals(chart, F(0))
     pt = chart.probe
-    f_at = {key: fld.jet(pt, 0).value
+    f_at = {key: fld.value(pt)
             for key, fld in chart.F_coeffs.items()}
     f01 = f_at.get((2, 0, 1), 0)
     # Euclidean metrics, n = 2: the diagonal source is F^2/2 - |F|^2/4 = F^2/4
@@ -185,7 +185,7 @@ def test_frobenius_structure_of_chart_F():
     pt = chart.probe
     for (I, A, B), fld in chart.F_coeffs.items():
         if not (A in split.s_indices and B in split.s_indices):
-            assert fld.jet(pt, 0).value == 0
+            assert fld.value(pt) == 0
 
 
 @pytest.mark.parametrize("fiber", ["u1", "su2"])

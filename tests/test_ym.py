@@ -159,7 +159,7 @@ def test_pi_norm_gauge_invariance():
     pt = chart.probe
     p_at = {}
     for (i, A, B), fld in chart.p_coeffs.items():
-        v = fld.jet(pt, 0).value
+        v = fld.value(pt)
         p_at[(i, A, B)] = v
         p_at[(i, B, A)] = -v
 
@@ -225,7 +225,7 @@ def test_current_is_fiber_divergence():
         out = form
         for vec in reversed(verticals):
             out = interior(vec, out)
-        return out.get((), ()).jet(pt, 0).value
+        return out.get((), ()).value(pt)
 
     vol = full_contract(fiber_top)
     assert vol != 0
@@ -291,3 +291,50 @@ def _mul_form(form, fld):
     for K, _, mf in form.terms():
         out.add_term(K, (), f_mul(fld, mf))
     return out._finalize()
+
+
+def test_decomp_case_inverts_each_coframe_once(monkeypatch):
+    """One ym-decomp case on a curved base, with every entry of the chart
+    coframe's inverse read by value and first partials afterwards: each
+    matrix is inverted once, and each matrix node computes its value
+    matrix and its partials at most once at the probe."""
+    from liecartan import fields, linalg
+    from liecartan.algebra import central_extension, su2
+
+    inverted = []
+    mat_inverse = linalg.mat_inverse
+    monkeypatch.setattr(linalg, "mat_inverse",
+                        lambda A, exact: inverted.append(repr(A)) or mat_inverse(A, exact))
+    computed = []
+    for cls in (fields.MatrixExpField, fields.MatrixInverseField):
+        for kind in ("_values", "_partials"):
+            def counted(self, *args, _orig=getattr(cls, kind), _kind=kind):
+                computed.append((id(self), _kind))
+                return _orig(self, *args)
+            monkeypatch.setattr(cls, kind, counted)
+    split = central_extension(su2(), 3, b_diag=euclidean_diag(3))
+    chart = build_ym_chart(split, 3, seed=7, curved_base=True)
+    assert ym_dAp_identity_residual(chart)["max"] == 0
+    pt = chart.probe
+    V = chart.coframe.inverse_field()
+    for i in range(chart.N):
+        for j in range(chart.N):
+            V.entry(i, j).value(pt)
+            for k in range(chart.N):
+                V.entry(i, j).dvalue(pt, k)
+    frame = [[f.value(pt) for f in row] for row in chart.coframe.entries]
+    assert inverted.count(repr(frame)) == 1
+    assert len(inverted) == len(set(inverted)) >= 2  # the base block as well
+    assert (id(V), "_partials") in computed
+    assert len(computed) == len(set(computed))
+
+
+def test_decomp_reads_partials_of_a_large_lazy_product():
+    """A base-field product above the eager cap stays lazy, and this case's
+    d^A p reads the partials of its partial: second partials of the
+    product."""
+    from liecartan.suites import SuiteConfig, run_suite
+
+    rep = run_suite(SuiteConfig(suite="ym-decomp", algebra="u1", n=4, cases=2,
+                                seed=3136666209))
+    assert rep["pass"] and rep["max_residual"] == 0
