@@ -151,7 +151,7 @@ class TrivializedChart:
         p_at, dp_at = defaultdict(int), defaultdict(int)
         for key, fld in antisym(self.p_coeffs).items():
             p_at[key] = fld.value(pt)
-            grad = [(k, g) for k in range(N) for g in (fld.dvalue(pt, k),) if g != 0]
+            grad = [(k, g) for k in range(N) for g in (fld.dvalue(pt, k),) if g]
             for C in range(N):
                 dp = 0
                 for k, g in grad:
@@ -241,9 +241,9 @@ def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Cof
     for (i, A, B), fld in coeffs.items():
         if f_is_zero(fld):
             continue
-        m = minors.minor((A, B))
+        m, sign = minors.signed_minor((A, B))
         for K, _, mf in m.terms():
-            out.add_term(K, (i,), f_mul(fld, mf))
+            out.add_term(K, (i,), f_mul(fld, mf, None if sign > 0 else -1))
     return out._finalize()
 
 

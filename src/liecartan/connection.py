@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import LieAlgebra
 from .fields import (MatrixDexpField, MatrixExpField, MatrixField, f_add,
                      f_is_zero, f_mul, f_scale, f_zero)
-from .forms import Form, Slot, SlotMismatchError, exterior_d
+from .forms import Form, Slot, SlotMismatchError, exterior_d, merge_sign
 
 class Representation:
     """Sparse matrices rho(t_i) for each basis element of the acting algebra."""
@@ -30,7 +30,7 @@ class Representation:
             for k in range(alg.dim):
                 for j in range(alg.dim):
                     v = alg.c(k, i, j)
-                    if v != 0:
+                    if v:
                         m[(k, j)] = v
             mats.append(m)
         return Representation("adjoint", mats, alg.dim)
@@ -73,11 +73,12 @@ def _rho_omega_wedge(omega: Form, alpha: Form, pos: int, rep: Representation) ->
         for K, sk, fa in alpha.terms():
             if kw in K:
                 continue
+            K2, sign = merge_sign((kw,), K)
             for (row, col), v in mat.items():
                 if sk[pos] != col:
                     continue
                 nsk = sk[:pos] + (row,) + sk[pos + 1:]
-                out.add_term((kw,) + K, nsk, f_scale(f_mul(fw, fa), v))
+                out.add_term(K2, nsk, f_mul(fw, fa, v if sign > 0 else -v))
     return out._finalize()
 
 
@@ -86,7 +87,6 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
     out = Form(a.n, a.degree + b.degree, a.slots)
     if out.degree > a.n:
         return out
-    from .forms import merge_sign
     for I, (i,), fa in a.terms():
         for J, (j,), fb in b.terms():
             row = alg.c_rows(i, j)
@@ -96,11 +96,10 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
             if merged is None:
                 continue
             K, sign = merged
+            # one product per pair; each term scales it by its signed constant
             fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
             for k, v in row.items():
-                out.add_term(K, (k,), f_scale(fld, v))
+                out.add_term(K, (k,), f_scale(fld, v if sign > 0 else -v))
     return out._finalize()
 
 
@@ -146,7 +145,7 @@ class GroupMap:
                 parts = []
                 for i, comp in enumerate(self.eta):
                     v = self.alg.c(k, i, j)
-                    if v != 0 and not f_is_zero(comp):
+                    if v and not f_is_zero(comp):
                         parts.append(f_scale(comp, v))
                 row.append(f_add(*parts) if parts else f_zero(self.n))
             rows.append(row)

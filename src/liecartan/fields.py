@@ -8,10 +8,18 @@ coframe inverses becomes a lazy node.  Every coefficient has a
   partials by the sum and product rules (forward mode), in a fixed
   operand order and dropping a term with a zero factor, so that even
   float bits do not depend on the path a number took.  A zero is the int
-  0.  ``FPartial``'s value is its child's ``dvalue``.  ``Taylor`` numbers
-  stand in for lazy nodes once a chart is read at its probe.
+  0.  ``FPartial``'s value is its child's ``dvalue``, and it builds its
+  child's derivative graph once.  ``Taylor`` numbers stand in for lazy
+  nodes once a chart is read at its probe.
+- One node per term: a sum of one live operand is that operand, and a
+  product carries an optional trailing scale, applied last as an
+  ``FScale`` over it would be (``f_mul(a, b, c)``, or ``f_scale`` of an
+  unscaled product).  A sign folded into the scale keeps the bits, since
+  a negation commutes with rounding.
 - A ``MatrixField`` computes its value matrix from its entries' values
   and, when first asked, its partials from their values and partials.
+  Its entry cache holds weak references: a live entry node is shared,
+  and a matrix and its entries form no cycle, so refcounting frees them.
   An inverse takes V from ``linalg.mat_inverse`` and its partials as
   -V (dE) V.  exp and dexp sum c_k M^k: where M vanishes at the point, as
   every exact case needs, that is I c_0 with partials c_1 dM; otherwise
@@ -22,8 +30,9 @@ coframe inverses becomes a lazy node.  Every coefficient has a
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
-from typing import Dict, List
+from typing import List
 
 from . import linalg
 from .scalars import Polynomial, _add, _mul
@@ -89,7 +98,7 @@ class _Lazy:
         return out
 
     def __neg__(self):
-        return FScale(self, -1)
+        return f_scale(self, -1)
 
 
 class FSum(_Lazy):
@@ -113,18 +122,24 @@ class FSum(_Lazy):
 
 
 class FProd(_Lazy):
-    __slots__ = ("a", "b")
+    """a b, times the scale c last when c is not None."""
 
-    def __init__(self, a, b):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c=None):
         super().__init__(a.n)
         self.a = a
         self.b = b
+        self.c = c
 
     def _value(self, point):
         # a zero factor drops the term (0 * inf is 0 here)
         va = self.a.value(point)
         vb = self.b.value(point)
-        return _mul(va, vb) if va and vb else 0
+        if not (va and vb):
+            return 0
+        v, c = _mul(va, vb), self.c
+        return _mul(c, v) if c is not None and v else v
 
     def _dvalue(self, point, k):
         # product rule: va * db, then + da * vb, each dropped when a factor
@@ -141,7 +156,8 @@ class FProd(_Lazy):
             da = a.dvalue(point, k)
             if da:
                 out = _add(out, _mul(da, vb))
-        return out
+        c = self.c
+        return _mul(c, out) if c is not None and out else out
 
 
 class FScale(_Lazy):
@@ -163,21 +179,27 @@ class FScale(_Lazy):
 
 class FPartial(_Lazy):
     """Partial derivative along k.  Its value is the operand's first
-    partial; its partials are those of the operand differentiated once
-    more by ``_derivative``."""
+    partial; its partials are those of the operand's derivative graph,
+    built by ``_derivative`` on first use and kept."""
 
-    __slots__ = ("a", "k")
+    __slots__ = ("a", "k", "_da")
 
     def __init__(self, a, k: int):
         super().__init__(a.n)
         self.a = a
         self.k = k
+        self._da = None
+
+    def operand_derivative(self):
+        if self._da is None:
+            self._da = _derivative(self.a, self.k, {})
+        return self._da
 
     def _value(self, point):
         return self.a.dvalue(point, self.k)
 
     def _dvalue(self, point, k):
-        return _derivative(self.a, self.k, {}).dvalue(point, k)
+        return self.operand_derivative().dvalue(point, k)
 
 
 def _derivative(f, k: int, memo: dict):
@@ -194,10 +216,12 @@ def _derivative(f, k: int, memo: dict):
         elif isinstance(f, FProd):
             out = f_add(f_mul(_derivative(f.a, k, memo), f.b),
                         f_mul(f.a, _derivative(f.b, k, memo)))
+            if f.c is not None:
+                out = f_scale(out, f.c)
         elif isinstance(f, FScale):
             out = f_scale(_derivative(f.a, k, memo), f.c)
         elif isinstance(f, FPartial):
-            out = _derivative(_derivative(f.a, f.k, {}), k, memo)
+            out = _derivative(f.operand_derivative(), k, memo)
         else:
             raise TaylorError("a matrix entry has no second partials")
         memo[id(f)] = out
@@ -363,6 +387,8 @@ def f_add(*fields):
         if not fields:
             raise ValueError("empty sum needs an explicit dimension; use f_zero")
         return fields[0]
+    if len(live) == 1:
+        return live[0]
     if all(isinstance(f, Polynomial) for f in live):
         out = live[0]
         for f in live[1:]:
@@ -381,20 +407,23 @@ def f_zero(n: int) -> Polynomial:
 EAGER_PRODUCT_CAP = 32
 
 
-def f_mul(a, b):
+def f_mul(a, b, c=None):
+    """a b, then times c when c is not None: the numbers of
+    ``f_scale(f_mul(a, b), c)``, in one node where the product is lazy."""
     if isinstance(a, Polynomial) and a.is_zero():
         return a
     if isinstance(b, Polynomial) and b.is_zero():
         return b
+    if c is not None and not c:
+        return f_zero(a.n)
     if isinstance(a, Polynomial) and isinstance(b, Polynomial):
         # large products stay lazy: only their values and partials are read
         if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
-            return a * b
-    if isinstance(a, Taylor):
-        return _taylor_prod(a, a, b)
-    if isinstance(b, Taylor):
-        return _taylor_prod(b, a, b)
-    return FProd(a, b)
+            return a * b if c is None else (a * b).scale(c)
+    if isinstance(a, Taylor) or isinstance(b, Taylor):
+        t = _taylor_prod(a if isinstance(a, Taylor) else b, a, b)
+        return t if c is None else _taylor_scale(t, c)
+    return FProd(a, b, c)
 
 
 def f_scale(a, c):
@@ -404,6 +433,8 @@ def f_scale(a, c):
         return a.scale(c)
     if isinstance(a, Taylor):
         return _taylor_scale(a, c)
+    if type(a) is FProd and a.c is None:
+        return FProd(a.a, a.b, c)
     return FScale(a, c)
 
 
@@ -440,7 +471,7 @@ class MatrixField:
         self.n = entries[0][0].n
         self.exact = exact
         self._pt = None
-        self._entries: Dict[tuple, "MatrixEntryField"] = {}
+        self._entries = weakref.WeakValueDictionary()
 
     def value_at(self, point) -> List[List]:
         if point is not self._pt:
@@ -456,8 +487,8 @@ class MatrixField:
         return self._D
 
     def entry(self, i: int, j: int) -> "MatrixEntryField":
-        """The lazy node of entry (i, j); one node per entry, so that its
-        memos are shared by every expression that reads it."""
+        """The lazy node of entry (i, j); one live node per entry, so that
+        its memos are shared by every expression that reads it."""
         node = self._entries.get((i, j))
         if node is None:
             node = self._entries[(i, j)] = MatrixEntryField(self, i, j)
@@ -465,7 +496,7 @@ class MatrixField:
 
 
 class MatrixEntryField(_Lazy):
-    __slots__ = ("mat", "i", "j")
+    __slots__ = ("mat", "i", "j", "__weakref__")
 
     def __init__(self, mat: MatrixField, i: int, j: int):
         super().__init__(mat.n)

@@ -5,6 +5,11 @@ indexed by strictly increasing chart multi-indices; each coefficient is a
 sparse slot-tensor of scalar fields.  Wedge, contracted wedge, interior
 product and exterior derivative operate on this representation; minors of
 a coframe and coefficient decompositions live here too.
+
+A bucket of one term keeps that term.  Sums, differences, scalings and
+wedges append on canonical keys without ``sort_index``.  A coframe builds
+each one-form once, and its minor family keeps each signed minor it hands
+out; ``signed_minor`` gives the sorted-index minor and the sign instead.
 """
 
 from __future__ import annotations
@@ -116,22 +121,22 @@ class Form:
         bucket = self.comps.setdefault(key, {})
         cur = bucket.get(sk)
         if cur is None:
-            bucket[sk] = [field]
+            bucket[sk] = field
         elif isinstance(cur, list):
             cur.append(field)
         else:
             bucket[sk] = [cur, field]
 
     def _finalize(self) -> "Form":
-        """Collapse accumulated term lists into single fields."""
+        """Collapse accumulated term lists into single fields and drop
+        zero terms."""
         for key, bucket in list(self.comps.items()):
             for sk, val in list(bucket.items()):
-                if isinstance(val, list):
-                    s = f_add(*val)
-                    if f_is_zero(s):
-                        del bucket[sk]
-                    else:
-                        bucket[sk] = s
+                s = f_add(*val) if isinstance(val, list) else val
+                if f_is_zero(s):
+                    del bucket[sk]
+                elif s is not val:
+                    bucket[sk] = s
             if not bucket:
                 del self.comps[key]
         return self
@@ -163,22 +168,26 @@ class Form:
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "Form") -> "Form":
+        return self._combine(other, False)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self._combine(other, True)
+
+    def _combine(self, other: "Form", negate: bool) -> "Form":
+        """self + other, or self - other, in one pass over their terms."""
         if (self.n, self.degree, self.slots) != (other.n, other.degree, other.slots):
             raise SlotMismatchError("form shape mismatch in addition")
         out = Form(self.n, self.degree, self.slots)
         for key, sk, fld in self.terms():
-            out.add_term(key, sk, fld)
+            out._append(key, sk, fld)
         for key, sk, fld in other.terms():
-            out.add_term(key, sk, fld)
+            out._append(key, sk, f_scale(fld, -1) if negate else fld)
         return out._finalize()
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "Form":
         out = Form(self.n, self.degree, self.slots)
         for key, sk, fld in self.terms():
-            out.add_term(key, sk, f_scale(fld, c))
+            out._append(key, sk, f_scale(fld, c))
         return out._finalize()
 
     # -- evaluation -------------------------------------------------------
@@ -242,9 +251,7 @@ def wedge(a: Form, b: Form) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
+            fld = f_mul(fa, fb, None if sign > 0 else -1)
             if not f_is_zero(fld):
                 out._append(K, ka + kb, fld)
     return out._finalize()
@@ -282,9 +289,7 @@ def contracted_wedge(a: Form, b: Form, plan: Sequence[Tuple[int, int]]) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
+            fld = f_mul(fa, fb, None if sign > 0 else -1)
             if not f_is_zero(fld):
                 out._append(K, head + tail, fld)
     return out._finalize()
@@ -355,11 +360,15 @@ class Coframe:
         self.probes = [tuple(p) for p in probes]
         self._inv: Optional[MatrixField] = None
         self._minors: Optional["CoframeMinors"] = None
+        self._ones: Dict[int, Form] = {}
         for p in self.probes:
             self.certify(p)
 
     def one_form(self, A: int) -> Form:
-        return one_form(self.N, self.entries[A])
+        """e^A, built once; callers must not mutate it."""
+        if A not in self._ones:
+            self._ones[A] = one_form(self.N, self.entries[A])
+        return self._ones[A]
 
     def matrix_at(self, point) -> List[List]:
         point = tuple(point)
@@ -393,13 +402,13 @@ class CoframeMinors:
     """Codegree-0/1/2/3 minor family of a coframe, built via the eps symbol."""
 
     def __init__(self, coframe: Coframe):
-        self.coframe = coframe
         N = coframe.N
         self.N = N
         ones = [coframe.one_form(A) for A in range(N)]
         # contiguous wedge ranges for cheap complements
         self._ranges: Dict[Tuple[int, int], Form] = {}
         self._complements: Dict[Tuple[int, ...], Form] = {}
+        self._negated: Dict[Tuple[int, ...], Form] = {}
         for i in range(N):
             acc = ones[i]
             self._ranges[(i, i)] = acc
@@ -431,18 +440,26 @@ class CoframeMinors:
         self._complements[skip] = acc
         return acc
 
-    def minor(self, idx: Sequence[int]) -> Form:
-        """e^{(N-k)}_{idx}; antisymmetric in idx, idx need not be sorted."""
+    def signed_minor(self, idx: Sequence[int]) -> Tuple[Form, int]:
+        """(m, s) with e^{(N-k)}_{idx} = s m, m the minor of sorted idx."""
         canon = sort_index(idx)
         if canon is None:
-            return Form(self.N, self.N - len(idx))
+            return Form(self.N, self.N - len(idx)), 1
         key, sign = canon
         if len(key) > 3:
             raise ValueError("minors are provided down to codegree 3")
-        comp = self._complement_wedge(key)
-        parity = perm_parity_for_front(key, self.N)
-        total = sign * parity
-        return comp if total > 0 else comp.scale(-1)
+        return self._complement_wedge(key), sign * perm_parity_for_front(key, self.N)
+
+    def minor(self, idx: Sequence[int]) -> Form:
+        """e^{(N-k)}_{idx}; antisymmetric in idx, idx need not be sorted.
+        Each signed minor is built once; callers must not mutate it."""
+        comp, sign = self.signed_minor(idx)
+        if sign > 0:
+            return comp
+        key = tuple(sorted(idx))
+        if key not in self._negated:
+            self._negated[key] = comp.scale(-1)
+        return self._negated[key]
 
     def minor_form(self, k: int, slot: Slot) -> Form:
         """Slotted family e^{(N-k)}_{V..V} as one Form with k dual slots."""
@@ -556,8 +573,9 @@ def cominor_rows(minors: CoframeMinors, rows: Dict[Tuple[int, int], object],
     """
     out = Form(minors.N, minors.N - 1, (slot,))
     for (i, U), c in rows.items():
-        if c == 0:
+        if not c:
             continue
-        for K, _, mf in minors.minor((U,)).terms():
-            out.add_term(K, (i,), f_scale(mf, c))
+        m, sign = minors.signed_minor((U,))
+        for K, _, mf in m.terms():
+            out.add_term(K, (i,), f_scale(mf, c if sign > 0 else -c))
     return out._finalize()

@@ -541,12 +541,12 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                 for j in g_idx:
                     for m in g_idx:
                         cv = alg.c(j, m, i)
-                        if cv != 0:
+                        if cv:
                             d -= cv * a_at.get((m, s1), 0) * pv[j, gup, s1]
                 for j in g_idx:
                     for m in g_idx:
                         cv = alg.c(gup, m, j)
-                        if cv != 0:
+                        if cv:
                             d += cv * a_at.get((m, s1), 0) * pv[i, j, s1]
                 acc += d
             for g1 in g_idx:
@@ -554,7 +554,7 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
             for g1 in g_idx:
                 for g2 in g_idx:
                     cv = alg.c(gup, g1, g2)
-                    if cv != 0:
+                    if cv:
                         acc += control_sign * cv * pv[i, g1, g2] / 2
             rows[(i, gup)] = acc
     rhs = cominor_rows(minors, rows, dual)

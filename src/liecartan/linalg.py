@@ -25,7 +25,7 @@ def mat_mul(A, B):
     out = [[0] * len(B[0]) for _ in A]
     for row, orow in zip(A, out):
         for k, a in enumerate(row):
-            if a != 0:
+            if a:
                 for j, b in enumerate(B[k]):
                     orow[j] = _add(orow[j], _mul(a, b))
     return out

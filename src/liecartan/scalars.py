@@ -55,6 +55,7 @@ layout changes.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -76,7 +77,7 @@ def _zero_exp(n: int) -> Exponent:
 
 
 def _exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -329,10 +330,10 @@ class Polynomial:
                 raise MalformedFieldError("exponent length does not match dimension")
             if any(x < 0 for x in e):
                 raise MalformedFieldError("negative exponent")
-            if c != 0:
+            if c:
                 clean[e] = _add(clean[e], c) if e in clean else c
         self.n = n
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = {e: c for e, c in clean.items() if c}
         self._pt = None
 
     @staticmethod
@@ -375,7 +376,7 @@ class Polynomial:
             terms: Dict[Exponent, object] = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
-                    e = _exp_add(ea, eb)
+                    e = tuple(map(operator.add, ea, eb))
                     p = _mul(ca, cb)
                     terms[e] = _add(terms[e], p) if e in terms else p
             return Polynomial._make(self.n, terms)

@@ -195,7 +195,7 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                 for j in g_idx:
                     for m in g_idx:
                         c = alg.c(j, m, i)
-                        if c != 0:
+                        if c:
                             d -= c * av(m, s1) * pv[j, a, s1]
                 # gamma on both upper s indices
                 for ap in s_idx:
@@ -215,12 +215,12 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                 for j in g_idx:
                     for m in g_idx:
                         c = alg.c(j, m, i)
-                        if c != 0:
+                        if c:
                             d -= c * av(m, s1) * pv[j, gup, s1]
                 for j in g_idx:
                     for m in g_idx:
                         c = alg.c(gup, m, j)
-                        if c != 0:
+                        if c:
                             d += c * av(m, s1) * pv[i, j, s1]
                 for ap in s_idx:
                     d += gv(s1, ap, s1) * pv[i, gup, ap]
@@ -229,7 +229,7 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                 for s1 in s_idx:
                     for s2 in s_idx:
                         fv = f_at.get((j, s1, s2), 0)
-                        if fv != 0:
+                        if fv:
                             acc += control_sign * fv * pv[i, s1, s2] \
                                 * (1 if j == gup else 0) / 2
             g_row[(i, gup)] = acc

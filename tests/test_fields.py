@@ -681,3 +681,84 @@ def test_matrix_series_starts_its_term_at_m(exact, monkeypatch):
         for A, B in products:
             M = B if A is B else M
             assert B is M
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_scaled_product_matches_scale_of_product(exact):
+    """f_mul(a, b, c) applies c after the product, as f_scale(f_mul(a, b),
+    c) does, with the same value and partials by repr; with a Taylor
+    operand and with two polynomials as well."""
+    probe, nodes = _graph(exact)
+    _, ref = _graph(exact)
+    scales = [-1, _num(3, exact), _num("-2/7", exact)] + ([] if exact else [0.5])
+    for a, b in _PAIRS + [("poly", "poly-zero-at-probe")]:
+        name = a if a in ORDER0 else b  # read by value only if either is
+        tays = [(lambda n: n, lambda n: n)]
+        if not ORDER0 & {a, b}:
+            tays.append((lambda n: Taylor.of(n, probe, exact), lambda n: n))
+        for c in scales:
+            for wrap_a, wrap_b in tays:
+                got = f_mul(wrap_a(nodes[a]), wrap_b(nodes[b]), c)
+                want = f_scale(f_mul(wrap_a(ref[a]), wrap_b(ref[b])), c)
+                assert (repr(_read(name, got, probe))
+                        == repr(_read(name, want, probe))), (a, b, c)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_partials_of_a_scaled_product_apply_its_scale(exact):
+    """The derivative graph of a scaled product scales the product rule's
+    sum by c, as that of an FScale over the product does."""
+    probe, nodes = _graph(exact)
+    P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
+    c = _num("-2/7", exact)
+
+    def build(scaled):
+        a, b = FSum([P, Q]), FProd(Q, FScale(P, _num(3, exact)))
+        return FProd(a, b, c) if scaled else FScale(FProd(a, b), c)
+
+    for j in range(N):
+        got, want = FPartial(build(True), j), FPartial(build(False), j)
+        assert (repr([got.dvalue(probe, k) for k in range(N)])
+                == repr([want.dvalue(probe, k) for k in range(N)])), j
+
+
+def test_sum_of_one_lazy_operand_is_that_operand():
+    _, nodes = _graph(True)
+    zero = nodes["poly"].scale(0)
+    for name in ("sum", "prod", "scale", "partial", "exp-entry"):
+        assert f_add(nodes[name]) is nodes[name]
+        assert f_add(zero, nodes[name], zero) is nodes[name]
+
+
+def test_scale_of_a_product_is_a_scaled_product():
+    _, nodes = _graph(True)
+    prod = FProd(nodes["poly"], nodes["exp-entry"])
+    scaled = f_scale(prod, F(-2, 7))
+    assert type(scaled) is FProd and scaled.c == F(-2, 7)
+    assert (scaled.a, scaled.b) == (prod.a, prod.b)
+    # a scaled product is scaled once more by a node of its own
+    assert type(f_scale(scaled, 3)) is FScale
+
+
+def test_partial_node_builds_its_operand_derivative_once(monkeypatch):
+    """An FPartial keeps the derivative graph of its operand: reading its
+    partials along every k, at two points in turn, builds it once."""
+    from liecartan import fields
+
+    probe, nodes = _graph(True)
+    P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
+
+    def build():
+        return FPartial(FProd(P, FSum([Q, FScale(P, F(3))])), 1)
+
+    other = tuple(x + 1 for x in probe)
+    want = {pt: [fields._derivative(build().a, 1, {}).dvalue(pt, k) for k in range(N)]
+            for pt in (probe, other)}
+    node = build()
+    calls = []
+    derivative = fields._derivative
+    monkeypatch.setattr(fields, "_derivative",
+                        lambda f, k, memo: calls.append(f) or derivative(f, k, memo))
+    for pt in (probe, other, probe):
+        assert [node.dvalue(pt, k) for k in range(N)] == want[pt]
+    assert calls.count(node.a) == 1

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liecartan.fields import FScale, f_mul, f_scale
+from liecartan.fields import FProd, FScale, f_mul, f_scale
 from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
                              UnsupportedDegreeError, cominor_rows,
                              contracted_wedge, decompose, exterior_d,
@@ -413,3 +413,35 @@ def test_snapshot_is_json_able():
     text = json.dumps(snap)
     assert "components" in snap and snap["degree"] == 3
     assert json.loads(text) == snap
+
+
+def test_sign_flipped_wedge_term_is_one_scaled_product():
+    """A wedge term whose indices swap is the product with the sign as its
+    scale: one node, and no FScale above it."""
+    cf, probe = seeded_coframe(4, 3)
+    e = [cf.inverse_field().entry(i, 0) for i in range(3)]
+    a = one_form(3, [0, e[0], 0])
+    b = one_form(3, [e[1], 0, 0])
+    fld = wedge(a, b).get((0, 1))
+    assert type(fld) is FProd and fld.c == -1
+    assert (fld.a, fld.b) == (e[0], e[1])
+    assert fld.value(probe) == -(e[0].value(probe) * e[1].value(probe))
+    unflipped = wedge(b, a).get((0, 1))
+    assert type(unflipped) is FProd and unflipped.c is None
+
+
+def test_signed_minors_are_memoised():
+    cf, probe = seeded_coframe(2, 4)
+    mins = cf.minors()
+    neg, pos = mins.minor((1, 0)), mins.minor((0, 1))
+    assert mins.minor((1, 0)) is neg
+    assert mins.minor((0, 1)) is pos
+    assert mins.signed_minor((1, 0)) == (pos, -1)
+    assert mins.signed_minor((0, 1)) == (pos, 1)
+    assert cf.one_form(2) is cf.one_form(2)
+    assert list(neg.comps) == list(pos.comps) and neg.comps
+    for (K, sk, f), (K2, sk2, g) in zip(neg.terms(), pos.terms()):
+        assert (K, sk) == (K2, sk2)
+        assert f.value(probe) == -g.value(probe)
+        assert [f.dvalue(probe, k) for k in range(4)] == [
+            -g.dvalue(probe, k) for k in range(4)]

@@ -2,10 +2,13 @@
 
 The QUICK runs, plain and with the ``sign`` corruption, compare their
 reports, apart from ``wall_time``, with the committed
-``golden/quick_reports.json``.  After a deliberate change to the
+``golden/quick_reports.json``; the float runs are pinned at a second
+master seed as well, under ``<suite>/float/seed<seed>`` and
+``<suite>/float/sign/seed<seed>``.  After a deliberate change to the
 reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -52,9 +55,18 @@ PINNED = {
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
 
-def _quick_config(suite, backend, corruption=None):
+# master seeds besides the default 42 at which the float QUICK reports are
+# pinned
+FLOAT_SEEDS = (7,)
+
+
+def _quick_config(suite, backend, corruption=None, seed=42):
     return SuiteConfig(suite=suite, backend=backend, corruption=corruption,
-                       **QUICK[suite])
+                       seed=seed, **QUICK[suite])
+
+
+def _seed_key(suite, corruption, seed):
+    return f"{suite}/float/{corruption + '/' if corruption else ''}seed{seed}"
 
 
 def _canonical(report) -> str:
@@ -93,12 +105,43 @@ def test_sign_corrupted_reports_match_golden(suite, backend, golden):
     assert _canonical(rep) == _canonical(golden[f"{suite}/{backend}/sign"])
 
 
+@pytest.mark.parametrize("corruption", [None, "sign"], ids=["plain", "sign"])
+@pytest.mark.parametrize("seed", FLOAT_SEEDS)
+@pytest.mark.parametrize("suite", FLOAT_SUITES)
+def test_float_reports_match_golden_at_seed(suite, seed, corruption, golden):
+    rep = run_suite(_quick_config(suite, "float", corruption, seed))
+    assert _canonical(rep) == _canonical(golden[_seed_key(suite, corruption, seed)])
+
+
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_reports_match_golden(name, backend, golden):
     rep = run_suite(SuiteConfig(backend=backend, **PINNED[name]))
     assert rep["pass"], rep
     assert _canonical(rep) == _canonical(golden[f"{name}/{backend}"])
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("kwargs", [
+    dict(suite="forms-identities", n=6),
+    dict(suite="gauge-lemmas", algebra="p_0(3)"),
+    dict(suite="grav-decomp", algebra="p_1(4)"),
+], ids=["forms-identities-6", "gauge-lemmas-p_0(3)", "grav-decomp-p_1(4)"])
+def test_a_case_leaves_no_cyclic_garbage(kwargs, backend):
+    """A case's forms, minors and field graph hold no reference cycle, so
+    refcounting frees them when the case returns.  The collector is
+    paused while the case runs, so that it cannot hide a cycle."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = run_suite(SuiteConfig(backend=backend, cases=1, **kwargs))
+        assert rep["pass"]
+        del rep
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cases_sorted_and_counted():
@@ -148,6 +191,12 @@ if __name__ == "__main__":
         rep = run_suite(_quick_config(suite, backend, "sign"))
         rep.pop("wall_time")
         reports[f"{suite}/{backend}/sign"] = rep
+    for suite in FLOAT_SUITES:
+        for seed in FLOAT_SEEDS:
+            for corruption in (None, "sign"):
+                rep = run_suite(_quick_config(suite, "float", corruption, seed))
+                rep.pop("wall_time")
+                reports[_seed_key(suite, corruption, seed)] = rep
     for name, kwargs in sorted(PINNED.items()):
         for backend in ("rational", "float"):
             rep = run_suite(SuiteConfig(backend=backend, **kwargs))

@@ -329,12 +329,40 @@ def test_decomp_case_inverts_each_coframe_once(monkeypatch):
     assert len(computed) == len(set(computed))
 
 
-def test_decomp_reads_partials_of_a_large_lazy_product():
+def test_decomp_reads_partials_of_a_large_lazy_product(monkeypatch):
     """A base-field product above the eager cap stays lazy, and this case's
     d^A p reads the partials of its partial: second partials of the
-    product."""
+    product.  Each partial node builds the derivative graph of its operand
+    once, not once per partial read."""
+    from liecartan import fields
     from liecartan.suites import SuiteConfig, run_suite
 
+    # top-level _derivative calls, by the partial node whose read made them
+    depth, node, built = [0], [None], {}
+    derivative = fields._derivative
+
+    def counted(f, k, memo):
+        if not depth[0]:
+            built[node[0]] = built.get(node[0], 0) + 1
+        depth[0] += 1
+        try:
+            return derivative(f, k, memo)
+        finally:
+            depth[0] -= 1
+
+    dvalue = fields.FPartial._dvalue
+
+    def read(self, point, k):
+        outer, node[0] = node[0], self
+        try:
+            return dvalue(self, point, k)
+        finally:
+            node[0] = outer
+
+    monkeypatch.setattr(fields, "_derivative", counted)
+    monkeypatch.setattr(fields.FPartial, "_dvalue", read)
     rep = run_suite(SuiteConfig(suite="ym-decomp", algebra="u1", n=4, cases=2,
                                 seed=3136666209))
     assert rep["pass"] and rep["max_residual"] == 0
+    assert built and None not in built
+    assert max(built.values()) == 1
