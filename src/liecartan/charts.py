@@ -243,7 +243,8 @@ def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Cof
             continue
         m, sign = minors.signed_minor((A, B))
         for K, _, mf in m.terms():
-            out.add_term(K, (i,), f_mul(fld, mf, None if sign > 0 else -1))
+            term = f_mul(fld, mf)
+            out.add_term(K, (i,), term if sign > 0 else f_scale(term, -1))
     return out._finalize()
 
 
@@ -387,17 +388,24 @@ def frame_coeffs_1form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:
 
 
 def frame_coeffs_2form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:
-    """alpha_{AB} fields with alpha = 1/2 alpha_{AB} e^A ^ e^B (A, B appended)."""
+    """alpha_{AB} fields with alpha = 1/2 alpha_{AB} e^A ^ e^B (A, B appended):
+    for A < B, the sum of V^k_A V^l_B alpha_{kl} - V^k_B V^l_A alpha_{kl},
+    each product built once.  alpha_{BA} is its negation, bit for bit
+    (negation commutes with rounding); alpha_{AA} = 0 has no key."""
     V = coframe.inverse_field()
     N = coframe.N
     out: Dict[Tuple, List] = {}
     for (k, l), sk, fld in form.terms():
         for A in range(N):
-            for B in range(N):
-                term = f_mul(f_mul(V.entry(k, A), V.entry(l, B)), fld)
-                out.setdefault(sk + (A, B), []).append(term)
-                out.setdefault(sk + (B, A), []).append(f_scale(term, -1))
-    return {key: f_add(*parts) for key, parts in out.items()}
+            for B in range(A + 1, N):
+                ab = f_mul(f_mul(V.entry(k, A), V.entry(l, B)), fld)
+                ba = f_mul(f_mul(V.entry(k, B), V.entry(l, A)), fld)
+                out.setdefault(sk + (A, B), []).extend((ab, f_scale(ba, -1)))
+    coeffs = {}
+    for (*sk, A, B), parts in out.items():
+        ab = coeffs[(*sk, A, B)] = f_add(*parts)
+        coeffs[(*sk, B, A)] = f_scale(ab, -1)
+    return coeffs
 
 
 def base_lc_gamma_fields(chart: GaugeChart):

@@ -78,7 +78,7 @@ def _rho_omega_wedge(omega: Form, alpha: Form, pos: int, rep: Representation) ->
                 if sk[pos] != col:
                     continue
                 nsk = sk[:pos] + (row,) + sk[pos + 1:]
-                out.add_term(K2, nsk, f_mul(fw, fa, v if sign > 0 else -v))
+                out.add_term(K2, nsk, f_scale(f_mul(fw, fa), v if sign > 0 else -v))
     return out._finalize()
 
 
@@ -96,10 +96,11 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
             if merged is None:
                 continue
             K, sign = merged
-            # one product per pair; each term scales it by its signed constant
             fld = f_mul(fa, fb)
+            if sign < 0:
+                fld = f_scale(fld, -1)
             for k, v in row.items():
-                out.add_term(K, (k,), f_scale(fld, v if sign > 0 else -v))
+                out.add_term(K, (k,), f_scale(fld, v))
     return out._finalize()
 
 

@@ -11,11 +11,11 @@ coframe inverses becomes a lazy node.  Every coefficient has a
   0.  ``FPartial``'s value is its child's ``dvalue``, and it builds its
   child's derivative graph once.  ``Taylor`` numbers stand in for lazy
   nodes once a chart is read at its probe.
-- One node per term: a sum of one live operand is that operand, and a
-  product carries an optional trailing scale, applied last as an
-  ``FScale`` over it would be (``f_mul(a, b, c)``, or ``f_scale`` of an
-  unscaled product).  A sign folded into the scale keeps the bits, since
-  a negation commutes with rounding.
+- One node per term: a sum of one live operand is that operand, and
+  ``f_scale`` of an unscaled product is a new product node that applies
+  the scale last, as an ``FScale`` would; each such copy multiplies the
+  product out again.  A folded sign keeps the bits (negation commutes
+  with rounding).
 - A ``MatrixField`` computes its value matrix from its entries' values
   and, when first asked, its partials from their values and partials.
   Its entry cache holds weak references: a live entry node is shared,
@@ -407,23 +407,20 @@ def f_zero(n: int) -> Polynomial:
 EAGER_PRODUCT_CAP = 32
 
 
-def f_mul(a, b, c=None):
-    """a b, then times c when c is not None: the numbers of
-    ``f_scale(f_mul(a, b), c)``, in one node where the product is lazy."""
+def f_mul(a, b):
     if isinstance(a, Polynomial) and a.is_zero():
         return a
     if isinstance(b, Polynomial) and b.is_zero():
         return b
-    if c is not None and not c:
-        return f_zero(a.n)
     if isinstance(a, Polynomial) and isinstance(b, Polynomial):
         # large products stay lazy: only their values and partials are read
         if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
-            return a * b if c is None else (a * b).scale(c)
-    if isinstance(a, Taylor) or isinstance(b, Taylor):
-        t = _taylor_prod(a if isinstance(a, Taylor) else b, a, b)
-        return t if c is None else _taylor_scale(t, c)
-    return FProd(a, b, c)
+            return a * b
+    if isinstance(a, Taylor):
+        return _taylor_prod(a, a, b)
+    if isinstance(b, Taylor):
+        return _taylor_prod(b, a, b)
+    return FProd(a, b)
 
 
 def f_scale(a, c):

@@ -6,10 +6,9 @@ sparse slot-tensor of scalar fields.  Wedge, contracted wedge, interior
 product and exterior derivative operate on this representation; minors of
 a coframe and coefficient decompositions live here too.
 
-A bucket of one term keeps that term.  Sums, differences, scalings and
-wedges append on canonical keys without ``sort_index``.  A coframe builds
-each one-form once, and its minor family keeps each signed minor it hands
-out; ``signed_minor`` gives the sorted-index minor and the sign instead.
+A one-term bucket keeps its term; sums, scalings and wedges append on
+canonical keys without ``sort_index``.  A coframe builds each one-form
+once; ``signed_minor`` gives the sorted minor and the sign to fold in.
 """
 
 from __future__ import annotations
@@ -128,8 +127,7 @@ class Form:
             bucket[sk] = [cur, field]
 
     def _finalize(self) -> "Form":
-        """Collapse accumulated term lists into single fields and drop
-        zero terms."""
+        """Collapse term lists into single fields; drop zero terms."""
         for key, bucket in list(self.comps.items()):
             for sk, val in list(bucket.items()):
                 s = f_add(*val) if isinstance(val, list) else val
@@ -251,7 +249,9 @@ def wedge(a: Form, b: Form) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb, None if sign > 0 else -1)
+            fld = f_mul(fa, fb)
+            if sign < 0:
+                fld = f_scale(fld, -1)
             if not f_is_zero(fld):
                 out._append(K, ka + kb, fld)
     return out._finalize()
@@ -289,7 +289,9 @@ def contracted_wedge(a: Form, b: Form, plan: Sequence[Tuple[int, int]]) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb, None if sign > 0 else -1)
+            fld = f_mul(fa, fb)
+            if sign < 0:
+                fld = f_scale(fld, -1)
             if not f_is_zero(fld):
                 out._append(K, head + tail, fld)
     return out._finalize()
@@ -408,7 +410,6 @@ class CoframeMinors:
         # contiguous wedge ranges for cheap complements
         self._ranges: Dict[Tuple[int, int], Form] = {}
         self._complements: Dict[Tuple[int, ...], Form] = {}
-        self._negated: Dict[Tuple[int, ...], Form] = {}
         for i in range(N):
             acc = ones[i]
             self._ranges[(i, i)] = acc
@@ -451,15 +452,9 @@ class CoframeMinors:
         return self._complement_wedge(key), sign * perm_parity_for_front(key, self.N)
 
     def minor(self, idx: Sequence[int]) -> Form:
-        """e^{(N-k)}_{idx}; antisymmetric in idx, idx need not be sorted.
-        Each signed minor is built once; callers must not mutate it."""
+        """e^{(N-k)}_{idx}; antisymmetric in idx, idx need not be sorted."""
         comp, sign = self.signed_minor(idx)
-        if sign > 0:
-            return comp
-        key = tuple(sorted(idx))
-        if key not in self._negated:
-            self._negated[key] = comp.scale(-1)
-        return self._negated[key]
+        return comp if sign > 0 else comp.scale(-1)
 
     def minor_form(self, k: int, slot: Slot) -> Form:
         """Slotted family e^{(N-k)}_{V..V} as one Form with k dual slots."""

@@ -376,7 +376,7 @@ class Polynomial:
             terms: Dict[Exponent, object] = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
-                    e = tuple(map(operator.add, ea, eb))
+                    e = _exp_add(ea, eb)
                     p = _mul(ca, cb)
                     terms[e] = _add(terms[e], p) if e in terms else p
             return Polynomial._make(self.n, terms)

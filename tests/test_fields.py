@@ -685,23 +685,20 @@ def test_matrix_series_starts_its_term_at_m(exact, monkeypatch):
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
 def test_scaled_product_matches_scale_of_product(exact):
-    """f_mul(a, b, c) applies c after the product, as f_scale(f_mul(a, b),
-    c) does, with the same value and partials by repr; with a Taylor
-    operand and with two polynomials as well."""
+    """f_scale of a lazy product folds c into the product, which applies it
+    last, as an FScale over the product does: the same value and partials
+    by repr."""
     probe, nodes = _graph(exact)
     _, ref = _graph(exact)
     scales = [-1, _num(3, exact), _num("-2/7", exact)] + ([] if exact else [0.5])
-    for a, b in _PAIRS + [("poly", "poly-zero-at-probe")]:
+    for a, b in _PAIRS:
         name = a if a in ORDER0 else b  # read by value only if either is
-        tays = [(lambda n: n, lambda n: n)]
-        if not ORDER0 & {a, b}:
-            tays.append((lambda n: Taylor.of(n, probe, exact), lambda n: n))
         for c in scales:
-            for wrap_a, wrap_b in tays:
-                got = f_mul(wrap_a(nodes[a]), wrap_b(nodes[b]), c)
-                want = f_scale(f_mul(wrap_a(ref[a]), wrap_b(ref[b])), c)
-                assert (repr(_read(name, got, probe))
-                        == repr(_read(name, want, probe))), (a, b, c)
+            got = f_scale(f_mul(nodes[a], nodes[b]), c)
+            assert type(got) is FProd and got.c == c, (a, b, c)
+            want = FScale(f_mul(ref[a], ref[b]), c)
+            assert (repr(_read(name, got, probe))
+                    == repr(_read(name, want, probe))), (a, b, c)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
