@@ -17,7 +17,7 @@ from .forms import Coframe, Form, Slot, contracted_wedge, decompose, exterior_d,
 from .kappa import (KappaTensor, build_kappa, epsilon_double_contraction,
                     holst_kernel_factor, kappa_invariance_residual,
                     lambda_constant)
-from .scalars import Jet, Polynomial, finite_difference_check, jet_at, poly_field
+from .scalars import Polynomial, poly_field
 from .suites import SuiteConfig, run_suite
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "interior", "wedge",
     "KappaTensor", "build_kappa", "epsilon_double_contraction",
     "holst_kernel_factor", "kappa_invariance_residual", "lambda_constant",
-    "Jet", "Polynomial", "finite_difference_check", "jet_at", "poly_field",
+    "Polynomial", "poly_field",
     "SuiteConfig", "run_suite",
 ]
 

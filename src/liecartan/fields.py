@@ -2,15 +2,21 @@
 
 Polynomials stay eager; anything built from matrix exponentials or
 coframe inverses becomes a lazy node.  Every coefficient has a
-``.value(point)`` and a ``.dvalue(point, k)``, the first partial along k.
+``.value(point)`` and a ``.dvalue(point, k)``, the first partial along k;
+polynomials and lazy nodes also give ``.partials(point)``, the dict of
+their nonzero first partials by coordinate.
 
-- Sums, products and scalings combine their children's values and first
-  partials by the sum and product rules (forward mode), in a fixed
-  operand order and dropping a term with a zero factor, so that even
-  float bits do not depend on the path a number took.  A zero is the int
-  0.  ``FPartial``'s value is its child's ``dvalue``, and it builds its
-  child's derivative graph once.  ``Taylor`` numbers stand in for lazy
-  nodes once a chart is read at its probe.
+- One rule set evaluates a field at a probe: the sum, product and scale
+  rules of forward mode, each written once as a value rule and a partials
+  rule over values and dicts of nonzero partials.  They keep a fixed
+  operand order and drop a term with a zero factor, so that even float
+  bits do not depend on the path a number took, and a zero is the int 0.
+  The lazy nodes ``FSum``, ``FProd`` and ``FScale`` call them when first
+  read, for every k at once; ``f_add``, ``f_mul`` and ``f_scale`` call
+  them at once when an operand is a ``Taylor`` number, which stands in
+  for a lazy node once a chart is read at its probe.  ``FPartial``'s value
+  is its child's ``dvalue``, and it builds its child's derivative graph
+  once.
 - One node per term: a sum of one live operand is that operand, and
   ``f_scale`` of an unscaled product is a new product node that applies
   the scale last, as an ``FScale`` would; each such copy multiplies the
@@ -21,10 +27,10 @@ coframe inverses becomes a lazy node.  Every coefficient has a
   Its entry cache holds weak references: a live entry node is shared,
   and a matrix and its entries form no cycle, so refcounting frees them.
   An inverse takes V from ``linalg.mat_inverse`` and its partials as
-  -V (dE) V.  exp and dexp sum c_k M^k: where M vanishes at the point, as
-  every exact case needs, that is I c_0 with partials c_1 dM; otherwise
-  (floats) the series runs to convergence, on the values and then on the
-  values and partials together.
+  -V (dE) V.  exp and dexp sum c_k M^k over Taylor numbers: where M
+  vanishes at the point, as every exact case needs, that is I c_0 with
+  partials c_1 dM; otherwise (floats) the series runs to convergence, on
+  the values and then on the values and partials together.
 """
 
 from __future__ import annotations
@@ -56,14 +62,67 @@ def _as_tuple(point) -> tuple:
     return point if isinstance(point, tuple) else tuple(point)
 
 
-def _zero_as_int(x):
-    return x if x else 0  # a zero is the int 0 on every path
+def _nonzero(d: dict) -> dict:
+    return {k: x for k, x in d.items() if x}
 
+
+# ---------------------------------------------------------------------------
+# the sum, product and scale rules over values and dicts of nonzero partials
+# ---------------------------------------------------------------------------
+
+def _sum_value(values):
+    out = values[0]
+    for v in values[1:]:
+        out = _add(out, v)
+    return out or 0  # a zero is the int 0 on every path
+
+
+def _sum_partials(partials) -> dict:
+    out = {}
+    for d in partials:
+        for k, x in d.items():
+            out[k] = _add(out[k], x) if k in out else x
+    return _nonzero(out)
+
+
+def _prod_value(va, vb, c=None):
+    """a b, times c last when c is not None; a zero factor drops the term
+    (0 * inf is 0 here)."""
+    if not (va and vb):
+        return 0
+    v = _mul(va, vb)
+    return (v or 0) if c is None else _scale_value(v, c)
+
+
+def _prod_partials(va, vb, da, db, c=None) -> dict:
+    """va db, then + da vb, times c last when c is not None; each term is
+    dropped when its value factor is zero, so ``db`` is read only when va
+    is nonzero and ``da`` only when vb is (None otherwise)."""
+    out = {k: _mul(va, x) for k, x in db.items()} if va else {}
+    if vb:
+        for k, x in da.items():
+            x = _mul(x, vb)
+            out[k] = _add(out[k], x) if k in out else x
+    out = _nonzero(out)
+    return out if c is None else _scale_partials(out, c)
+
+
+def _scale_value(v, c):
+    return (_mul(c, v) or 0) if v and c else 0
+
+
+def _scale_partials(d: dict, c) -> dict:
+    return _nonzero({k: _mul(c, x) for k, x in d.items()}) if c else {}
+
+
+# ---------------------------------------------------------------------------
+# lazy nodes
+# ---------------------------------------------------------------------------
 
 class _Lazy:
-    # _v and _d (a list indexed by k) hold the value and first partials,
-    # computed by a subclass's _value and _dvalue, at the point object _pt;
-    # points are told apart by identity, since a chart is read at one
+    # _v and _d hold the value and the dict of nonzero first partials,
+    # computed by a subclass's _value and _partials, at the point object
+    # _pt; points are told apart by identity, since a chart is read at one
     # shared probe tuple and hashing tuples of Fractions costs more
     __slots__ = ("n", "_pt", "_v", "_d")
 
@@ -82,20 +141,22 @@ class _Lazy:
             self._move_to(point)
         v = self._v
         if v is _UNSET:
-            v = self._v = _zero_as_int(self._value(_as_tuple(point)))
+            v = self._v = self._value(_as_tuple(point))
         return v
 
-    def dvalue(self, point, k: int):
-        """First partial along ``k`` at ``point``."""
+    def partials(self, point) -> dict:
+        """Nonzero first partials at ``point`` by coordinate, computed for
+        every k on first read.  The dict is shared: callers read it only."""
         if point is not self._pt:
             self._move_to(point)
         d = self._d
         if d is None:
-            d = self._d = [_UNSET] * self.n
-        out = d[k]
-        if out is _UNSET:
-            out = d[k] = _zero_as_int(self._dvalue(_as_tuple(point), k))
-        return out
+            d = self._d = self._partials(_as_tuple(point))
+        return d
+
+    def dvalue(self, point, k: int):
+        """First partial along ``k`` at ``point``."""
+        return self.partials(point).get(k, 0)
 
     def __neg__(self):
         return f_scale(self, -1)
@@ -109,16 +170,10 @@ class FSum(_Lazy):
         self.parts = list(parts)
 
     def _value(self, point):
-        out = self.parts[0].value(point)
-        for f in self.parts[1:]:
-            out = _add(out, f.value(point))
-        return out
+        return _sum_value([f.value(point) for f in self.parts])
 
-    def _dvalue(self, point, k):
-        out = self.parts[0].dvalue(point, k)
-        for f in self.parts[1:]:
-            out = _add(out, f.dvalue(point, k))
-        return out
+    def _partials(self, point):
+        return _sum_partials([f.partials(point) for f in self.parts])
 
 
 class FProd(_Lazy):
@@ -133,31 +188,13 @@ class FProd(_Lazy):
         self.c = c
 
     def _value(self, point):
-        # a zero factor drops the term (0 * inf is 0 here)
-        va = self.a.value(point)
-        vb = self.b.value(point)
-        if not (va and vb):
-            return 0
-        v, c = _mul(va, vb), self.c
-        return _mul(c, v) if c is not None and v else v
+        return _prod_value(self.a.value(point), self.b.value(point), self.c)
 
-    def _dvalue(self, point, k):
-        # product rule: va * db, then + da * vb, each dropped when a factor
-        # is zero
+    def _partials(self, point):
         a, b = self.a, self.b
-        out = 0
-        va = a.value(point)
-        if va:
-            db = b.dvalue(point, k)
-            if db:
-                out = _mul(va, db)
-        vb = b.value(point)
-        if vb:
-            da = a.dvalue(point, k)
-            if da:
-                out = _add(out, _mul(da, vb))
-        c = self.c
-        return _mul(c, out) if c is not None and out else out
+        va, vb = a.value(point), b.value(point)
+        return _prod_partials(va, vb, a.partials(point) if vb else None,
+                              b.partials(point) if va else None, self.c)
 
 
 class FScale(_Lazy):
@@ -169,12 +206,10 @@ class FScale(_Lazy):
         self.c = c
 
     def _value(self, point):
-        v = self.a.value(point)
-        return _mul(self.c, v) if v and self.c else 0
+        return _scale_value(self.a.value(point), self.c)
 
-    def _dvalue(self, point, k):
-        d = self.a.dvalue(point, k)
-        return _mul(self.c, d) if d and self.c else 0
+    def _partials(self, point):
+        return _scale_partials(self.a.partials(point), self.c)
 
 
 class FPartial(_Lazy):
@@ -198,8 +233,8 @@ class FPartial(_Lazy):
     def _value(self, point):
         return self.a.dvalue(point, self.k)
 
-    def _dvalue(self, point, k):
-        return self.operand_derivative().dvalue(point, k)
+    def _partials(self, point):
+        return self.operand_derivative().partials(point)
 
 
 def _derivative(f, k: int, memo: dict):
@@ -228,6 +263,10 @@ def _derivative(f, k: int, memo: dict):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Taylor numbers: the same rules, applied at once
+# ---------------------------------------------------------------------------
+
 class Taylor:
     """Order-1 Taylor number of a field at one point.
 
@@ -253,18 +292,20 @@ class Taylor:
     @staticmethod
     def of(field, pt: tuple, exact: bool) -> "Taylor":
         """The value and first partials of ``field`` at ``pt``."""
-        return Taylor(field.n, pt, exact, field.value(pt), _partials(field, pt))
+        return Taylor(field.n, pt, exact, field.value(pt), field.partials(pt))
 
     def _check(self, point):
-        if point is not self.pt and point != self.pt:
+        if point != self.pt:
             raise TaylorError(f"Taylor number at {self.pt} read at {point}")
 
     def value(self, point):
-        self._check(point)
+        if point is not self.pt:
+            self._check(point)
         return self.v
 
     def dvalue(self, point, k: int):
-        self._check(point)
+        if point is not self.pt:
+            self._check(point)
         if self.d is None:
             raise TaylorError("an order-0 Taylor number holds no partials")
         if self.drop >> k & 1:
@@ -285,34 +326,14 @@ def _kept(d: dict, drop: int) -> dict:
     return {k: x for k, x in d.items() if not drop >> k & 1}
 
 
-def _partials(field, pt, drop: int = 0) -> dict:
-    """Nonzero first partials of a polynomial or lazy node at ``pt``,
-    except along the bits of ``drop``."""
-    out = {}
-    for k in range(field.n):
-        if drop >> k & 1:
-            continue
-        x = field.dvalue(pt, k)
-        if x:
-            out[k] = x
-    return out
-
-
-def _value_at(t: Taylor, f):
-    """Value of an operand ``f`` at the point of ``t``."""
-    if isinstance(f, Taylor):
-        if f.pt is not t.pt:
-            f._check(t.pt)
-        return f.v
-    return f.value(t.pt)
-
-
-def _partials_at(t: Taylor, f, drop: int) -> dict:
-    """Partials of an operand ``f`` at the point of ``t``, except along
-    the bits of ``drop``."""
+def _partials_at(f, pt, drop: int) -> dict:
+    """Nonzero first partials of an operand at ``pt``, except along the
+    bits of ``drop``; a polynomial computes only those."""
     if isinstance(f, Taylor):
         return _kept(f.d, drop) if drop & ~f.drop else f.d
-    return _partials(f, t.pt, drop)
+    if isinstance(f, Polynomial):
+        return f.partials(pt, drop)
+    return _kept(f.partials(pt), drop) if drop else f.partials(pt)
 
 
 def _joined(fields):
@@ -326,60 +347,10 @@ def _joined(fields):
     return drop, order1
 
 
-def _nonzero(d: dict) -> dict:
-    return {k: x for k, x in d.items() if x}
-
-
-# Taylor arithmetic follows FSum, FProd, FScale and FPartial (operand
-# order, zero-drop rule, int zero), so float bits agree with the lazy
-# graph.  A result is order 0 when an operand is, and drops every partial
-# an operand dropped; a polynomial or lazy operand is read at its point.
-
-def _taylor_sum(t: Taylor, parts) -> Taylor:
-    if len(parts) == 1:
-        return t
-    v = _value_at(t, parts[0])
-    for f in parts[1:]:
-        v = _add(v, _value_at(t, f))
-    d = None
-    drop, order1 = _joined(parts)
-    if order1:
-        d = {}
-        for f in parts:
-            for k, x in _partials_at(t, f, drop).items():
-                d[k] = _add(d[k], x) if k in d else x
-        d = _nonzero(d)
-    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
-
-
-def _taylor_prod(t: Taylor, a, b) -> Taylor:
-    va = _value_at(t, a)
-    vb = _value_at(t, b)
-    v = _mul(va, vb) if va and vb else 0
-    d = None
-    drop, order1 = _joined((a, b))
-    if order1:
-        d = {}
-        if va:
-            for k, x in _partials_at(t, b, drop).items():
-                d[k] = _mul(va, x)
-        if vb:
-            for k, x in _partials_at(t, a, drop).items():
-                xb = _mul(x, vb)
-                d[k] = _add(d[k], xb) if k in d else xb
-        d = _nonzero(d)
-    return Taylor(t.n, t.pt, t.exact, _zero_as_int(v), d, drop)
-
-
-def _taylor_scale(a: Taylor, c) -> Taylor:
-    v = _mul(c, a.v) if a.v else 0
-    d = _nonzero({k: _mul(c, x) for k, x in a.d.items()}) if a.d else a.d
-    return Taylor(a.n, a.pt, a.exact, _zero_as_int(v), d, a.drop)
-
-
-def _taylor_partial(a: Taylor, k: int) -> Taylor:
-    return Taylor(a.n, a.pt, a.exact, a.dvalue(a.pt, k), None)
-
+# A result with a Taylor operand is a Taylor number at that operand's
+# point: order 0 when an operand is, and dropping every partial an operand
+# dropped.  A polynomial or lazy operand is read at the point, and a
+# Taylor operand's value read checks it.
 
 def f_add(*fields):
     live = [f for f in fields if not (isinstance(f, Polynomial) and f.is_zero())]
@@ -394,10 +365,16 @@ def f_add(*fields):
         for f in live[1:]:
             out = out + f
         return out
-    for f in live:
-        if isinstance(f, Taylor):
-            return _taylor_sum(f, live)
-    return FSum(live)
+    for t in live:
+        if isinstance(t, Taylor):
+            break
+    else:
+        return FSum(live)
+    pt = t.pt
+    drop, order1 = _joined(live)
+    v = _sum_value([f.value(pt) for f in live])
+    d = _sum_partials([_partials_at(f, pt, drop) for f in live]) if order1 else None
+    return Taylor(t.n, pt, t.exact, v, d, drop)
 
 
 def f_zero(n: int) -> Polynomial:
@@ -416,11 +393,15 @@ def f_mul(a, b):
         # large products stay lazy: only their values and partials are read
         if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
             return a * b
-    if isinstance(a, Taylor):
-        return _taylor_prod(a, a, b)
-    if isinstance(b, Taylor):
-        return _taylor_prod(b, a, b)
-    return FProd(a, b)
+    t = a if isinstance(a, Taylor) else b
+    if not isinstance(t, Taylor):
+        return FProd(a, b)
+    pt = t.pt
+    drop, order1 = _joined((a, b))
+    va, vb = a.value(pt), b.value(pt)
+    d = _prod_partials(va, vb, _partials_at(a, pt, drop) if vb else None,
+                       _partials_at(b, pt, drop) if va else None) if order1 else None
+    return Taylor(t.n, pt, t.exact, _prod_value(va, vb), d, drop)
 
 
 def f_scale(a, c):
@@ -429,7 +410,8 @@ def f_scale(a, c):
     if isinstance(a, Polynomial):
         return a.scale(c)
     if isinstance(a, Taylor):
-        return _taylor_scale(a, c)
+        d = None if a.d is None else _scale_partials(a.d, c)
+        return Taylor(a.n, a.pt, a.exact, _scale_value(a.v, c), d, a.drop)
     if type(a) is FProd and a.c is None:
         return FProd(a.a, a.b, c)
     return FScale(a, c)
@@ -439,7 +421,7 @@ def f_partial(a, k: int):
     if isinstance(a, Polynomial):
         return a.partial_poly(k)
     if isinstance(a, Taylor):
-        return _taylor_partial(a, k)
+        return Taylor(a.n, a.pt, a.exact, a.dvalue(a.pt, k), None)
     return FPartial(a, k)
 
 
@@ -502,10 +484,10 @@ class MatrixEntryField(_Lazy):
         self.j = j
 
     def _value(self, point):
-        return self.mat.value_at(point)[self.i][self.j]
+        return self.mat.value_at(point)[self.i][self.j] or 0
 
-    def _dvalue(self, point, k):
-        return self.mat.partials_at(point)[self.i][self.j].get(k, 0)
+    def _partials(self, point):
+        return self.mat.partials_at(point)[self.i][self.j]
 
 
 class MatrixExpField(MatrixField):
@@ -535,9 +517,8 @@ class MatrixDexpField(MatrixExpField):
 
 def _mat_prod(A, B):
     """A B over Taylor numbers, each entry summed in ascending inner index."""
-    return [[_taylor_sum(t[0], t) for t in
-             ([_taylor_prod(a, a, brow[j]) for a, brow in zip(row, B)]
-              for j in range(len(B[0])))] for row in A]
+    return [[f_add(*[f_mul(a, brow[j]) for a, brow in zip(row, B)])
+             for j in range(len(B[0]))] for row in A]
 
 
 def _norm(M):
@@ -564,7 +545,7 @@ def _series(M, coeff, exact: bool):
         if k > 1:
             term = _mat_prod(term, M)
         c = coeff(k)
-        out = [[_taylor_sum(a, [a, _taylor_scale(b, c)]) for a, b in zip(ro, rt)]
+        out = [[f_add(a, f_scale(b, c)) for a, b in zip(ro, rt)]
                for ro, rt in zip(out, term)]
         if vanishing or _norm(term) * abs(c) < FLOAT_SERIES_TOL * scale:
             return out
@@ -593,7 +574,7 @@ class MatrixInverseField(MatrixField):
 
     def _partials(self, pt, V):
         dim = len(V)
-        dE = [[_partials(f, pt) for f in row] for row in self.entries]
+        dE = [[f.partials(pt) for f in row] for row in self.entries]
         out = [[{} for _ in range(dim)] for _ in range(dim)]
         for k in range(self.n):
             cols = [[d.get(k, 0) for d in row] for row in dE]

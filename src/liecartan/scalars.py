@@ -1,10 +1,10 @@
 """Polynomial coefficient functions, their values and first partials,
 and the exact-arithmetic helpers.
 
-A polynomial also gives its truncated Taylor data (a jet) at a base
-point, up to order 3, as a sparse dict mapping exponent tuples to Taylor
-coefficients; no suite reads it.  All arithmetic is exact when the
-coefficients are Fractions; the same code runs on floats for the
+A polynomial is read at a probe the way a lazy field is (see
+``fields``): by its value, its first partial along one coordinate, or
+the dict of its nonzero first partials.  All arithmetic is exact when
+the coefficients are Fractions; the same code runs on floats for the
 non-exact backend.
 
 Coefficient arithmetic goes through four helpers, ``_add``, ``_sub``,
@@ -25,11 +25,10 @@ helpers also skip an operation whose result is already known:
 - ``x * 1`` is ``x``, ``x * (-1)`` is ``-x`` and an exact ``x * 0`` is a
   zero;
 - a sum starts from its first term instead of the int 0;
-- ``eval``, ``_partial_at`` and the Taylor shift in ``jet`` drop a
-  monomial as soon as it has a power of a zero coordinate.  Such a term
-  is a zero product that the sum would only add, so a value with no
-  monomial left is the int 0 (``value`` and ``dvalue`` give every zero as
-  the int 0 anyway).
+- ``eval`` and ``_partial_at`` drop a monomial as soon as it has a
+  power of a zero coordinate.  Such a term is a zero product that the
+  sum would only add, so a value with no monomial left is the int 0
+  (``value`` and ``dvalue`` give every zero as the int 0 anyway).
 
 The results are bit-identical to the plain operators:
 
@@ -59,13 +58,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
-MAX_ORDER = 3
-
 Exponent = Tuple[int, ...]
-
-
-class JetOrderError(ValueError):
-    """Requested jet order outside the supported [0, 3] range."""
 
 
 class MalformedFieldError(ValueError):
@@ -199,123 +192,17 @@ def _mul(a, b):
     return r
 
 
-class Jet:
-    """Truncated Taylor expansion at a point: f(p+h) = sum_e terms[e] * h^e.
-
-    ``terms`` maps exponent tuples (len n, total degree <= order) to Taylor
-    coefficients.  Derivative values carry the factorial weights, see
-    :meth:`deriv`.
-    """
-
-    __slots__ = ("n", "order", "base", "terms")
-
-    def __init__(self, n: int, order: int, base: Sequence, terms: Dict[Exponent, object]):
-        self.n = n
-        self.order = order
-        self.base = tuple(base)
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def constant(value, n: int, order: int, base: Sequence) -> "Jet":
-        return Jet(n, order, base, {_zero_exp(n): value} if value != 0 else {})
-
-    # -- ring operations ----------------------------------------------
-    def _check(self, other: "Jet"):
-        if self.n != other.n:
-            raise ValueError("jet dimension mismatch")
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        order = min(self.order, other.order)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        for e, c in other.terms.items():
-            if sum(e) <= order:
-                terms[e] = _add(terms[e], c) if e in terms else c
-        return Jet(self.n, order, self.base, terms)
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.n, self.order, self.base, {e: _neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + (-other)
-
-    def scale(self, c) -> "Jet":
-        if c == 0:
-            return Jet(self.n, self.order, self.base, {})
-        return Jet(self.n, self.order, self.base,
-                   {e: _mul(c, v) for e, v in self.terms.items()})
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        order = min(self.order, other.order)
-        terms: Dict[Exponent, object] = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > order:
-                continue
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > order:
-                    continue
-                e = _exp_add(ea, eb)
-                p = _mul(ca, cb)
-                terms[e] = _add(terms[e], p) if e in terms else p
-        return Jet(self.n, order, self.base, terms)
-
-    def partial(self, k: int) -> "Jet":
-        """Jet of the k-th partial derivative (order drops by one)."""
-        if self.order == 0:
-            raise JetOrderError("jet order budget exhausted")
-        terms: Dict[Exponent, object] = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            de = list(e)
-            de[k] -= 1
-            terms[tuple(de)] = _mul(c, e[k])
-        return Jet(self.n, self.order - 1, self.base, terms)
-
-    # -- accessors ----------------------------------------------------
-    @property
-    def value(self):
-        return self.terms.get(_zero_exp(self.n), 0)
-
-    def deriv(self, idx: Sequence[int]):
-        """Partial derivative value for derivative directions ``idx``."""
-        e = [0] * self.n
-        for i in idx:
-            e[i] += 1
-        w = 1
-        for m in e:
-            w *= math.factorial(m)
-        return _mul(self.terms.get(tuple(e), 0), w)
-
-    def grad(self) -> list:
-        return [self.deriv((i,)) for i in range(self.n)]
-
-    def hessian(self) -> list:
-        return [[self.deriv((i, j)) for j in range(self.n)] for i in range(self.n)]
-
-    def third(self) -> list:
-        return [[[self.deriv((i, j, k)) for k in range(self.n)]
-                 for j in range(self.n)] for i in range(self.n)]
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=0)
-
-    def __repr__(self):
-        return f"Jet(n={self.n}, order={self.order}, terms={self.terms})"
-
-
 class Polynomial:
     """Exact multivariate polynomial; the default ScalarField backend.
 
     ``terms`` maps exponent tuples to coefficients.  Arithmetic is eager
-    (results stay polynomials); jets are computed by Taylor shift, and
-    :meth:`value` and :meth:`dvalue` give the value and a first partial
-    without building a jet.  Like a lazy node, a polynomial memoises its
-    value (``_v``) and first partials (``_d``) at the last point object it
-    was read at (``_pt``), and drops them when a different object arrives.
+    (results stay polynomials).  :meth:`value`, :meth:`dvalue` and
+    :meth:`partials` give the value, a first partial and the nonzero first
+    partials at a point.  Like a lazy node, a polynomial memoises its
+    value (``_v``) and first partials (``_d``, per coordinate, so that a
+    caller computes only the partials it reads) at the last point object
+    it was read at (``_pt``), and drops them when a different object
+    arrives.
     """
 
     __slots__ = ("n", "terms", "_pt", "_v", "_d")
@@ -421,22 +308,20 @@ class Polynomial:
         self._d = None
 
     def value(self, point: Sequence):
-        """Value at ``point``, equal to ``jet(point, 0).value``; memoised
-        at the last point object read."""
+        """Value at ``point``; memoised at the last point object read."""
         if point is not self._pt:
             self._move_to(point)
         v = self._v
         if v is None:
             v = self.eval(point)
             if not v:
-                v = 0  # a zero value is the int 0, as in Jet.value
+                v = 0  # a zero value is the int 0
             self._v = v
         return v
 
     def dvalue(self, point: Sequence, k: int):
-        """First partial along ``k`` at ``point``, equal to
-        ``jet(point, 1).deriv((k,))``; memoised per ``k`` at the last
-        point object read."""
+        """First partial along ``k`` at ``point``; memoised per ``k`` at the
+        last point object read."""
         if point is not self._pt:
             self._move_to(point)
         partials = self._d
@@ -469,41 +354,19 @@ class Polynomial:
                         w = _mul(w, p)
             else:
                 total = _add(total, w)
-        return total if total else 0  # as Jet.deriv: a zero is int 0
+        return total if total else 0  # a zero is the int 0
 
-    def jet(self, point: Sequence, order: int) -> Jet:
-        """Taylor data at ``point`` up to ``order`` (exact on rationals)."""
-        if order < 0 or order > MAX_ORDER:
-            raise JetOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
-        n = self.n
-        if order == 0:
-            return Jet.constant(self.value(point), n, 0, point)
-        terms: Dict[Exponent, object] = {}
-        for e, c in self.terms.items():
-            # expand prod_i (p_i + h_i)^{e_i}, truncated at total degree
-            # `order`; each (pe, j) gives its own exponent, and a term with
-            # a power of a zero p_i is dropped
-            partial = {(): c}
-            for i, m in enumerate(e):
-                p = point[i]
-                top = m - 1 if p == 0 else -1  # j <= top has a factor p^(m-j)
-                nxt: Dict[Exponent, object] = {}
-                for pe, pc in partial.items():
-                    deg = sum(pe)
-                    for j in range(m + 1):
-                        if deg + j > order:
-                            break
-                        if j <= top:
-                            continue
-                        w = _mul(pc, math.comb(m, j))
-                        for _ in range(m - j):
-                            w = _mul(w, p)
-                        nxt[pe + (j,)] = w
-                partial = nxt
-            for pe, pc in partial.items():
-                full = pe + (0,) * (n - len(pe))
-                terms[full] = _add(terms[full], pc) if full in terms else pc
-        return Jet(n, order, point, terms)
+    def partials(self, point: Sequence, drop: int = 0) -> dict:
+        """Nonzero first partials at ``point`` by coordinate, in ascending
+        k, except along the bits of ``drop``; each is read through
+        :meth:`dvalue`."""
+        out = {}
+        for k in range(self.n):
+            if not drop >> k & 1:
+                d = self.dvalue(point, k)
+                if d:
+                    out[k] = d
+        return out
 
     def substitute(self, replacements: Dict[int, "Polynomial"]) -> "Polynomial":
         """Composition: substitute coordinate k by a polynomial (same arity)."""
@@ -535,60 +398,6 @@ def poly_field(dim: int, monomials: Iterable[Tuple[Sequence[int], object]]) -> P
             raise MalformedFieldError("negative exponent")
         terms[e] = _add(terms[e], coeff) if e in terms else coeff
     return Polynomial(dim, terms)
-
-
-def jet_at(field: Polynomial, point: Sequence, order: int) -> Jet:
-    """Taylor data of a polynomial at a point; orders above 3 are
-    rejected."""
-    if order < 0 or order > MAX_ORDER:
-        raise JetOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
-    return field.jet(tuple(point), order)
-
-
-def finite_difference_check(field: Polynomial, point: Sequence,
-                            h: float = 1e-4) -> float:
-    """Max relative deviation between a polynomial's jet partials and
-    central differences.
-
-    Only first and second derivatives are compared; the divided-difference
-    noise floor at third order makes that comparison meaningless.  Used by
-    tests as an independent oracle for the jet evaluator.
-    """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    p = tuple(float(x) for x in point)
-    n = len(p)
-    jet = field.jet(p, min(2, MAX_ORDER))
-
-    def at(q):
-        return float(field.value(tuple(q)))
-
-    worst = 0.0
-
-    def rel(a, b):
-        scale = max(abs(a), abs(b), 1.0)
-        return abs(a - b) / scale
-
-    for i in range(n):
-        up = list(p)
-        dn = list(p)
-        up[i] += h
-        dn[i] -= h
-        fd = (at(up) - at(dn)) / (2 * h)
-        worst = max(worst, rel(fd, float(jet.deriv((i,)))))
-    for i in range(n):
-        for j in range(i, n):
-            pp = list(p)
-            pm = list(p)
-            mp = list(p)
-            mm = list(p)
-            pp[i] += h; pp[j] += h
-            pm[i] += h; pm[j] -= h
-            mp[i] -= h; mp[j] += h
-            mm[i] -= h; mm[j] -= h
-            fd = (at(pp) - at(pm) - at(mp) + at(mm)) / (4 * h * h)
-            worst = max(worst, rel(fd, float(jet.deriv((i, j)))))
-    return worst
 
 
 def rational(a, b=1) -> Fraction:

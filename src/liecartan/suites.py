@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
@@ -133,12 +133,14 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
     return central_extension(inner, n, b_diag=la.euclidean_diag(n))
 
 
-# the suites that read --kappa, those that read no --algebra, and those
-# whose identities hold only on a unimodular algebra
+# the suites that read --kappa, those that read no --algebra, those whose
+# identities hold only on a unimodular algebra, and those that need the
+# block metric b (+) k of the gauge split to be ad-invariant
 KAPPA_SUITES = frozenset({"kappa", "grav-el", "grav-decomp", "grav-bianchi",
                           "grav-commutators", "grav-conservation"})
 NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
 UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp", "kk-el"})
+AD_INVARIANT_SUITES = frozenset({"kk-lc", "kk-curvature", "kk-decomp"})
 
 
 def _reject_unusable_flags(config: SuiteConfig):
@@ -157,6 +159,14 @@ def _reject_unusable_flags(config: SuiteConfig):
         if not la.is_unimodular(alg):
             raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
                              f"needs a unimodular algebra (tr ad_x = 0)")
+    if algebra and config.suite in AD_INVARIANT_SUITES:
+        from .kk import check_h_invariance
+
+        # the uncorrupted algebra, as above; s is central in a central
+        # extension, so a base of dimension 1 shows what any other would
+        if check_h_invariance(gauge_split(replace(config, corruption=None), n=1)):
+            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
+                             f"needs an ad-invariant block metric b (+) k")
 
 
 def _require_dim(config: SuiteConfig, least: int, cycle: str = "",

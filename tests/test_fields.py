@@ -2,18 +2,19 @@
 
 ``value(point)`` and ``dvalue(point, k)`` are checked on the exact backend
 against independent closed forms: eager polynomial arithmetic read through
-``Polynomial.jet``, the sum and product rules on Fractions, and for the
-matrix nodes I c_0 and c_1 dM (an exponent that vanishes at the probe) and
--V (dE) V (an inverse).  On floats, where the operand order decides the
-bits, the values and partials are pinned by ``repr``.  A zero is the int 0
-on both backends.  Taylor numbers must give the value and partials of the
-lazy node they replace.
+the jet oracle's ``poly_jet``, the sum and product rules on Fractions, and
+for the matrix nodes I c_0 and c_1 dM (an exponent that vanishes at the
+probe) and -V (dE) V (an inverse).  On floats, where the operand order
+decides the bits, the values and partials are pinned by ``repr``.  A zero
+is the int 0 on both backends.  Taylor numbers must give the value and
+partials of the lazy node they replace.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
+from jet_oracle import poly_jet
 from liecartan import linalg
 from liecartan.charts import antisym
 from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixDexpField,
@@ -148,7 +149,7 @@ def _exact(fld, probe):
     """(value, partials) of a node on the exact backend, by the sum and
     product rules on Fractions; partials None for an FPartial."""
     if isinstance(fld, Polynomial):
-        j = fld.jet(probe, 1)
+        j = poly_jet(fld, probe, 1)
         return j.value, [j.deriv((k,)) for k in range(N)]
     if isinstance(fld, MatrixEntryField):
         return _matrix_closed_form(fld, probe)
@@ -190,7 +191,7 @@ def _check(exact, name, got, want):
 
 
 # FSum, FProd and FScale over polynomials against eager polynomial
-# arithmetic, read through Polynomial.jet
+# arithmetic, read through poly_jet
 def _polynomial_pairs():
     _, nodes = _graph(True)
     P, Q, Z = nodes["poly"], nodes["poly-zero-at-probe"], nodes["sum-cancelling"]
@@ -214,7 +215,7 @@ def test_value_equals_order0_jet_value(exact):
             assert repr(v) == want[0], name
     if exact:
         for node, poly in _polynomial_pairs():
-            assert node.value(probe) == poly.jet(probe, 0).value
+            assert node.value(probe) == poly_jet(poly, probe, 0).value
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
@@ -259,10 +260,38 @@ def test_dvalue_equals_order1_jet_partial(exact):
         _check(exact, name, _read(name, fld, probe), want)
     if exact:
         for node, poly in _polynomial_pairs():
-            j = poly.jet(probe, 1)
+            j = poly_jet(poly, probe, 1)
             for k in range(N):
                 d = node.dvalue(probe, k)
                 assert d == j.deriv((k,)) and (d or type(d) is int)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_partials_dict_holds_the_nonzero_dvalues_and_is_computed_once(exact,
+                                                                      monkeypatch):
+    """``partials(point)`` maps each k with a nonzero first partial to it, as
+    ``dvalue`` reads them one k at a time, by repr.  A lazy node computes
+    that dict once, however many k are read and in whichever way; the
+    partials of a matrix entry's partial raise."""
+    computed = []
+    for cls in (FSum, FProd, FScale, FPartial, MatrixEntryField):
+        def counted(self, point, _orig=cls._partials):
+            computed.append(id(self))
+            return _orig(self, point)
+        monkeypatch.setattr(cls, "_partials", counted)
+    probe, nodes = _graph(exact)
+    for name, fld in nodes.items():
+        if name in ORDER0:
+            with pytest.raises(TaylorError):
+                fld.partials(probe)
+            continue
+        reads = [fld.dvalue(probe, k) for k in range(N)]
+        d = fld.partials(probe)
+        assert repr(dict(sorted(d.items()))) == repr(
+            {k: x for k, x in enumerate(reads) if x}), name
+        assert [fld.dvalue(probe, k) for k in range(N)] == reads
+        assert fld.partials(probe) is d or isinstance(fld, Polynomial), name
+        assert computed.count(id(fld)) == (0 if isinstance(fld, Polynomial) else 1), name
 
 
 def test_partial_node_partials_are_second_partials_of_its_operand():
@@ -274,7 +303,7 @@ def test_partial_node_partials_are_second_partials_of_its_operand():
     P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
     lazy = FSum([FProd(P, FScale(Q, F(3))), FProd(Q, Q)])
     eager = P * Q.scale(F(3)) + Q * Q
-    two, three = eager.jet(probe, 2), eager.jet(probe, 3)
+    two, three = poly_jet(eager, probe, 2), poly_jet(eager, probe, 3)
     for k in range(N):
         assert FPartial(lazy, k).value(probe) == two.deriv((k,))
         for l in range(N):
@@ -422,7 +451,7 @@ def test_polynomial_dvalue_equals_order1_jet_partial(exact):
         twin = Polynomial(n, P.terms)
         for k in range(n):
             d = P.dvalue(probe, k)
-            assert repr(d) == repr(twin.jet(probe, 1).deriv((k,))), (P, k)
+            assert repr(d) == repr(poly_jet(twin, probe, 1).deriv((k,))), (P, k)
             assert P.dvalue(probe, k) is d
 
 
@@ -433,9 +462,9 @@ def test_polynomial_dvalue_cancelling_to_zero_is_int(exact):
     P = poly_field(2, [((1, 0), _num("1/2", exact)), ((1, 1), _num(-1, exact))])
     d = P.dvalue(probe, 0)
     assert d == 0 and type(d) is int
-    assert repr(d) == repr(Polynomial(2, P.terms).jet(probe, 1).deriv((0,)))
+    assert repr(d) == repr(poly_jet(Polynomial(2, P.terms), probe, 1).deriv((0,)))
     assert repr(P.dvalue(probe, 1)) == repr(
-        Polynomial(2, P.terms).jet(probe, 1).deriv((1,)))
+        poly_jet(Polynomial(2, P.terms), probe, 1).deriv((1,)))
 
 
 def test_matrix_entry_nodes_are_shared():

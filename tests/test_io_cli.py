@@ -217,6 +217,16 @@ def test_cli_rejects_inapplicable_flag_values(args, flag):
                                   ("--suite", "kk-el")],
                          ids=["gauge-lemmas", "ym-decomp", "ym-el", "kk-el"])
 def test_cli_rejects_non_unimodular_algebra(tmp_path, args):
+    _rejects_aff1xR(tmp_path, args, "unimodular")
+
+
+@pytest.mark.parametrize("suite", ["kk-lc", "kk-curvature", "kk-decomp"])
+def test_cli_rejects_algebra_without_ad_invariant_metric(tmp_path, suite):
+    # aff(1) x R has no ad-invariant metric
+    _rejects_aff1xR(tmp_path, ("--suite", suite), "ad-invariant")
+
+
+def _rejects_aff1xR(tmp_path, args, word):
     # aff(1) x R: [t0, t1] = t1, so tr ad_t0 = 1
     path = tmp_path / "aff1xR.json"
     path.write_text(json.dumps({"name": "aff1xR", "dim": 3,
@@ -226,12 +236,14 @@ def test_cli_rejects_non_unimodular_algebra(tmp_path, args):
     assert out.returncode == 2, out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: --algebra {path}: ") \
-        and "unimodular" in lines[0], out.stderr
+        and word in lines[0], out.stderr
 
 
-@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el", "kk-el"])
+@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el", "kk-el",
+                                   "kk-lc", "kk-curvature", "kk-decomp"])
 def test_structure_corruption_still_reaches_the_identities(suite):
-    # the unimodular check reads the algebra before it is corrupted
+    # the unimodular and ad-invariance checks read the algebra before it is
+    # corrupted
     report = run_suite(SuiteConfig(suite=suite, n=2, algebra="su2", cases=1,
                                    corruption="structure"))
     assert not report["pass"] and report["max_residual"] >= 1e-3
