@@ -151,9 +151,9 @@ def exp_adjoint(alg: LieAlgebra, xi: Sequence, tol: float = 1e-15):
     transpose, so that <Ad_dual a, Ad z> = <a, z>.
     """
     m = [[float(v) for v in row] for row in ad_matrix(alg, xi)]
-    ad, _ = linalg.mat_exp(m, tol=tol)
+    ad = linalg.mat_exp(m, tol=tol)
     m_neg = [[-v for v in row] for row in m]
-    ad_inv, _ = linalg.mat_exp(m_neg, tol=tol)
+    ad_inv = linalg.mat_exp(m_neg, tol=tol)
     ad_dual = linalg.transpose(ad_inv)
     return ad, ad_dual
 

@@ -80,31 +80,28 @@ class Rng:
             out[tuple(e)] = out.get(tuple(e), 0) + c
         return Polynomial(n, out)
 
-    def vanishing_poly(self, n: int, points: Sequence[Tuple], vars_: Sequence[int],
+    def vanishing_poly(self, n: int, point: Tuple, vars_: Sequence[int],
                        deg: int = 1, terms: int = 2) -> Polynomial:
-        """Random polynomial vanishing at every listed point.
+        """Random polynomial vanishing at ``point``.
 
-        Built as a product of affine factors, one per point, times a random
-        polynomial in the given variables; derivatives at the points stay
-        generic.
+        Built as a random polynomial in the given variables times an affine
+        factor that vanishes there; derivatives at the point stay generic.
         """
         acc = self.poly_in_vars(n, vars_, deg, terms)
-        for p in points:
-            lin_terms: Dict[Tuple[int, ...], object] = {}
-            for j in vars_:
-                e = [0] * n
-                e[j] = 1
-                lin_terms[tuple(e)] = self.scalar(-2, 2)
-            lin = Polynomial(n, lin_terms)
-            shift = 0 - lin.eval(p)
-            lin = lin + Polynomial.constant(shift if self.exact else float(shift), n)
-            if lin.is_zero():
-                e = [0] * n
-                e[vars_[0]] = 1
-                lin = Polynomial(n, {tuple(e): self.nonzero_scalar()})
-                lin = lin + Polynomial.constant(0 - lin.eval(p), n)
-            acc = acc * lin
-        return acc
+        lin_terms: Dict[Tuple[int, ...], object] = {}
+        for j in vars_:
+            e = [0] * n
+            e[j] = 1
+            lin_terms[tuple(e)] = self.scalar(-2, 2)
+        lin = Polynomial(n, lin_terms)
+        shift = 0 - lin.eval(point)
+        lin = lin + Polynomial.constant(shift if self.exact else float(shift), n)
+        if lin.is_zero():
+            e = [0] * n
+            e[vars_[0]] = 1
+            lin = Polynomial(n, {tuple(e): self.nonzero_scalar()})
+            lin = lin + Polynomial.constant(0 - lin.eval(point), n)
+        return acc * lin
 
 
 @dataclass
@@ -165,7 +162,8 @@ class TrivializedChart:
 
         Forms built from the copy hold Taylor numbers wherever this chart's
         would hold lazy nodes, and are read only at the probe.  The copy is
-        for ``dAp``; its other fields are this chart's own.
+        for ``dAp``: its coframe has no probe, so it is not inverted again,
+        and its other fields are this chart's own.
         """
         pt = self.probe
 
@@ -215,9 +213,8 @@ class GravityChart(TrivializedChart):
 
         Not memoised: a corrupted run replaces ``torsion`` after building.
         """
-        pt = self.probe
-        return (decompose(self.torsion, self.coframe, "by-coframe", pt, self.exact),
-                decompose(self.curv_l, self.coframe, "by-coframe", pt, self.exact))
+        return (decompose(self.torsion, self.coframe, "by-coframe"),
+                decompose(self.curv_l, self.coframe, "by-coframe"))
 
 
 def antisym(table: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, int], object]:
@@ -310,7 +307,7 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
             if k == pos:
                 parts.append(Polynomial.constant(Fraction(1) if rng.exact else 1.0, N))
             if s_coframe == "perturbed":
-                parts.append(rng.vanishing_poly(N, [probe], x_vars))
+                parts.append(rng.vanishing_poly(N, probe, x_vars))
             if parts:
                 out.add_term((k,), (a,), f_add(*parts))
     for i in split.l_indices:
@@ -355,7 +352,7 @@ def coframe_from_algebra_form(e_form: Form, dim: int, probe: Tuple,
     if dim != N:
         raise ChartError("algebra dimension must match the chart dimension")
     entries = [[e_form.get((k,), (I,)) for k in range(N)] for I in range(dim)]
-    return Coframe(entries, probes=[probe], exact=exact)
+    return Coframe(entries, probe, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,8 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
                 continue
             K, sign = merged
             fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
             for k, v in row.items():
-                out.add_term(K, (k,), f_scale(fld, v))
+                out.add_term(K, (k,), f_scale(fld, v if sign > 0 else -v))
     return out._finalize()
 
 
@@ -214,18 +212,14 @@ def maurer_cartan_form(gm: GroupMap) -> Form:
     return gm.left_log_derivative()
 
 
-def maurer_cartan_residual(theta: Form, alg: LieAlgebra, points: Sequence) -> object:
-    res = curvature(theta, alg)
-    return max(res.max_abs(p) for p in points)
+def maurer_cartan_residual(theta: Form, alg: LieAlgebra, probe) -> object:
+    return curvature(theta, alg).max_abs(probe)
 
 
-def apply_matrix_to_slot(form: Form, pos: int, entry_fn, out_slot: Optional[Slot] = None) -> Form:
+def apply_matrix_to_slot(form: Form, pos: int, entry_fn) -> Form:
     """Multiply slot ``pos`` by a matrix of fields given through entry_fn(i, j)."""
-    slots = list(form.slots)
-    if out_slot is not None:
-        slots[pos] = out_slot
-    dim = slots[pos].dim
-    out = Form(form.n, form.degree, tuple(slots))
+    dim = form.slots[pos].dim
+    out = Form(form.n, form.degree, form.slots)
     for K, sk, fld in form.terms():
         j = sk[pos]
         for i in range(dim):

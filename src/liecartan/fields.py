@@ -6,6 +6,13 @@ coframe inverses becomes a lazy node.  Every coefficient has a
 polynomials and lazy nodes also give ``.partials(point)``, the dict of
 their nonzero first partials by coordinate.
 
+- A chart is read at one probe, so a lazy node is bound to the point of
+  its first read: a later read there, or at an equal tuple, is served from
+  its memo, and a read at any other point raises ``TaylorError``.  A
+  ``Taylor`` number is a lazy node bound to its point when built, with its
+  value and partials already set; a ``MatrixField`` is bound the same way,
+  with a matrix as its value and a matrix of dicts as its partials.
+  Polynomials keep a memo per point instead, and may be read anywhere.
 - One rule set evaluates a field at a probe: the sum, product and scale
   rules of forward mode, each written once as a value rule and a partials
   rule over values and dicts of nonzero partials.  They keep a fixed
@@ -13,10 +20,9 @@ their nonzero first partials by coordinate.
   bits do not depend on the path a number took, and a zero is the int 0.
   The lazy nodes ``FSum``, ``FProd`` and ``FScale`` call them when first
   read, for every k at once; ``f_add``, ``f_mul`` and ``f_scale`` call
-  them at once when an operand is a ``Taylor`` number, which stands in
-  for a lazy node once a chart is read at its probe.  ``FPartial``'s value
-  is its child's ``dvalue``, and it builds its child's derivative graph
-  once.
+  them at once when an operand is a ``Taylor`` number.  ``FPartial``'s
+  value is its child's ``dvalue``, and it builds its child's derivative
+  graph once.
 - One node per term: a sum of one live operand is that operand, and
   ``f_scale`` of an unscaled product is a new product node that applies
   the scale last, as an ``FScale`` would; each such copy multiplies the
@@ -54,8 +60,9 @@ class TruncationError(ArithmeticError):
 
 
 class TaylorError(ArithmeticError):
-    """A Taylor number was read at another point, or for a partial it does
-    not hold (an order-0 number, or a partial it dropped)."""
+    """A lazy node was read at a point other than the one it is bound to,
+    or for a partial it does not hold (an order-0 Taylor number's, a
+    dropped one, or a matrix entry's second partials)."""
 
 
 def _as_tuple(point) -> tuple:
@@ -119,40 +126,46 @@ def _scale_partials(d: dict, c) -> dict:
 # lazy nodes
 # ---------------------------------------------------------------------------
 
-class _Lazy:
-    # _v and _d hold the value and the dict of nonzero first partials,
-    # computed by a subclass's _value and _partials, at the point object
-    # _pt; points are told apart by identity, since a chart is read at one
-    # shared probe tuple and hashing tuples of Fractions costs more
+class _Bound:
+    # _v and _d: the value and partials at _pt, the point of the first read,
+    # computed by a subclass's _value and _partials; a chart passes one shared
+    # probe tuple, so a read at that object skips the equality check
     __slots__ = ("n", "_pt", "_v", "_d")
 
-    def __init__(self, n: int):
-        self.n = n
-        self._pt = None
-
-    def _move_to(self, point):
-        self._pt = point
-        self._v = _UNSET
-        self._d = None
+    def _bind(self, point):
+        point = _as_tuple(point)
+        if self._pt is None:
+            self._pt = point
+        elif point != self._pt:
+            raise TaylorError(f"a field bound to {self._pt} was read at {point}")
 
     def value(self, point):
-        """Scalar value at ``point``."""
+        """Value at ``point``."""
         if point is not self._pt:
-            self._move_to(point)
+            self._bind(point)
         v = self._v
         if v is _UNSET:
-            v = self._v = self._value(_as_tuple(point))
+            v = self._v = self._value(self._pt)
         return v
 
     def partials(self, point) -> dict:
-        """Nonzero first partials at ``point`` by coordinate, computed for
-        every k on first read.  The dict is shared: callers read it only."""
+        """Nonzero first partials at ``point``, computed for every k on
+        first read.  They are shared: callers read them only."""
         if point is not self._pt:
-            self._move_to(point)
+            self._bind(point)
         d = self._d
         if d is None:
-            d = self._d = self._partials(_as_tuple(point))
+            d = self._d = self._partials(self._pt)
         return d
+
+
+class _Lazy(_Bound):
+    """A scalar lazy node: its partials are a dict by coordinate."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        self.n, self._pt, self._v, self._d = n, None, _UNSET, None
 
     def dvalue(self, point, k: int):
         """First partial along ``k`` at ``point``."""
@@ -267,26 +280,28 @@ def _derivative(f, k: int, memo: dict):
 # Taylor numbers: the same rules, applied at once
 # ---------------------------------------------------------------------------
 
-class Taylor:
-    """Order-1 Taylor number of a field at one point.
+class Taylor(_Lazy):
+    """Order-1 Taylor number of a field at one point: a lazy node bound to
+    ``pt`` when built, with its value ``v`` and partials ``d`` set as its
+    memo.
 
-    ``v`` is the value and ``d`` maps a coordinate k to the first partial
-    along it; only nonzero partials are stored, so a missing k is the int
-    0.  ``d`` is None on an order-0 number, which a partial leaves behind:
-    it holds no partials of its own.  ``exact`` is the chart's backend,
-    which decides whether a zero counts as zero (see ``f_is_zero``).
-    Bit k of ``drop`` marks a partial along k that was not kept (see
+    ``d`` maps a coordinate k to the first partial along it; only nonzero
+    partials are stored, so a missing k is the int 0.  ``d`` is None on an
+    order-0 number, which a partial leaves behind: it holds no partials of
+    its own, and reading them raises.  ``exact`` is the chart's backend,
+    which decides whether a zero counts as zero (see ``f_is_zero``).  Bit
+    k of ``drop`` marks a partial along k that was not kept (see
     ``without``); it is absent from ``d`` and cannot be read.
     """
 
-    __slots__ = ("n", "pt", "exact", "v", "d", "drop")
+    __slots__ = ("exact", "drop")
 
     def __init__(self, n: int, pt: tuple, exact: bool, v, d, drop: int = 0):
         self.n = n
-        self.pt = pt
+        self._pt = pt
+        self._v = v
+        self._d = d
         self.exact = exact
-        self.v = v
-        self.d = d
         self.drop = drop
 
     @staticmethod
@@ -294,31 +309,20 @@ class Taylor:
         """The value and first partials of ``field`` at ``pt``."""
         return Taylor(field.n, pt, exact, field.value(pt), field.partials(pt))
 
-    def _check(self, point):
-        if point != self.pt:
-            raise TaylorError(f"Taylor number at {self.pt} read at {point}")
-
-    def value(self, point):
-        if point is not self.pt:
-            self._check(point)
-        return self.v
+    def _partials(self, point):
+        raise TaylorError("an order-0 Taylor number holds no partials")
 
     def dvalue(self, point, k: int):
-        if point is not self.pt:
-            self._check(point)
-        if self.d is None:
-            raise TaylorError("an order-0 Taylor number holds no partials")
         if self.drop >> k & 1:
-            raise TaylorError(f"the partial along {k} of this Taylor number "
-                              f"was dropped")
-        return self.d.get(k, 0)
+            raise TaylorError(f"partial {k} of this Taylor number was dropped")
+        return self.partials(point).get(k, 0)
 
     def without(self, mask: int) -> "Taylor":
         """This number with its partials along the bits of ``mask`` dropped
         (itself when they already are, or when it is order 0)."""
-        if self.d is None or not mask & ~self.drop:
+        if self._d is None or not mask & ~self.drop:
             return self
-        return Taylor(self.n, self.pt, self.exact, self.v, _kept(self.d, mask),
+        return Taylor(self.n, self._pt, self.exact, self._v, _kept(self._d, mask),
                       self.drop | mask)
 
 
@@ -329,11 +333,12 @@ def _kept(d: dict, drop: int) -> dict:
 def _partials_at(f, pt, drop: int) -> dict:
     """Nonzero first partials of an operand at ``pt``, except along the
     bits of ``drop``; a polynomial computes only those."""
-    if isinstance(f, Taylor):
-        return _kept(f.d, drop) if drop & ~f.drop else f.d
     if isinstance(f, Polynomial):
         return f.partials(pt, drop)
-    return _kept(f.partials(pt), drop) if drop else f.partials(pt)
+    d = f.partials(pt)
+    if isinstance(f, Taylor):
+        drop &= ~f.drop
+    return _kept(d, drop) if drop else d
 
 
 def _joined(fields):
@@ -343,14 +348,14 @@ def _joined(fields):
     for f in fields:
         if isinstance(f, Taylor):
             drop |= f.drop
-            order1 = order1 and f.d is not None
+            order1 = order1 and f._d is not None
     return drop, order1
 
 
 # A result with a Taylor operand is a Taylor number at that operand's
 # point: order 0 when an operand is, and dropping every partial an operand
-# dropped.  A polynomial or lazy operand is read at the point, and a
-# Taylor operand's value read checks it.
+# dropped.  Every operand is read at the point, which a lazy or Taylor
+# operand checks against its own.
 
 def f_add(*fields):
     live = [f for f in fields if not (isinstance(f, Polynomial) and f.is_zero())]
@@ -370,7 +375,7 @@ def f_add(*fields):
             break
     else:
         return FSum(live)
-    pt = t.pt
+    pt = t._pt
     drop, order1 = _joined(live)
     v = _sum_value([f.value(pt) for f in live])
     d = _sum_partials([_partials_at(f, pt, drop) for f in live]) if order1 else None
@@ -396,7 +401,7 @@ def f_mul(a, b):
     t = a if isinstance(a, Taylor) else b
     if not isinstance(t, Taylor):
         return FProd(a, b)
-    pt = t.pt
+    pt = t._pt
     drop, order1 = _joined((a, b))
     va, vb = a.value(pt), b.value(pt)
     d = _prod_partials(va, vb, _partials_at(a, pt, drop) if vb else None,
@@ -410,8 +415,8 @@ def f_scale(a, c):
     if isinstance(a, Polynomial):
         return a.scale(c)
     if isinstance(a, Taylor):
-        d = None if a.d is None else _scale_partials(a.d, c)
-        return Taylor(a.n, a.pt, a.exact, _scale_value(a.v, c), d, a.drop)
+        d = None if a._d is None else _scale_partials(a._d, c)
+        return Taylor(a.n, a._pt, a.exact, _scale_value(a._v, c), d, a.drop)
     if type(a) is FProd and a.c is None:
         return FProd(a.a, a.b, c)
     return FScale(a, c)
@@ -421,7 +426,7 @@ def f_partial(a, k: int):
     if isinstance(a, Polynomial):
         return a.partial_poly(k)
     if isinstance(a, Taylor):
-        return Taylor(a.n, a.pt, a.exact, a.dvalue(a.pt, k), None)
+        return Taylor(a.n, a._pt, a.exact, a.dvalue(a._pt, k), None)
     return FPartial(a, k)
 
 
@@ -432,38 +437,24 @@ def f_is_zero(a) -> bool:
     and values round differently from the lazy graph's."""
     if isinstance(a, Polynomial):
         return a.is_zero()
-    return isinstance(a, Taylor) and a.exact and not a.v and not a.d
+    return isinstance(a, Taylor) and a.exact and not a._v and not a._d
 
 
 # ---------------------------------------------------------------------------
 # shared lazy matrix nodes (exp of polynomial matrices, coframe inverses)
 # ---------------------------------------------------------------------------
 
-class MatrixField:
-    """Matrix-valued function of the chart point.  ``value_at`` is its value
-    matrix and ``partials_at`` gives each entry's nonzero first partials as
-    a dict by coordinate; each is computed once at the last point object
-    read, the partials only when first asked for."""
+class MatrixField(_Bound):
+    """Matrix-valued function of the chart point, bound to its probe like
+    a lazy node: its value is the value matrix, and its partials the
+    matrix of each entry's nonzero first partials as a dict by coordinate,
+    computed when first asked for."""
 
     def __init__(self, entries: List[List[object]], exact: bool = True):
+        self.n, self._pt, self._v, self._d = entries[0][0].n, None, _UNSET, None
         self.entries = entries
-        self.n = entries[0][0].n
         self.exact = exact
-        self._pt = None
         self._entries = weakref.WeakValueDictionary()
-
-    def value_at(self, point) -> List[List]:
-        if point is not self._pt:
-            self._pt, self._V, self._D = point, None, None
-        if self._V is None:
-            self._V = self._values(point)
-        return self._V
-
-    def partials_at(self, point) -> List[List[dict]]:
-        V = self.value_at(point)
-        if self._D is None:
-            self._D = self._partials(point, V)
-        return self._D
 
     def entry(self, i: int, j: int) -> "MatrixEntryField":
         """The lazy node of entry (i, j); one live node per entry, so that
@@ -484,10 +475,10 @@ class MatrixEntryField(_Lazy):
         self.j = j
 
     def _value(self, point):
-        return self.mat.value_at(point)[self.i][self.j] or 0
+        return self.mat.value(point)[self.i][self.j] or 0
 
     def _partials(self, point):
-        return self.mat.partials_at(point)[self.i][self.j]
+        return self.mat.partials(point)[self.i][self.j]
 
 
 class MatrixExpField(MatrixField):
@@ -499,14 +490,14 @@ class MatrixExpField(MatrixField):
         f = math.factorial(k + self.shift)
         return Fraction(1, f) if self.exact else 1 / f
 
-    def _values(self, pt):
+    def _value(self, pt):
         M = [[Taylor(self.n, pt, self.exact, f.value(pt), None) for f in row]
              for row in self.entries]
-        return [[t.v for t in row] for row in _series(M, self._coeff, self.exact)]
+        return [[t._v for t in row] for row in _series(M, self._coeff, self.exact)]
 
-    def _partials(self, pt, V):
+    def _partials(self, pt):
         M = [[Taylor.of(f, pt, self.exact) for f in row] for row in self.entries]
-        return [[t.d for t in row] for row in _series(M, self._coeff, self.exact)]
+        return [[t._d for t in row] for row in _series(M, self._coeff, self.exact)]
 
 
 class MatrixDexpField(MatrixExpField):
@@ -524,7 +515,7 @@ def _mat_prod(A, B):
 def _norm(M):
     """Largest absolute value among the entries' values and partials."""
     return max((abs(x) for row in M for t in row
-                for x in ([t.v] if t.d is None else [t.v, *t.d.values()])), default=0)
+                for x in ([t._v] if t._d is None else [t._v, *t._d.values()])), default=0)
 
 
 def _series(M, coeff, exact: bool):
@@ -533,9 +524,9 @@ def _series(M, coeff, exact: bool):
     first-order term, I c_0 + c_1 M; otherwise (floats only) it stops at
     the first term whose values and partials are all below the tolerance."""
     t, dim = M[0][0], len(M)
-    out = [[Taylor(t.n, t.pt, exact, _mul(coeff(0), 1) if i == j else 0,
-                   None if t.d is None else {}) for j in range(dim)] for i in range(dim)]
-    vanishing = not any(t.v for row in M for t in row)
+    out = [[Taylor(t.n, t._pt, exact, _mul(coeff(0), 1) if i == j else 0,
+                   None if t._d is None else {}) for j in range(dim)] for i in range(dim)]
+    vanishing = not any(t._v for row in M for t in row)
     if not vanishing and exact:
         raise TruncationError("matrix series does not terminate on the exact "
                               "backend unless the exponent vanishes there")
@@ -568,11 +559,12 @@ class MatrixInverseField(MatrixField):
     -V (dE) V, formed as (-(V dE)) V like the Neumann series
     (1 + V (E - E(p)))^-1 V."""
 
-    def _values(self, pt):
+    def _value(self, pt):
         E = [[f.value(pt) for f in row] for row in self.entries]
         return linalg.mat_inverse(E, self.exact)
 
-    def _partials(self, pt, V):
+    def _partials(self, pt):
+        V = self.value(pt)
         dim = len(V)
         dE = [[f.partials(pt) for f in row] for row in self.entries]
         out = [[{} for _ in range(dim)] for _ in range(dim)]

@@ -89,10 +89,6 @@ class Form:
         self.comps: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
 
     # -- construction ---------------------------------------------------
-    @staticmethod
-    def zero(n: int, degree: int, slots: Sequence[Slot] = ()) -> "Form":
-        return Form(n, degree, slots)
-
     def add_term(self, idx: Sequence[int], slotkey: Sequence[int], field) -> "Form":
         if f_is_zero(field):
             return self
@@ -352,19 +348,25 @@ class SingularCoframeError(ArithmeticError):
 
 
 class Coframe:
-    """N independent 1-forms e^A = sum_k E[A][k] dx^k on an N-chart."""
+    """N independent 1-forms e^A = sum_k E[A][k] dx^k on an N-chart, read
+    at the one point ``probe``.
 
-    def __init__(self, entries: List[List[object]], probes: Sequence[Tuple] = (),
+    A coframe with a probe is inverted there when built, which certifies
+    that it is not singular there; one without gives forms and minors, but
+    no inverse and no decomposition.
+    """
+
+    def __init__(self, entries: List[List[object]], probe: Optional[Tuple] = None,
                  exact: bool = True):
         self.N = len(entries)
         self.entries = [[_as_field(c, self.N) for c in row] for row in entries]
+        self.probe = None if probe is None else tuple(probe)
         self.exact = exact
-        self.probes = [tuple(p) for p in probes]
         self._inv: Optional[MatrixField] = None
         self._minors: Optional["CoframeMinors"] = None
         self._ones: Dict[int, Form] = {}
-        for p in self.probes:
-            self.certify(p)
+        if probe is not None:
+            self.inverse()
 
     def one_form(self, A: int) -> Form:
         """e^A, built once; callers must not mutate it."""
@@ -372,21 +374,13 @@ class Coframe:
             self._ones[A] = one_form(self.N, self.entries[A])
         return self._ones[A]
 
-    def matrix_at(self, point) -> List[List]:
-        point = tuple(point)
-        return [[f.value(point) for f in row] for row in self.entries]
-
-    def certify(self, point):
-        self.inverse_at(point)
-
-    def inverse_at(self, point) -> List[List]:
-        """The inverse of ``matrix_at(point)``: the inverse field's value
-        matrix, memoised at the last point object asked for; callers must
-        not mutate it."""
+    def inverse(self) -> List[List]:
+        """The inverse of the coframe matrix at the probe: the inverse
+        field's memoised value matrix; callers must not mutate it."""
         try:
-            return self.inverse_field().value_at(point)
+            return self.inverse_field().value(self.probe)
         except linalg.SingularMatrixError as exc:
-            raise SingularCoframeError(f"coframe singular at {point}") from exc
+            raise SingularCoframeError(f"coframe singular at {self.probe}") from exc
 
     def inverse_field(self) -> MatrixField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""
@@ -474,23 +468,23 @@ def perm_parity_for_front(front: Sequence[int], N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decompositions at probe points
+# decompositions at the coframe's probe
 # ---------------------------------------------------------------------------
 
 class UnsupportedDegreeError(ValueError):
     pass
 
 
-def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True):
-    """Coefficients of ``form`` in the coframe basis at one probe point.
+def decompose(form: Form, coframe: Coframe, mode: str):
+    """Coefficients of ``form`` in the coframe basis at the coframe's probe,
+    on its backend.
 
     ``by-coframe`` handles degrees 1 and 2 and returns alpha_A / alpha_AB,
-    from the coframe's memoised inverse at the point; ``by-cominors``
-    handles codegrees 1..3 and returns alpha^A etc.  Raises for other
-    degrees.
+    from the coframe's memoised inverse; ``by-cominors`` handles codegrees
+    1..3 and returns alpha^A etc.  Raises for other degrees.
     """
     N = coframe.N
-    point = tuple(point)
+    point, exact = coframe.probe, coframe.exact
     comp_vals: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
     for key, sk, fld in form.terms():
         comp_vals.setdefault(key, {})[sk] = fld.value(point)
@@ -498,7 +492,7 @@ def decompose(form: Form, coframe: Coframe, mode: str, point, exact: bool = True
     slot_keys = _slot_keyspace(form)
 
     if mode == "by-coframe":
-        V = coframe.inverse_at(point)
+        V = coframe.inverse()
         if form.degree == 1:
             out = {}
             for sk in slot_keys:

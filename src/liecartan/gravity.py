@@ -77,7 +77,7 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     dpi = cov_d(fields.phi, pi_form, (coad,))
 
     pt = fields.probe
-    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
+    pc = decompose(Phi, coframe, "by-coframe")
     r1 = 0
     for I in range(N):
         for A in range(N):
@@ -211,7 +211,7 @@ def certify_gravity_chart(chart: GravityChart):
     for (k, l), (I,), fld in chart.F_form.terms():
         F_terms.setdefault(I, []).append((k, l, fld))
     ss = [(A, B) for A in sorted(s_idx) for B in sorted(s_idx) if A < B]
-    V = chart.coframe.inverse_at(pt)
+    V = chart.coframe.inverse()
     FV = {}
     for I, terms in F_terms.items():
         F = [[0] * N for _ in range(N)]
@@ -311,7 +311,7 @@ def q_families(chart: GravityChart) -> dict:
     """Q families at the probe from the gauge-side field strength and dual
     coefficients."""
     pt = chart.probe
-    fc = decompose(chart.F_form, chart.coframe, "by-coframe", pt, chart.exact)
+    fc = decompose(chart.F_form, chart.coframe, "by-coframe")
     p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
     fam = psi_families(fc, p_at, chart.alg.dim)
     return {"q_full": fam["psi_full"], "q_mixed": fam["psi_mixed"], "q": fam["psi"]}
@@ -373,7 +373,7 @@ def grav_fundamental_residual(chart: GravityChart) -> dict:
     defect = lhs - q_source_form(chart)
     res = defect.max_abs(pt)
     # cross-consistency: Ad*_g (r2 of the field-side EL defect) == residual
-    pc = decompose(Phi, coframe, "by-coframe", pt, fields.exact)
+    pc = decompose(Phi, coframe, "by-coframe")
     psi = psi_families(pc, pi_values_from_chart(chart), N)
     defect_phi = dpi - source_form(minors_phi, psi["psi_mixed"], psi["psi"], dual)
     ad_dual = _entry_values(chart.gm.ad_inv_entry, N, pt)

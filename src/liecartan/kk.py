@@ -102,7 +102,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
 
     lam_term = cominor_rows(minors, {(U, U): fields.lambda0 for U in range(N)}, dual)
 
-    tc = decompose(theta_curv, coframe, "by-coframe", pt, fields.exact)
+    tc = decompose(theta_curv, coframe, "by-coframe")
     fr = 0
     for U in range(N):
         for A in range(N):
@@ -253,13 +253,13 @@ def kk_lc_connection(chart: GaugeChart,
     return omega, {"torsion": t, "metric": m, "max": max(0, t, m)}
 
 
-def riemann_blocks(chart: GaugeChart, omega: Form, point) -> dict:
+def riemann_blocks(chart: GaugeChart, omega: Form) -> dict:
     """Riemann, Ricci, scalar and Einstein tensors of the chart metric."""
     alg = chart.alg
     N = chart.N
     h = chart.split.h_diag()
     Om = so_curvature(omega)
-    oc = decompose(Om, chart.coframe, "by-coframe", point, chart.exact)
+    oc = decompose(Om, chart.coframe, "by-coframe")
     # R^{AB}_{CD} with the second index raised
     R = {}
     for (A, B), mat in oc.items():
@@ -277,7 +277,7 @@ def riemann_blocks(chart: GaugeChart, omega: Form, point) -> dict:
     return {"riemann": R, "ricci": ric, "scalar": scal, "einstein": einstein}
 
 
-def base_curvature_blocks(chart: GaugeChart, gamma_fields, point):
+def base_curvature_blocks(chart: GaugeChart, gamma_fields):
     """Ricci scalar and Einstein tensor of the base connection gamma."""
     split = chart.split
     n = chart.n_base
@@ -298,7 +298,7 @@ def base_curvature_blocks(chart: GaugeChart, gamma_fields, point):
                                         f_mul(fld, ef))
     gamma_form._finalize()
     Gam = so_curvature(gamma_form)
-    gc = decompose(Gam, chart.coframe, "by-coframe", point, chart.exact)
+    gc = decompose(Gam, chart.coframe, "by-coframe")
     s_idx = split.s_indices
     R = {}
     for (A, B), mat in gc.items():
@@ -338,10 +338,10 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
     bk = _bk_pairing(split, Bkill)
 
     if gamma_fields is not None:
-        base = base_curvature_blocks(chart, gamma_fields, pt)
+        base = base_curvature_blocks(chart, gamma_fields)
         gamma_scalar = base["scalar"]
         base_einstein = base["einstein"]
-    blocks = riemann_blocks(chart, omega, pt)
+    blocks = riemann_blocks(chart, omega)
     f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
     a_at = {key: f.value(pt) for key, f in A_frame.items()}
 

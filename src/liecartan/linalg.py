@@ -123,26 +123,18 @@ def rank(A, tol: float = PIVOT_TOL) -> int:
 
 
 def mat_exp(A, tol: float = 1e-15, cap: int = 64):
-    """Numeric matrix exponential by series with a remainder estimate.
-
-    Returns (exp(A), remainder_bound).  Raises if the series does not get
-    below ``tol`` within ``cap`` terms.
-    """
+    """Numeric matrix exponential by series.  Raises if a term does not get
+    below ``tol`` within ``cap`` terms."""
     from .fields import TruncationError
 
     n = len(A)
     out = identity(n, 1.0)
     term = identity(n, 1.0)
-    norm_a = max(max_norm(A), 1e-30)
     for k in range(1, cap + 1):
         term = mat_scale(mat_mul(term, A), 1.0 / k)
         out = mat_add(out, term)
-        t = max_norm(term)
-        if t < tol:
-            # geometric tail bound: ||A||/(k+1) < 1 for the returned estimate
-            ratio = norm_a / (k + 1)
-            bound = t * ratio / (1 - ratio) if ratio < 1 else float("inf")
-            return out, bound
+        if max_norm(term) < tol:
+            return out
     raise TruncationError(
         f"matrix exponential series not below {tol} after {cap} terms "
         f"(term norm {max_norm(term):.3e})")

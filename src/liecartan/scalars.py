@@ -198,11 +198,11 @@ class Polynomial:
     ``terms`` maps exponent tuples to coefficients.  Arithmetic is eager
     (results stay polynomials).  :meth:`value`, :meth:`dvalue` and
     :meth:`partials` give the value, a first partial and the nonzero first
-    partials at a point.  Like a lazy node, a polynomial memoises its
-    value (``_v``) and first partials (``_d``, per coordinate, so that a
-    caller computes only the partials it reads) at the last point object
-    it was read at (``_pt``), and drops them when a different object
-    arrives.
+    partials at a point.  Unlike a lazy node, which is bound to one point,
+    a polynomial may be read at any point: it memoises its value (``_v``)
+    and first partials (``_d``, per coordinate, so that a caller computes
+    only the partials it reads) at the last point object it was read at
+    (``_pt``), and drops them when a different object arrives.
     """
 
     __slots__ = ("n", "terms", "_pt", "_v", "_d")

@@ -202,10 +202,10 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
             base = Fraction(1 if A == k else 0)
             if not config.exact:
                 base = float(base)
-            fld = Polynomial.constant(base, N) + rng.vanishing_poly(N, [probe], list(range(N)))
+            fld = Polynomial.constant(base, N) + rng.vanishing_poly(N, probe, list(range(N)))
             row.append(fld)
         entries.append(row)
-    cf = Coframe(entries, probes=[probe], exact=config.exact)
+    cf = Coframe(entries, probe, config.exact)
     mins = cf.minors()
     flip = _sign(config)
     top = mins.top if flip > 0 else mins.top.scale(-1)
@@ -313,7 +313,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
         alg = alg.ambient
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
-    eta = [rng.vanishing_poly(n, [probe], list(range(n))) for _ in range(n)]
+    eta = [rng.vanishing_poly(n, probe, list(range(n))) for _ in range(n)]
     gm = GroupMap(alg, eta, n, exact=config.exact)
     slot = algebra_slot(alg)
     adrep = Representation.adjoint(alg)
@@ -360,9 +360,9 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
                        .max_abs(probe)))
     # minor Leibniz with the adjoint (unimodular) representation
     entries = [[_one_or_zero(A, k, n, config.exact)
-                + rng.vanishing_poly(n, [probe], list(range(n)))
+                + rng.vanishing_poly(n, probe, list(range(n)))
                 for k in range(n)] for A in range(n)]
-    cf = Coframe(entries, probes=[probe], exact=config.exact)
+    cf = Coframe(entries, probe, config.exact)
     mins = cf.minors()
     e_form = Form(n, 1, (slot,))
     for A in range(n):
@@ -380,7 +380,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
         res = max(res, abs((cov_d(omega, m2, (coad, coad))
                             - contracted_wedge(dwe, m3, [(0, 2)])).max_abs(probe)))
     # Maurer-Cartan residual of the dexp-built form
-    res = max(res, abs(maurer_cartan_residual(maurer_cartan_form(gm), alg, [probe])))
+    res = max(res, abs(maurer_cartan_residual(maurer_cartan_form(gm), alg, probe)))
     return res
 
 

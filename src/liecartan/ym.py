@@ -68,7 +68,7 @@ def ym_el_residuals(fields: YMFields) -> dict:
 
     report = {"r_pi_ss": {}, "r_pi_sg": {}, "r_pi_gg": {}}
     worst = 0
-    theta_c = decompose(theta_curv, coframe, "by-coframe", p, fields.exact)
+    theta_c = decompose(theta_curv, coframe, "by-coframe")
     pi_at = {key: f.value(p) for key, f in fields.pi_coeffs.items()}
     # |pi^ss|^2 and the raised-lowered pi^g_ss
     norm2 = 0
@@ -407,13 +407,13 @@ def maxwell_q_transport_residual(seed: int = 0) -> object:
     # theta = theta_mu(x, y) dx + theta_4(x, y) dy with theta_4 nonvanishing
     theta = [rng.poly(N, deg=2, terms=2) for _ in range(4)]
     theta4 = Polynomial.constant(Fraction(2), N) + rng.vanishing_poly(
-        N, [tuple([Fraction(0)] * N)], [0, 1, 2, 3, 4])
+        N, tuple([Fraction(0)] * N), [0, 1, 2, 3, 4])
     pi_up = {(mu, nu): rng.poly(N, deg=2, terms=2)
              for mu in range(4) for nu in range(mu + 1, 4)}
     pi_vec = [rng.poly(N, deg=2, terms=2) for _ in range(4)]
     # fiber map y -> f(x,y) = y + vanishing-at-probe correction
     probe = tuple([Fraction(0)] * N)
-    fmap = Polynomial.coordinate(4, N) + rng.vanishing_poly(N, [probe], [0, 1, 2, 3, 4])
+    fmap = Polynomial.coordinate(4, N) + rng.vanishing_poly(N, probe, [0, 1, 2, 3, 4])
 
     theta_form = _maxwell_theta_form(theta, theta4)
     pi_form = _maxwell_pi_form(pi_up, pi_vec, theta_form)

@@ -111,10 +111,10 @@ def test_criterion_06_maurer_cartan():
         for seed in range(10):
             rng = Rng(1000 + seed)
             probe = tuple(rng.scalar(-1, 1) for _ in range(n))
-            eta = [rng.vanishing_poly(n, [probe], list(range(n)), deg=1)
+            eta = [rng.vanishing_poly(n, probe, list(range(n)), deg=1)
                    for _ in range(n)]
             gm = GroupMap(alg, eta, n)
-            res = maurer_cartan_residual(maurer_cartan_form(gm), alg, [probe])
+            res = maurer_cartan_residual(maurer_cartan_form(gm), alg, probe)
             worst = max(worst, abs(res))
     ok = worst <= 1e-10
     _line(6, "Maurer-Cartan residual of transported frames", ok,

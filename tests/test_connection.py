@@ -118,7 +118,7 @@ def test_maurer_cartan_residual_exact():
         probe = tuple(F(rng.randint(-1, 1), rng.choice([1, 2])) for _ in range(n))
         gm = make_group_map(rng, alg, n, probe)
         theta = maurer_cartan_form(gm)
-        assert maurer_cartan_residual(theta, alg, [probe]) == 0
+        assert maurer_cartan_residual(theta, alg, probe) == 0
 
 
 def test_u1_maurer_cartan_is_exact_differential():
@@ -254,7 +254,7 @@ def test_minor_leibniz_unimodular():
     entries = [[Polynomial.constant(F(1 if A == k else 0), n)
                 + vanishing_poly(rng, n, probe) for k in range(n)]
                for A in range(n)]
-    cf = Coframe(entries, probes=[probe])
+    cf = Coframe(entries, probe)
     mins = cf.minors()
     slot = algebra_slot(alg)
     adrep = Representation.adjoint(alg)
@@ -318,17 +318,17 @@ def test_levi_civita_torsion_free_2d():
     entries = [[one, Polynomial.constant(F(0), n)],
                [Polynomial.constant(F(0), n), e1]]
     probe = (F(1, 2), F(1, 3))
-    cf = Coframe(entries, probes=[probe])
+    cf = Coframe(entries, probe)
     # d e^1 = dx^0 ^ dx^1 = (1/(1+x^0)) e^0 ^ e^1: Theta^1_{01} = 1/(1+x^0)
     from liecartan.forms import decompose, exterior_d
 
     theta = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    de1 = decompose(exterior_d(cf.one_form(1)), cf, "by-coframe", probe)
+    de1 = decompose(exterior_d(cf.one_form(1)), cf, "by-coframe")
     theta[1] = de1
     gamma = levi_civita_coeff_fields(_constant_fields(theta, n), [F(1), F(1)], n)
     # torsion-free: Theta^a_bc = gamma^a_bc - gamma^a_cb, metric residual 0
     for a in range(n):
-        de = decompose(exterior_d(cf.one_form(a)), cf, "by-coframe", probe)
+        de = decompose(exterior_d(cf.one_form(a)), cf, "by-coframe")
         for b in range(n):
             for c in range(n):
                 g_abc = gamma[a][b][c].value(probe)
@@ -363,4 +363,4 @@ def test_singular_coframe_rejected():
     entries = [[Polynomial.constant(F(1), 2), Polynomial.constant(F(1), 2)],
                [Polynomial.constant(F(1), 2), Polynomial.constant(F(1), 2)]]
     with pytest.raises(SingularCoframeError):
-        Coframe(entries, probes=[(F(0), F(0))])
+        Coframe(entries, (F(0), F(0)))

@@ -222,7 +222,7 @@ def test_value_equals_order0_jet_value(exact):
 def test_value_is_memoised_and_agrees_with_cached_jets(exact):
     """The value is the same whether partials or the value are read first,
     is memoised at the point object, and an equal point that is a
-    different object is evaluated afresh."""
+    different object gives the same value."""
     probe, nodes = _graph(exact)
     for name, fld in nodes.items():
         if name not in ORDER0:
@@ -369,9 +369,11 @@ def test_two_points_alternately(exact):
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
 def test_two_distinct_points_alternately(exact):
-    """Read in turn at two points, a node, a polynomial, a matrix entry and
-    a coframe inverse each give that point's values, not the other's: those
-    of a graph built afresh and read at that point only."""
+    """Read in turn at two points, a polynomial gives each point's values,
+    not the other's.  A lazy node, a matrix entry and a coframe inverse are
+    bound to one point, so each point has a graph and a coframe of its own,
+    built once; read in turn, each gives the values of a graph built afresh
+    and read at its point only."""
     from liecartan.forms import Coframe
 
     points = [tuple(_num(x, exact) for x in ("1/3", "-2/5", "3/7")),
@@ -396,14 +398,17 @@ def test_two_distinct_points_alternately(exact):
     frame = [[one + x[0] * x[1], x[2], x[0]],
              [x[1], one, x[2] * x[2]],
              [x[0] * x[2], x[1], one + x[1]]]
-    cf = Coframe(frame, exact=exact)
-    nodes = build()
+    graphs = {pt: build() for pt in points}
+    coframes = {pt: Coframe(frame, pt, exact) for pt in points}
+    shared = graphs[points[0]][0][1]  # one polynomial, read at both points
     for pt in points + points:
-        for (name, fld), (_, ref) in zip(nodes, build()):
+        refs = build()
+        for (name, fld), (_, ref) in zip(graphs[pt] + [("poly", shared)],
+                                         refs + [refs[0]]):
             assert repr(_read(name, fld, pt)) == repr(_read(name, ref, pt)), name
         want = linalg.mat_inverse([[f.eval(pt) for f in row] for row in frame],
                                   exact)
-        assert cf.inverse_at(pt) == want
+        assert coframes[pt].inverse() == want
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
@@ -547,7 +552,8 @@ def test_taylor_arithmetic_matches_lazy_nodes(exact):
             prod = f_mul(d, tay("exp-entry"))
             _same_by_repr(prod, FProd(FPartial(ref[name], k), ref["exp-entry"]),
                           probe, order1=False)
-            assert prod.d is None
+            with pytest.raises(TaylorError):
+                prod.partials(probe)
 
 
 def test_taylor_zero_factor_drops_non_finite_values():
@@ -569,7 +575,8 @@ def test_zero_taylor_is_dropped_only_on_exact_backend(exact):
     probe, nodes = _graph(exact)
     zero = Taylor.of(nodes["sum-cancelling"], probe, exact)
     live = Taylor.of(nodes["exp-entry"], probe, exact)
-    assert zero.v == 0 and type(zero.v) is int and not zero.d
+    assert zero.value(probe) == 0 and type(zero.value(probe)) is int
+    assert not zero.partials(probe)
     assert f_is_zero(zero) is exact and not f_is_zero(live)
     a = Form(N, 1)
     a.comps = {(0,): {(): zero}}
@@ -648,10 +655,10 @@ def test_taylor_arithmetic_joins_dropped_partials():
     probe, nodes = _graph(True)
     a = Taylor.of(nodes["nested"], probe, True).without(0b001)
     b = Taylor.of(nodes["exp-entry-off-diagonal"], probe, True).without(0b100)
-    assert a.without(0b001) is a and 0 not in a.d
+    assert a.without(0b001) is a and 0 not in a.partials(probe)
     assert f_mul(a, b).drop == f_add(a, b).drop == 0b101
     assert f_scale(a, 3).drop == f_mul(nodes["poly"], a).drop == 0b001
-    assert set(f_mul(a, b).d) | set(f_add(a, b).d) <= {1}
+    assert set(f_mul(a, b).partials(probe)) | set(f_add(a, b).partials(probe)) <= {1}
 
 
 # the value and partials of an FSum and an FProd over the skip_polys,
@@ -768,7 +775,7 @@ def test_scale_of_a_product_is_a_scaled_product():
 
 def test_partial_node_builds_its_operand_derivative_once(monkeypatch):
     """An FPartial keeps the derivative graph of its operand: reading its
-    partials along every k, at two points in turn, builds it once."""
+    partials along every k, at the probe twice, builds it once."""
     from liecartan import fields
 
     probe, nodes = _graph(True)
@@ -777,14 +784,46 @@ def test_partial_node_builds_its_operand_derivative_once(monkeypatch):
     def build():
         return FPartial(FProd(P, FSum([Q, FScale(P, F(3))])), 1)
 
-    other = tuple(x + 1 for x in probe)
-    want = {pt: [fields._derivative(build().a, 1, {}).dvalue(pt, k) for k in range(N)]
-            for pt in (probe, other)}
+    want = [fields._derivative(build().a, 1, {}).dvalue(probe, k) for k in range(N)]
     node = build()
     calls = []
     derivative = fields._derivative
     monkeypatch.setattr(fields, "_derivative",
                         lambda f, k, memo: calls.append(f) or derivative(f, k, memo))
-    for pt in (probe, other, probe):
-        assert [node.dvalue(pt, k) for k in range(N)] == want[pt]
+    for pt in (probe, tuple(list(probe))):
+        assert [node.dvalue(pt, k) for k in range(N)] == want
     assert calls.count(node.a) == 1
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_a_field_is_bound_to_the_point_of_its_first_read(exact):
+    """A lazy node, a matrix entry, a matrix field, a Taylor number and a
+    coframe's inverse are bound to one point: that of their first read, a
+    Taylor number's own, a coframe's probe.  A read at an equal tuple (or
+    list) is served from the memo; a read at any other point raises, and
+    leaves the memo as it was."""
+    from liecartan.forms import Coframe
+
+    probe, nodes = _graph(exact)
+    twins = (tuple(list(probe)), list(probe))
+    other = tuple(x + 1 for x in probe)
+    entry = nodes["inverse-entry"]
+    cf = Coframe(entry.mat.entries, probe, exact)
+    for read, fld in ((lambda f, pt: f.value(pt), nodes["nested"]),
+                      (lambda f, pt: f.partials(pt), nodes["scale"]),
+                      (lambda f, pt: f.value(pt), entry),
+                      (lambda f, pt: f.partials(pt), nodes["exp-entry"]),
+                      (lambda f, pt: f.value(pt), entry.mat),
+                      (lambda f, pt: f.partials(pt), nodes["exp-entry"].mat),
+                      (lambda f, pt: f.value(pt), Taylor.of(nodes["sum"], probe, exact)),
+                      (lambda f, pt: f.partials(pt), Taylor.of(nodes["sum"], probe, exact)),
+                      (lambda f, pt: f.value(pt), cf.inverse_field())):
+        got = read(fld, probe)
+        for twin in twins:
+            assert read(fld, twin) is got
+        with pytest.raises(TaylorError):
+            read(fld, other)
+        assert read(fld, probe) is got
+    assert cf.inverse_field().value(probe) is cf.inverse()
+    with pytest.raises(TaylorError):
+        cf.inverse_field().entry(0, 0).value(other)

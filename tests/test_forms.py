@@ -37,7 +37,11 @@ def seeded_coframe(seed, N):
     entries = [[Polynomial.constant(F(1 if A == k else 0), N)
                 + vanishing_poly(rng, N, probe) for k in range(N)]
                for A in range(N)]
-    return Coframe(entries, probes=[probe]), probe
+    return Coframe(entries, probe), probe
+
+
+def matrix_at(cf, point):
+    return [[f.value(point) for f in row] for row in cf.entries]
 
 
 def dx(N):
@@ -321,15 +325,15 @@ def test_minor_derivative_rows(N):
 def test_decompose_examples():
     cf, probe = seeded_coframe(31, 4)
     mins = cf.minors()
-    assert decompose(cf.one_form(0), cf, "by-coframe", probe) == [1, 0, 0, 0]
+    assert decompose(cf.one_form(0), cf, "by-coframe") == [1, 0, 0, 0]
     beta = wedge(cf.one_form(0), cf.one_form(1)).scale(F(3)) \
         + wedge(cf.one_form(0), cf.one_form(2)).scale(F(5))
-    mat = decompose(beta, cf, "by-coframe", probe)
+    mat = decompose(beta, cf, "by-coframe")
     assert mat[0][1] == 3 and mat[0][2] == 5 and mat[1][0] == -3
-    co = decompose(mins.minor((1,)), cf, "by-cominors", probe)
+    co = decompose(mins.minor((1,)), cf, "by-cominors")
     assert co[(1,)] == 1 and all(v == 0 for k, v in co.items() if k != (1,))
     two = mins.minor((0, 1)).scale(F(2)) + mins.minor((2, 3)).scale(F(-7))
-    co2 = decompose(two, cf, "by-cominors", probe)
+    co2 = decompose(two, cf, "by-cominors")
     assert co2[(0, 1)] == 2 and co2[(2, 3)] == -7
     # codegree-1 rows in a two-component slot, rebuilt from their coefficients
     slot = Slot("v", 2)
@@ -338,14 +342,14 @@ def test_decompose_examples():
         for K, _, fld in mins.minor((U,)).scale(c).terms():
             rows.add_term(K, (i,), fld)
     rows._finalize()
-    co1 = decompose(rows, cf, "by-cominors", probe)
+    co1 = decompose(rows, cf, "by-cominors")
     assert co1[(1,)][(3,)] == -7 and co1[(0,)][(2,)] == 0
     rebuilt = cominor_rows(mins, {(sk[0], U): c for sk, row in co1.items()
                                   for (U,), c in row.items()}, slot)
     assert (rebuilt - rows).max_abs(probe) == 0
     assert sum(1 for _ in rebuilt.terms()) == sum(1 for _ in rows.terms())
     three = mins.minor((0, 1, 3)).scale(F(5))
-    co3 = decompose(three, cf, "by-cominors", probe)
+    co3 = decompose(three, cf, "by-cominors")
     assert co3[(0, 1, 3)] == 5
 
 
@@ -370,22 +374,25 @@ def test_coframe_inverts_once_per_probe(monkeypatch):
     inverse = linalg.mat_inverse
     monkeypatch.setattr(linalg, "mat_inverse",
                         lambda A, exact: calls.append(1) or inverse(A, exact))
-    cf, probe = seeded_coframe(31, 4)  # certified at the probe
-    V = cf.inverse_at(probe)
-    assert V == inverse(cf.matrix_at(probe), True) and cf.inverse_at(probe) is V
+    cf, probe = seeded_coframe(31, 4)  # inverted at its probe when built
+    V = cf.inverse()
+    assert V == inverse(matrix_at(cf, probe), True) and cf.inverse() is V
     beta = wedge(cf.one_form(0), cf.one_form(1))
-    decompose(cf.one_form(2), cf, "by-coframe", probe)
-    decompose(beta, cf, "by-coframe", probe)
-    assert len(calls) == 1  # the certification inverted the coframe
+    decompose(cf.one_form(2), cf, "by-coframe")
+    decompose(beta, cf, "by-coframe")
+    assert len(calls) == 1  # building the coframe inverted it
+    # another point needs a coframe of its own, inverted once there
     other = tuple(probe)[:3] + (probe[3] + 1,)
-    assert cf.inverse_at(other) == inverse(cf.matrix_at(other), True)
+    cf_other = Coframe(cf.entries, other)
+    assert cf_other.inverse() == inverse(matrix_at(cf, other), True)
+    assert len(calls) == 2
 
 
 def test_decompose_rejects_unsupported_degree():
     cf, probe = seeded_coframe(31, 4)
     top = cf.minors().top
     with pytest.raises(UnsupportedDegreeError):
-        decompose(top, cf, "by-coframe", probe)
+        decompose(top, cf, "by-coframe")
 
 
 def test_interior_chain_matches_minors():
@@ -393,7 +400,7 @@ def test_interior_chain_matches_minors():
 
     cf, probe = seeded_coframe(55, 4)
     mins = cf.minors()
-    V = linalg.mat_inverse(cf.matrix_at(probe), True)
+    V = linalg.mat_inverse(matrix_at(cf, probe), True)
     for A in range(4):
         xa = [V[k][A] for k in range(4)]
         assert (interior(xa, mins.top) - mins.minor((A,))).max_abs(probe) == 0

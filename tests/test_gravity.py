@@ -82,7 +82,7 @@ def test_certification_rejects_fiber_dependent_frame(exact):
         y0 = Polynomial.coordinate(sp.n, chart.N)
         entries = [row[:] for row in chart.coframe.entries]
         entries[0][0] = entries[0][0] + (y0 if exact else y0.scale(1.0))
-        chart.coframe = Coframe(entries, probes=[chart.probe], exact=exact)
+        chart.coframe = Coframe(entries, chart.probe, exact)
         with pytest.raises(ChartInvariantError, match="varies along the fiber"):
             certify_gravity_chart(chart)
 
