@@ -18,9 +18,11 @@ theta/omega split of A, its torsion and the l-curvature.
 The helpers shared by the three models' identities live here and in
 ``forms``: ``antisym`` gives both index orders of an antisymmetric
 coefficient table, ``TrivializedChart.p_tables`` the values and frame
-derivatives of p at the probe, ``GravityChart.torsion_curvature`` the
-by-coframe coefficients of torsion and curvature there, and
-``forms.cominor_rows`` and ``Form.component`` assemble and split rows.
+derivatives of p at the probe, ``g_row_divergence`` the covariant
+divergence that the Yang-Mills and Kaluza-Klein g rows of d^A p share,
+``GravityChart.torsion_curvature`` the by-coframe coefficients of torsion
+and curvature there, and ``forms.cominor_rows`` and ``Form.component``
+assemble and split rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .algebra import SplitAlgebra
 from .connection import GroupMap, Representation, algebra_slot, cov_d, curvature
 from .fields import Taylor, f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
 from .forms import Coframe, CoframeMinors, Form, Slot, decompose
-from .scalars import Polynomial, _add, _mul
+from .scalars import Polynomial, _add, _mul, _sub
 
 if TYPE_CHECKING:
     from .kappa import KappaTensor
@@ -369,6 +371,36 @@ def frame_partial_field(coframe: Coframe, f, A: int):
             continue
         parts.append(f_mul(V.entry(k, A), df))
     return f_add(*parts) if parts else f_zero(coframe.N)
+
+
+def g_row_divergence(chart: TrivializedChart, a_at, pv, dpv, i, g, gamma=None):
+    """The A-covariant frame divergence X_s p_i^{g s} summed over s, at the
+    probe: A acts on the lower index i, then on the upper index g.
+
+    ``a_at`` holds the frame coefficients A^m_B, and ``pv``, ``dpv`` are
+    ``p_tables``.  With ``gamma(a, b, c)``, the base Levi-Civita
+    coefficients, gamma acts on the upper index s too.
+    """
+    alg = chart.alg
+    s_idx, g_idx = chart.split.s_indices, chart.split.l_indices
+    acc = 0
+    for s1 in s_idx:
+        d = dpv[i, g, s1, s1]
+        for j in g_idx:
+            for m in g_idx:
+                cv = alg.c(j, m, i)
+                if cv:
+                    d = _sub(d, _mul(_mul(cv, a_at.get((m, s1), 0)), pv[j, g, s1]))
+        for j in g_idx:
+            for m in g_idx:
+                cv = alg.c(g, m, j)
+                if cv:
+                    d = _add(d, _mul(_mul(cv, a_at.get((m, s1), 0)), pv[i, j, s1]))
+        if gamma is not None:
+            for ap in s_idx:
+                d = _add(d, _mul(gamma(s1, ap, s1), pv[i, g, ap]))
+        acc = _add(acc, d)
+    return acc
 
 
 def frame_coeffs_1form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:

@@ -6,6 +6,11 @@ The structure algebra is a reductive symmetric split p = s (+) l (both
 unimodular); charts are trivialized with A = theta^s + omega^l depending on
 x only and g = exp(eta(y)) in the l block.  The dual field carries the
 constraint p^{ss} = kappa throughout.
+
+``generalized_tensor_fields`` builds the trace-modified torsion and the
+Cartan and Einstein tensors as fields once, for the Bianchi rows and
+``grav_tensors``; ``_cov_frame_partial`` is the one omega-covariant frame
+derivative of a field table, for the Bianchi and conservation rows.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .connection import (GroupMap, Representation, algebra_slot,
 from .fields import f_add, f_mul, f_scale, f_zero
 from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
                     exterior_d, wedge)
-from .kappa import KappaTensor
+from .kappa import KappaTensor, lambda_constant
 from .scalars import Polynomial, _add, _mul, _sub
 
 
@@ -66,7 +71,7 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     split = fields.split
     alg = split.ambient
     N = alg.dim
-    s_idx, l_idx = split.s_indices, split.l_indices
+    s_idx = split.s_indices
     coframe = fields.coframe()
     minors = coframe.minors()
     dual = algebra_slot(alg, dual=True)
@@ -125,6 +130,14 @@ def psi_families(curv_coeffs, pi_at, N: int) -> dict:
 # chart construction
 # ---------------------------------------------------------------------------
 
+def split_hypotheses_hold(split: SplitAlgebra) -> bool:
+    """Whether p = s (+) l is reductive and symmetric, with p and l
+    unimodular: the hypotheses of every gravity chart."""
+    rep = check_algebra(split.ambient, split)
+    return (rep["reductive_ok"] and rep["symmetric_ok"]
+            and rep["unimodular_ambient"] and rep["unimodular_sub"])
+
+
 def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
                         exact: bool = True,
                         flat: bool = False, linear_group: bool = False,
@@ -135,9 +148,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     restricts eta to the exact linear map y -> sum y_i t_i so the vertical
     frame is the coordinate one on the probe slice.
     """
-    rep = check_algebra(split.ambient, split)
-    if not (rep["reductive_ok"] and rep["symmetric_ok"]
-            and rep["unimodular_ambient"] and rep["unimodular_sub"]):
+    if not split_hypotheses_hold(split):
         raise ChartInvariantError("split must be reductive, symmetric, unimodular")
     rng = Rng(seed, exact)
     n, r = split.n, split.r
@@ -501,17 +512,65 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
 # generalized tensors
 # ---------------------------------------------------------------------------
 
-def theta_ring_tensor(theta_c, s_idx, N):
-    """Trace-modified torsion on s: Theta-ring^c_{ab}."""
-    tstar = theta_star_values(theta_c, s_idx, N)
-    ring = {}
+def generalized_tensor_fields(chart: GravityChart) -> dict:
+    """The frame coefficients of the torsion (``theta``) and of the
+    l-curvature (``omega``), and the fields built from them: the torsion
+    trace Theta* (``tstar``), the trace-modified torsion (``ring``) and the
+    Cartan and Einstein tensors."""
+    split = chart.split
+    N = chart.N
+    s_idx, l_idx = split.s_indices, split.l_indices
+    kappa = chart.kappa
+    theta_f = frame_coeffs_2form(chart.torsion, chart.coframe)
+    omega_f = frame_coeffs_2form(chart.curv_l, chart.coframe)
+
+    def tf(S, A, B):
+        return theta_f.get((S, A, B), f_zero(N))
+
+    tstar_f = {A: f_add(*[tf(sb, A, sb) for sb in s_idx]) for A in range(N)}
+    ring_f = {}
     for c in s_idx:
         for a in s_idx:
             for b in s_idx:
-                v = theta_c[(c,)][a][b] \
-                    + (tstar[b] if c == a else 0) - (tstar[a] if c == b else 0)
-                ring[(c, a, b)] = v
-    return ring
+                parts = [tf(c, a, b)]
+                if c == a:
+                    parts.append(tstar_f[b])
+                if c == b:
+                    parts.append(f_scale(tstar_f[a], -1))
+                ring_f[(c, a, b)] = f_add(*parts)
+    cartan_f = {}
+    for I in l_idx:
+        for S in s_idx:
+            parts = []
+            for a in s_idx:
+                for b in s_idx:
+                    kv = kappa.get(I, a, b)
+                    if kv != 0:
+                        parts.append(f_scale(ring_f[(S, a, b)], kv))
+            cartan_f[(I, S)] = f_scale(f_add(*parts), Fraction(-1, 2)) if parts \
+                else f_zero(N)
+    ricci_f = {}
+    for a in s_idx:
+        for b in s_idx:
+            parts = []
+            for lI in l_idx:
+                for s1 in s_idx:
+                    kv = kappa.get(lI, s1, b)
+                    if kv != 0:
+                        parts.append(f_scale(omega_f.get((lI, s1, a), f_zero(N)), kv))
+            ricci_f[(a, b)] = f_add(*parts) if parts else f_zero(N)
+    scal_f = f_add(*[ricci_f[(a, a)] for a in s_idx])
+    einstein_f = {}
+    for a in s_idx:
+        for b in s_idx:
+            if a == b:
+                einstein_f[(a, b)] = f_add(ricci_f[(a, b)],
+                                           f_scale(scal_f, Fraction(-1, 2)))
+            else:
+                einstein_f[(a, b)] = ricci_f[(a, b)]
+
+    return {"theta": theta_f, "omega": omega_f, "tstar": tstar_f,
+            "ring": ring_f, "cartan": cartan_f, "einstein": einstein_f}
 
 
 def theta_ring_invert(ring, s_idx, n: int):
@@ -533,20 +592,19 @@ def theta_ring_invert(ring, s_idx, n: int):
 
 
 def grav_tensors(chart: GravityChart) -> dict:
-    """Cartan/Einstein tensors, the ring round-trip, and the constant."""
+    """Cartan/Einstein tensors, the ring round-trip, and the constant.
+    The tensors are the ``generalized_tensor_fields`` at the probe."""
     split = chart.split
-    alg = chart.alg
-    N = alg.dim
+    N = chart.N
     n = split.n
     s_idx, l_idx = split.s_indices, split.l_indices
     kappa = chart.kappa
     minors = chart.coframe.minors()
-
     pt = chart.probe
-    from .kappa import lambda_constant
-
     theta_c, omega_c = chart.torsion_curvature()
-    ring = theta_ring_tensor(theta_c, s_idx, N)
+    tensors = generalized_tensor_fields(chart)
+    ring, cartan, einstein = ({key: f.value(pt) for key, f in tensors[name].items()}
+                              for name in ("ring", "cartan", "einstein"))
     if n > 2:
         back = theta_ring_invert(ring, s_idx, n)
         rt = max(abs(back[(c, a, b)] - theta_c[(c,)][a][b])
@@ -592,30 +650,6 @@ def grav_tensors(chart: GravityChart) -> dict:
                             lhs = lhs + minors.minor((S,)).scale(v)
                     rhs = wedge(row, minors.minor((s1, s2, s3)))
                     imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
-    # Cartan and Einstein tensors
-    cartan = {}
-    for I in l_idx:
-        for S in s_idx:
-            acc = 0
-            for a in s_idx:
-                for b in s_idx:
-                    kv = kappa.get(I, a, b)
-                    if kv != 0:
-                        acc += kv * ring[(S, a, b)]
-            cartan[(I, S)] = -acc / 2
-    ricci = {}
-    for a in s_idx:
-        for b in s_idx:
-            acc = 0
-            for lI in l_idx:
-                for s1 in s_idx:
-                    w = omega_c[(lI,)][s1][a]
-                    if w != 0:
-                        acc += w * kappa.get(lI, s1, b)
-            ricci[(a, b)] = acc
-    scal = sum(ricci[(a, a)] for a in s_idx)
-    einstein = {key: v - (scal / 2 if key[0] == key[1] else 0)
-                for key, v in ricci.items()}
     # three-term expansion check of the Einstein tensor
     exp_res = 0
     for a in s_idx:
@@ -656,115 +690,61 @@ def _deformation_constant(split: SplitAlgebra):
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
+def _cov_frame_partial(chart: GravityChart, conn, get, key, B, acts) -> list:
+    """The parts of the omega-covariant frame derivative along X_B of the
+    field table ``get`` at ``key``, with omega^m_B in ``conn``: the frame
+    derivative of ``get(key)``, then for each ``(pos, js, upper)`` of
+    ``acts`` omega_B on the index i at ``pos``, through the entries with J
+    in ``js`` there, scaled by -c^J_{m i} for a lower index (J outside, m
+    inside) or +c^i_{m J} for an upper one (m outside, J inside)."""
+    alg = chart.alg
+    l_idx = chart.split.l_indices
+    parts = [frame_partial_field(chart.coframe, get(key), B)]
+    for pos, js, upper in acts:
+        i = key[pos]
+        pairs = ([(m, J) for m in l_idx for J in js] if upper
+                 else [(m, J) for J in js for m in l_idx])
+        for m, J in pairs:
+            cv = alg.c(i, m, J) if upper else -alg.c(J, m, i)
+            if cv:
+                moved = get(key[:pos] + (J,) + key[pos + 1:])
+                parts.append(f_scale(f_mul(conn.get((m, B), f_zero(chart.N)),
+                                           moved), cv))
+    return parts
+
+
 def grav_bianchi_residuals(chart: GravityChart) -> dict:
     """Simple and generalized Bianchi rows on an arbitrary chart."""
     split = chart.split
     alg = chart.alg
-    N = alg.dim
-    n = split.n
     s_idx, l_idx = split.s_indices, split.l_indices
-    kappa = chart.kappa
     omega = chart.omega
-    theta = chart.theta
-    Theta = chart.torsion
     Omega = chart.curv_l
     adrep = Representation.adjoint(alg)
 
-    simple1 = cov_d(omega, Theta, (adrep,)) + bracket_wedge(alg, theta, Omega)
+    simple1 = cov_d(omega, chart.torsion, (adrep,)) \
+        + bracket_wedge(alg, chart.theta, Omega)
     simple2 = cov_d(omega, Omega, (adrep,))
 
-    # coefficient fields for the generalized rows
-    theta_f = frame_coeffs_2form(Theta, chart.coframe)
-    omega_f = frame_coeffs_2form(Omega, chart.coframe)
+    tensors = generalized_tensor_fields(chart)
+    tstar_f, cartan_f, einstein_f = (tensors[name] for name in
+                                     ("tstar", "cartan", "einstein"))
     omega_conn = frame_coeffs_1form(omega, chart.coframe)
-
-    def tf(S, A, B):
-        return theta_f.get((S, A, B), f_zero(N))
-
-    def of(L, A, B):
-        return omega_f.get((L, A, B), f_zero(N))
-
-    def wf(m, B):
-        return omega_conn.get((m, B), f_zero(N))
-
-    tstar_f = {A: f_add(*[tf(sb, A, sb) for sb in s_idx]) for A in range(N)}
-    ring_f = {}
-    for c in s_idx:
-        for a in s_idx:
-            for b in s_idx:
-                parts = [tf(c, a, b)]
-                if c == a:
-                    parts.append(tstar_f[b])
-                if c == b:
-                    parts.append(f_scale(tstar_f[a], -1))
-                ring_f[(c, a, b)] = f_add(*parts)
-    cartan_f = {}
-    for I in l_idx:
-        for S in s_idx:
-            parts = []
-            for a in s_idx:
-                for b in s_idx:
-                    kv = kappa.get(I, a, b)
-                    if kv != 0:
-                        parts.append(f_scale(ring_f[(S, a, b)], kv))
-            cartan_f[(I, S)] = f_scale(f_add(*parts), Fraction(-1, 2)) if parts \
-                else f_zero(N)
-    ricci_f = {}
-    for a in s_idx:
-        for b in s_idx:
-            parts = []
-            for lI in l_idx:
-                for s1 in s_idx:
-                    kv = kappa.get(lI, s1, b)
-                    if kv != 0:
-                        parts.append(f_scale(of(lI, s1, a), kv))
-            ricci_f[(a, b)] = f_add(*parts) if parts else f_zero(N)
-    scal_f = f_add(*[ricci_f[(a, a)] for a in s_idx])
-    einstein_f = {}
-    for a in s_idx:
-        for b in s_idx:
-            if a == b:
-                einstein_f[(a, b)] = f_add(ricci_f[(a, b)],
-                                           f_scale(scal_f, Fraction(-1, 2)))
-            else:
-                einstein_f[(a, b)] = ricci_f[(a, b)]
-
-    def cov_partial_cartan(I, S, B):
-        """(partial^omega_B Cartan)_I^S for the (l*, s) index pair."""
-        parts = [frame_partial_field(chart.coframe, cartan_f[(I, S)], B)]
-        for J in l_idx:
-            for m in l_idx:
-                cv = alg.c(J, m, I)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), cartan_f[(J, S)]), -cv))
-        for m in l_idx:
-            for sp in s_idx:
-                cv = alg.c(S, m, sp)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), cartan_f[(I, sp)]), cv))
-        return f_add(*parts)
-
-    def cov_partial_einstein(a, b, B):
-        parts = [frame_partial_field(chart.coframe, einstein_f[(a, b)], B)]
-        for sp in s_idx:
-            for m in l_idx:
-                cv = alg.c(sp, m, a)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), einstein_f[(sp, b)]), -cv))
-        for m in l_idx:
-            for sp in s_idx:
-                cv = alg.c(b, m, sp)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), einstein_f[(a, sp)]), cv))
-        return f_add(*parts)
-
     pt = chart.probe
+
+    def at(name, key):
+        fld = tensors[name].get(key)
+        return fld.value(pt) if fld is not None else 0
+
     simple = max(simple1.max_abs(pt), simple2.max_abs(pt))
     r1 = 0
     for I in l_idx:
         parts = []
         for S in s_idx:
-            parts.append(cov_partial_cartan(I, S, S))
+            # omega acts on the l* index I, then on the s index S
+            parts.append(f_add(*_cov_frame_partial(
+                chart, omega_conn, cartan_f.get, (I, S), S,
+                ((0, l_idx, False), (1, s_idx, True)))))
             parts.append(f_mul(tstar_f[S], cartan_f[(I, S)]))
         acc = f_add(*parts).value(pt)
         for s0 in s_idx:
@@ -777,17 +757,19 @@ def grav_bianchi_residuals(chart: GravityChart) -> dict:
     for a in s_idx:
         parts = []
         for S in s_idx:
-            parts.append(cov_partial_einstein(a, S, S))
+            parts.append(f_add(*_cov_frame_partial(
+                chart, omega_conn, einstein_f.get, (a, S), S,
+                ((0, s_idx, False), (1, s_idx, True)))))
             parts.append(f_mul(tstar_f[S], einstein_f[(a, S)]))
         acc = f_add(*parts).value(pt)
         for s0 in s_idx:
             for s1b in s_idx:
-                tv = tf(s0, a, s1b).value(pt)
+                tv = at("theta", (s0, a, s1b))
                 if tv != 0:
                     acc -= tv * einstein_f[(s0, s1b)].value(pt)
         for l0 in l_idx:
             for s1b in s_idx:
-                ov = of(l0, a, s1b).value(pt)
+                ov = at("omega", (l0, a, s1b))
                 if ov != 0:
                     acc -= ov * cartan_f[(l0, s1b)].value(pt)
         r2 = max(r2, abs(acc))
@@ -885,9 +867,6 @@ def grav_T_conservation_residual(chart: GravityChart,
     omega_conn = frame_coeffs_1form(chart.omega, chart.coframe)
     p_full = antisym(chart.p_coeffs)
 
-    def wf(m, B):
-        return omega_conn.get((m, B), f_zero(N))
-
     def p_field(I, A, B):
         fld = p_full.get((I, A, B))
         return fld if fld is not None else f_zero(N)
@@ -906,39 +885,17 @@ def grav_T_conservation_residual(chart: GravityChart,
 
     def cov_T(P, a, B):
         """partial^omega_B T_P^a."""
-        parts = [frame_partial_field(chart.coframe, T_fields[(P, a)], B)]
-        for J in range(N):
-            for m in l_idx:
-                cv = alg.c(J, m, P)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), T_fields[(J, a)]), -cv))
-        for m in l_idx:
-            for sp in s_idx:
-                cv = alg.c(a, m, sp)
-                if cv != 0:
-                    parts.append(f_scale(f_mul(wf(m, B), T_fields[(P, sp)]), cv))
-        return f_add(*parts)
+        return f_add(*_cov_frame_partial(chart, omega_conn, T_fields.get, (P, a), B,
+                                         ((0, range(N), False), (1, s_idx, True))))
 
     def cov_inner(P, L):
         """partial^omega_s p_P^{s L} summed over s (fields)."""
         parts = []
         for sb in s_idx:
-            parts.append(frame_partial_field(chart.coframe, p_field(P, sb, L), sb))
-            for J in range(N):
-                for m in l_idx:
-                    cv = alg.c(J, m, P)
-                    if cv != 0:
-                        parts.append(f_scale(f_mul(wf(m, sb), p_field(J, sb, L)), -cv))
-            for m in l_idx:
-                for l2 in l_idx:
-                    cv = alg.c(L, m, l2)
-                    if cv != 0:
-                        parts.append(f_scale(f_mul(wf(m, sb), p_field(P, sb, l2)), cv))
-            for m in l_idx:
-                for s2 in s_idx:
-                    cv = alg.c(sb, m, s2)
-                    if cv != 0:
-                        parts.append(f_scale(f_mul(wf(m, sb), p_field(P, s2, L)), cv))
+            # omega acts on the lower P, then on the upper L and s
+            parts += _cov_frame_partial(
+                chart, omega_conn, lambda key: p_field(*key), (P, sb, L), sb,
+                ((0, range(N), False), (2, l_idx, True), (1, s_idx, True)))
         return f_add(*parts) if parts else f_zero(N)
 
     pt = chart.probe

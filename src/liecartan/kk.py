@@ -7,6 +7,11 @@ Ad-invariant block metric.  Decomposition charts keep the base coframe
 flat (theta^s = dx) — the setting in which the formula is derived — while
 the curvature suite also runs on curved 2-D bases through the base
 Levi-Civita block.
+
+``_einstein_blocks`` contracts a Riemann tensor to Ricci, scalar and
+Einstein, for the chart metric and the base metric alike; ``_f_at_probe``
+reads F at the probe and ``_f_divergence`` its covariant divergence, for
+the curvature report and the EYM residuals.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from typing import Dict, Tuple
 from .algebra import SplitAlgebra, killing_form
 from .charts import (GaugeChart, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field, pi_form_from_coeffs)
+                     frame_partial_field, g_row_divergence, pi_form_from_coeffs)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_is_zero, f_mul, f_scale, f_zero
 from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
+from .scalars import _add, _mul, _sub
 
 
 @dataclass
@@ -253,27 +259,35 @@ def kk_lc_connection(chart: GaugeChart,
     return omega, {"torsion": t, "metric": m, "max": max(0, t, m)}
 
 
-def riemann_blocks(chart: GaugeChart, omega: Form) -> dict:
-    """Riemann, Ricci, scalar and Einstein tensors of the chart metric."""
-    alg = chart.alg
-    N = chart.N
-    h = chart.split.h_diag()
-    Om = so_curvature(omega)
-    oc = decompose(Om, chart.coframe, "by-coframe")
-    # R^{AB}_{CD} with the second index raised
+def _einstein_blocks(decomp, idx, metric):
+    """Riemann R^{AB}_{CD} (second index raised), Ricci, scalar and Einstein
+    tensors from the by-coframe curvature coefficients ``decomp`` on the
+    indices ``idx``; ``metric`` is the diagonal metric by position in
+    ``idx``, and Ricci and Einstein are indexed by position too."""
+    pos = {A: p for p, A in enumerate(idx)}
     R = {}
-    for (A, B), mat in oc.items():
-        for C in range(N):
-            for D in range(N):
+    for (A, B), mat in decomp.items():
+        if A not in pos or B not in pos:
+            continue
+        for C in idx:
+            for D in idx:
                 v = mat[C][D]
                 if v != 0:
-                    R[(A, B, C, D)] = v / h[B]
-    ric = [[sum(R.get((A, B, C, B), 0) for B in range(N)) for C in range(N)]
-           for A in range(N)]
-    scal = sum(ric[A][A] for A in range(N))
+                    R[(A, B, C, D)] = v / metric[pos[B]]
+    ric = [[sum(R.get((A, B, C, B), 0) for B in idx) for C in idx] for A in idx]
+    m = len(idx)
+    scal = sum(ric[i][i] for i in range(m))
     # E_A^B = Ric_A^B - 1/2 R delta with Ric_A^B = h_A Ric^A_B / h_B
-    einstein = [[h[A] * ric[A][B] / h[B] - (scal / 2 if A == B else 0)
-                 for B in range(N)] for A in range(N)]
+    einstein = [[metric[i] * ric[i][j] / metric[j] - (scal / 2 if i == j else 0)
+                 for j in range(m)] for i in range(m)]
+    return R, ric, scal, einstein
+
+
+def riemann_blocks(chart: GaugeChart, omega: Form) -> dict:
+    """Riemann, Ricci, scalar and Einstein tensors of the chart metric."""
+    oc = decompose(so_curvature(omega), chart.coframe, "by-coframe")
+    R, ric, scal, einstein = _einstein_blocks(oc, range(chart.N),
+                                              chart.split.h_diag())
     return {"riemann": R, "ricci": ric, "scalar": scal, "einstein": einstein}
 
 
@@ -282,7 +296,6 @@ def base_curvature_blocks(chart: GaugeChart, gamma_fields):
     split = chart.split
     n = chart.n_base
     N = chart.N
-    b = split.b_diag
     e_one = {c: chart.e_form.component(c) for c in split.s_indices}
     gamma_form = Form(N, 1, (algebra_slot(chart.alg),
                              Slot(chart.alg.name, chart.alg.dim, True)))
@@ -297,23 +310,8 @@ def base_curvature_blocks(chart: GaugeChart, gamma_fields):
                                                split.s_indices[bb]),
                                         f_mul(fld, ef))
     gamma_form._finalize()
-    Gam = so_curvature(gamma_form)
-    gc = decompose(Gam, chart.coframe, "by-coframe")
-    s_idx = split.s_indices
-    R = {}
-    for (A, B), mat in gc.items():
-        if A not in s_idx or B not in s_idx:
-            continue
-        for C in s_idx:
-            for D in s_idx:
-                v = mat[C][D]
-                if v != 0:
-                    R[(A, B, C, D)] = v / b[s_idx.index(B)]
-    ric = [[sum(R.get((a, bb, c, bb), 0) for bb in s_idx) for c in s_idx]
-           for a in s_idx]
-    scal = sum(ric[i][i] for i in range(n))
-    einstein = [[b[i] * ric[i][j] / b[j] - (scal / 2 if i == j else 0)
-                 for j in range(n)] for i in range(n)]
+    gc = decompose(so_curvature(gamma_form), chart.coframe, "by-coframe")
+    _, _, scal, einstein = _einstein_blocks(gc, split.s_indices, split.b_diag)
     return {"scalar": scal, "einstein": einstein}
 
 
@@ -328,33 +326,20 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
     split = chart.split
     alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
-    b, k = split.b_diag, split.k_diag
+    k = split.k_diag
     pt = chart.probe
     gamma_fields = base_lc_gamma_fields(chart) if chart.curved_base else None
     omega, lc_report = kk_lc_connection(chart, gamma_fields=gamma_fields)
-    F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
-    Bkill = killing_form(alg)
-    bk = _bk_pairing(split, Bkill)
+    bk = _bk_pairing(split, killing_form(alg))
 
     if gamma_fields is not None:
         base = base_curvature_blocks(chart, gamma_fields)
         gamma_scalar = base["scalar"]
         base_einstein = base["einstein"]
     blocks = riemann_blocks(chart, omega)
-    f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
+    f_low, f_up, norm_f = _f_at_probe(chart)
     a_at = {key: f.value(pt) for key, f in A_frame.items()}
-
-    def f_low(i, a2, b2):
-        return f_at.get((i, a2, b2), 0)
-
-    def f_up(i, a2, b2):
-        gi = g_idx.index(i)
-        ia, ib = s_idx.index(a2), s_idx.index(b2)
-        return k[gi] * f_low(i, a2, b2) / (b[ia] * b[ib])
-
-    norm_f = sum(f_low(i, a2, b2) * f_up(i, a2, b2)
-                 for i in g_idx for a2 in s_idx for b2 in s_idx) / 2
     res_scalar = blocks["scalar"] \
         - (gamma_scalar - control_sign * norm_f / 2 - bk / 2)
 
@@ -371,30 +356,14 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
                    + (bk / 4 if a2 == b2 else 0))
             r_ss = max(r_ss, abs(E[a2][b2] - rhs))
     # mixed block: E(h)_g^s = 1/2 (d_s F_g^{a s} + gamma-terms - c A F)
-    g_at = {}
-    if gamma_fields is not None:
-        for ia in range(len(s_idx)):
-            for ib in range(len(s_idx)):
-                for ic in range(len(s_idx)):
-                    g_at[(ia, ib, ic)] = gamma_fields[ia][ib][ic].value(pt)
+    n = len(s_idx)
+    g_at = {} if gamma_fields is None else \
+        {(ia, ib, ic): gamma_fields[ia][ib][ic].value(pt)
+         for ia in range(n) for ib in range(n) for ic in range(n)}
     r_gs = 0
     for i in g_idx:
         for a2 in s_idx:
-            div = 0
-            for sb in s_idx:
-                fld = _f_up_field(chart, i, a2, sb)
-                div += frame_partial_field(chart.coframe, fld, sb).value(pt)
-                for j in g_idx:
-                    for m in g_idx:
-                        cv = alg.c(j, m, i)
-                        if cv != 0:
-                            div -= cv * a_at.get((m, sb), 0) * f_up(j, a2, sb)
-                if g_at:
-                    ia, ib = s_idx.index(a2), s_idx.index(sb)
-                    for s1 in s_idx:
-                        i1 = s_idx.index(s1)
-                        div += f_up(i, s1, sb) * g_at.get((ia, i1, ib), 0)
-                        div += g_at.get((ib, i1, ib), 0) * f_up(i, a2, s1)
+            div = _f_divergence(chart, f_up, a_at, i, a2, g_at)
             r_gs = max(r_gs, abs(E[i][a2] - div / 2))
     # gg block: E_g^g = 1/4 F_g F^g - 1/4 c c k - 1/2 R delta
     r_gg = 0
@@ -403,52 +372,70 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
             casimir = 0
             for g1 in g_idx:
                 for g2 in g_idx:
-                    for g3 in g_idx:
-                        c1 = alg.c(g1, i, g3)
-                        c2 = alg.c(j, g1, g2)
-                        if c1 != 0 and c2 != 0:
-                            g2i, g3i = g_idx.index(g2), g_idx.index(g3)
-                            if g2 == g3:
-                                casimir += c1 * c2 / k[g2i]
-            lhs = E[i][j]
-            rhs = quad_mixed(chart, f_at, i, j) / 4 \
+                    c1 = alg.c(g1, i, g2)
+                    c2 = alg.c(j, g1, g2)
+                    if c1 != 0 and c2 != 0:
+                        casimir += c1 * c2 / k[g_idx.index(g2)]
+            # F_i^{ss'} F^j_{ss'} with i lowered and j raised by the metrics
+            quad = sum(f_up(i, a2, b2) * f_low(j, a2, b2)
+                       for a2 in s_idx for b2 in s_idx)
+            rhs = quad / 4 \
                 - (casimir / 4 if casimir else 0) \
                 - (blocks["scalar"] / 2 if i == j else 0)
-            r_gg = max(r_gg, abs(lhs - rhs))
+            r_gg = max(r_gg, abs(E[i][j] - rhs))
     return {"lc": lc_report, "scalar": abs(res_scalar), "block_ss": r_ss,
             "block_gs": r_gs, "block_gg": r_gg,
             "max": max(lc_report["max"], abs(res_scalar), r_ss, r_gs, r_gg)}
 
 
-def quad_mixed(chart: GaugeChart, f_at, i, j):
-    """F_i^{ss'} F^j_{ss'} with i lowered and j raised by the metrics."""
+def _f_at_probe(chart: GaugeChart):
+    """F at the probe: ``f_low(i, a, b)`` = F^i_{ab}, ``f_up(i, a, b)`` =
+    F_i^{ab} with i lowered by k and a, b raised by b, and |F|^2."""
     split = chart.split
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
+    f_at = {key: f.value(chart.probe) for key, f in chart.F_coeffs.items()}
 
-    def f_low(m, a2, b2):
-        v = f_at.get((m, a2, b2))
-        if v is None:
-            v = -f_at.get((m, b2, a2), 0)
-        return v
+    def f_low(i, a2, b2):
+        return f_at.get((i, a2, b2), 0)
 
-    acc = 0
-    for a2 in s_idx:
-        for b2 in s_idx:
-            ia, ib = s_idx.index(a2), s_idx.index(b2)
-            up_i = k[g_idx.index(i)] * f_low(i, a2, b2) / (b[ia] * b[ib])
-            acc += up_i * f_low(j, a2, b2)
-    return acc
+    def f_up(i, a2, b2):
+        gi = g_idx.index(i)
+        ia, ib = s_idx.index(a2), s_idx.index(b2)
+        return k[gi] * f_low(i, a2, b2) / (b[ia] * b[ib])
+
+    norm_f = sum(f_low(i, a2, b2) * f_up(i, a2, b2)
+                 for i in g_idx for a2 in s_idx for b2 in s_idx) / 2
+    return f_low, f_up, norm_f
 
 
-def _f_up_field(chart: GaugeChart, i, a2, sb):
+def _f_divergence(chart: GaugeChart, f_up, a_at, i, a2, g_at=None):
+    """The A-covariant divergence X_s F_i^{a s} summed over s, at the probe;
+    ``g_at`` adds the base Levi-Civita terms gamma on both upper indices."""
     split = chart.split
+    alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
     b, k = split.b_diag, split.k_diag
-    fld = chart.F_coeffs.get((i, a2, sb))
-    if fld is None:
-        return f_zero(chart.N)
-    return f_scale(fld, k[g_idx.index(i)] / (b[s_idx.index(a2)] * b[s_idx.index(sb)]))
+    pt = chart.probe
+    div = 0
+    for sb in s_idx:
+        fld = chart.F_coeffs.get((i, a2, sb))
+        up = f_zero(chart.N) if fld is None else \
+            f_scale(fld, k[g_idx.index(i)] / (b[s_idx.index(a2)] * b[s_idx.index(sb)]))
+        div = _add(div, frame_partial_field(chart.coframe, up, sb).value(pt))
+        for j in g_idx:
+            for m in g_idx:
+                cv = alg.c(j, m, i)
+                if cv != 0:
+                    div = _sub(div, _mul(_mul(cv, a_at.get((m, sb), 0)),
+                                         f_up(j, a2, sb)))
+        if g_at:
+            ia, ib = s_idx.index(a2), s_idx.index(sb)
+            for s1 in s_idx:
+                i1 = s_idx.index(s1)
+                div = _add(div, _mul(f_up(i, s1, sb), g_at.get((ia, i1, ib), 0)))
+                div = _add(div, _mul(g_at.get((ib, i1, ib), 0), f_up(i, a2, s1)))
+    return div
 
 
 def _bk_pairing(split: SplitAlgebra, Bkill):
@@ -467,28 +454,11 @@ def kk_eym_residuals(chart: GaugeChart, lam, base_einstein=None) -> dict:
     lam = 0 the residual vanishes, and a pure lam isolates lam * delta.
     """
     split = chart.split
-    alg = chart.alg
     s_idx, g_idx = split.s_indices, split.l_indices
-    b, k = split.b_diag, split.k_diag
     pt = chart.probe
-    F_coeffs = chart.F_coeffs
     A_frame = frame_coeffs_1form(chart.A_form, chart.coframe)
-    f_at = {key: f.value(pt) for key, f in F_coeffs.items()}
+    f_low, f_up, norm_f = _f_at_probe(chart)
     a_at = {key: f.value(pt) for key, f in A_frame.items()}
-
-    def f_low(i, a2, b2):
-        v = f_at.get((i, a2, b2))
-        if v is None:
-            v = -f_at.get((i, b2, a2), 0)
-        return v
-
-    def f_up(i, a2, b2):
-        gi = g_idx.index(i)
-        ia, ib = s_idx.index(a2), s_idx.index(b2)
-        return k[gi] * f_low(i, a2, b2) / (b[ia] * b[ib])
-
-    norm_f = sum(f_low(i, a2, b2) * f_up(i, a2, b2)
-                 for i in g_idx for a2 in s_idx for b2 in s_idx) / 2
     base_E = base_einstein if base_einstein is not None else \
         [[0] * len(s_idx) for _ in s_idx]
     r_e = 0
@@ -502,16 +472,7 @@ def kk_eym_residuals(chart: GaugeChart, lam, base_einstein=None) -> dict:
     r_ym = 0
     for i in g_idx:
         for a2 in s_idx:
-            div = 0
-            for sb in s_idx:
-                fld = _f_up_field(chart, i, a2, sb)
-                div += frame_partial_field(chart.coframe, fld, sb).value(pt)
-                for j in g_idx:
-                    for m in g_idx:
-                        cv = alg.c(j, m, i)
-                        if cv != 0:
-                            div -= cv * a_at.get((m, sb), 0) * f_up(j, a2, sb)
-            r_ym = max(r_ym, abs(div))
+            r_ym = max(r_ym, abs(_f_divergence(chart, f_up, a_at, i, a2)))
     return {"einstein": r_e, "yang_mills": r_ym, "max": max(0, r_e, r_ym)}
 
 
@@ -533,20 +494,7 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
         for a in s_idx:
             rows[(i, a)] = sum(dpv[i, a, gg, gg] for gg in g_idx)
         for gup in g_idx:
-            acc = 0
-            for s1 in s_idx:
-                d = dpv[i, gup, s1, s1]
-                for j in g_idx:
-                    for m in g_idx:
-                        cv = alg.c(j, m, i)
-                        if cv:
-                            d -= cv * a_at.get((m, s1), 0) * pv[j, gup, s1]
-                for j in g_idx:
-                    for m in g_idx:
-                        cv = alg.c(gup, m, j)
-                        if cv:
-                            d += cv * a_at.get((m, s1), 0) * pv[i, j, s1]
-                acc += d
+            acc = g_row_divergence(chart, a_at, pv, dpv, i, gup)
             for g1 in g_idx:
                 acc += dpv[i, gup, g1, g1]
             for g1 in g_idx:

@@ -12,8 +12,11 @@ The one exception to the return value is ``constants``, which returns
 passes iff every case residual is within ``config.tol``.  A case function
 rejects a flag value it cannot use with a ``ValueError`` naming the flag;
 ``run_suite`` rejects a ``--kappa`` or ``--algebra`` that the suite never
-reads, and a non-unimodular ``--algebra`` for a suite whose identities
-assume tr ad = 0, before any case runs.
+reads, a non-unimodular ``--algebra`` for a suite whose identities
+assume tr ad = 0, and a split that breaks the gravity hypotheses for a
+gravity suite, before any case runs.  A case whose chart fails
+certification, which only a corrupted algebra builds, fails with the
+residual 1e9.
 The ``corruption`` hook feeds deliberately broken inputs through the same
 code paths so that vacuously-green suites are detectable.
 """
@@ -32,6 +35,7 @@ from . import kappa as ka
 from .algebra import SplitAlgebra, build_algebra, central_extension, corrupt_algebra
 from .charts import Rng
 from .forms import Coframe, Form, exterior_d, wedge
+from .gravity import ChartInvariantError, split_hypotheses_hold
 from .scalars import Polynomial
 
 
@@ -133,11 +137,13 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
     return central_extension(inner, n, b_diag=la.euclidean_diag(n))
 
 
-# the suites that read --kappa, those that read no --algebra, those whose
-# identities hold only on a unimodular algebra, and those that need the
-# block metric b (+) k of the gauge split to be ad-invariant
-KAPPA_SUITES = frozenset({"kappa", "grav-el", "grav-decomp", "grav-bianchi",
-                          "grav-commutators", "grav-conservation"})
+# the gravity suites, the suites that read --kappa, those that read no
+# --algebra, those whose identities hold only on a unimodular algebra, and
+# those that need the block metric b (+) k of the gauge split to be
+# ad-invariant
+GRAVITY_SUITES = frozenset({"grav-el", "grav-decomp", "grav-bianchi",
+                            "grav-commutators", "grav-conservation"})
+KAPPA_SUITES = GRAVITY_SUITES | {"kappa"}
 NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
 UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp", "kk-el"})
 AD_INVARIANT_SUITES = frozenset({"kk-lc", "kk-curvature", "kk-decomp"})
@@ -159,6 +165,12 @@ def _reject_unusable_flags(config: SuiteConfig):
         if not la.is_unimodular(alg):
             raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
                              f"needs a unimodular algebra (tr ad_x = 0)")
+    if algebra and config.suite in GRAVITY_SUITES:
+        # the uncorrupted split, as above
+        if not split_hypotheses_hold(gravity_split(replace(config, corruption=None),
+                                                   None)):
+            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
+                             f"needs a reductive, symmetric, unimodular split")
     if algebra and config.suite in AD_INVARIANT_SUITES:
         from .kk import check_h_invariance
 
@@ -558,13 +570,9 @@ def case_grav_decomp(config: SuiteConfig, cid: int, seed: int):
 
 
 def case_grav_bianchi(config: SuiteConfig, cid: int, seed: int):
-    from .gravity import ChartInvariantError, grav_bianchi_residuals
+    from .gravity import grav_bianchi_residuals
 
-    try:
-        chart = _grav_setup(config, cid, seed)
-    except ChartInvariantError:  # a corrupted split fails chart certification
-        return 1e9
-    return grav_bianchi_residuals(chart)["max"]
+    return grav_bianchi_residuals(_grav_setup(config, cid, seed))["max"]
 
 
 def case_grav_commutators(config: SuiteConfig, cid: int, seed: int):
@@ -655,7 +663,11 @@ def run_suite(config: SuiteConfig) -> dict:
     cases = []
     for cid in range(config.cases):
         seed = case_seed(config.seed, cid)
-        cases.append(_case(cid, seed, case_fn(config, cid, seed), config))
+        try:
+            outcome = case_fn(config, cid, seed)
+        except ChartInvariantError:  # a corrupted chart fails certification
+            outcome = 1e9
+        cases.append(_case(cid, seed, outcome, config))
     return {
         "suite": config.suite,
         "config": {

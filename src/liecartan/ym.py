@@ -17,7 +17,7 @@ from typing import Callable, Dict, Tuple
 from .algebra import SplitAlgebra
 from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field, pi_form_from_coeffs)
+                     frame_partial_field, g_row_divergence, pi_form_from_coeffs)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_add, f_is_zero, f_mul, f_scale, f_zero
 from .forms import Coframe, Form, cominor_rows, decompose, exterior_d, wedge
@@ -209,22 +209,7 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     g_row: Dict[Tuple[int, int], object] = {}
     for i in g_idx:
         for gup in g_idx:
-            acc = 0
-            for s1 in s_idx:
-                d = dpv[i, gup, s1, s1]
-                for j in g_idx:
-                    for m in g_idx:
-                        c = alg.c(j, m, i)
-                        if c:
-                            d -= c * av(m, s1) * pv[j, gup, s1]
-                for j in g_idx:
-                    for m in g_idx:
-                        c = alg.c(gup, m, j)
-                        if c:
-                            d += c * av(m, s1) * pv[i, j, s1]
-                for ap in s_idx:
-                    d += gv(s1, ap, s1) * pv[i, gup, ap]
-                acc += d
+            acc = g_row_divergence(chart, a_at, pv, dpv, i, gup, gamma=gv)
             for j in g_idx:
                 for s1 in s_idx:
                     for s2 in s_idx:

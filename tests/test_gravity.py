@@ -19,7 +19,7 @@ from liecartan.gravity import (ChartInvariantError, GravityFields,
                                grav_psi_q, grav_T_conservation_residual,
                                grav_tensors, kappa_pi_block,
                                q_scalar_consistency, q_source_form,
-                               theta_ring_invert, theta_ring_tensor)
+                               theta_ring_invert)
 from liecartan.kappa import build_kappa
 from liecartan.scalars import Polynomial
 

@@ -226,12 +226,26 @@ def test_cli_rejects_algebra_without_ad_invariant_metric(tmp_path, suite):
     _rejects_aff1xR(tmp_path, ("--suite", suite), "ad-invariant")
 
 
+@pytest.mark.parametrize("suite", ["grav-el", "grav-decomp", "grav-bianchi",
+                                   "grav-commutators", "grav-conservation"])
+def test_cli_rejects_split_outside_the_gravity_hypotheses(tmp_path, suite):
+    # [t0, t2] = t2 with s = (t0, t1) and l = (t2): [l, s] leaves s, so
+    # the split is not reductive
+    _rejects_algebra_file(tmp_path, ("--suite", suite), "reductive, symmetric",
+                          constants=[[0, 2, 2, "1"]], split={"s": [0, 1], "l": [2]})
+
+
 def _rejects_aff1xR(tmp_path, args, word):
     # aff(1) x R: [t0, t1] = t1, so tr ad_t0 = 1
-    path = tmp_path / "aff1xR.json"
-    path.write_text(json.dumps({"name": "aff1xR", "dim": 3,
-                                "basis": ["t0", "t1", "t2"],
-                                "constants": [[0, 1, 1, "1"]]}))
+    _rejects_algebra_file(tmp_path, args, word, constants=[[0, 1, 1, "1"]])
+
+
+def _rejects_algebra_file(tmp_path, args, word, **doc):
+    """A 3-dimensional algebra file with the fields ``doc`` is rejected
+    with one ``--algebra`` line naming ``word`` and exit 2."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 3,
+                                "basis": ["t0", "t1", "t2"], **doc}))
     out = _run_cli(*args, "--algebra", str(path), "--cases", "1")
     assert out.returncode == 2, out.stderr
     lines = out.stderr.splitlines()
@@ -240,12 +254,16 @@ def _rejects_aff1xR(tmp_path, args, word):
 
 
 @pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el", "kk-el",
-                                   "kk-lc", "kk-curvature", "kk-decomp"])
+                                   "kk-lc", "kk-curvature", "kk-decomp",
+                                   "grav-el", "grav-decomp", "grav-bianchi",
+                                   "grav-commutators", "grav-conservation"])
 def test_structure_corruption_still_reaches_the_identities(suite):
-    # the unimodular and ad-invariance checks read the algebra before it is
-    # corrupted
-    report = run_suite(SuiteConfig(suite=suite, n=2, algebra="su2", cases=1,
-                                   corruption="structure"))
+    # the unimodular, ad-invariance and split checks read the algebra before
+    # it is corrupted; the corrupted p_0(3) of a gravity suite fails chart
+    # certification, which fails the case
+    algebra = {} if suite.startswith("grav-") else dict(n=2, algebra="su2")
+    report = run_suite(SuiteConfig(suite=suite, cases=1, corruption="structure",
+                                   **algebra))
     assert not report["pass"] and report["max_residual"] >= 1e-3
 
 

@@ -47,9 +47,12 @@ QUICK = {
 
 FLOAT_SUITES = sorted(EXPECTED_SUITES)
 
-# one-case reports on charts that no QUICK run builds, under their golden key
+# reports on charts that no QUICK run builds, under their golden key
 PINNED = {
     "grav-decomp/p_1(4)": dict(suite="grav-decomp", algebra="p_1(4)", cases=1),
+    # case 2 runs on a curved base, through ``base_curvature_blocks``
+    "kk-curvature/curved": dict(suite="kk-curvature", n=2, cases=3),
+    "grav-bianchi/p_1(4)": dict(suite="grav-bianchi", algebra="p_1(4)", cases=1),
 }
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
