@@ -3,10 +3,12 @@
 A chart lives on coordinates (x_0..x_{n-1}, y_0..y_{r-1}).  The group map
 g = exp(eta(y)) has eta valued in the l (or g) block and vanishing on the
 probe set {y = 0}, so exp and dexp of ad(eta) have closed first-order
-data there and the rational backend stays exact.  The connection part A is an x-only 1-form in dx components,
-which realizes the hypotheses under which the decomposition formulas are
-derived: A has no fiber components and its coefficients are constant on
-the fibers.
+data there and the rational backend stays exact.  The chart builders draw
+every number from a seeded ``Rng`` on one backend; below them the backend
+is read from the probe.  The connection part A is an x-only 1-form in dx
+components, which realizes the hypotheses under which the decomposition
+formulas are derived: A has no fiber components and its coefficients are
+constant on the fibers.
 
 Chart data is typed.  ``TrivializedChart`` holds what every model puts on
 a chart: the coframe e = A + dg g^{-1}, the seeded source ``rng``, the dual
@@ -35,8 +37,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .algebra import SplitAlgebra
-from .connection import GroupMap, Representation, algebra_slot, cov_d, curvature
-from .fields import Taylor, f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero
+from .connection import (GroupMap, Representation, algebra_slot, cov_d, curvature,
+                         levi_civita_coeff_fields)
+from .fields import (MatrixInverseField, Taylor, exact_at, f_add, f_is_zero, f_mul,
+                     f_partial, f_scale, f_zero)
 from .forms import Coframe, CoframeMinors, Form, Slot, decompose
 from .scalars import Polynomial, _add, _mul, _sub
 
@@ -123,7 +127,6 @@ class TrivializedChart:
     e_form: Form
     coframe: Coframe
     probe: Tuple
-    exact: bool
     rng: Rng
     p_coeffs: Dict[Tuple[int, int, int], object]
     F_form: Form                 # curvature of A
@@ -135,6 +138,10 @@ class TrivializedChart:
     @property
     def alg(self):
         return self.split.ambient
+
+    @property
+    def exact(self) -> bool:
+        return exact_at(self.probe)
 
     def p_tables(self):
         """p_I^{AB} and its frame derivatives X_C p_I^{AB} at the probe.
@@ -170,13 +177,12 @@ class TrivializedChart:
         pt = self.probe
 
         def at_pt(f):
-            return f if isinstance(f, Polynomial) else Taylor.of(f, pt, self.exact)
+            return f if isinstance(f, Polynomial) else Taylor.of(f, pt)
 
         A_form = Form(self.A_form.n, self.A_form.degree, self.A_form.slots)
         A_form.comps = {K: {sk: at_pt(f) for sk, f in bucket.items()}
                         for K, bucket in self.A_form.comps.items()}
-        coframe = Coframe([[at_pt(f) for f in row] for row in self.coframe.entries],
-                          exact=self.exact)
+        coframe = Coframe([[at_pt(f) for f in row] for row in self.coframe.entries])
         return dataclasses.replace(
             self, A_form=A_form, coframe=coframe,
             p_coeffs={key: at_pt(f) for key, f in self.p_coeffs.items()})
@@ -185,7 +191,7 @@ class TrivializedChart:
         """d^A p = dp + ad*(A) ^ p for p = 1/2 p_I^{AB} e^{(N-2)}_{AB}, and
         the coframe minors p is built from."""
         dual = algebra_slot(self.alg, dual=True)
-        p_form = pi_form_from_coeffs(self.p_coeffs, self.coframe, self.alg.dim, dual)
+        p_form = pi_form_from_coeffs(self.p_coeffs, self.coframe, dual)
         lhs = cov_d(self.A_form, p_form, (Representation.coadjoint(self.alg),))
         return lhs, self.coframe.minors()
 
@@ -232,7 +238,7 @@ def antisym(table: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, i
 
 
 def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Coframe,
-                        alg_dim: int, dual_slot: Slot) -> Form:
+                        dual_slot: Slot) -> Form:
     """pi = 1/2 pi_i^{AB} e^{(N-2)}_{AB} as a dual-slot (N-2)-form."""
     N = coframe.N
     minors = coframe.minors()
@@ -284,7 +290,7 @@ def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
                 e3[n_base + rng.rng.randrange(r)] += 1
                 terms[tuple(e3)] = terms.get(tuple(e3), 0) + rng.scalar(-1, 1)
         eta[i] = Polynomial(N, terms)
-    return GroupMap(alg, eta, N, exact=rng.exact)
+    return GroupMap(alg, eta)
 
 
 def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
@@ -340,21 +346,20 @@ def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
                                    s_coframe="perturbed" if curved_base else "flat",
                                    l_rows=l_rows)
     e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probe, exact)
+    coframe = coframe_from_algebra_form(e_form, probe)
     F_form = curvature(A_form, split.ambient)
     return GaugeChart(split, n_base, r, gm, A_form, e_form, coframe, probe,
-                      exact, rng, {}, F_form, frame_coeffs_2form(F_form, coframe),
+                      rng, {}, F_form, frame_coeffs_2form(F_form, coframe),
                       curved_base)
 
 
-def coframe_from_algebra_form(e_form: Form, dim: int, probe: Tuple,
-                              exact: bool) -> Coframe:
+def coframe_from_algebra_form(e_form: Form, probe: Tuple) -> Coframe:
     """The coframe of an algebra-valued 1-form, certified at ``probe``."""
-    N = e_form.n
+    N, dim = e_form.n, e_form.slots[0].dim
     if dim != N:
         raise ChartError("algebra dimension must match the chart dimension")
     entries = [[e_form.get((k,), (I,)) for k in range(N)] for I in range(dim)]
-    return Coframe(entries, probe, exact)
+    return Coframe(entries, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +444,6 @@ def frame_coeffs_2form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:
 
 def base_lc_gamma_fields(chart: GaugeChart):
     """Base Levi-Civita coefficients gamma^a_bc as fields (zero when flat)."""
-    from .connection import levi_civita_coeff_fields
-
     split = chart.split
     n = chart.n_base
     N = chart.N
@@ -453,8 +456,6 @@ def base_lc_gamma_fields(chart: GaugeChart):
 
 def base_torsion_frame_coeffs(chart: TrivializedChart):
     """Theta^a_bc of d beta in its own coframe, as fields (s block only)."""
-    from .fields import MatrixInverseField
-
     split = chart.split
     n = chart.n_base
     N = chart.N
@@ -462,7 +463,7 @@ def base_torsion_frame_coeffs(chart: TrivializedChart):
                     for a in split.s_indices]
     # the base coframe only involves dx components; invert the n x n block
     sub = [[base_entries[a][kk] for kk in range(n)] for a in range(n)]
-    Vb = MatrixInverseField(sub, exact=chart.exact)
+    Vb = MatrixInverseField(sub)
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         # d beta^a chart components

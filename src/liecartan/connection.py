@@ -1,14 +1,19 @@
 """Covariant exterior derivative, curvature/torsion, group maps and gauge
-transformations for structure-constant representations."""
+transformations for structure-constant representations.  A group map
+reads its backend from the probe its fields are read at."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra
 from .fields import (MatrixDexpField, MatrixExpField, MatrixField, f_add,
-                     f_is_zero, f_mul, f_scale, f_zero)
+                     f_is_zero, f_mul, f_partial, f_scale, f_zero)
 from .forms import Form, Slot, SlotMismatchError, exterior_d, merge_sign
+
+HALF = Fraction(1, 2)
+
 
 class Representation:
     """Sparse matrices rho(t_i) for each basis element of the acting algebra."""
@@ -17,10 +22,6 @@ class Representation:
         self.name = name
         self.mats = mats  # per basis element: {(row, col): value}
         self.dim = dim
-
-    @staticmethod
-    def trivial(r: int, dim: int) -> "Representation":
-        return Representation("trivial", [{} for _ in range(r)], dim)
 
     @staticmethod
     def adjoint(alg: LieAlgebra) -> "Representation":
@@ -42,9 +43,6 @@ class Representation:
     def dual(self) -> "Representation":
         mats = [{(j, i): -v for (i, j), v in m.items()} for m in self.mats]
         return Representation(self.name + "*", mats, self.dim)
-
-    def unimodular(self) -> bool:
-        return all(sum(v for (i, j), v in m.items() if i == j) == 0 for m in self.mats)
 
 
 def cov_d(omega: Form, alpha: Form, reps: Sequence[Optional[Representation]]) -> Form:
@@ -104,12 +102,7 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
 
 def curvature(omega: Form, alg: LieAlgebra) -> Form:
     """Omega = d w + 1/2 [w ^ w]."""
-    return exterior_d(omega) + bracket_wedge(alg, omega, omega).scale(_halfc())
-
-
-def torsion(omega: Form, e_s: Form, rep: Representation) -> Form:
-    """Theta = d^w e for a soldering form e with the given slot action."""
-    return cov_d(omega, e_s, (rep,))
+    return exterior_d(omega) + bracket_wedge(alg, omega, omega).scale(HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +112,20 @@ def torsion(omega: Form, e_s: Form, rep: Representation) -> Form:
 class GroupMap:
     """g = exp(eta) for an algebra-valued field tuple eta on the chart.
 
-    Exact evaluation requires eta to vanish at the probe, where exp and
-    dexp of ad(eta) have the closed first-order data I and c_1 d ad(eta);
-    the float backend sums their series to convergence elsewhere.
+    At an exact probe eta must vanish, where exp and dexp of ad(eta) have
+    the closed first-order data I and c_1 d ad(eta); at a float probe
+    their series are summed to convergence elsewhere.
     """
 
-    def __init__(self, alg: LieAlgebra, eta: Sequence, n_chart: int, exact: bool = True):
+    def __init__(self, alg: LieAlgebra, eta: Sequence):
         self.alg = alg
         self.eta = list(eta)
-        self.n = n_chart
-        self.exact = exact
+        self.n = self.eta[0].n
         self._ad_eta = self._build_ad_eta()
-        self._Ad = MatrixExpField(self._ad_eta, exact=exact)
-        self._Ad_inv = MatrixExpField(_mat_neg(self._ad_eta), exact=exact)
-        self._dexp_pos = MatrixDexpField(self._ad_eta, exact=exact)
-        self._dexp_neg = MatrixDexpField(_mat_neg(self._ad_eta), exact=exact)
+        self._Ad = MatrixExpField(self._ad_eta)
+        self._Ad_inv = MatrixExpField(_mat_neg(self._ad_eta))
+        self._dexp_pos = MatrixDexpField(self._ad_eta)
+        self._dexp_neg = MatrixDexpField(_mat_neg(self._ad_eta))
 
     def _build_ad_eta(self):
         d = self.alg.dim
@@ -189,8 +181,6 @@ class GroupMap:
 
 
 def _partial_or_zero(field, k: int):
-    from .fields import f_partial
-
     if f_is_zero(field):
         return field
     return f_partial(field, k)
@@ -202,10 +192,6 @@ def _mat_neg(rows):
 
 def algebra_slot(alg: LieAlgebra, dual: bool = False) -> Slot:
     return Slot(alg.name, alg.dim, dual)
-
-
-def identity_group_map(alg: LieAlgebra, n_chart: int, exact: bool = True) -> GroupMap:
-    return GroupMap(alg, [f_zero(n_chart)] * alg.dim, n_chart, exact)
 
 
 def maurer_cartan_form(gm: GroupMap) -> Form:
@@ -267,11 +253,5 @@ def levi_civita_coeff_fields(theta_fields, h_diag: Sequence, n_chart: int):
                 parts = [theta_fields[a][b][c],
                          f_scale(theta_fields[b][a][c], -inv_a * h_diag[b]),
                          f_scale(theta_fields[c][a][b], -inv_a * h_diag[c])]
-                gamma[a][b][c] = f_scale(f_add(*parts), _halfc())
+                gamma[a][b][c] = f_scale(f_add(*parts), HALF)
     return gamma
-
-
-def _halfc():
-    from fractions import Fraction
-
-    return Fraction(1, 2)

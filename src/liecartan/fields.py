@@ -13,6 +13,12 @@ their nonzero first partials by coordinate.
   value and partials already set; a ``MatrixField`` is bound the same way,
   with a matrix as its value and a matrix of dicts as its partials.
   Polynomials keep a memo per point instead, and may be read anywhere.
+- The backend is read from the probe: a point is exact when none of its
+  coordinates is a float (``exact_at``), so a probe with any float
+  coordinate runs on floats.  The nodes that act on the backend read it
+  there: a zero Taylor number counts as zero only at an exact point, and
+  the exp, dexp and inverse nodes pick their coefficients and pivoting
+  by it.
 - One rule set evaluates a field at a probe: the sum, product and scale
   rules of forward mode, each written once as a value rule and a partials
   rule over values and dicts of nonzero partials.  They keep a fixed
@@ -67,6 +73,12 @@ class TaylorError(ArithmeticError):
 
 def _as_tuple(point) -> tuple:
     return point if isinstance(point, tuple) else tuple(point)
+
+
+def exact_at(point) -> bool:
+    """Whether ``point`` is on the exact backend: none of its coordinates
+    is a float."""
+    return not any(isinstance(x, float) for x in point)
 
 
 def _nonzero(d: dict) -> dict:
@@ -288,26 +300,24 @@ class Taylor(_Lazy):
     ``d`` maps a coordinate k to the first partial along it; only nonzero
     partials are stored, so a missing k is the int 0.  ``d`` is None on an
     order-0 number, which a partial leaves behind: it holds no partials of
-    its own, and reading them raises.  ``exact`` is the chart's backend,
-    which decides whether a zero counts as zero (see ``f_is_zero``).  Bit
-    k of ``drop`` marks a partial along k that was not kept (see
-    ``without``); it is absent from ``d`` and cannot be read.
+    its own, and reading them raises.  Bit k of ``drop`` marks a partial
+    along k that was not kept (see ``without``); it is absent from ``d``
+    and cannot be read.
     """
 
-    __slots__ = ("exact", "drop")
+    __slots__ = ("drop",)
 
-    def __init__(self, n: int, pt: tuple, exact: bool, v, d, drop: int = 0):
+    def __init__(self, n: int, pt: tuple, v, d, drop: int = 0):
         self.n = n
         self._pt = pt
         self._v = v
         self._d = d
-        self.exact = exact
         self.drop = drop
 
     @staticmethod
-    def of(field, pt: tuple, exact: bool) -> "Taylor":
+    def of(field, pt: tuple) -> "Taylor":
         """The value and first partials of ``field`` at ``pt``."""
-        return Taylor(field.n, pt, exact, field.value(pt), field.partials(pt))
+        return Taylor(field.n, pt, field.value(pt), field.partials(pt))
 
     def _partials(self, point):
         raise TaylorError("an order-0 Taylor number holds no partials")
@@ -322,7 +332,7 @@ class Taylor(_Lazy):
         (itself when they already are, or when it is order 0)."""
         if self._d is None or not mask & ~self.drop:
             return self
-        return Taylor(self.n, self._pt, self.exact, self._v, _kept(self._d, mask),
+        return Taylor(self.n, self._pt, self._v, _kept(self._d, mask),
                       self.drop | mask)
 
 
@@ -379,7 +389,7 @@ def f_add(*fields):
     drop, order1 = _joined(live)
     v = _sum_value([f.value(pt) for f in live])
     d = _sum_partials([_partials_at(f, pt, drop) for f in live]) if order1 else None
-    return Taylor(t.n, pt, t.exact, v, d, drop)
+    return Taylor(t.n, pt, v, d, drop)
 
 
 def f_zero(n: int) -> Polynomial:
@@ -406,7 +416,7 @@ def f_mul(a, b):
     va, vb = a.value(pt), b.value(pt)
     d = _prod_partials(va, vb, _partials_at(a, pt, drop) if vb else None,
                        _partials_at(b, pt, drop) if va else None) if order1 else None
-    return Taylor(t.n, pt, t.exact, _prod_value(va, vb), d, drop)
+    return Taylor(t.n, pt, _prod_value(va, vb), d, drop)
 
 
 def f_scale(a, c):
@@ -416,7 +426,7 @@ def f_scale(a, c):
         return a.scale(c)
     if isinstance(a, Taylor):
         d = None if a._d is None else _scale_partials(a._d, c)
-        return Taylor(a.n, a._pt, a.exact, _scale_value(a._v, c), d, a.drop)
+        return Taylor(a.n, a._pt, _scale_value(a._v, c), d, a.drop)
     if type(a) is FProd and a.c is None:
         return FProd(a.a, a.b, c)
     return FScale(a, c)
@@ -426,18 +436,18 @@ def f_partial(a, k: int):
     if isinstance(a, Polynomial):
         return a.partial_poly(k)
     if isinstance(a, Taylor):
-        return Taylor(a.n, a._pt, a.exact, a.dvalue(a._pt, k), None)
+        return Taylor(a.n, a._pt, a.dvalue(a._pt, k), None)
     return FPartial(a, k)
 
 
 def f_is_zero(a) -> bool:
-    """True for the zero polynomial, and on the exact backend for a Taylor
-    number whose value and partials are all zero.  A float zero is kept:
+    """True for the zero polynomial, and for a Taylor number at an exact
+    point whose value and partials are all zero.  A float zero is kept:
     dropping it could turn a mixed sum into a polynomial, whose products
     and values round differently from the lazy graph's."""
     if isinstance(a, Polynomial):
         return a.is_zero()
-    return isinstance(a, Taylor) and a.exact and not a._v and not a._d
+    return isinstance(a, Taylor) and not a._v and not a._d and exact_at(a._pt)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +460,9 @@ class MatrixField(_Bound):
     matrix of each entry's nonzero first partials as a dict by coordinate,
     computed when first asked for."""
 
-    def __init__(self, entries: List[List[object]], exact: bool = True):
+    def __init__(self, entries: List[List[object]]):
         self.n, self._pt, self._v, self._d = entries[0][0].n, None, _UNSET, None
         self.entries = entries
-        self.exact = exact
         self._entries = weakref.WeakValueDictionary()
 
     def entry(self, i: int, j: int) -> "MatrixEntryField":
@@ -486,18 +495,14 @@ class MatrixExpField(MatrixField):
 
     shift = 0
 
-    def _coeff(self, k: int):
-        f = math.factorial(k + self.shift)
-        return Fraction(1, f) if self.exact else 1 / f
-
     def _value(self, pt):
-        M = [[Taylor(self.n, pt, self.exact, f.value(pt), None) for f in row]
+        M = [[Taylor(self.n, pt, f.value(pt), None) for f in row]
              for row in self.entries]
-        return [[t._v for t in row] for row in _series(M, self._coeff, self.exact)]
+        return [[t._v for t in row] for row in _series(M, self.shift)]
 
     def _partials(self, pt):
-        M = [[Taylor.of(f, pt, self.exact) for f in row] for row in self.entries]
-        return [[t._d for t in row] for row in _series(M, self._coeff, self.exact)]
+        M = [[Taylor.of(f, pt) for f in row] for row in self.entries]
+        return [[t._d for t in row] for row in _series(M, self.shift)]
 
 
 class MatrixDexpField(MatrixExpField):
@@ -518,13 +523,20 @@ def _norm(M):
                 for x in ([t._v] if t._d is None else [t._v, *t._d.values()])), default=0)
 
 
-def _series(M, coeff, exact: bool):
-    """sum_k coeff(k) M^k over Taylor numbers, all of order 0 or all of
-    order 1.  Where M vanishes at the point the series stops after its
-    first-order term, I c_0 + c_1 M; otherwise (floats only) it stops at
-    the first term whose values and partials are all below the tolerance."""
+def _series(M, shift: int):
+    """sum_k c_k M^k with c_k = 1/(k + shift)! over Taylor numbers, all of
+    order 0 or all of order 1, on the backend of their point.  Where M
+    vanishes at the point the series stops after its first-order term,
+    I c_0 + c_1 M; otherwise (floats only) it stops at the first term
+    whose values and partials are all below the tolerance."""
     t, dim = M[0][0], len(M)
-    out = [[Taylor(t.n, t._pt, exact, _mul(coeff(0), 1) if i == j else 0,
+    exact = exact_at(t._pt)
+
+    def coeff(k):
+        f = math.factorial(k + shift)
+        return Fraction(1, f) if exact else 1 / f
+
+    out = [[Taylor(t.n, t._pt, _mul(coeff(0), 1) if i == j else 0,
                    None if t._d is None else {}) for j in range(dim)] for i in range(dim)]
     vanishing = not any(t._v for row in M for t in row)
     if not vanishing and exact:
@@ -555,13 +567,13 @@ def _dot(pairs):
 
 
 class MatrixInverseField(MatrixField):
-    """E(x)^-1: V from ``linalg.mat_inverse``, and the partials of V as
-    -V (dE) V, formed as (-(V dE)) V like the Neumann series
-    (1 + V (E - E(p)))^-1 V."""
+    """E(x)^-1: V from ``linalg.mat_inverse`` on the backend of the point,
+    and the partials of V as -V (dE) V, formed as (-(V dE)) V like the
+    Neumann series (1 + V (E - E(p)))^-1 V."""
 
     def _value(self, pt):
         E = [[f.value(pt) for f in row] for row in self.entries]
-        return linalg.mat_inverse(E, self.exact)
+        return linalg.mat_inverse(E, exact_at(pt))
 
     def _partials(self, pt):
         V = self.value(pt)

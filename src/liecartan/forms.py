@@ -9,6 +9,7 @@ a coframe and coefficient decompositions live here too.
 A one-term bucket keeps its term; sums, scalings and wedges append on
 canonical keys without ``sort_index``.  A coframe builds each one-form
 once; ``signed_minor`` gives the sorted minor and the sign to fold in.
+A coframe's probe sets the backend of its inverse and decompositions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (MatrixField, MatrixInverseField, Taylor, f_add, f_is_zero,
-                     f_mul, f_partial, f_scale, f_zero)
+from .fields import (MatrixField, MatrixInverseField, Taylor, exact_at, f_add,
+                     f_is_zero, f_mul, f_partial, f_scale, f_zero)
 from .scalars import Polynomial
 
 
@@ -353,15 +354,14 @@ class Coframe:
 
     A coframe with a probe is inverted there when built, which certifies
     that it is not singular there; one without gives forms and minors, but
-    no inverse and no decomposition.
+    no inverse and no decomposition.  The probe sets the backend: one with
+    any float coordinate is inverted on floats, with partial pivoting.
     """
 
-    def __init__(self, entries: List[List[object]], probe: Optional[Tuple] = None,
-                 exact: bool = True):
+    def __init__(self, entries: List[List[object]], probe: Optional[Tuple] = None):
         self.N = len(entries)
         self.entries = [[_as_field(c, self.N) for c in row] for row in entries]
         self.probe = None if probe is None else tuple(probe)
-        self.exact = exact
         self._inv: Optional[MatrixField] = None
         self._minors: Optional["CoframeMinors"] = None
         self._ones: Dict[int, Form] = {}
@@ -385,7 +385,7 @@ class Coframe:
     def inverse_field(self) -> MatrixField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""
         if self._inv is None:
-            self._inv = MatrixInverseField(self.entries, exact=self.exact)
+            self._inv = MatrixInverseField(self.entries)
         return self._inv
 
     def minors(self) -> "CoframeMinors":
@@ -477,14 +477,14 @@ class UnsupportedDegreeError(ValueError):
 
 def decompose(form: Form, coframe: Coframe, mode: str):
     """Coefficients of ``form`` in the coframe basis at the coframe's probe,
-    on its backend.
+    on its backend: floats when any probe coordinate is a float.
 
     ``by-coframe`` handles degrees 1 and 2 and returns alpha_A / alpha_AB,
     from the coframe's memoised inverse; ``by-cominors`` handles codegrees
     1..3 and returns alpha^A etc.  Raises for other degrees.
     """
     N = coframe.N
-    point, exact = coframe.probe, coframe.exact
+    point, exact = coframe.probe, exact_at(coframe.probe)
     comp_vals: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
     for key, sk, fld in form.terms():
         comp_vals.setdefault(key, {})[sk] = fld.value(point)

@@ -49,19 +49,15 @@ class GravityFields:
     phi: Form
     pi_coeffs: Dict[Tuple[int, int, int], object]   # includes the kappa block
     probe: Tuple
-    exact: bool = True
 
     def coframe(self) -> Coframe:
-        return coframe_from_algebra_form(self.phi, self.split.ambient.dim,
-                                         self.probe, self.exact)
+        return coframe_from_algebra_form(self.phi, self.probe)
 
 
-def kappa_pi_block(split: SplitAlgebra, kappa: KappaTensor, N: int) -> Dict:
+def kappa_pi_block(split: SplitAlgebra, kappa: KappaTensor) -> Dict:
     """Constant coefficient fields realizing pi^{ss} = kappa."""
-    out = {}
-    for (I, a, b), v in kappa.entries.items():
-        out[(I, a, b)] = Polynomial.constant(v, N)
-    return out
+    N = split.ambient.dim
+    return {key: Polynomial.constant(v, N) for key, v in kappa.entries.items()}
 
 
 def grav_el_residuals(fields: GravityFields) -> dict:
@@ -77,7 +73,7 @@ def grav_el_residuals(fields: GravityFields) -> dict:
     dual = algebra_slot(alg, dual=True)
 
     Phi = curvature(fields.phi, alg)
-    pi_form = pi_form_from_coeffs(fields.pi_coeffs, coframe, N, dual)
+    pi_form = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.phi, pi_form, (coad,))
 
@@ -160,7 +156,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             e = [0] * N
             e[n + pos] = 1
             eta[i] = Polynomial(N, {tuple(e): Fraction(1) if exact else 1.0})
-        gm = GroupMap(split.ambient, eta, N, exact=exact)
+        gm = GroupMap(split.ambient, eta)
     else:
         gm = build_group_map(split, n, rng)
     A_form = build_connection_form(
@@ -168,7 +164,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
         s_coframe="flat" if flat else "perturbed",
         l_rows="none" if flat else "random")
     e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, split.ambient.dim, probe, exact)
+    coframe = coframe_from_algebra_form(e_form, probe)
 
     # split A into theta (s rows) and omega (l rows)
     uslot = algebra_slot(split.ambient)
@@ -184,7 +180,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     F_form = curvature(A_form, split.ambient)
 
     # dual field with the kappa block pinned and random sl / ll blocks
-    p_coeffs = kappa_pi_block(split, kappa, N)
+    p_coeffs = kappa_pi_block(split, kappa)
     vars_ = list(range(N))
     if p_vars == "x":
         vars_ = list(range(n))
@@ -197,7 +193,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             for j2 in split.l_indices:
                 if j1 < j2:
                     p_coeffs[(I, j1, j2)] = rng.poly_in_vars(N, vars_, deg=2, terms=2)
-    chart = GravityChart(split, n, r, gm, A_form, e_form, coframe, probe, exact,
+    chart = GravityChart(split, n, r, gm, A_form, e_form, coframe, probe,
                          rng, p_coeffs, F_form, kappa, theta, omega, torsion, curv_l)
     certify_gravity_chart(chart)
     return chart
@@ -283,7 +279,7 @@ def fields_from_chart(chart: GravityChart) -> GravityFields:
     phi = apply_matrix_to_slot(chart.e_form, 0, chart.gm.ad_inv_entry)
     # pi coefficients are only ever needed as probe values; transport there
     return GravityFields(chart.split, chart.kappa, phi, chart.p_coeffs,
-                         chart.probe, chart.exact)
+                         chart.probe)
 
 
 def _entry_values(entry, N: int, pt) -> List[List]:
@@ -402,7 +398,7 @@ def grav_fundamental_residual(chart: GravityChart) -> dict:
 
 def pi_form_from_coeffs_values(chart: GravityChart, dual) -> Form:
     """pi as a form: field-level coadjoint transport of the p form."""
-    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, chart.alg.dim, dual)
+    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, dual)
     return apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
 
 

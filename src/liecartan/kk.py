@@ -40,7 +40,6 @@ class KKFields:
     pi_coeffs: Dict[Tuple[int, int, int], object]
     lambda0: object
     probe: Tuple
-    exact: bool = True
 
     def __post_init__(self):
         for (i, A, B) in self.pi_coeffs:
@@ -61,11 +60,6 @@ def check_h_invariance(split: SplitAlgebra) -> object:
     return worst
 
 
-def matrix_slot_wedge(phi: Form, other: Form) -> Form:
-    """(phi ^ other) acting through the matrix slot pair (u, u*)."""
-    return contracted_wedge(phi, other, [(1, 0)])
-
-
 def so_curvature(phi: Form) -> Form:
     """Phi = d phi + phi ^ phi for a matrix-valued 1-form."""
     return exterior_d(phi) + contracted_wedge(phi, phi, [(1, 0)])
@@ -83,15 +77,16 @@ def kk_el_residuals(fields: KKFields) -> dict:
     s_idx, g_idx = split.s_indices, split.l_indices
     h = split.h_diag()
     pt = fields.probe
-    coframe = coframe_from_algebra_form(fields.theta, N, pt, fields.exact)
+    coframe = coframe_from_algebra_form(fields.theta, pt)
     minors = coframe.minors()
     dual = algebra_slot(alg, dual=True)
 
     theta_curv = curvature(fields.theta, alg)
     # torsion-free defect d^phi theta
-    torsion_defect = exterior_d(fields.theta) + matrix_slot_wedge(fields.phi, fields.theta)
+    torsion_defect = (exterior_d(fields.theta)
+                      + contracted_wedge(fields.phi, fields.theta, [(1, 0)]))
 
-    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, N, dual)
+    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.theta, pi, (coad,))
 
@@ -245,7 +240,7 @@ def kk_lc_connection(chart: GaugeChart,
     omega._finalize()
 
     pt = chart.probe
-    tdef = exterior_d(chart.e_form) + matrix_slot_wedge(omega, chart.e_form)
+    tdef = exterior_d(chart.e_form) + contracted_wedge(omega, chart.e_form, [(1, 0)])
     t = tdef.max_abs(pt)
     m = 0
     for A in range(N):

@@ -13,8 +13,9 @@ passes iff every case residual is within ``config.tol``.  A case function
 rejects a flag value it cannot use with a ``ValueError`` naming the flag;
 ``run_suite`` rejects a ``--kappa`` or ``--algebra`` that the suite never
 reads, a non-unimodular ``--algebra`` for a suite whose identities
-assume tr ad = 0, and a split that breaks the gravity hypotheses for a
-gravity suite, before any case runs.  A case whose chart fails
+assume tr ad = 0, a non-abelian one for the two flat-vacuum suites, and
+a split that breaks the gravity hypotheses for a gravity suite, before
+any case runs.  A case whose chart fails
 certification, which only a corrupted algebra builds, fails with the
 residual 1e9.
 The ``corruption`` hook feeds deliberately broken inputs through the same
@@ -138,14 +139,15 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
 
 
 # the gravity suites, the suites that read --kappa, those that read no
-# --algebra, those whose identities hold only on a unimodular algebra, and
-# those that need the block metric b (+) k of the gauge split to be
-# ad-invariant
+# --algebra, those whose identities hold only on a unimodular algebra,
+# those that build a flat abelian vacuum, and those that need the block
+# metric b (+) k of the gauge split to be ad-invariant
 GRAVITY_SUITES = frozenset({"grav-el", "grav-decomp", "grav-bianchi",
                             "grav-commutators", "grav-conservation"})
 KAPPA_SUITES = GRAVITY_SUITES | {"kappa"}
 NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
 UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp", "kk-el"})
+ABELIAN_SUITES = frozenset({"ym-el", "kk-el"})
 AD_INVARIANT_SUITES = frozenset({"kk-lc", "kk-curvature", "kk-decomp"})
 
 
@@ -165,6 +167,9 @@ def _reject_unusable_flags(config: SuiteConfig):
         if not la.is_unimodular(alg):
             raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
                              f"needs a unimodular algebra (tr ad_x = 0)")
+        if config.suite in ABELIAN_SUITES and alg.table:
+            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
+                             f"needs an abelian algebra")
     if algebra and config.suite in GRAVITY_SUITES:
         # the uncorrupted split, as above
         if not split_hypotheses_hold(gravity_split(replace(config, corruption=None),
@@ -217,7 +222,7 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
             fld = Polynomial.constant(base, N) + rng.vanishing_poly(N, probe, list(range(N)))
             row.append(fld)
         entries.append(row)
-    cf = Coframe(entries, probe, config.exact)
+    cf = Coframe(entries, probe)
     mins = cf.minors()
     flip = _sign(config)
     top = mins.top if flip > 0 else mins.top.scale(-1)
@@ -326,7 +331,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
     eta = [rng.vanishing_poly(n, probe, list(range(n))) for _ in range(n)]
-    gm = GroupMap(alg, eta, n, exact=config.exact)
+    gm = GroupMap(alg, eta)
     slot = algebra_slot(alg)
     adrep = Representation.adjoint(alg)
     coad = adrep.dual()
@@ -374,7 +379,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     entries = [[_one_or_zero(A, k, n, config.exact)
                 + rng.vanishing_poly(n, probe, list(range(n)))
                 for k in range(n)] for A in range(n)]
-    cf = Coframe(entries, probe, config.exact)
+    cf = Coframe(entries, probe)
     mins = cf.minors()
     e_form = Form(n, 1, (slot,))
     for A in range(n):
@@ -430,7 +435,7 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     i0 = split.l_indices[0]
     a0, b0 = split.s_indices[0], split.s_indices[1]
     pi = {(i0, a0, b0): Polynomial.constant(mag, N)}
-    fields = YMFields(split, n, beta, theta, pi, probe, config.exact)
+    fields = YMFields(split, beta, theta, pi, probe)
     rep = ym_el_residuals(fields)
     # a sign corruption models an error in the oracle prediction
     low = mag * _sign(config) * split.b_diag[0] * split.b_diag[1] / split.k_diag[0]
@@ -494,7 +499,7 @@ def case_kk_el(config: SuiteConfig, cid: int, seed: int):
     phi = Form(N, 1, (slot, slot.dual_slot()))
     lam = rng.nonzero_scalar(-2, 2)
     probe = tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))
-    fields = KKFields(split, theta, phi, {}, lam, probe, config.exact)
+    fields = KKFields(split, theta, phi, {}, lam, probe)
     rep = kk_el_residuals(fields)
     predicted = abs(lam) * _sign(config)
     return max(abs(rep["einstein"] - predicted), rep["frobenius"],

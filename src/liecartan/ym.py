@@ -29,12 +29,10 @@ class YMFields:
     """Unconstrained fields: pulled-back base coframe, connection, dual."""
 
     split: SplitAlgebra
-    n_base: int
     beta: Form            # s-part coframe, x-dependent, dx components
     theta: Form           # g-valued 1-form (full rank on fibers)
     pi_coeffs: Dict[Tuple[int, int, int], object]   # (i, A, B) -> field, A < B
     probe: Tuple
-    exact: bool = True
 
     @property
     def alg(self):
@@ -42,7 +40,7 @@ class YMFields:
 
     def f_coframe(self) -> Coframe:
         f_form = self.beta + self.theta
-        return coframe_from_algebra_form(f_form, self.alg.dim, self.probe, self.exact)
+        return coframe_from_algebra_form(f_form, self.probe)
 
 
 def ym_el_residuals(fields: YMFields) -> dict:
@@ -59,7 +57,7 @@ def ym_el_residuals(fields: YMFields) -> dict:
     minors = coframe.minors()
     theta_curv = curvature(fields.theta, alg)
     dual = algebra_slot(alg, dual=True)
-    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, alg.dim, dual)
+    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.theta, pi, (coad,))
 
@@ -222,7 +220,7 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
             for i in g_idx for j1 in g_idx for j2 in g_idx
             if j1 < j2 and (i, j1, j2) in at.p_coeffs}
-    exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, alg.dim, dual))
+    exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, dual))
 
     rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
     res = (lhs - rhs).max_abs(pt)

@@ -51,12 +51,12 @@ def _graph(exact):
                        ((0, 1, 0), _num(2, exact))])
     gen = [[shift[0] * P, shift[1].scale(_num("2/3", exact))],
            [shift[2] * Q, shift[0] * shift[1]]]
-    E = MatrixExpField(gen, exact=exact)
-    D = MatrixDexpField(gen, exact=exact)
+    E = MatrixExpField(gen)
+    D = MatrixDexpField(gen)
     one = Polynomial.constant(_num(1, exact), N)
     two = Polynomial.constant(_num(2, exact), N)
     inv = MatrixInverseField([[two + shift[0] * Q, P],
-                              [shift[1], one + shift[2] * P]], exact=exact)
+                              [shift[1], one + shift[2] * P]])
     nodes = {
         "poly": P,
         "poly-zero-at-probe": shift[1] * Q,
@@ -80,8 +80,8 @@ def _graph(exact):
     }
     if not exact:
         live = [[P, shift[1]], [Q.scale(0.5), shift[0] * shift[2]]]
-        nodes["exp-iterative-entry"] = MatrixExpField(live, exact=False).entry(1, 0)
-        nodes["dexp-iterative-entry"] = MatrixDexpField(live, exact=False).entry(0, 0)
+        nodes["exp-iterative-entry"] = MatrixExpField(live).entry(1, 0)
+        nodes["dexp-iterative-entry"] = MatrixDexpField(live).entry(0, 0)
     return probe, nodes
 
 
@@ -388,7 +388,7 @@ def test_two_distinct_points_alternately(exact):
         x0 = Polynomial.coordinate(0, N)
         both = ((x0 - Polynomial.constant(points[0][0], N))
                 * (x0 - Polynomial.constant(points[1][0], N)))
-        E = MatrixExpField([[both * P, both], [both * Q, both * P]], exact=exact)
+        E = MatrixExpField([[both * P, both], [both * Q, both * P]])
         return [("poly", P), ("exp", E.entry(0, 1)), ("sum", FSum([P, Q])),
                 ("prod", FProd(P, Q)), ("scale", FScale(FProd(Q, Q), _num(3, exact))),
                 ("partial", FPartial(FProd(P, Q), 0))]
@@ -399,7 +399,7 @@ def test_two_distinct_points_alternately(exact):
              [x[1], one, x[2] * x[2]],
              [x[0] * x[2], x[1], one + x[1]]]
     graphs = {pt: build() for pt in points}
-    coframes = {pt: Coframe(frame, pt, exact) for pt in points}
+    coframes = {pt: Coframe(frame, pt) for pt in points}
     shared = graphs[points[0]][0][1]  # one polynomial, read at both points
     for pt in points + points:
         refs = build()
@@ -476,7 +476,7 @@ def test_matrix_entry_nodes_are_shared():
     probe, _ = _graph(True)
     x = [Polynomial.coordinate(k, N) for k in range(N)]
     E = MatrixExpField([[x[0] - Polynomial.constant(probe[0], N), x[1]],
-                        [x[2], x[0]]], exact=True)
+                        [x[2], x[0]]])
     assert E.entry(0, 1) is E.entry(0, 1)
     assert E.entry(0, 1) is not E.entry(1, 0)
 
@@ -515,8 +515,8 @@ def test_taylor_arithmetic_matches_lazy_nodes(exact):
 
     def tay(name):
         if name in ORDER0:
-            return Taylor(N, probe, exact, nodes[name].value(probe), None)
-        return Taylor.of(nodes[name], probe, exact)
+            return Taylor(N, probe, nodes[name].value(probe), None)
+        return Taylor.of(nodes[name], probe)
 
     def check(operands, taylor, node):
         """``operands`` are (name, as a Taylor number) pairs."""
@@ -560,11 +560,11 @@ def test_taylor_zero_factor_drops_non_finite_values():
     probe, nodes = _graph(False)
     inf = Polynomial.constant(float("inf"), N)
     inf_slope = poly_field(N, [((1, 0, 0), float("inf"))])
-    zero_at_probe = Taylor.of(nodes["poly-zero-at-probe"], probe, False)
+    zero_at_probe = Taylor.of(nodes["poly-zero-at-probe"], probe)
     for t, ref in ((f_mul(zero_at_probe, inf), FProd(nodes["poly-zero-at-probe"], inf)),
-                   (f_mul(inf, Taylor.of(nodes["prod-zero-factor"], probe, False)),
+                   (f_mul(inf, Taylor.of(nodes["prod-zero-factor"], probe)),
                     FProd(inf, nodes["prod-zero-factor"])),
-                   (f_mul(inf_slope, Taylor.of(nodes["sum-cancelling"], probe, False)),
+                   (f_mul(inf_slope, Taylor.of(nodes["sum-cancelling"], probe)),
                     FProd(inf_slope, nodes["sum-cancelling"]))):
         assert t.value(probe) == 0 and type(t.value(probe)) is int
         _same_by_repr(t, ref, probe)
@@ -573,8 +573,8 @@ def test_taylor_zero_factor_drops_non_finite_values():
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
 def test_zero_taylor_is_dropped_only_on_exact_backend(exact):
     probe, nodes = _graph(exact)
-    zero = Taylor.of(nodes["sum-cancelling"], probe, exact)
-    live = Taylor.of(nodes["exp-entry"], probe, exact)
+    zero = Taylor.of(nodes["sum-cancelling"], probe)
+    live = Taylor.of(nodes["exp-entry"], probe)
     assert zero.value(probe) == 0 and type(zero.value(probe)) is int
     assert not zero.partials(probe)
     assert f_is_zero(zero) is exact and not f_is_zero(live)
@@ -592,10 +592,10 @@ def test_zero_taylor_is_dropped_only_on_exact_backend(exact):
 def test_taylor_reads_only_its_own_point_and_order():
     probe, nodes = _graph(True)
     other = (F(1), F(2), F(3))
-    t = Taylor.of(nodes["nested"], probe, True)
+    t = Taylor.of(nodes["nested"], probe)
     assert t.value(tuple(list(probe))) == t.value(probe)
     for read in (lambda: t.value(other), lambda: t.dvalue(other, 0),
-                 lambda: f_mul(t, Taylor.of(nodes["poly"], other, True))):
+                 lambda: f_mul(t, Taylor.of(nodes["poly"], other))):
         with pytest.raises(TaylorError):
             read()
     d = f_partial(t, 0)
@@ -625,7 +625,7 @@ def test_form_coefficients_keep_only_partials_off_their_index(exact):
     b_terms = [(1, nodes["inverse-entry"]), (2, nodes["sum"])]
 
     def tay(f):
-        return Taylor.of(f, probe, exact)
+        return Taylor.of(f, probe)
 
     taylor = wedge(_form_of(a_terms, tay), _form_of(b_terms, tay))
     lazy = wedge(_form_of(a_terms, lambda f: f), _form_of(b_terms, lambda f: f))
@@ -653,8 +653,8 @@ def test_form_coefficients_keep_only_partials_off_their_index(exact):
 
 def test_taylor_arithmetic_joins_dropped_partials():
     probe, nodes = _graph(True)
-    a = Taylor.of(nodes["nested"], probe, True).without(0b001)
-    b = Taylor.of(nodes["exp-entry-off-diagonal"], probe, True).without(0b100)
+    a = Taylor.of(nodes["nested"], probe).without(0b001)
+    b = Taylor.of(nodes["exp-entry-off-diagonal"], probe).without(0b100)
     assert a.without(0b001) is a and 0 not in a.partials(probe)
     assert f_mul(a, b).drop == f_add(a, b).drop == 0b101
     assert f_scale(a, 3).drop == f_mul(nodes["poly"], a).drop == 0b001
@@ -704,7 +704,7 @@ def test_matrix_series_starts_its_term_at_m(exact, monkeypatch):
             [nodes["poly-zero-at-probe"], nodes["poly"]]]
     if exact:
         with pytest.raises(TruncationError):
-            MatrixExpField(live, exact=True).entry(0, 0).value(probe)
+            MatrixExpField(live).entry(0, 0).value(probe)
         return
     for name in ("exp-iterative-entry", "dexp-iterative-entry"):
         del products[:]
@@ -808,15 +808,15 @@ def test_a_field_is_bound_to_the_point_of_its_first_read(exact):
     twins = (tuple(list(probe)), list(probe))
     other = tuple(x + 1 for x in probe)
     entry = nodes["inverse-entry"]
-    cf = Coframe(entry.mat.entries, probe, exact)
+    cf = Coframe(entry.mat.entries, probe)
     for read, fld in ((lambda f, pt: f.value(pt), nodes["nested"]),
                       (lambda f, pt: f.partials(pt), nodes["scale"]),
                       (lambda f, pt: f.value(pt), entry),
                       (lambda f, pt: f.partials(pt), nodes["exp-entry"]),
                       (lambda f, pt: f.value(pt), entry.mat),
                       (lambda f, pt: f.partials(pt), nodes["exp-entry"].mat),
-                      (lambda f, pt: f.value(pt), Taylor.of(nodes["sum"], probe, exact)),
-                      (lambda f, pt: f.partials(pt), Taylor.of(nodes["sum"], probe, exact)),
+                      (lambda f, pt: f.value(pt), Taylor.of(nodes["sum"], probe)),
+                      (lambda f, pt: f.partials(pt), Taylor.of(nodes["sum"], probe)),
                       (lambda f, pt: f.value(pt), cf.inverse_field())):
         got = read(fld, probe)
         for twin in twins:

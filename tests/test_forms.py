@@ -388,6 +388,24 @@ def test_coframe_inverts_once_per_probe(monkeypatch):
     assert len(calls) == 2
 
 
+def test_float_probe_inverts_with_partial_pivoting():
+    """A probe with float coordinates puts the coframe on floats with no
+    flag: a tiny first pivot is swapped away, so E V = I, and both
+    decompositions agree with that inverse."""
+    E = [[1e-20, 1.0], [1.0, 1.0]]
+    cf = Coframe(E, (0.0, 0.0))
+    V = cf.inverse()
+    EV = [[sum(E[A][k] * V[k][B] for k in range(2)) for B in range(2)]
+          for A in range(2)]
+    assert EV == [[1.0, 0.0], [0.0, 1.0]]
+    mins = cf.minors()
+    for A in range(2):
+        unit = [1.0 if B == A else 0.0 for B in range(2)]
+        assert decompose(cf.one_form(A), cf, "by-coframe") == unit
+        co = decompose(mins.minor((A,)), cf, "by-cominors")
+        assert [co[(B,)] for B in range(2)] == pytest.approx(unit, abs=1e-12)
+
+
 def test_decompose_rejects_unsupported_degree():
     cf, probe = seeded_coframe(31, 4)
     top = cf.minors().top

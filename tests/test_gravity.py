@@ -50,8 +50,7 @@ def test_certification_rejects_broken_invariants():
             bad.add_term((sp.n,), (0,), Polynomial.constant(F(1) if exact else 1.0, N))
             bad._finalize()
             chart.e_form = bad + chart.gm.right_log_derivative()
-            chart.coframe = coframe_from_algebra_form(chart.e_form, N, chart.probe,
-                                                      chart.exact)
+            chart.coframe = coframe_from_algebra_form(chart.e_form, chart.probe)
             chart.F_form = curvature(bad, chart.alg)
             with pytest.raises(ChartInvariantError, match="does not vanish"):
                 certify_gravity_chart(chart)
@@ -82,7 +81,7 @@ def test_certification_rejects_fiber_dependent_frame(exact):
         y0 = Polynomial.coordinate(sp.n, chart.N)
         entries = [row[:] for row in chart.coframe.entries]
         entries[0][0] = entries[0][0] + (y0 if exact else y0.scale(1.0))
-        chart.coframe = Coframe(entries, chart.probe, exact)
+        chart.coframe = Coframe(entries, chart.probe)
         with pytest.raises(ChartInvariantError, match="varies along the fiber"):
             certify_gravity_chart(chart)
 
@@ -113,10 +112,10 @@ def test_maurer_cartan_fields_are_flat():
         quad[rng.rng.randrange(N)] += 1
         terms[tuple(quad)] = terms.get(tuple(quad), F(0)) + rng.scalar(-1, 1)
         eta.append(Polynomial(N, terms))
-    gm = GroupMap(alg, eta, N)
+    gm = GroupMap(alg, eta)
     phi = maurer_cartan_form(gm)
     kap = build_kappa("standard", sp)
-    pi = kappa_pi_block(sp, kap, N)
+    pi = kappa_pi_block(sp, kap)
     fields = GravityFields(sp, kap, phi, pi, probe)
     rep = grav_el_residuals(fields)
     assert rep["max_r1"] == 0
@@ -125,7 +124,7 @@ def test_maurer_cartan_fields_are_flat():
     from liecartan.charts import pi_form_from_coeffs
 
     coframe = fields.coframe()
-    pi_form = pi_form_from_coeffs(pi, coframe, N, algebra_slot(alg, dual=True))
+    pi_form = pi_form_from_coeffs(pi, coframe, algebra_slot(alg, dual=True))
     dpi = cov_d(phi, pi_form, (Representation.coadjoint(alg),))
     assert abs(rep["r2"] - dpi.max_abs(probe)) == 0
 
@@ -155,7 +154,7 @@ def test_r1_reports_phi_perturbation():
     phi.add_term((2,), (2,), Polynomial.coordinate(0, N).scale(F(7)))
     phi._finalize()
     probe = (F(0),) * N
-    fields = GravityFields(split, kap, phi, kappa_pi_block(split, kap, N),
+    fields = GravityFields(split, kap, phi, kappa_pi_block(split, kap),
                            probe)
     rep = grav_el_residuals(fields)
     assert rep["max_r1"] == 7
@@ -223,7 +222,7 @@ def test_decomposition_p03(seed):
 def test_decomposition_degenerate_block():
     # p^{sl} = p^{ll} = 0 and A = 0: only the kappa-constant block remains
     sp, kap, chart = p03_chart(seed=23, flat=True)
-    chart.p_coeffs = kappa_pi_block(sp, kap, chart.N)
+    chart.p_coeffs = kappa_pi_block(sp, kap)
     assert grav_dAp_decomposition_residual(chart)["max"] == 0
 
 
@@ -356,7 +355,7 @@ def test_abelian_toy_el_residuals():
         rep = grav_el_residuals(fields)
         assert rep["max_r1"] == 0
         coframe = fields.coframe()
-        pi_form = pi_form_from_coeffs(pi, coframe, N, algebra_slot(alg, dual=True))
+        pi_form = pi_form_from_coeffs(pi, coframe, algebra_slot(alg, dual=True))
         dpi = exterior_d(pi_form)
         assert rep["r2"] == dpi.max_abs(probe)
 
@@ -375,7 +374,7 @@ def test_exact_term_identity():
     dual = algebra_slot(alg, dual=True)
     ll_only = {key: fld for key, fld in p_coeffs.items()
                if key[1] in sp.l_indices and key[2] in sp.l_indices}
-    lhs = exterior_d(pi_form_from_coeffs(ll_only, chart.coframe, N, dual))
+    lhs = exterior_d(pi_form_from_coeffs(ll_only, chart.coframe, dual))
     rhs = FormCls(N, N - 1, (dual,))
     for I in range(N):
         for L in sp.l_indices:
@@ -425,7 +424,7 @@ def test_action_density_invariance_constant_gauge():
     pi_at = pi_values_from_chart(chart)
     pi_form = pi_form_from_coeffs(
         {k: Polynomial.constant(v, N) for k, v in pi_at.items() if k[1] < k[2]},
-        coframe, N, dual)
+        coframe, dual)
 
     def wedge_scalar(pi_map, phi_map):
         acc = 0.0

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from liecartan.algebra import build_algebra
+from liecartan.algebra import build_algebra, central_extension
 from liecartan.algebra_io import (AlgebraFileError, algebra_from_dict,
                                   algebra_to_dict, load_algebra, save_algebra)
 from liecartan.suites import SuiteConfig, case_seed, run_suite
@@ -257,14 +257,38 @@ def _rejects_algebra_file(tmp_path, args, word, **doc):
                                    "kk-lc", "kk-curvature", "kk-decomp",
                                    "grav-el", "grav-decomp", "grav-bianchi",
                                    "grav-commutators", "grav-conservation"])
-def test_structure_corruption_still_reaches_the_identities(suite):
-    # the unimodular, ad-invariance and split checks read the algebra before
-    # it is corrupted; the corrupted p_0(3) of a gravity suite fails chart
-    # certification, which fails the case
+def test_structure_corruption_still_reaches_the_identities(tmp_path, suite):
+    # the unimodular, abelian, ad-invariance and split checks read the
+    # algebra before it is corrupted; the corrupted p_0(3) of a gravity
+    # suite fails chart certification, which fails the case.  The two
+    # flat-vacuum suites need an abelian algebra: on R^2 the corruption
+    # adds a bracket (on u1 it would write [t0, t0], which is no bracket)
     algebra = {} if suite.startswith("grav-") else dict(n=2, algebra="su2")
+    if suite in ("ym-el", "kk-el"):
+        path = tmp_path / "r2.json"
+        path.write_text(json.dumps({"name": "r2", "dim": 2, "basis": ["a", "b"],
+                                    "constants": []}))
+        algebra = dict(n=2, algebra_path=str(path))
+        assert run_suite(SuiteConfig(suite=suite, cases=1, **algebra))["pass"]
     report = run_suite(SuiteConfig(suite=suite, cases=1, corruption="structure",
                                    **algebra))
     assert not report["pass"] and report["max_residual"] >= 1e-3
+
+
+@pytest.mark.parametrize("suite", ["ym-el", "kk-el"])
+@pytest.mark.parametrize("split_file", [False, True], ids=["su2", "su2-split-file"])
+def test_cli_rejects_non_abelian_algebra_for_the_vacuum_suites(tmp_path, suite,
+                                                               split_file):
+    # both suites build a flat abelian vacuum, which su2 cannot carry
+    algebra = "su2"
+    if split_file:
+        algebra = str(tmp_path / "su2-split.json")
+        save_algebra(central_extension(build_algebra("su2"), 2), algebra)
+    out = _run_cli("--suite", suite, "--dim", "2", "--algebra", algebra,
+                   "--cases", "1")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == (f"error: --algebra {algebra}: the {suite} suite "
+                          f"needs an abelian algebra\n")
 
 
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):

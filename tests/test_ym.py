@@ -26,7 +26,7 @@ def flat_vacuum_fields(split, n, pi=None):
     for pos, i in enumerate(split.l_indices):
         theta.add_term((n + pos,), (i,), Polynomial.constant(F(1), N))
     theta._finalize()
-    return YMFields(split, n, beta, theta, pi or {}, (F(0),) * N)
+    return YMFields(split, beta, theta, pi or {}, (F(0),) * N)
 
 
 def test_flat_vacuum_residuals_vanish():
@@ -111,8 +111,7 @@ def test_dAp_identity_reduces_without_connection():
     from liecartan.connection import curvature
 
     chart.e_form = chart.A_form + chart.gm.right_log_derivative()
-    chart.coframe = coframe_from_algebra_form(chart.e_form, chart.N,
-                                              chart.probe, chart.exact)
+    chart.coframe = coframe_from_algebra_form(chart.e_form, chart.probe)
     chart.F_form = curvature(chart.A_form, chart.alg)
     chart.F_coeffs = frame_coeffs_2form(chart.F_form, chart.coframe)
     assert ym_dAp_identity_residual(chart)["max"] == 0
