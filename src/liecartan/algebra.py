@@ -434,11 +434,15 @@ def build_algebra(spec: str, **params):
 
 def corrupt_algebra(alg: LieAlgebra, seed: int = 0) -> LieAlgebra:
     """Negative-control helper: flip one structure constant's sign and
-    inject a spurious off-pattern entry so the Jacobi identity breaks."""
+    inject a spurious off-pattern entry so the Jacobi identity breaks.
+    A 1-dimensional algebra has no bracket to break and raises."""
+    if alg.dim < 2:
+        raise ValueError(f"structure corruption of {alg.name}: a 1-dimensional "
+                         f"algebra has no bracket to break")
     entries = list(alg.entries())
     if not entries:
         # abelian: inject a spurious bracket instead
-        table = {(0, min(1, alg.dim - 1)): {0: Fraction(1)}}
+        table = {(0, 1): {0: Fraction(1)}}
         return LieAlgebra(alg.name + "#corrupt", alg.labels, table)
     k, i, j, v = entries[seed % len(entries)]
     table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}

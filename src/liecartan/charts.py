@@ -217,10 +217,7 @@ class GravityChart(TrivializedChart):
     curv_l: Form
 
     def torsion_curvature(self):
-        """By-coframe coefficients of ``torsion`` and ``curv_l`` at the probe.
-
-        Not memoised: a corrupted run replaces ``torsion`` after building.
-        """
+        """By-coframe coefficients of ``torsion`` and ``curv_l`` at the probe."""
         return (decompose(self.torsion, self.coframe, "by-coframe"),
                 decompose(self.curv_l, self.coframe, "by-coframe"))
 

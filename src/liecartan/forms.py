@@ -483,6 +483,8 @@ def decompose(form: Form, coframe: Coframe, mode: str):
     from the coframe's memoised inverse; ``by-cominors`` handles codegrees
     1..3 and returns alpha^A etc.  Raises for other degrees.
     """
+    if coframe.probe is None:
+        raise ValueError("decompose needs a coframe built with a probe")
     N = coframe.N
     point, exact = coframe.probe, exact_at(coframe.probe)
     comp_vals: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}

@@ -777,8 +777,10 @@ def grav_bianchi_residuals(chart: GravityChart) -> dict:
 # commutators and conservation
 # ---------------------------------------------------------------------------
 
-def grav_commutator_residuals(chart: GravityChart, test_count: int = 2) -> dict:
-    """All three commutation rows applied to random test scalars."""
+def grav_commutator_residuals(chart: GravityChart, test_count: int = 2,
+                              control_sign: int = 1) -> dict:
+    """All three commutation rows applied to random test scalars;
+    ``control_sign = -1`` flips the torsion term of the first row."""
     split = chart.split
     alg = chart.alg
     N = alg.dim
@@ -807,7 +809,7 @@ def grav_commutator_residuals(chart: GravityChart, test_count: int = 2) -> dict:
                        - frame_partial_field(chart.coframe, df[a], b).value(pt))
                 rhs = 0
                 for S in s_idx:
-                    rhs -= theta_c[(S,)][a][b] * dfv[S]
+                    rhs -= control_sign * theta_c[(S,)][a][b] * dfv[S]
                 for L in l_idx:
                     rhs -= omega_c[(L,)][a][b] * dfv[L]
                 for S in s_idx:

@@ -126,6 +126,26 @@ def kappa_invariance_residual(split: SplitAlgebra, kappa: KappaTensor,
     return worst
 
 
+def kappa_ad_residual(split: SplitAlgebra, kappa: KappaTensor):
+    """max |(ad_{t_i} kappa)_I^{ab}| over t_i in l, exactly: the
+    infinitesimal form of ``kappa_invariance_residual``,
+    (ad_{t_i} kappa)_I^{ab} = -sum_J c^J_{iI} kappa_J^{ab}
+    + sum_c c^a_{ic} kappa_I^{cb} + sum_c c^b_{ic} kappa_I^{ac}."""
+    alg = split.ambient
+    n, d = split.n, alg.dim
+    worst = 0
+    for i in split.l_indices:
+        for I in range(d):
+            for a in range(n):
+                for b in range(a + 1, n):
+                    acc = -sum(alg.c(J, i, I) * kappa.get(J, a, b) for J in range(d))
+                    for c in range(n):
+                        acc += (alg.c(a, i, c) * kappa.get(I, c, b)
+                                + alg.c(b, i, c) * kappa.get(I, a, c))
+                    worst = max(worst, abs(acc))
+    return worst
+
+
 def _as_float(v):
     return complex(v) if isinstance(v, complex) else float(v)
 

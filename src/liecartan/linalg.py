@@ -56,10 +56,15 @@ def max_norm(A) -> float:
 
 
 def solve(A, rhs_cols: List[List], exact: bool) -> List[List]:
-    """Solve A X = B where B is given as a list of columns; returns columns."""
+    """Solve A X = B where B is given as a list of columns; returns columns.
+
+    ``exact`` pivots on the first nonzero entry and divides in ``Fraction``;
+    it rejects float and complex entries, which need partial pivoting."""
     n = len(A)
     m = len(rhs_cols)
     aug = [list(A[i]) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
+    if exact and any(isinstance(x, (float, complex)) for row in aug for x in row):
+        raise ValueError("an exact solve needs int or Fraction entries, not floats")
     for col in range(n):
         piv = None
         if exact:

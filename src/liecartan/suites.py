@@ -1,25 +1,26 @@
 """Verification suite registry: deterministic seeded cases with machine-
 readable reports.
 
-Each ``REGISTRY`` entry is a case function ``case(config, cid, seed)``: it
-checks case ``cid`` of the suite ``config.suite`` and returns that case's
-max-norm residual.  ``seed`` is ``case_seed(config.seed, cid)``; a case
-draws all its randomness from it, so cases are independent of each other.
-The one exception to the return value is ``constants``, which returns
-``(residual, note)``; the note is kept in the case's report entry.
-``run_suite`` is the only case loop: it calls the case function for
-``cid = 0 .. config.cases - 1`` in order and builds the report, which
-passes iff every case residual is within ``config.tol``.  A case function
-rejects a flag value it cannot use with a ``ValueError`` naming the flag;
-``run_suite`` rejects a ``--kappa`` or ``--algebra`` that the suite never
-reads, a non-unimodular ``--algebra`` for a suite whose identities
-assume tr ad = 0, a non-abelian one for the two flat-vacuum suites, and
-a split that breaks the gravity hypotheses for a gravity suite, before
-any case runs.  A case whose chart fails
-certification, which only a corrupted algebra builds, fails with the
+Each ``REGISTRY`` entry is a ``Suite``: its case function
+``case(config, cid, seed)`` checks case ``cid`` of the suite ``config.suite``
+and returns that case's max-norm residual.  ``seed`` is
+``case_seed(config.seed, cid)``; a case draws all its randomness from it,
+so cases are independent of each other.  The one exception to the return
+value is ``constants``, which returns ``(residual, note)``; the note is kept
+in the case's report entry.  ``run_suite`` is the only case loop: it calls
+the case function for ``cid = 0 .. config.cases - 1`` in order and builds
+the report, which passes iff every case residual is within ``config.tol``.
+A case function rejects a flag value it cannot use with a ``ValueError``
+naming the flag.  Before any case runs, ``run_suite`` rejects what the
+suite's declaration rules out: a ``--kappa`` or ``--algebra`` that it never
+reads, an ``--algebra`` that breaks a hypothesis its identities need, and
+a corruption kind that reaches none of its identities.  A case whose chart
+fails certification, which only a corrupted algebra builds, fails with the
 residual 1e9.
 The ``corruption`` hook feeds deliberately broken inputs through the same
-code paths so that vacuously-green suites are detectable.
+code paths so that vacuously-green suites are detectable: ``sign`` flips
+the sign of one predicted term (``_sign``), ``structure`` breaks the
+Jacobi identity of the algebra (``resolve_algebra``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from . import algebra as la
 from . import kappa as ka
@@ -37,6 +38,7 @@ from .algebra import SplitAlgebra, build_algebra, central_extension, corrupt_alg
 from .charts import Rng
 from .forms import Coframe, Form, exterior_d, wedge
 from .gravity import ChartInvariantError, split_hypotheses_hold
+from .kk import check_h_invariance
 from .scalars import Polynomial
 
 
@@ -114,10 +116,7 @@ def resolve_algebra(config: SuiteConfig, default: str):
 
 def gravity_split(config: SuiteConfig, default: str) -> SplitAlgebra:
     split = resolve_algebra(config, default)
-    if not isinstance(split, SplitAlgebra):
-        raise ValueError(f"--algebra {config.algebra_path or config.algebra}: "
-                         f"the {config.suite} suite needs a split algebra such "
-                         f"as p_0(3)")
+    _require(config, SPLIT, split)
     return split
 
 
@@ -127,63 +126,81 @@ def gauge_split(config: SuiteConfig, fiber: str = "su2",
     given, or the central extension of a plain algebra over a base of
     dimension ``n`` (``config.n`` by default)."""
     inner = resolve_algebra(config, fiber)
-    if isinstance(inner, SplitAlgebra):
-        if inner.k_diag is None:
-            raise ValueError(
-                f"--algebra {config.algebra or config.algebra_path}: the "
-                f"{config.suite} suite needs a plain algebra or a split with "
-                f"a metric on l, not a gravity split")
-        return inner
-    n = config.n if n is None else n
-    return central_extension(inner, n, b_diag=la.euclidean_diag(n))
+    _require(config, GAUGE_SPLIT, inner)
+    return _as_gauge_split(inner, config.n if n is None else n)
 
 
-# the gravity suites, the suites that read --kappa, those that read no
-# --algebra, those whose identities hold only on a unimodular algebra,
-# those that build a flat abelian vacuum, and those that need the block
-# metric b (+) k of the gauge split to be ad-invariant
-GRAVITY_SUITES = frozenset({"grav-el", "grav-decomp", "grav-bianchi",
-                            "grav-commutators", "grav-conservation"})
-KAPPA_SUITES = GRAVITY_SUITES | {"kappa"}
-NO_ALGEBRA_SUITES = frozenset({"forms-identities", "ym-maxwell", "constants"})
-UNIMODULAR_SUITES = frozenset({"gauge-lemmas", "ym-el", "ym-decomp", "kk-el"})
-ABELIAN_SUITES = frozenset({"ym-el", "kk-el"})
-AD_INVARIANT_SUITES = frozenset({"kk-lc", "kk-curvature", "kk-decomp"})
+def _as_gauge_split(alg, n: int) -> SplitAlgebra:
+    if isinstance(alg, SplitAlgebra):
+        return alg
+    return central_extension(alg, n, b_diag=la.euclidean_diag(n))
 
 
-def _reject_unusable_flags(config: SuiteConfig):
-    if config.kappa != "standard" and config.suite not in KAPPA_SUITES:
-        raise ValueError(f"--kappa {config.kappa}: the {config.suite} suite "
-                         f"builds no kappa tensor")
-    algebra = config.algebra or config.algebra_path
-    if algebra and config.suite in NO_ALGEBRA_SUITES:
-        raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
-                         f"takes no algebra")
-    if algebra and config.suite in UNIMODULAR_SUITES:
-        # the uncorrupted algebra: a corrupted one must reach the identities
-        alg = _load_algebra(config, None)
-        if isinstance(alg, SplitAlgebra):
-            alg = alg.ambient
-        if not la.is_unimodular(alg):
+def _ambient(alg) -> la.LieAlgebra:
+    return alg.ambient if isinstance(alg, SplitAlgebra) else alg
+
+
+class Hypothesis(NamedTuple):
+    """A property of the uncorrupted ``--algebra`` that a suite's identities
+    rest on: ``holds`` reads the loaded algebra, plain or split, and
+    ``needs`` names the property in the rejection."""
+    holds: Callable[[object], bool]
+    needs: str
+
+
+UNIMODULAR = Hypothesis(lambda alg: la.is_unimodular(_ambient(alg)),
+                        "a unimodular algebra (tr ad_x = 0)")
+ABELIAN = Hypothesis(lambda alg: not _ambient(alg).table, "an abelian algebra")
+SPLIT = Hypothesis(lambda alg: isinstance(alg, SplitAlgebra),
+                   "a split algebra such as p_0(3)")
+GRAVITY_SPLIT = Hypothesis(split_hypotheses_hold,
+                           "a reductive, symmetric, unimodular split")
+GAUGE_SPLIT = Hypothesis(
+    lambda alg: not isinstance(alg, SplitAlgebra) or alg.k_diag is not None,
+    "a plain algebra or a split with a metric on l, not a gravity split")
+# s is central in a central extension, so a base of dimension 1 shows what
+# any other would
+AD_INVARIANT = Hypothesis(
+    lambda alg: not check_h_invariance(_as_gauge_split(alg, 1)),
+    "an ad-invariant block metric b (+) k")
+
+
+def _require(config: SuiteConfig, hypothesis: Hypothesis, alg):
+    if not hypothesis.holds(alg):
+        raise ValueError(f"--algebra {config.algebra or config.algebra_path}: "
+                         f"the {config.suite} suite needs {hypothesis.needs}")
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One suite's declaration: its case function, the corruption kinds
+    that reach its identities, whether it reads ``--algebra`` and
+    ``--kappa``, and the hypotheses its identities need, checked in order."""
+    case: Callable[[SuiteConfig, int, int], object]
+    corruptions: FrozenSet[str]
+    reads_algebra: bool = True
+    reads_kappa: bool = False
+    hypotheses: Tuple[Hypothesis, ...] = ()
+
+    def reject_unusable(self, config: SuiteConfig):
+        """A one-line ``ValueError`` for what this declaration rules out."""
+        kind = config.corruption
+        if kind is not None and kind not in self.corruptions:
+            raise ValueError(f"corruption {kind}: it reaches no identity of the "
+                             f"{config.suite} suite, which takes "
+                             f"{' or '.join(sorted(self.corruptions))}")
+        if config.kappa != "standard" and not self.reads_kappa:
+            raise ValueError(f"--kappa {config.kappa}: the {config.suite} "
+                             f"suite builds no kappa tensor")
+        algebra = config.algebra or config.algebra_path
+        if algebra and not self.reads_algebra:
             raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
-                             f"needs a unimodular algebra (tr ad_x = 0)")
-        if config.suite in ABELIAN_SUITES and alg.table:
-            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
-                             f"needs an abelian algebra")
-    if algebra and config.suite in GRAVITY_SUITES:
-        # the uncorrupted split, as above
-        if not split_hypotheses_hold(gravity_split(replace(config, corruption=None),
-                                                   None)):
-            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
-                             f"needs a reductive, symmetric, unimodular split")
-    if algebra and config.suite in AD_INVARIANT_SUITES:
-        from .kk import check_h_invariance
-
-        # the uncorrupted algebra, as above; s is central in a central
-        # extension, so a base of dimension 1 shows what any other would
-        if check_h_invariance(gauge_split(replace(config, corruption=None), n=1)):
-            raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
-                             f"needs an ad-invariant block metric b (+) k")
+                             f"takes no algebra")
+        if algebra and self.hypotheses:
+            # the uncorrupted algebra: a corrupted one must reach the identities
+            alg = _load_algebra(config, None)
+            for hypothesis in self.hypotheses:
+                _require(config, hypothesis, alg)
 
 
 def _require_dim(config: SuiteConfig, least: int, cycle: str = "",
@@ -196,11 +213,8 @@ def _require_dim(config: SuiteConfig, least: int, cycle: str = "",
                      f"dimension of at least {least}{tail}")
 
 
-SIGN_FLIP = {"sign"}
-
-
 def _sign(config: SuiteConfig):
-    return -1 if config.corruption in SIGN_FLIP else 1
+    return -1 if config.corruption == "sign" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +226,7 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
     rng = Rng(seed, config.exact)
     N = config.n or (3, 4, 5, 6)[cid % 4]
     probe = tuple(rng.scalar(-2, 2) for _ in range(N))
-    entries = []
-    for A in range(N):
-        row = []
-        for k in range(N):
-            base = Fraction(1 if A == k else 0)
-            if not config.exact:
-                base = float(base)
-            fld = Polynomial.constant(base, N) + rng.vanishing_poly(N, probe, list(range(N)))
-            row.append(fld)
-        entries.append(row)
-    cf = Coframe(entries, probe)
+    cf = Coframe(_near_identity(rng, N, probe, config.exact), probe)
     mins = cf.minors()
     flip = _sign(config)
     top = mins.top if flip > 0 else mins.top.scale(-1)
@@ -291,8 +295,7 @@ def case_lie_checks(config: SuiteConfig, cid: int, seed: int):
             if not rep[key]:
                 res = max(res, 1)
     # spot values of the p_k(n) table, for catalog algebras only
-    if (split is not None and config.algebra_path is None
-            and name.startswith("p_") and config.corruption is None):
+    if split is not None and config.algebra_path is None and name.startswith("p_"):
         n = split.n
         h = split.b_diag
         pair01 = n  # index of t_{[0,1]}
@@ -305,15 +308,13 @@ def case_kappa(config: SuiteConfig, cid: int, seed: int):
     split = gravity_split(config, "p_1(4)" if cid % 2 else "p_0(4)")
     kind, gamma = kappa_spec(config)
     kap = ka.build_kappa(kind, split, gamma=gamma)
-    res = ka.kappa_invariance_residual(split, kap, samples=10, seed=seed)
-    if config.corruption is None:
-        if kind == "holst":
-            factor = ka.holst_kernel_factor(1j, split.b_diag)
-            res = max(res, abs(factor))
-            if ka.kappa_kernel_rank(ka.build_kappa("holst", split, gamma=1j)) >= 6:
-                res = max(res, 1.0)
-        if ka.kappa_kernel_rank(kap) < len(split.l_indices):
+    res = ka.kappa_ad_residual(split, kap)
+    if kind == "holst":
+        res = max(res, abs(ka.holst_kernel_factor(1j, split.b_diag)))
+        if ka.kappa_kernel_rank(ka.build_kappa("holst", split, gamma=1j)) >= 6:
             res = max(res, 1.0)
+    if ka.kappa_kernel_rank(kap) < len(split.l_indices):
+        res = max(res, 1.0)
     return res
 
 
@@ -325,9 +326,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     from .forms import contracted_wedge
 
     rng = Rng(seed, config.exact)
-    alg = resolve_algebra(config, "su2" if cid % 2 == 0 else "p_0(3)")
-    if isinstance(alg, SplitAlgebra):
-        alg = alg.ambient
+    alg = _ambient(resolve_algebra(config, "su2" if cid % 2 == 0 else "p_0(3)"))
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
     eta = [rng.vanishing_poly(n, probe, list(range(n))) for _ in range(n)]
@@ -376,9 +375,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
                         - bracket_wedge(alg, e, e).scale(Fraction(1, 2)))
                        .max_abs(probe)))
     # minor Leibniz with the adjoint (unimodular) representation
-    entries = [[_one_or_zero(A, k, n, config.exact)
-                + rng.vanishing_poly(n, probe, list(range(n)))
-                for k in range(n)] for A in range(n)]
+    entries = _near_identity(rng, n, probe, config.exact)
     cf = Coframe(entries, probe)
     mins = cf.minors()
     e_form = Form(n, 1, (slot,))
@@ -401,9 +398,12 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     return res
 
 
-def _one_or_zero(A, k, n, exact):
-    v = Fraction(1 if A == k else 0)
-    return Polynomial.constant(v if exact else float(v), n)
+def _near_identity(rng: Rng, n: int, probe, exact: bool):
+    """Coframe entries: the identity plus polynomials vanishing at ``probe``."""
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    return [[Polynomial.constant(one if A == k else zero, n)
+             + rng.vanishing_poly(n, probe, list(range(n)))
+             for k in range(n)] for A in range(n)]
 
 
 def case_ym_el(config: SuiteConfig, cid: int, seed: int):
@@ -455,17 +455,10 @@ def case_ym_maxwell(config: SuiteConfig, cid: int, seed: int):
     from .ym import maxwell_scenario, maxwell_q_transport_residual
 
     rng = Rng(seed, config.exact)
-    strength = rng.scalar(-3, 3) * _sign(config)
-    rep = maxwell_scenario(strength if config.exact else float(strength),
-                           seed=seed)
-    res = max(abs(rep["elvarpi_residual"]), abs(rep["el_a_residual"]),
-              abs(rep["el_b_residual"]), abs(rep["maxwell_residual"]),
-              rep["fiber_average_demo"])
-    if config.corruption in SIGN_FLIP:
-        res = max(res, abs(rep["d_mu_p"] + rep["norm2"] / 2 + strength ** 2))
-    if cid == 0 and config.corruption is None:
-        res = max(res, abs(maxwell_q_transport_residual(seed)))
-    return res
+    rep = maxwell_scenario(rng.nonzero_scalar(-3, 3), seed=seed,
+                           control_sign=_sign(config))
+    return max(abs(rep["elvarpi_residual"]), abs(rep["el_a_residual"]),
+               abs(rep["el_b_residual"]), abs(maxwell_q_transport_residual(seed)))
 
 
 def case_ym_decomp(config: SuiteConfig, cid: int, seed: int):
@@ -584,9 +577,8 @@ def case_grav_commutators(config: SuiteConfig, cid: int, seed: int):
     from .gravity import grav_commutator_residuals
 
     chart = _grav_setup(config, cid, seed, small_only=True)
-    if config.corruption in SIGN_FLIP:
-        chart.torsion = chart.torsion.scale(-1)
-    rep = grav_commutator_residuals(chart, test_count=1)
+    rep = grav_commutator_residuals(chart, test_count=1,
+                                    control_sign=_sign(config))
     return rep["max"]
 
 
@@ -614,37 +606,40 @@ def case_constants(config: SuiteConfig, cid: int, seed: int):
         res = abs(lam - expect * sign) if sign > 0 else abs(lam - expect)
     except AssertionError:
         res = 1.0
-    if config.corruption is None:
-        T = ka.epsilon_double_contraction(la.minkowski_diag(4))
-        res = max(res, abs(T[(0, 1, 0, 1)] + 2), abs(T[(0, 1, 0, 2)]))
-        TE = ka.epsilon_double_contraction(la.euclidean_diag(4))
-        res = max(res, abs(TE[(0, 1, 0, 1)] - 2))
-        res = max(res, abs(ka.holst_kernel_factor(1j, [-1.0, 1, 1, 1])))
-        res = max(res, abs(ka.holst_kernel_factor(Fraction(1),
-                                                  la.euclidean_diag(4))))
-        B = la.killing_form(build_algebra("su2"))
-        res = max(res, abs(la.killing_pairing(B, [Fraction(1)] * 3) + 3))
+    T = ka.epsilon_double_contraction(la.minkowski_diag(4))
+    res = max(res, abs(T[(0, 1, 0, 1)] + 2), abs(T[(0, 1, 0, 2)]))
+    TE = ka.epsilon_double_contraction(la.euclidean_diag(4))
+    res = max(res, abs(TE[(0, 1, 0, 1)] - 2))
+    res = max(res, abs(ka.holst_kernel_factor(1j, [-1.0, 1, 1, 1])))
+    res = max(res, abs(ka.holst_kernel_factor(Fraction(1), la.euclidean_diag(4))))
+    B = la.killing_form(build_algebra("su2"))
+    res = max(res, abs(la.killing_pairing(B, [Fraction(1)] * 3) + 3))
     return res, note
 
 
-REGISTRY: Dict[str, Callable[[SuiteConfig, int, int], object]] = {
-    "forms-identities": case_forms_identities,
-    "lie-checks": case_lie_checks,
-    "kappa": case_kappa,
-    "gauge-lemmas": case_gauge_lemmas,
-    "ym-el": case_ym_el,
-    "ym-maxwell": case_ym_maxwell,
-    "ym-decomp": case_ym_decomp,
-    "kk-el": case_kk_el,
-    "kk-lc": case_kk_lc,
-    "kk-curvature": case_kk_curvature,
-    "kk-decomp": case_kk_decomp,
-    "grav-el": case_grav_el,
-    "grav-decomp": case_grav_decomp,
-    "grav-bianchi": case_grav_bianchi,
-    "grav-commutators": case_grav_commutators,
-    "grav-conservation": case_grav_conservation,
-    "constants": case_constants,
+SIGN, STRUCTURE = frozenset({"sign"}), frozenset({"structure"})
+BOTH = SIGN | STRUCTURE
+GRAVITY = dict(reads_kappa=True, hypotheses=(SPLIT, GRAVITY_SPLIT))
+KK = (GAUGE_SPLIT, AD_INVARIANT)
+
+REGISTRY: Dict[str, Suite] = {
+    "forms-identities": Suite(case_forms_identities, SIGN, reads_algebra=False),
+    "lie-checks": Suite(case_lie_checks, STRUCTURE),
+    "kappa": Suite(case_kappa, STRUCTURE, reads_kappa=True),
+    "gauge-lemmas": Suite(case_gauge_lemmas, BOTH, hypotheses=(UNIMODULAR,)),
+    "ym-el": Suite(case_ym_el, BOTH, hypotheses=(UNIMODULAR, ABELIAN)),
+    "ym-maxwell": Suite(case_ym_maxwell, SIGN, reads_algebra=False),
+    "ym-decomp": Suite(case_ym_decomp, BOTH, hypotheses=(UNIMODULAR,)),
+    "kk-el": Suite(case_kk_el, BOTH, hypotheses=(UNIMODULAR, ABELIAN)),
+    "kk-lc": Suite(case_kk_lc, BOTH, hypotheses=KK),
+    "kk-curvature": Suite(case_kk_curvature, BOTH, hypotheses=KK),
+    "kk-decomp": Suite(case_kk_decomp, BOTH, hypotheses=KK),
+    "grav-el": Suite(case_grav_el, SIGN, **GRAVITY),
+    "grav-decomp": Suite(case_grav_decomp, BOTH, **GRAVITY),
+    "grav-bianchi": Suite(case_grav_bianchi, STRUCTURE, **GRAVITY),
+    "grav-commutators": Suite(case_grav_commutators, SIGN, **GRAVITY),
+    "grav-conservation": Suite(case_grav_conservation, SIGN, **GRAVITY),
+    "constants": Suite(case_constants, SIGN, reads_algebra=False),
 }
 
 
@@ -659,17 +654,17 @@ def _case(cid: int, seed: int, outcome, config: SuiteConfig) -> dict:
 
 
 def run_suite(config: SuiteConfig) -> dict:
-    if config.suite not in REGISTRY:
+    suite = REGISTRY.get(config.suite)
+    if suite is None:
         raise ValueError(f"unknown suite {config.suite!r}; "
                          f"known: {sorted(REGISTRY)}")
-    _reject_unusable_flags(config)
-    case_fn = REGISTRY[config.suite]
+    suite.reject_unusable(config)
     start = time.perf_counter()
     cases = []
     for cid in range(config.cases):
         seed = case_seed(config.seed, cid)
         try:
-            outcome = case_fn(config, cid, seed)
+            outcome = suite.case(config, cid, seed)
         except ChartInvariantError:  # a corrupted chart fails certification
             outcome = 1e9
         cases.append(_case(cid, seed, outcome, config))

@@ -301,12 +301,14 @@ def ym_current(chart: GaugeChart) -> dict:
 # Maxwell warm-up on R^4 x S^1
 # ---------------------------------------------------------------------------
 
-def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256) -> dict:
+def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
+                     control_sign: int = 1) -> dict:
     """Constructed solution with F = E dx^0 ^ dx^1 and its residual report.
 
     p^{mu nu} = -F^{mu nu}, p^0 = (E^2/2) x^0; residuals of both rows of the
     trivialized Euler-Lagrange system, the vacuum Maxwell equation, and a
-    fiber-average quadrature demo are returned.
+    fiber-average quadrature demo are returned.  ``control_sign = -1``
+    builds p^{mu nu} = +F^{mu nu}, which (ELvarpi) must reject for E != 0.
     """
     E = Fraction(E_strength) if not isinstance(E_strength, float) else E_strength
     n, N = 4, 5
@@ -326,7 +328,8 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256) -> dict:
     def F_up(mu, nu):
         return F_full(mu, nu) / (b[mu] * b[nu])
 
-    p_up = {(mu, nu): -F_up(mu, nu) for mu in range(4) for nu in range(4) if mu != nu}
+    p_up = {(mu, nu): -control_sign * F_up(mu, nu)
+            for mu in range(4) for nu in range(4) if mu != nu}
     x0 = Polynomial.coordinate(0, N)
     p_vec = [x0.scale(E * E / 2 if isinstance(E, float) else Fraction(E * E, 2)),
              f_zero(N), f_zero(N), f_zero(N)]

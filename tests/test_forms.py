@@ -406,6 +406,27 @@ def test_float_probe_inverts_with_partial_pivoting():
         assert [co[(B,)] for B in range(2)] == pytest.approx(unit, abs=1e-12)
 
 
+def test_exact_solve_rejects_float_entries():
+    """Exact pivoting on floats would return badly rounded values: the
+    first nonzero pivot 1e-20 gives E V = [[1, 0], [1, 1]]."""
+    from liecartan import linalg
+
+    for A in ([[1e-20, 1.0], [1.0, 1.0]], [[1, 0], [0, 1j]]):
+        with pytest.raises(ValueError, match="exact solve"):
+            linalg.mat_inverse(A, True)
+    with pytest.raises(ValueError, match="exact solve"):
+        linalg.solve([[1, 0], [0, 1]], [[0.5, 1]], True)
+    assert linalg.mat_inverse([[F(1, 2), 1], [0, 1]], True) == [[2, -2], [0, 1]]
+
+
+@pytest.mark.parametrize("mode", ["by-coframe", "by-cominors"])
+def test_decompose_needs_a_probe(mode):
+    cf = Coframe([[1, 0], [0, 1]])
+    form = cf.one_form(0) if mode == "by-coframe" else cf.minors().minor((0,))
+    with pytest.raises(ValueError, match="needs a coframe built with a probe"):
+        decompose(form, cf, mode)
+
+
 def test_decompose_rejects_unsupported_degree():
     cf, probe = seeded_coframe(31, 4)
     top = cf.minors().top

@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from liecartan.algebra import build_algebra, central_extension
 from liecartan.algebra_io import (AlgebraFileError, algebra_from_dict,
                                   algebra_to_dict, load_algebra, save_algebra)
-from liecartan.suites import SuiteConfig, case_seed, run_suite
+from liecartan.suites import REGISTRY, SuiteConfig, case_seed, run_suite
 
 
 def test_round_trip_p14(tmp_path):
@@ -253,26 +254,57 @@ def _rejects_algebra_file(tmp_path, args, word, **doc):
         and word in lines[0], out.stderr
 
 
-@pytest.mark.parametrize("suite", ["gauge-lemmas", "ym-decomp", "ym-el", "kk-el",
-                                   "kk-lc", "kk-curvature", "kk-decomp",
-                                   "grav-el", "grav-decomp", "grav-bianchi",
-                                   "grav-commutators", "grav-conservation"])
-def test_structure_corruption_still_reaches_the_identities(tmp_path, suite):
-    # the unimodular, abelian, ad-invariance and split checks read the
-    # algebra before it is corrupted; the corrupted p_0(3) of a gravity
-    # suite fails chart certification, which fails the case.  The two
-    # flat-vacuum suites need an abelian algebra: on R^2 the corruption
-    # adds a bracket (on u1 it would write [t0, t0], which is no bracket)
-    algebra = {} if suite.startswith("grav-") else dict(n=2, algebra="su2")
+def _corruptible(suite, kind, tmp_path):
+    """Config fields on which ``kind`` can corrupt the suite's inputs."""
+    declared = REGISTRY[suite]
+    if not declared.reads_algebra or (kind == "sign" and declared.reads_kappa):
+        return {}
+    if declared.reads_kappa:
+        # a corrupted p_0(3) fails chart certification (residual 1e9)
+        # before it reaches an identity; a corrupted p_1(4) passes it
+        return dict(algebra="p_1(4)")
     if suite in ("ym-el", "kk-el"):
+        # the flat vacuum needs an abelian algebra, and u1 has no bracket
+        # to break; on R^2 the corruption adds one
+        if kind == "sign":
+            return dict(n=2)
         path = tmp_path / "r2.json"
         path.write_text(json.dumps({"name": "r2", "dim": 2, "basis": ["a", "b"],
                                     "constants": []}))
-        algebra = dict(n=2, algebra_path=str(path))
-        assert run_suite(SuiteConfig(suite=suite, cases=1, **algebra))["pass"]
-    report = run_suite(SuiteConfig(suite=suite, cases=1, corruption="structure",
-                                   **algebra))
-    assert not report["pass"] and report["max_residual"] >= 1e-3
+        return dict(n=2, algebra_path=str(path))
+    return dict(n=2, algebra="su2")
+
+
+@pytest.mark.parametrize("kind", ["sign", "structure", "bogus"])
+@pytest.mark.parametrize("suite", sorted(REGISTRY))
+def test_corruption_reaches_the_identities_or_is_rejected(tmp_path, monkeypatch,
+                                                           suite, kind):
+    # the hypothesis checks read the algebra before it is corrupted, so a
+    # declared kind must fail the identities themselves: above the
+    # tolerance and below the 1e9 of a failed chart certification
+    config = SuiteConfig(suite=suite, cases=1, corruption=kind,
+                         **_corruptible(suite, kind, tmp_path))
+    if kind in REGISTRY[suite].corruptions:
+        if kind == "structure" and suite in ("ym-el", "kk-el"):
+            assert run_suite(replace(config, corruption=None))["pass"]
+        report = run_suite(config)
+        assert not report["pass"] and 1e-3 <= report["max_residual"] < 1e9, report
+        return
+
+    def no_case(config, cid, seed):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setitem(REGISTRY, suite, replace(REGISTRY[suite], case=no_case))
+    with pytest.raises(ValueError) as err:
+        run_suite(config)
+    message = str(err.value)
+    assert message.startswith(f"corruption {kind}: ") and "\n" not in message
+
+
+def test_structure_corruption_of_u1_is_rejected():
+    # u1 has no bracket to break, so the flat vacuum suites cannot corrupt it
+    with pytest.raises(ValueError, match="1-dimensional"):
+        run_suite(SuiteConfig(suite="ym-el", n=2, cases=1, corruption="structure"))
 
 
 @pytest.mark.parametrize("suite", ["ym-el", "kk-el"])

@@ -5,13 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from liecartan.algebra import (SplitAlgebra, bracket, build_algebra,
+from liecartan.algebra import (LieAlgebra, SplitAlgebra, bracket, build_algebra,
                                check_algebra, coadjoint, corrupt_algebra,
                                dexp_right, euclidean_diag, exp_adjoint,
                                killing_form, killing_pairing, minkowski_diag)
-from liecartan.kappa import (build_kappa, epsilon_double_contraction,
-                             holst_kernel_factor, kappa_invariance_residual,
-                             kappa_kernel_rank, lambda_constant)
+from liecartan.kappa import (KappaTensor, build_kappa, epsilon_double_contraction,
+                             holst_kernel_factor, kappa_ad_residual,
+                             kappa_invariance_residual, kappa_kernel_rank,
+                             lambda_constant)
 
 
 def basis(i, d):
@@ -121,6 +122,14 @@ def test_check_algebra_detects_corruption():
     assert check_algebra(alg)["jacobi_residual"] != 0
 
 
+def test_corrupt_algebra_needs_a_bracket():
+    # u1 has no bracket to break; an abelian R^2 gets a spurious one
+    with pytest.raises(ValueError, match="1-dimensional"):
+        corrupt_algebra(build_algebra("u1"))
+    r2 = corrupt_algebra(LieAlgebra("r2", ["a", "b"], {}))
+    assert r2.c(0, 0, 1) == 1
+
+
 def test_killing_form_values():
     B = killing_form(build_algebra("su2"))
     assert B == [[-2, 0, 0], [0, -2, 0], [0, 0, -2]]
@@ -199,6 +208,24 @@ def test_kappa_invariance():
                                      samples=25, seed=1) <= 1e-9
     assert kappa_invariance_residual(sp, build_kappa("holst", sp, gamma=F(2)),
                                      samples=25, seed=2) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["p_0(3)", "p_0(4)", "p_1(4)", "p_-1(4)"])
+def test_kappa_ad_residual_is_exact(name):
+    """The infinitesimal invariance check is exactly 0 for the standard and
+    Holst kappa, and sees what the float group-level check sees."""
+    sp = build_algebra(name)
+    gammas = [F(2), F(-3, 7)] if sp.n == 4 else []
+    for kap in [build_kappa("standard", sp)] + [build_kappa("holst", sp, gamma=g)
+                                                for g in gammas]:
+        assert kappa_ad_residual(sp, kap) == 0
+    rng = random.Random(3)
+    generic = KappaTensor(sp, {(I, a, b): F(rng.randint(-3, 3))
+                               for I in range(sp.ambient.dim)
+                               for a in range(sp.n) for b in range(a + 1, sp.n)},
+                          "standard")
+    assert kappa_ad_residual(sp, generic) > 0
+    assert kappa_invariance_residual(sp, generic, samples=3, seed=1) > 1e-3
 
 
 def test_lambda_constants():

@@ -1,9 +1,9 @@
 """Suite registry coverage, cross-suite smoke checks and golden reports.
 
-The QUICK runs, plain and with the ``sign`` corruption, compare their
-reports, apart from ``wall_time``, with the committed
-``golden/quick_reports.json``; the float runs are pinned at a second
-master seed as well, under ``<suite>/float/seed<seed>`` and
+The QUICK runs, plain and, for the suites that declare it, with the
+``sign`` corruption, compare their reports, apart from ``wall_time``, with
+the committed ``golden/quick_reports.json``; the float runs are pinned at a
+second master seed as well, under ``<suite>/float/seed<seed>`` and
 ``<suite>/float/sign/seed<seed>``.  After a deliberate change to the
 reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from liecartan.suites import REGISTRY, SuiteConfig, case_seed, run_suite
+from liecartan.suites import REGISTRY, Suite, SuiteConfig, case_seed, run_suite
 
 EXPECTED_SUITES = {
     "forms-identities", "lie-checks", "kappa", "gauge-lemmas",
@@ -46,6 +46,7 @@ QUICK = {
 
 
 FLOAT_SUITES = sorted(EXPECTED_SUITES)
+SIGN_SUITES = sorted(s for s, d in REGISTRY.items() if "sign" in d.corruptions)
 
 # reports on charts that no QUICK run builds, under their golden key
 PINNED = {
@@ -90,7 +91,7 @@ def test_registry_is_complete():
 def test_every_suite_passes_on_rational_backend(suite, golden):
     rep = run_suite(_quick_config(suite, "rational"))
     assert rep["pass"], rep
-    assert rep["max_residual"] == 0 or rep["max_residual"] <= 1e-9
+    assert rep["max_residual"] == 0
     assert _canonical(rep) == _canonical(golden[f"{suite}/rational"])
 
 
@@ -101,19 +102,30 @@ def test_float_backend_within_tolerance(suite, golden):
     assert _canonical(rep) == _canonical(golden[f"{suite}/float"])
 
 
+def _matches_golden(config, key, golden):
+    """A run matches its golden report; a sign run of a suite that does not
+    declare ``sign`` is rejected, and has none."""
+    if config.corruption == "sign" and config.suite not in SIGN_SUITES:
+        assert key not in golden
+        with pytest.raises(ValueError, match="^corruption sign: "):
+            run_suite(config)
+        return
+    assert _canonical(run_suite(config)) == _canonical(golden[key])
+
+
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
 def test_sign_corrupted_reports_match_golden(suite, backend, golden):
-    rep = run_suite(_quick_config(suite, backend, "sign"))
-    assert _canonical(rep) == _canonical(golden[f"{suite}/{backend}/sign"])
+    _matches_golden(_quick_config(suite, backend, "sign"),
+                    f"{suite}/{backend}/sign", golden)
 
 
 @pytest.mark.parametrize("corruption", [None, "sign"], ids=["plain", "sign"])
 @pytest.mark.parametrize("seed", FLOAT_SEEDS)
 @pytest.mark.parametrize("suite", FLOAT_SUITES)
 def test_float_reports_match_golden_at_seed(suite, seed, corruption, golden):
-    rep = run_suite(_quick_config(suite, "float", corruption, seed))
-    assert _canonical(rep) == _canonical(golden[_seed_key(suite, corruption, seed)])
+    _matches_golden(_quick_config(suite, "float", corruption, seed),
+                    _seed_key(suite, corruption, seed), golden)
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
@@ -160,7 +172,7 @@ def test_run_suite_is_the_case_loop(monkeypatch):
         calls.append((cid, seed))
         return cid / 10
 
-    monkeypatch.setitem(REGISTRY, "recording", recording_case)
+    monkeypatch.setitem(REGISTRY, "recording", Suite(recording_case, frozenset()))
     config = SuiteConfig(suite="recording", seed=5, cases=4, tol=0.15)
     rep = run_suite(config)
     want = [(cid, case_seed(5, cid)) for cid in range(4)]
@@ -172,7 +184,7 @@ def test_run_suite_is_the_case_loop(monkeypatch):
     def failing_case(config, cid, seed):
         raise ArithmeticError(f"case {cid}")
 
-    monkeypatch.setitem(REGISTRY, "recording", failing_case)
+    monkeypatch.setitem(REGISTRY, "recording", Suite(failing_case, frozenset()))
     with pytest.raises(ArithmeticError, match="case 0"):
         run_suite(config)
 
@@ -191,12 +203,13 @@ if __name__ == "__main__":
         rep = run_suite(_quick_config(suite, backend))
         rep.pop("wall_time")
         reports[f"{suite}/{backend}"] = rep
-        rep = run_suite(_quick_config(suite, backend, "sign"))
-        rep.pop("wall_time")
-        reports[f"{suite}/{backend}/sign"] = rep
+        if suite in SIGN_SUITES:
+            rep = run_suite(_quick_config(suite, backend, "sign"))
+            rep.pop("wall_time")
+            reports[f"{suite}/{backend}/sign"] = rep
     for suite in FLOAT_SUITES:
         for seed in FLOAT_SEEDS:
-            for corruption in (None, "sign"):
+            for corruption in (None, "sign") if suite in SIGN_SUITES else (None,):
                 rep = run_suite(_quick_config(suite, "float", corruption, seed))
                 rep.pop("wall_time")
                 reports[_seed_key(suite, corruption, seed)] = rep
