@@ -1,15 +1,23 @@
-"""Gravity model: constrained Euler-Lagrange residuals, source families,
-the fundamental equation and its decomposition, generalized Cartan/Einstein
-tensors, commutators, conservation laws and the generalized Bianchi rows.
+"""Gravity model: the ``grav-el`` blocks, the d^A p decomposition, the
+generalized Cartan/Einstein tensors, Bianchi rows, commutators and
+conservation laws.
 
 The structure algebra is a reductive symmetric split p = s (+) l (both
 unimodular); charts are trivialized with A = theta^s + omega^l depending on
 x only and g = exp(eta(y)) in the l block.  The dual field carries the
 constraint p^{ss} = kappa throughout.
 
+``grav_el_blocks`` checks the Einstein-Cartan identities of ``grav-el``
+from one set of tables, each built once: the phi side
+(``grav_el_residuals`` on ``fields_from_chart``), the Q families
+(``q_families``) and the torsion and curvature by coframe.  Its blocks
+are ``r1``, ``transport``, ``scalar``, ``q_zero_rows``, ``cross``,
+``q_scalar``, ``roundtrip``, ``implicit_theta``, ``implicit_omega`` and
+``einstein_expansion``.
+
 ``generalized_tensor_fields`` builds the trace-modified torsion and the
-Cartan and Einstein tensors as fields once, for the Bianchi rows and
-``grav_tensors``; ``_cov_frame_partial`` is the one omega-covariant frame
+Cartan and Einstein tensors as fields once, for the Bianchi rows and the
+tensor blocks; ``_cov_frame_partial`` is the one omega-covariant frame
 derivative of a field table, for the Bianchi and conservation rows.
 """
 
@@ -32,7 +40,7 @@ from .connection import (GroupMap, Representation, algebra_slot,
 from .fields import f_add, f_mul, f_scale, f_zero
 from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
                     exterior_d, wedge)
-from .kappa import KappaTensor, lambda_constant
+from .kappa import KappaTensor
 from .scalars import Polynomial, _add, _mul, _sub
 
 
@@ -42,12 +50,15 @@ class ChartInvariantError(ValueError):
 
 @dataclass
 class GravityFields:
-    """(phi^p, pi_p) with the constraint pi^{ss} = kappa baked in."""
+    """The phi side (phi^p, pi_p): ``pi`` is the dual-slot (N-2)-form
+    1/2 pi_p^{AB} phi^{(N-2)}_{AB}, with the constraint pi^{ss} = kappa
+    baked in, and ``pi_at`` holds its coefficients pi_p^{AB} at the probe
+    in both index orders."""
 
     split: SplitAlgebra
-    kappa: KappaTensor
     phi: Form
-    pi_coeffs: Dict[Tuple[int, int, int], object]   # includes the kappa block
+    pi: Form
+    pi_at: Dict[Tuple[int, int, int], object]
     probe: Tuple
 
     def coframe(self) -> Coframe:
@@ -61,37 +72,24 @@ def kappa_pi_block(split: SplitAlgebra, kappa: KappaTensor) -> Dict:
 
 
 def grav_el_residuals(fields: GravityFields) -> dict:
-    """r1 = (Phi_{ll}, Phi_{sl}) blocks; r2 = d^phi pi - source rows.
-    ``phi_table`` is Phi by coframe at the probe, which ``grav_psi_q``
-    reads."""
+    """The phi side of the EL system at the probe: ``r1``, the largest
+    entry of the (Phi_{ll}, Phi_{sl}) blocks of Phi by coframe; ``psi``,
+    the ``psi_families`` of Phi and pi; and ``defect``, the form
+    d^phi pi - (Psi_p - 1/2 Psi e^{(N-1)}_p)."""
     split = fields.split
     alg = split.ambient
     N = alg.dim
     s_idx = split.s_indices
     coframe = fields.coframe()
-    minors = coframe.minors()
     dual = algebra_slot(alg, dual=True)
 
-    Phi = curvature(fields.phi, alg)
-    pi_form = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
-    coad = Representation.coadjoint(alg)
-    dpi = cov_d(fields.phi, pi_form, (coad,))
-
-    pt = fields.probe
-    pc = decompose(Phi, coframe, "by-coframe")
-    r1 = 0
-    for I in range(N):
-        for A in range(N):
-            for B in range(N):
-                if A in s_idx and B in s_idx:
-                    continue
-                r1 = max(r1, abs(pc[(I,)][A][B]))
-    pi_at = antisym({key: f.value(pt) for key, f in fields.pi_coeffs.items()})
-    psi = psi_families(pc, pi_at, N)
-    rhs = source_form(minors, psi["psi_mixed"], psi["psi"], dual)
-    r2 = (dpi - rhs).max_abs(pt)
-    return {"r1": r1, "r2": r2, "max_r1": r1, "max_r2": max(0, abs(r2)),
-            "phi_table": pc}
+    pc = decompose(curvature(fields.phi, alg), coframe, "by-coframe")
+    r1 = max(abs(pc[(I,)][A][B]) for I in range(N) for A in range(N)
+             for B in range(N) if A not in s_idx or B not in s_idx)
+    psi = psi_families(pc, fields.pi_at, N)
+    dpi = cov_d(fields.phi, fields.pi, (Representation.coadjoint(alg),))
+    rhs = source_form(coframe.minors(), *psi, dual)
+    return {"r1": r1, "psi": psi, "defect": dpi - rhs}
 
 
 def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
@@ -102,8 +100,9 @@ def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
     return cominor_rows(minors, rows, dual)
 
 
-def psi_families(curv_coeffs, pi_at, N: int) -> dict:
-    """Psi_{PQ}^{RS} = Phi^{p}_{PQ} pi_p^{RS}, its trace and double trace."""
+def psi_families(curv_coeffs, pi_at, N: int) -> tuple:
+    """The trace Psi_P^Q and the double trace Psi of
+    Psi_{PQ}^{RS} = Phi^{p}_{PQ} pi_p^{RS}."""
     full = {}
     for (I,), mat in curv_coeffs.items():
         for P in range(N):
@@ -118,8 +117,7 @@ def psi_families(curv_coeffs, pi_at, N: int) -> dict:
                     full[key] = full.get(key, 0) + v * w
     mixed = [[sum(full.get((P, X, Q, X), 0) for X in range(N)) for Q in range(N)]
              for P in range(N)]
-    scalar = sum(mixed[P][P] for P in range(N))
-    return {"psi_full": full, "psi_mixed": mixed, "psi": scalar}
+    return mixed, sum(mixed[P][P] for P in range(N))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +273,14 @@ def _frame_partial(V, grad, L):
 
 
 def fields_from_chart(chart: GravityChart) -> GravityFields:
-    """Transport (e, p) back to the phi side: phi = Ad_{g^-1} e."""
+    """Transport (e, p) back to the phi side: phi = Ad_{g^-1} e, and pi the
+    coadjoint transport of the p form, whose coefficients over the phi
+    coframe at the probe are ``pi_values_from_chart``."""
     phi = apply_matrix_to_slot(chart.e_form, 0, chart.gm.ad_inv_entry)
-    # pi coefficients are only ever needed as probe values; transport there
-    return GravityFields(chart.split, chart.kappa, phi, chart.p_coeffs,
+    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe,
+                                 algebra_slot(chart.alg, dual=True))
+    pi = apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
+    return GravityFields(chart.split, phi, pi, pi_values_from_chart(chart),
                          chart.probe)
 
 
@@ -288,22 +290,28 @@ def _entry_values(entry, N: int, pt) -> List[List]:
 
 
 def pi_values_from_chart(chart: GravityChart) -> Dict:
-    """pi^{PQ} values at the probe: inverse coefficient transport of p^{PQ}."""
-    alg = chart.alg
-    N = alg.dim
+    """pi_I^{AB} values at the probe, the inverse coefficient transport of
+    p: pi_I = sum_J (Ad_g)_{JI} Ad_{g^-1} p_J Ad_{g^-1}^T, with p_J the
+    antisymmetric matrix of p_J^{CD}."""
+    N = chart.alg.dim
     pt = chart.probe
     ad = _entry_values(chart.gm.ad_inv_entry, N, pt)     # Ad_{g^-1}
     ad_dual = _entry_values(chart.gm.ad_entry, N, pt)    # (Ad_{g^-1})^* = Ad_g^T
-    p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
+    p_mats = {}
+    for (J, C, D), f in chart.p_coeffs.items():
+        m = p_mats.setdefault(J, [[0] * N for _ in range(N)])
+        m[C][D] = f.value(pt)
+        m[D][C] = -m[C][D]
+    ad_t = linalg.transpose(ad)
+    moved = {J: linalg.mat_mul(ad, linalg.mat_mul(m, ad_t))
+             for J, m in p_mats.items()}
     out: Dict[Tuple[int, int, int], object] = {}
     for I in range(N):
         for A in range(N):
             for B in range(A + 1, N):
                 acc = 0
-                for (J, C, D), w in p_at.items():
-                    if w == 0:
-                        continue
-                    acc += ad_dual[J][I] * ad[A][C] * ad[B][D] * w
+                for J, m in moved.items():
+                    acc += ad_dual[J][I] * m[A][B]
                 if acc != 0:
                     out[(I, A, B)] = acc
                     out[(I, B, A)] = -acc
@@ -314,92 +322,78 @@ def pi_values_from_chart(chart: GravityChart) -> Dict:
 # source families and the fundamental equation
 # ---------------------------------------------------------------------------
 
-def q_families(chart: GravityChart) -> dict:
-    """Q families at the probe from the gauge-side field strength and dual
-    coefficients."""
+def q_families(chart: GravityChart) -> tuple:
+    """The trace Q_P^Q and the double trace Q at the probe, the
+    ``psi_families`` of the gauge-side field strength and p."""
     pt = chart.probe
     fc = decompose(chart.F_form, chart.coframe, "by-coframe")
     p_at = antisym({key: f.value(pt) for key, f in chart.p_coeffs.items()})
-    fam = psi_families(fc, p_at, chart.alg.dim)
-    return {"q_full": fam["psi_full"], "q_mixed": fam["psi_mixed"], "q": fam["psi"]}
+    return psi_families(fc, p_at, chart.alg.dim)
 
 
-def grav_psi_q(chart: GravityChart, phi_table, control_sign: int = 1) -> dict:
-    """Psi on the phi side, Q on the e side, and the transport residual.
-    ``phi_table`` is Phi of ``fields_from_chart(chart)`` by coframe at the
-    probe, the ``phi_table`` of ``grav_el_residuals``."""
+def grav_el_blocks(chart: GravityChart, control_sign: int = 1) -> dict:
+    """Every ``grav-el`` block at the probe; the case residual is the
+    largest.  The phi side, the Q families and the torsion and curvature
+    by coframe are each built once, and one ``chart.at()`` copy carries
+    p, d^A p and the coframe minors for all of them.  The blocks rest on
+    the hypotheses of every gravity chart (a reductive, symmetric split
+    with p and l unimodular), not on a compact structure group.
+
+    - ``r1``: the (Phi_{ll}, Phi_{sl}) blocks vanish.
+    - ``transport``: Q_P^Q = (Ad*_g (x) Ad_g Psi)_P^Q; ``control_sign``
+      flips the transported Psi.  ``scalar``: Q = Psi.  ``q_zero_rows``:
+      the Q_l rows vanish.
+    - ``cross``: Ad*_g of the phi-side defect d^phi pi - (Psi_p - 1/2 Psi
+      e^{(N-1)}_p) equals d^A p - (Q_p - 1/2 Q e^{(N-1)}_p);
+      ``control_sign`` flips the Q source.
+    - ``q_scalar``: Q from Theta, Omega and c equals Q from F;
+      ``control_sign`` flips the F-based Q.
+    - the tensor blocks of ``_tensor_blocks``.
+
+    ``control_sign`` leaves ``r1``, ``scalar`` and ``q_zero_rows`` as
+    they are: ``r1`` and ``q_zero_rows`` compare with 0, so they have no
+    predicted term, and ``transport`` already controls the Psi-Q pairing
+    whose trace ``scalar`` checks.
+    """
     N = chart.alg.dim
     pt = chart.probe
-    psi = psi_families(phi_table, pi_values_from_chart(chart), N)
-    q = q_families(chart)
-    # transport: Q_P^Q = (Ad*_g (x) Ad_g Psi)_P^Q
+    at = chart.at()
+    phi = grav_el_residuals(fields_from_chart(at))
+    psi_mixed, psi = phi["psi"]
+    q_mixed, q = q_families(chart)
+    theta_c, omega_c = chart.torsion_curvature()
     ad = _entry_values(chart.gm.ad_entry, N, pt)
     ad_inv = _entry_values(chart.gm.ad_inv_entry, N, pt)
-    res_t = 0
+    transport = 0
     for P in range(N):
         for Q in range(N):
             acc = 0
             for Pp in range(N):
                 for Qp in range(N):
-                    w = psi["psi_mixed"][Pp][Qp]
+                    w = psi_mixed[Pp][Qp]
                     if w == 0:
                         continue
                     acc += ad_inv[Pp][P] * ad[Q][Qp] * w
-            res_t = max(res_t, abs(q["q_mixed"][P][Q] - control_sign * acc))
-    res_s = abs(q["q"] - psi["psi"])
-    q_zero_rows = 0
-    for P in chart.split.l_indices:
-        for Q in range(N):
-            q_zero_rows = max(q_zero_rows, abs(q["q_mixed"][P][Q]))
-    return {"transport": res_t, "scalar": res_s, "psi": psi, "q": q,
-            "max": max(0, res_t, res_s), "q_zero_rows": q_zero_rows}
-
-
-def q_source_form(chart: GravityChart) -> Form:
-    """Q_p - 1/2 Q e^{(N-1)}_p as a dual-slot (N-1)-form at the probe."""
-    q = q_families(chart)
-    return source_form(chart.coframe.minors(), q["q_mixed"], q["q"],
-                       algebra_slot(chart.alg, dual=True))
-
-
-def grav_fundamental_residual(chart: GravityChart) -> dict:
-    """d^A p - (Q_p - 1/2 Q e^{(N-1)}) and the cross-consistency transport."""
-    lhs, _ = chart.dAp()
-    fields = fields_from_chart(chart)
-    coframe = fields.coframe()
-    alg = chart.alg
-    N = alg.dim
-    pt = chart.probe
-    dual = algebra_slot(alg, dual=True)
-    minors_phi = coframe.minors()
-    Phi = curvature(fields.phi, alg)
-    pi_form = pi_form_from_coeffs_values(chart, dual)
-    coad = Representation.coadjoint(alg)
-    dpi = cov_d(fields.phi, pi_form, (coad,))
-
-    defect = lhs - q_source_form(chart)
-    res = defect.max_abs(pt)
-    # cross-consistency: Ad*_g (r2 of the field-side EL defect) == residual
-    pc = decompose(Phi, coframe, "by-coframe")
-    psi = psi_families(pc, pi_values_from_chart(chart), N)
-    defect_phi = dpi - source_form(minors_phi, psi["psi_mixed"], psi["psi"], dual)
-    ad_dual = _entry_values(chart.gm.ad_inv_entry, N, pt)
-    lhs_vals = {(K, sk): fld.value(pt) for K, sk, fld in defect.terms()}
+            transport = max(transport, abs(q_mixed[P][Q] - control_sign * acc))
+    q_zero_rows = max(abs(q_mixed[P][Q]) for P in chart.split.l_indices
+                      for Q in range(N))
+    # cross: the e-side defect against Ad*_g of the phi-side one, by
+    # codegree-1 component
+    lhs, minors = at.dAp()
+    source = source_form(minors, q_mixed, q, algebra_slot(chart.alg, dual=True))
+    e_side = {(K, sk): fld.value(pt)
+              for K, sk, fld in (lhs - source.scale(control_sign)).terms()}
     cross = 0
     for K in itertools.combinations(range(N), N - 1):
         for P in range(N):
             transported = 0
             for Pp in range(N):
-                fld = defect_phi.get(K, (Pp,))
-                transported += ad_dual[Pp][P] * fld.value(pt)
-            cross = max(cross, abs(transported - lhs_vals.get((K, (P,)), 0)))
-    return {"residual": res, "cross": cross, "max": max(0, abs(res), cross)}
-
-
-def pi_form_from_coeffs_values(chart: GravityChart, dual) -> Form:
-    """pi as a form: field-level coadjoint transport of the p form."""
-    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe, dual)
-    return apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
+                transported += ad_inv[Pp][P] * phi["defect"].get(K, (Pp,)).value(pt)
+            cross = max(cross, abs(transported - e_side.get((K, (P,)), 0)))
+    q_scalar = abs(_q_scalar(chart, theta_c, omega_c) - control_sign * q)
+    return {"r1": phi["r1"], "transport": transport, "scalar": abs(q - psi),
+            "q_zero_rows": q_zero_rows, "cross": cross, "q_scalar": q_scalar,
+            **_tensor_blocks(chart, minors, theta_c, omega_c, control_sign)}
 
 
 # ---------------------------------------------------------------------------
@@ -587,27 +581,40 @@ def theta_ring_invert(ring, s_idx, n: int):
     return out
 
 
-def grav_tensors(chart: GravityChart) -> dict:
-    """Cartan/Einstein tensors, the ring round-trip, and the constant.
-    The tensors are the ``generalized_tensor_fields`` at the probe."""
+def _tensor_blocks(chart: GravityChart, minors: CoframeMinors, theta_c,
+                   omega_c, control_sign: int) -> dict:
+    """The generalized-tensor blocks of ``grav_el_blocks``, from the
+    ``generalized_tensor_fields`` at the probe, the coframe ``minors`` and
+    the torsion and curvature by coframe:
+
+    - ``roundtrip`` (n > 2 only): ``theta_ring_invert`` of the
+      trace-modified torsion gives back Theta;
+    - ``implicit_theta``: ring^{s}_{ab} e^{(N-1)}_{s} equals
+      Theta^{s} ^ e^{(N-3)}_{a b s};
+    - ``implicit_omega``: for every s1 < s2 < s3, the cyclic
+      delta-extension of Omega contracted with the codegree-1 minors
+      equals Omega ^ e^{(N-3)}_{s1 s2 s3};
+    - ``einstein_expansion``: the Einstein tensor is minus half the
+      three-term expansion of kappa Omega.
+
+    ``control_sign`` flips the predicted term of each: Theta, the ring
+    and Omega sides, and the expansion.
+    """
     split = chart.split
     N = chart.N
     n = split.n
     s_idx, l_idx = split.s_indices, split.l_indices
     kappa = chart.kappa
-    minors = chart.coframe.minors()
     pt = chart.probe
-    theta_c, omega_c = chart.torsion_curvature()
     tensors = generalized_tensor_fields(chart)
-    ring, cartan, einstein = ({key: f.value(pt) for key, f in tensors[name].items()}
-                              for name in ("ring", "cartan", "einstein"))
+    ring, einstein = ({key: f.value(pt) for key, f in tensors[name].items()}
+                      for name in ("ring", "einstein"))
+    blocks = {}
     if n > 2:
         back = theta_ring_invert(ring, s_idx, n)
-        rt = max(abs(back[(c, a, b)] - theta_c[(c,)][a][b])
-                 for c in s_idx for a in s_idx for b in s_idx)
-    else:
-        rt = None
-    # implicit definition: ring^{s_}_{ab} e^{(N-1)}_{s_} == Theta^{s_} ^ e^{(N-3)}_{a b s_}
+        blocks["roundtrip"] = max(
+            abs(back[(c, a, b)] - control_sign * theta_c[(c,)][a][b])
+            for c in s_idx for a in s_idx for b in s_idx)
     imp = 0
     for a in s_idx:
         for b in s_idx:
@@ -617,36 +624,28 @@ def grav_tensors(chart: GravityChart) -> dict:
             for S in s_idx:
                 v = ring[(S, a, b)]
                 if v != 0:
-                    lhs = lhs + minors.minor((S,)).scale(v)
+                    lhs = lhs + minors.minor((S,)).scale(control_sign * v)
             rhs = Form(N, N - 1)
             for S in range(N):
                 row = chart.torsion.component(S)
                 if row.comps:
                     rhs = rhs + wedge(row, minors.minor((a, b, S)))
             imp = max(imp, (lhs - rhs).max_abs(pt))
-    # implicit form of the trace-extended curvature family: for every
-    # (s1, s2, s3), Omega^g ^ e^{(N-3)}_{s1 s2 s3} equals the cyclic
-    # delta-extension contracted with the codegree-1 minors
     imp_o = 0
     for lI in l_idx:
         row = chart.curv_l.component(lI)
         if not row.comps:
             continue
-        for s1 in s_idx:
-            for s2 in s_idx:
-                for s3 in s_idx:
-                    if not s1 < s2 < s3:
-                        continue
-                    lhs = Form(N, N - 1)
-                    for S in s_idx:
-                        v = (omega_c[(lI,)][s1][s2] * (1 if S == s3 else 0)
-                             + omega_c[(lI,)][s2][s3] * (1 if S == s1 else 0)
-                             + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
-                        if v != 0:
-                            lhs = lhs + minors.minor((S,)).scale(v)
-                    rhs = wedge(row, minors.minor((s1, s2, s3)))
-                    imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
-    # three-term expansion check of the Einstein tensor
+        for s1, s2, s3 in itertools.combinations(sorted(s_idx), 3):
+            lhs = Form(N, N - 1)
+            for S in s_idx:
+                v = (omega_c[(lI,)][s1][s2] * (1 if S == s3 else 0)
+                     + omega_c[(lI,)][s2][s3] * (1 if S == s1 else 0)
+                     + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
+                if v != 0:
+                    lhs = lhs + minors.minor((S,)).scale(control_sign * v)
+            rhs = wedge(row, minors.minor((s1, s2, s3)))
+            imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
     exp_res = 0
     for a in s_idx:
         for b in s_idx:
@@ -662,24 +661,10 @@ def grav_tensors(chart: GravityChart) -> dict:
                                   + omega_c[(lI,)][s2][a] * (1 if s1 == b else 0)
                                   + omega_c[(lI,)][a][s1] * (1 if s2 == b else 0))
                         acc += kv * ring_o
-            exp_res = max(exp_res, abs(einstein[(a, b)] + acc / 2))
-    lam = None
-    if kappa.kind == "standard":
-        k_const = _deformation_constant(split)
-        lam = lambda_constant("gravity", n=n, k=k_const, split=split, kappa=kappa)
-    return {"roundtrip": rt, "implicit_theta": imp, "implicit_omega": imp_o,
-            "einstein_expansion": exp_res, "cartan": cartan,
-            "einstein": einstein, "lambda": lam,
-            "max": max(0, imp, imp_o, exp_res, rt or 0)}
-
-
-def _deformation_constant(split: SplitAlgebra):
-    """Recover k from [t_a, t_b] = -k t_{ab} (zero when the block is absent)."""
-    alg = split.ambient
-    a, b = split.s_indices[0], split.s_indices[1]
-    for K, v in alg.c_rows(a, b).items():
-        return -v
-    return Fraction(0)
+            exp_res = max(exp_res, abs(einstein[(a, b)] + control_sign * acc / 2))
+    blocks.update(implicit_theta=imp, implicit_omega=imp_o,
+                  einstein_expansion=exp_res)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -997,11 +982,3 @@ def _q_scalar(chart: GravityChart, theta_c, omega_c):
                 if kv != 0:
                     acc += (omega_c[(L0,)][s1][s2] + alg.c(L0, s1, s2)) * kv
     return acc
-
-
-def q_scalar_consistency(chart: GravityChart) -> object:
-    """Q from Theta/Omega/c agrees with the F-based definition."""
-    theta_c, omega_c = chart.torsion_curvature()
-    q1 = _q_scalar(chart, theta_c, omega_c)
-    q2 = q_families(chart)["q"]
-    return max(0, abs(q1 - q2))

@@ -501,9 +501,3 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     rhs = cominor_rows(minors, rows, dual)
     res = (lhs - rhs).max_abs(pt)
     return {"max": max(0, abs(res)), "rows": rows}
-
-
-def kk_lambda(split: SplitAlgebra, lambda0):
-    """Lambda = Lambda0 + 1/4 <B, k> for the chart's structure algebra."""
-    Bkill = killing_form(split.ambient)
-    return lambda0 + _bk_pairing(split, Bkill) / 4

@@ -13,10 +13,11 @@ the report, which passes iff every case residual is within ``config.tol``.
 A case function rejects a flag value it cannot use with a ``ValueError``
 naming the flag.  Before any case runs, ``run_suite`` rejects what the
 suite's declaration rules out: a ``--kappa`` or ``--algebra`` that it never
-reads, an ``--algebra`` that breaks a hypothesis its identities need, and
-a corruption kind that reaches none of its identities.  A case whose chart
-fails certification, which only a corrupted algebra builds, fails with the
-residual 1e9.
+reads, an ``--algebra`` that breaks a hypothesis its identities need, a
+corruption kind that reaches none of its identities, and a ``structure``
+run without ``--algebra`` whose default algebras include a 1-dimensional
+one.  A case whose chart fails certification, which only a corrupted
+algebra builds, fails with the residual 1e9.
 The ``corruption`` hook feeds deliberately broken inputs through the same
 code paths so that vacuously-green suites are detectable: ``sign`` flips
 the sign of one predicted term (``_sign``), ``structure`` breaks the
@@ -102,8 +103,9 @@ def _load_algebra(config: SuiteConfig, default: Optional[str]):
     return build_algebra(config.algebra or default)
 
 
-def resolve_algebra(config: SuiteConfig, default: str):
-    alg = _load_algebra(config, default)
+def resolve_algebra(config: SuiteConfig, cid: int):
+    """The algebra of case ``cid``, corrupted under ``structure``."""
+    alg = _load_algebra(config, _default(config, cid))
     if config.corruption == "structure":
         if isinstance(alg, SplitAlgebra):
             broken = corrupt_algebra(alg.ambient, config.seed)
@@ -114,18 +116,18 @@ def resolve_algebra(config: SuiteConfig, default: str):
     return alg
 
 
-def gravity_split(config: SuiteConfig, default: str) -> SplitAlgebra:
-    split = resolve_algebra(config, default)
+def gravity_split(config: SuiteConfig, cid: int) -> SplitAlgebra:
+    split = resolve_algebra(config, cid)
     _require(config, SPLIT, split)
     return split
 
 
-def gauge_split(config: SuiteConfig, fiber: str = "su2",
+def gauge_split(config: SuiteConfig, cid: int,
                 n: Optional[int] = None) -> SplitAlgebra:
-    """The gauge split of the case's algebra: a split with a metric on l as
-    given, or the central extension of a plain algebra over a base of
+    """The gauge split of case ``cid``'s algebra: a split with a metric on l
+    as given, or the central extension of a plain algebra over a base of
     dimension ``n`` (``config.n`` by default)."""
-    inner = resolve_algebra(config, fiber)
+    inner = resolve_algebra(config, cid)
     _require(config, GAUGE_SPLIT, inner)
     return _as_gauge_split(inner, config.n if n is None else n)
 
@@ -175,12 +177,15 @@ def _require(config: SuiteConfig, hypothesis: Hypothesis, alg):
 class Suite:
     """One suite's declaration: its case function, the corruption kinds
     that reach its identities, whether it reads ``--algebra`` and
-    ``--kappa``, and the hypotheses its identities need, checked in order."""
+    ``--kappa``, the hypotheses its identities need, checked in order, and
+    the catalog algebras its cases cycle through without ``--algebra``:
+    case ``cid`` runs on ``defaults[cid % len(defaults)]``."""
     case: Callable[[SuiteConfig, int, int], object]
     corruptions: FrozenSet[str]
     reads_algebra: bool = True
     reads_kappa: bool = False
     hypotheses: Tuple[Hypothesis, ...] = ()
+    defaults: Tuple[str, ...] = ()
 
     def reject_unusable(self, config: SuiteConfig):
         """A one-line ``ValueError`` for what this declaration rules out."""
@@ -193,6 +198,13 @@ class Suite:
             raise ValueError(f"--kappa {config.kappa}: the {config.suite} "
                              f"suite builds no kappa tensor")
         algebra = config.algebra or config.algebra_path
+        if kind == "structure" and not algebra:
+            for cid, name in enumerate(self.defaults[:config.cases]):
+                if _ambient(build_algebra(name)).dim < 2:
+                    raise ValueError(
+                        f"corruption structure: case {cid} of the {config.suite} "
+                        f"suite runs on {name}, a 1-dimensional algebra with no "
+                        f"bracket to break; pass --algebra")
         if algebra and not self.reads_algebra:
             raise ValueError(f"--algebra {algebra}: the {config.suite} suite "
                              f"takes no algebra")
@@ -201,6 +213,12 @@ class Suite:
             alg = _load_algebra(config, None)
             for hypothesis in self.hypotheses:
                 _require(config, hypothesis, alg)
+
+
+def _default(config: SuiteConfig, cid: int) -> str:
+    """The algebra case ``cid`` runs on without ``--algebra``."""
+    defaults = REGISTRY[config.suite].defaults
+    return defaults[cid % len(defaults)]
 
 
 def _require_dim(config: SuiteConfig, least: int, cycle: str = "",
@@ -281,9 +299,8 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
 
 
 def case_lie_checks(config: SuiteConfig, cid: int, seed: int):
-    catalog = ["p_0(3)", "p_0(4)", "p_1(4)", "p_-1(4)", "su2", "u1"]
-    name = config.algebra or catalog[cid % len(catalog)]
-    alg = resolve_algebra(config, name)
+    name = config.algebra or _default(config, cid)
+    alg = resolve_algebra(config, cid)
     split = alg if isinstance(alg, SplitAlgebra) else None
     ambient = split.ambient if split else alg
     rep = la.check_algebra(ambient, split)
@@ -305,7 +322,7 @@ def case_lie_checks(config: SuiteConfig, cid: int, seed: int):
 
 
 def case_kappa(config: SuiteConfig, cid: int, seed: int):
-    split = gravity_split(config, "p_1(4)" if cid % 2 else "p_0(4)")
+    split = gravity_split(config, cid)
     kind, gamma = kappa_spec(config)
     kap = ka.build_kappa(kind, split, gamma=gamma)
     res = ka.kappa_ad_residual(split, kap)
@@ -326,7 +343,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     from .forms import contracted_wedge
 
     rng = Rng(seed, config.exact)
-    alg = _ambient(resolve_algebra(config, "su2" if cid % 2 == 0 else "p_0(3)"))
+    alg = _ambient(resolve_algebra(config, cid))
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
     eta = [rng.vanishing_poly(n, probe, list(range(n))) for _ in range(n)]
@@ -413,7 +430,7 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     from .ym import YMFields, ym_el_residuals
 
     rng = Rng(seed, config.exact)
-    split = gauge_split(config, "u1")
+    split = gauge_split(config, cid)
     if split.n < 2:
         raise ValueError(f"--dim {config.n}: ym-el needs a base dimension "
                          f"of at least 2")
@@ -466,7 +483,7 @@ def case_ym_decomp(config: SuiteConfig, cid: int, seed: int):
 
     _require_dim(config, 2, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
-    split = gauge_split(config, "su2" if cid % 3 != 2 else "u1", n)
+    split = gauge_split(config, cid, n)
     chart = build_ym_chart(split, n, seed=seed,
                            curved_base=(cid % 2 == 1), exact=config.exact)
     rep = ym_dAp_identity_residual(chart, control_sign=_sign(config))
@@ -480,7 +497,7 @@ def case_kk_el(config: SuiteConfig, cid: int, seed: int):
 
     _require_dim(config, 1)
     rng = Rng(seed, config.exact)
-    split = gauge_split(config, "u1")
+    split = gauge_split(config, cid)
     alg = split.ambient
     N = alg.dim
     slot = algebra_slot(alg)
@@ -503,7 +520,7 @@ def case_kk_lc(config: SuiteConfig, cid: int, seed: int):
     from .kk import build_kk_chart, kk_lc_connection
 
     _require_dim(config, 2)
-    split = gauge_split(config, "u1" if cid % 2 == 0 else "su2")
+    split = gauge_split(config, cid)
     chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
                            constant_F=(cid % 3 == 0))
     _, rep = kk_lc_connection(chart, control_sign=_sign(config))
@@ -514,7 +531,7 @@ def case_kk_curvature(config: SuiteConfig, cid: int, seed: int):
     from .kk import build_kk_chart, kk_curvature_report
 
     _require_dim(config, 2)
-    split = gauge_split(config, "u1" if cid % 2 == 0 else "su2")
+    split = gauge_split(config, cid)
     chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
                            constant_F=(cid % 2 == 0),
                            curved_base=(config.n == 2 and cid % 3 == 2))
@@ -527,36 +544,32 @@ def case_kk_decomp(config: SuiteConfig, cid: int, seed: int):
 
     _require_dim(config, 1, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
-    split = gauge_split(config, "su2" if cid % 3 != 2 else "u1", n)
+    split = gauge_split(config, cid, n)
     chart = build_kk_chart(split, n, seed=seed, exact=config.exact)
     rep = kk_dAp_identity_residual(chart, control_sign=_sign(config))
     return rep["max"]
 
 
-def _grav_setup(config: SuiteConfig, cid: int, seed: int, small_only=False):
+def _grav_setup(config: SuiteConfig, cid: int, seed: int):
     from .gravity import build_gravity_chart
 
-    default = "p_0(3)" if (small_only or cid % 5 != 4) else "p_1(4)"
-    split = gravity_split(config, default)
+    split = gravity_split(config, cid)
     kind, gamma = kappa_spec(config)
     if kind == "holst" and split.n != 4:
         raise ValueError(
             f"--kappa {config.kappa}: the Holst term needs n = 4, but case "
             f"{cid} of {config.suite} runs on "
-            f"{config.algebra_path or config.algebra or default} (n = {split.n})")
+            f"{config.algebra_path or config.algebra or _default(config, cid)} "
+            f"(n = {split.n})")
     kap = ka.build_kappa(kind, split, gamma=gamma)
     return build_gravity_chart(split, kap, seed=seed, exact=config.exact)
 
 
 def case_grav_el(config: SuiteConfig, cid: int, seed: int):
-    from .gravity import fields_from_chart, grav_el_residuals, grav_psi_q
+    from .gravity import grav_el_blocks
 
-    chart = _grav_setup(config, cid, seed, small_only=True)
-    fields = fields_from_chart(chart)
-    rep = grav_el_residuals(fields)
-    res = rep["max_r1"]
-    q = grav_psi_q(chart, rep["phi_table"], control_sign=_sign(config))
-    return max(res, q["max"], q["q_zero_rows"])
+    chart = _grav_setup(config, cid, seed)
+    return max(grav_el_blocks(chart, control_sign=_sign(config)).values())
 
 
 def case_grav_decomp(config: SuiteConfig, cid: int, seed: int):
@@ -576,7 +589,7 @@ def case_grav_bianchi(config: SuiteConfig, cid: int, seed: int):
 def case_grav_commutators(config: SuiteConfig, cid: int, seed: int):
     from .gravity import grav_commutator_residuals
 
-    chart = _grav_setup(config, cid, seed, small_only=True)
+    chart = _grav_setup(config, cid, seed)
     rep = grav_commutator_residuals(chart, test_count=1,
                                     control_sign=_sign(config))
     return rep["max"]
@@ -585,7 +598,7 @@ def case_grav_commutators(config: SuiteConfig, cid: int, seed: int):
 def case_grav_conservation(config: SuiteConfig, cid: int, seed: int):
     from .gravity import grav_T_conservation_residual
 
-    chart = _grav_setup(config, cid, seed, small_only=True)
+    chart = _grav_setup(config, cid, seed)
     rep = grav_T_conservation_residual(chart, control_sign=_sign(config))
     return max(rep["max_lemma"], rep["max_chain"])
 
@@ -619,26 +632,36 @@ def case_constants(config: SuiteConfig, cid: int, seed: int):
 
 SIGN, STRUCTURE = frozenset({"sign"}), frozenset({"structure"})
 BOTH = SIGN | STRUCTURE
+VACUUM = dict(hypotheses=(UNIMODULAR, ABELIAN), defaults=("u1",))
+KK = dict(hypotheses=(GAUGE_SPLIT, AD_INVARIANT))
 GRAVITY = dict(reads_kappa=True, hypotheses=(SPLIT, GRAVITY_SPLIT))
-KK = (GAUGE_SPLIT, AD_INVARIANT)
+GRAVITY_P03 = dict(defaults=("p_0(3)",), **GRAVITY)
+GRAVITY_P14 = dict(defaults=("p_0(3)",) * 4 + ("p_1(4)",), **GRAVITY)
 
 REGISTRY: Dict[str, Suite] = {
     "forms-identities": Suite(case_forms_identities, SIGN, reads_algebra=False),
-    "lie-checks": Suite(case_lie_checks, STRUCTURE),
-    "kappa": Suite(case_kappa, STRUCTURE, reads_kappa=True),
-    "gauge-lemmas": Suite(case_gauge_lemmas, BOTH, hypotheses=(UNIMODULAR,)),
-    "ym-el": Suite(case_ym_el, BOTH, hypotheses=(UNIMODULAR, ABELIAN)),
+    "lie-checks": Suite(case_lie_checks, STRUCTURE, defaults=(
+        "p_0(3)", "p_0(4)", "p_1(4)", "p_-1(4)", "su2", "u1")),
+    "kappa": Suite(case_kappa, STRUCTURE, reads_kappa=True,
+                   defaults=("p_0(4)", "p_1(4)")),
+    "gauge-lemmas": Suite(case_gauge_lemmas, BOTH, hypotheses=(UNIMODULAR,),
+                          defaults=("su2", "p_0(3)")),
+    "ym-el": Suite(case_ym_el, BOTH, **VACUUM),
     "ym-maxwell": Suite(case_ym_maxwell, SIGN, reads_algebra=False),
-    "ym-decomp": Suite(case_ym_decomp, BOTH, hypotheses=(UNIMODULAR,)),
-    "kk-el": Suite(case_kk_el, BOTH, hypotheses=(UNIMODULAR, ABELIAN)),
-    "kk-lc": Suite(case_kk_lc, BOTH, hypotheses=KK),
-    "kk-curvature": Suite(case_kk_curvature, BOTH, hypotheses=KK),
-    "kk-decomp": Suite(case_kk_decomp, BOTH, hypotheses=KK),
-    "grav-el": Suite(case_grav_el, SIGN, **GRAVITY),
-    "grav-decomp": Suite(case_grav_decomp, BOTH, **GRAVITY),
-    "grav-bianchi": Suite(case_grav_bianchi, STRUCTURE, **GRAVITY),
-    "grav-commutators": Suite(case_grav_commutators, SIGN, **GRAVITY),
-    "grav-conservation": Suite(case_grav_conservation, SIGN, **GRAVITY),
+    "ym-decomp": Suite(case_ym_decomp, BOTH, hypotheses=(UNIMODULAR,),
+                       defaults=("su2", "su2", "u1")),
+    "kk-el": Suite(case_kk_el, BOTH, **VACUUM),
+    "kk-lc": Suite(case_kk_lc, BOTH, defaults=("u1", "su2"), **KK),
+    "kk-curvature": Suite(case_kk_curvature, BOTH, defaults=("u1", "su2"), **KK),
+    "kk-decomp": Suite(case_kk_decomp, BOTH, defaults=("su2", "su2", "u1"), **KK),
+    # ``structure`` reaches no grav-el block: a corrupted p_0(3) fails chart
+    # certification, and on a corrupted p_1(4) every block is exactly 0
+    # (seed 42, cases 0 and 1)
+    "grav-el": Suite(case_grav_el, SIGN, **GRAVITY_P03),
+    "grav-decomp": Suite(case_grav_decomp, BOTH, **GRAVITY_P14),
+    "grav-bianchi": Suite(case_grav_bianchi, STRUCTURE, **GRAVITY_P14),
+    "grav-commutators": Suite(case_grav_commutators, SIGN, **GRAVITY_P03),
+    "grav-conservation": Suite(case_grav_conservation, SIGN, **GRAVITY_P03),
     "constants": Suite(case_constants, SIGN, reads_algebra=False),
 }
 

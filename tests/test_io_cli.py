@@ -307,6 +307,22 @@ def test_structure_corruption_of_u1_is_rejected():
         run_suite(SuiteConfig(suite="ym-el", n=2, cases=1, corruption="structure"))
 
 
+@pytest.mark.parametrize("suite", ["lie-checks", "ym-decomp", "kk-lc",
+                                   "kk-curvature", "kk-decomp"])
+def test_structure_without_algebra_is_rejected_before_any_case(monkeypatch,
+                                                               suite):
+    # one case of each default cycle runs on u1, which has no bracket to break
+    def no_case(config, cid, seed):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setitem(REGISTRY, suite, replace(REGISTRY[suite], case=no_case))
+    with pytest.raises(ValueError) as err:
+        run_suite(SuiteConfig(suite=suite, cases=6, corruption="structure"))
+    message = str(err.value)
+    assert message.startswith("corruption structure: ") and "\n" not in message
+    assert message.endswith("pass --algebra")
+
+
 @pytest.mark.parametrize("suite", ["ym-el", "kk-el"])
 @pytest.mark.parametrize("split_file", [False, True], ids=["su2", "su2-split-file"])
 def test_cli_rejects_non_abelian_algebra_for_the_vacuum_suites(tmp_path, suite,

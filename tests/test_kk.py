@@ -11,7 +11,7 @@ from liecartan.connection import algebra_slot
 from liecartan.forms import Form
 from liecartan.kk import (KKFields, build_kk_chart, check_h_invariance,
                           kk_curvature_report, kk_dAp_identity_residual,
-                          kk_el_residuals, kk_eym_residuals, kk_lambda,
+                          kk_el_residuals, kk_eym_residuals,
                           kk_lc_connection, riemann_blocks, so_curvature)
 from liecartan.scalars import Polynomial
 
@@ -155,12 +155,11 @@ def test_eym_quadratic_source_cross_check():
 
 
 def test_kk_lambda_constant():
-    split = central_extension(su2(), 2, b_diag=euclidean_diag(2))
-    assert kk_lambda(split, F(1)) == F(1, 4)
+    # Lambda = Lambda0 + 1/4 <B, k> with the su2 Killing form and k = 1
     from liecartan.kappa import lambda_constant
 
-    assert kk_lambda(split, F(1)) == lambda_constant(
-        "kk", lambda0=F(1), algebra=su2(), k_diag=[F(1)] * 3)
+    assert lambda_constant("kk", lambda0=F(1), algebra=su2(),
+                           k_diag=[F(1)] * 3) == F(1, 4)
 
 
 @pytest.mark.parametrize("fiber,n", [("u1", 2), ("su2", 2), ("su2", 3)])
