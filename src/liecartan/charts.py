@@ -30,6 +30,7 @@ assemble and split rows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -171,8 +172,8 @@ class TrivializedChart:
 
         Forms built from the copy hold Taylor numbers wherever this chart's
         would hold lazy nodes, and are read only at the probe.  The copy is
-        for ``dAp``: its coframe has no probe, so it is not inverted again,
-        and its other fields are this chart's own.
+        for ``p_form`` and ``dAp``: its coframe has no probe, so it is not
+        inverted again, and its other fields are this chart's own.
         """
         pt = self.probe
 
@@ -187,12 +188,15 @@ class TrivializedChart:
             self, A_form=A_form, coframe=coframe,
             p_coeffs={key: at_pt(f) for key, f in self.p_coeffs.items()})
 
+    @functools.cached_property
+    def p_form(self) -> Form:
+        """p = 1/2 p_I^{AB} e^{(N-2)}_{AB}, built once; read-only."""
+        return pi_form_from_coeffs(self.p_coeffs, self.coframe,
+                                   algebra_slot(self.alg, dual=True))
+
     def dAp(self) -> Tuple[Form, CoframeMinors]:
-        """d^A p = dp + ad*(A) ^ p for p = 1/2 p_I^{AB} e^{(N-2)}_{AB}, and
-        the coframe minors p is built from."""
-        dual = algebra_slot(self.alg, dual=True)
-        p_form = pi_form_from_coeffs(self.p_coeffs, self.coframe, dual)
-        lhs = cov_d(self.A_form, p_form, (Representation.coadjoint(self.alg),))
+        """d^A p = dp + ad*(A) ^ p, and the coframe minors p is built from."""
+        lhs = cov_d(self.A_form, self.p_form, (Representation.coadjoint(self.alg),))
         return lhs, self.coframe.minors()
 
 
@@ -245,8 +249,7 @@ def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Cof
             continue
         m, sign = minors.signed_minor((A, B))
         for K, _, mf in m.terms():
-            term = f_mul(fld, mf)
-            out.add_term(K, (i,), term if sign > 0 else f_scale(term, -1))
+            out.add_term(K, (i,), f_mul(fld, mf, None if sign > 0 else -1))
     return out._finalize()
 
 
@@ -430,8 +433,8 @@ def frame_coeffs_2form(form: Form, coframe: Coframe) -> Dict[Tuple, object]:
         for A in range(N):
             for B in range(A + 1, N):
                 ab = f_mul(f_mul(V.entry(k, A), V.entry(l, B)), fld)
-                ba = f_mul(f_mul(V.entry(k, B), V.entry(l, A)), fld)
-                out.setdefault(sk + (A, B), []).extend((ab, f_scale(ba, -1)))
+                ba = f_mul(f_mul(V.entry(k, B), V.entry(l, A)), fld, -1)
+                out.setdefault(sk + (A, B), []).extend((ab, ba))
     coeffs = {}
     for (*sk, A, B), parts in out.items():
         ab = coeffs[(*sk, A, B)] = f_add(*parts)
@@ -482,6 +485,6 @@ def base_torsion_frame_coeffs(chart: TrivializedChart):
                 for (j, l), fld in comps.items():
                     t = f_mul(f_mul(Vb.entry(j, bb), Vb.entry(l, c)), fld)
                     parts.append(t)
-                    parts.append(f_scale(f_mul(f_mul(Vb.entry(j, c), Vb.entry(l, bb)), fld), -1))
+                    parts.append(f_mul(f_mul(Vb.entry(j, c), Vb.entry(l, bb)), fld, -1))
                 out[a][bb][c] = f_add(*parts) if parts else f_zero(N)
     return out

@@ -64,19 +64,24 @@ def _rho_omega_wedge(omega: Form, alpha: Form, pos: int, rep: Representation) ->
     out = Form(alpha.n, alpha.degree + 1, alpha.slots)
     if out.degree > alpha.n:
         return out
+    # each matrix's entries by column, in stored order within a column
+    by_col = [{} for _ in rep.mats]
+    for cols, mat in zip(by_col, rep.mats):
+        for (row, col), v in mat.items():
+            cols.setdefault(col, []).append((row, v))
     for (kw,), (i,), fw in omega.terms():
-        mat = rep.mats[i]
-        if not mat:
+        cols = by_col[i]
+        if not cols:
             continue
         for K, sk, fa in alpha.terms():
-            if kw in K:
+            rows = cols.get(sk[pos])
+            if rows is None or kw in K:
                 continue
             K2, sign = merge_sign((kw,), K)
-            for (row, col), v in mat.items():
-                if sk[pos] != col:
-                    continue
-                nsk = sk[:pos] + (row,) + sk[pos + 1:]
-                out.add_term(K2, nsk, f_scale(f_mul(fw, fa), v if sign > 0 else -v))
+            for row, v in rows:
+                fld = f_mul(fw, fa, v if sign > 0 else -v)
+                if not f_is_zero(fld):
+                    out._append(K2, sk[:pos] + (row,) + sk[pos + 1:], fld)
     return out._finalize()
 
 
@@ -96,7 +101,9 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
             K, sign = merged
             fld = f_mul(fa, fb)
             for k, v in row.items():
-                out.add_term(K, (k,), f_scale(fld, v if sign > 0 else -v))
+                term = f_scale(fld, v if sign > 0 else -v)
+                if not f_is_zero(term):
+                    out._append(K, (k,), term)
     return out._finalize()
 
 

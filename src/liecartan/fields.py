@@ -29,11 +29,14 @@ their nonzero first partials by coordinate.
   them at once when an operand is a ``Taylor`` number.  ``FPartial``'s
   value is its child's ``dvalue``, and it builds its child's derivative
   graph once.
-- One node per term: a sum of one live operand is that operand, and
-  ``f_scale`` of an unscaled product is a new product node that applies
-  the scale last, as an ``FScale`` would; each such copy multiplies the
-  product out again.  A folded sign keeps the bits (negation commutes
-  with rounding).
+- One node per term: a sum of one live operand is that operand, and a
+  product carries its scale, ``f_mul(a, b, c)``, which gives exactly what
+  ``f_scale(f_mul(a, b), c)`` gives on every path but builds one node.
+  ``f_scale`` of an unscaled product node is still a product node that
+  applies the scale last, so a lazy product shared by several scales is
+  multiplied out once per scale; an eager polynomial product is shared
+  outright.  A folded sign keeps the bits (negation commutes with
+  rounding).
 - A ``MatrixField`` computes its value matrix from its entries' values
   and, when first asked, its partials from their values and partials.
   Its entry cache holds weak references: a live entry node is shared,
@@ -69,10 +72,6 @@ class TaylorError(ArithmeticError):
     """A lazy node was read at a point other than the one it is bound to,
     or for a partial it does not hold (an order-0 Taylor number's, a
     dropped one, or a matrix entry's second partials)."""
-
-
-def _as_tuple(point) -> tuple:
-    return point if isinstance(point, tuple) else tuple(point)
 
 
 def exact_at(point) -> bool:
@@ -145,7 +144,7 @@ class _Bound:
     __slots__ = ("n", "_pt", "_v", "_d")
 
     def _bind(self, point):
-        point = _as_tuple(point)
+        point = point if isinstance(point, tuple) else tuple(point)
         if self._pt is None:
             self._pt = point
         elif point != self._pt:
@@ -191,7 +190,7 @@ class FSum(_Lazy):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        super().__init__(parts[0].n)
+        _Lazy.__init__(self, parts[0].n)
         self.parts = list(parts)
 
     def _value(self, point):
@@ -207,10 +206,8 @@ class FProd(_Lazy):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c=None):
-        super().__init__(a.n)
-        self.a = a
-        self.b = b
-        self.c = c
+        _Lazy.__init__(self, a.n)
+        self.a, self.b, self.c = a, b, c
 
     def _value(self, point):
         return _prod_value(self.a.value(point), self.b.value(point), self.c)
@@ -226,9 +223,8 @@ class FScale(_Lazy):
     __slots__ = ("a", "c")
 
     def __init__(self, a, c):
-        super().__init__(a.n)
-        self.a = a
-        self.c = c
+        _Lazy.__init__(self, a.n)
+        self.a, self.c = a, c
 
     def _value(self, point):
         return _scale_value(self.a.value(point), self.c)
@@ -245,10 +241,8 @@ class FPartial(_Lazy):
     __slots__ = ("a", "k", "_da")
 
     def __init__(self, a, k: int):
-        super().__init__(a.n)
-        self.a = a
-        self.k = k
-        self._da = None
+        _Lazy.__init__(self, a.n)
+        self.a, self.k, self._da = a, k, None
 
     def operand_derivative(self):
         if self._da is None:
@@ -399,24 +393,28 @@ def f_zero(n: int) -> Polynomial:
 EAGER_PRODUCT_CAP = 32
 
 
-def f_mul(a, b):
-    if isinstance(a, Polynomial) and a.is_zero():
+def f_mul(a, b, c=None):
+    """a b, times c last when c is not None: what ``f_scale(f_mul(a, b), c)``
+    gives, built as one node."""
+    if c is not None and not c:
+        return f_zero(a.n)
+    pa, pb = isinstance(a, Polynomial), isinstance(b, Polynomial)
+    if pa and not a.terms:
         return a
-    if isinstance(b, Polynomial) and b.is_zero():
+    if pb and not b.terms:
         return b
-    if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-        # large products stay lazy: only their values and partials are read
-        if len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
-            return a * b
+    # large products stay lazy: only their values and partials are read
+    if pa and pb and len(a.terms) * len(b.terms) <= EAGER_PRODUCT_CAP:
+        return a * b if c is None else (a * b).scale(c)
     t = a if isinstance(a, Taylor) else b
     if not isinstance(t, Taylor):
-        return FProd(a, b)
+        return FProd(a, b, c)
     pt = t._pt
     drop, order1 = _joined((a, b))
     va, vb = a.value(pt), b.value(pt)
     d = _prod_partials(va, vb, _partials_at(a, pt, drop) if vb else None,
-                       _partials_at(b, pt, drop) if va else None) if order1 else None
-    return Taylor(t.n, pt, _prod_value(va, vb), d, drop)
+                       _partials_at(b, pt, drop) if va else None, c) if order1 else None
+    return Taylor(t.n, pt, _prod_value(va, vb, c), d, drop)
 
 
 def f_scale(a, c):
@@ -478,10 +476,8 @@ class MatrixEntryField(_Lazy):
     __slots__ = ("mat", "i", "j", "__weakref__")
 
     def __init__(self, mat: MatrixField, i: int, j: int):
-        super().__init__(mat.n)
-        self.mat = mat
-        self.i = i
-        self.j = j
+        _Lazy.__init__(self, mat.n)
+        self.mat, self.i, self.j = mat, i, j
 
     def _value(self, point):
         return self.mat.value(point)[self.i][self.j] or 0

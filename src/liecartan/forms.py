@@ -7,9 +7,12 @@ product and exterior derivative operate on this representation; minors of
 a coframe and coefficient decompositions live here too.
 
 A one-term bucket keeps its term; sums, scalings and wedges append on
-canonical keys without ``sort_index``.  A coframe builds each one-form
-once; ``signed_minor`` gives the sorted minor and the sign to fold in.
-A coframe's probe sets the backend of its inverse and decompositions.
+canonical keys without ``sort_index``, and a wedge term's sign rides on
+its product node.  ``sort_index``, ``merge_sign`` and the index masks
+are pure functions of small index tuples, memoised in module-level dicts
+that start empty.  A coframe builds each one-form once;
+``signed_minor`` gives the sorted minor and the sign to fold in.  A
+coframe's probe sets the backend of its inverse and decompositions.
 """
 
 from __future__ import annotations
@@ -45,16 +48,19 @@ class SlotMismatchError(TypeError):
     pass
 
 
+# memo tables of the index algebra; _MISS marks a miss, as None is a value
+_SORTED, _MERGED, _MASKS, _MISS = {}, {}, {}, object()
+
+
 def sort_index(idx: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Sorted index tuple and permutation sign; None when an index repeats."""
     idx = tuple(idx)
-    if len(set(idx)) != len(idx):
-        return None
-    key = tuple(sorted(idx))
-    if key == idx:
-        return key, 1
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    return key, perm_parity(order)
+    out = _SORTED.get(idx, _MISS)
+    if out is _MISS:
+        order = sorted(range(len(idx)), key=idx.__getitem__)
+        out = _SORTED[idx] = None if len(set(idx)) != len(idx) else (
+            tuple(sorted(idx)), perm_parity(order))
+    return out
 
 
 def perm_parity(perm: Sequence[int]) -> int:
@@ -72,14 +78,13 @@ def merge_sign(I: Sequence[int], J: Sequence[int]) -> Optional[Tuple[Tuple[int, 
     Within each tuple the order is already sorted, so the sign counts only
     the pairs (i in I, j in J) with i > j.  None when the tuples meet.
     """
-    inv = 0
-    for i in I:
-        for j in J:
-            if i > j:
-                inv += 1
-            elif i == j:
-                return None
-    return tuple(sorted((*I, *J))), -1 if inv % 2 else 1
+    I, J = tuple(I), tuple(J)
+    out = _MERGED.get((I, J), _MISS)
+    if out is _MISS:
+        inv = sum(1 for i in I for j in J if i > j)
+        out = _MERGED[I, J] = None if set(I) & set(J) else (
+            tuple(sorted((*I, *J))), -1 if inv % 2 else 1)
+    return out
 
 
 class Form:
@@ -114,7 +119,7 @@ class Form:
         """
         if isinstance(field, Taylor):
             field = field.without(_index_mask(key))
-        bucket = self.comps.setdefault(key, {})
+        bucket = self.comps.get(key) or self.comps.setdefault(key, {})
         cur = bucket.get(sk)
         if cur is None:
             bucket[sk] = field
@@ -221,10 +226,10 @@ class Form:
 # operations
 # ---------------------------------------------------------------------------
 
-def _index_mask(idx: Sequence[int]) -> int:
-    mask = 0
-    for i in idx:
-        mask |= 1 << i
+def _index_mask(idx: Tuple[int, ...]) -> int:
+    mask = _MASKS.get(idx)
+    if mask is None:
+        mask = _MASKS[idx] = sum(1 << i for i in set(idx))
     return mask
 
 
@@ -246,9 +251,7 @@ def wedge(a: Form, b: Form) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
+            fld = f_mul(fa, fb, None if sign > 0 else -1)
             if not f_is_zero(fld):
                 out._append(K, ka + kb, fld)
     return out._finalize()
@@ -256,21 +259,18 @@ def wedge(a: Form, b: Form) -> Form:
 
 def contracted_wedge(a: Form, b: Form, plan: Sequence[Tuple[int, int]]) -> Form:
     """C_{sigma,tau}(a ^ b): pair dual slots by the plan, wedge form parts."""
-    sa = [a.slots[i] for i, _ in plan]
-    sb = [b.slots[j] for _, j in plan]
-    if len({i for i, _ in plan}) != len(plan) or len({j for _, j in plan}) != len(plan):
+    pa, pb = [i for i, _ in plan], [j for _, j in plan]
+    if len(set(pa)) != len(plan) or len(set(pb)) != len(plan):
         raise SlotMismatchError("pairing plan must be injective on both sides")
-    for x, y in zip(sa, sb):
+    for x, y in zip([a.slots[i] for i in pa], [b.slots[j] for j in pb]):
         if not x.pairs_with(y):
             raise SlotMismatchError(f"slots {x} and {y} are not in duality")
-    keep_a = [i for i in range(len(a.slots)) if i not in {i for i, _ in plan}]
-    keep_b = [j for j in range(len(b.slots)) if j not in {j for _, j in plan}]
+    keep_a = [i for i in range(len(a.slots)) if i not in pa]
+    keep_b = [j for j in range(len(b.slots)) if j not in pb]
     out_slots = tuple(a.slots[i] for i in keep_a) + tuple(b.slots[j] for j in keep_b)
     out = Form(a.n, a.degree + b.degree, out_slots)
     if out.degree > a.n:
         return out
-    pa = [i for i, _ in plan]
-    pb = [j for _, j in plan]
     # the terms of b by their paired slot keys, each group in stored order
     groups: Dict[Tuple[int, ...], list] = {}
     for J, kb, fb in b.terms():
@@ -286,9 +286,7 @@ def contracted_wedge(a: Form, b: Form, plan: Sequence[Tuple[int, int]]) -> Form:
             if mask & mb:
                 continue
             K, sign = merge_sign(I, J)
-            fld = f_mul(fa, fb)
-            if sign < 0:
-                fld = f_scale(fld, -1)
+            fld = f_mul(fa, fb, None if sign > 0 else -1)
             if not f_is_zero(fld):
                 out._append(K, head + tail, fld)
     return out._finalize()
@@ -329,8 +327,7 @@ def exterior_d(a: Form) -> Form:
 def one_form(n: int, coeffs: Sequence) -> Form:
     out = Form(n, 1)
     for k, c in enumerate(coeffs):
-        if not f_is_zero(_as_field(c, n)):
-            out.add_term((k,), (), _as_field(c, n))
+        out.add_term((k,), (), _as_field(c, n))
     return out._finalize()
 
 
@@ -377,6 +374,8 @@ class Coframe:
     def inverse(self) -> List[List]:
         """The inverse of the coframe matrix at the probe: the inverse
         field's memoised value matrix; callers must not mutate it."""
+        if self.probe is None:
+            raise ValueError("inverse needs a coframe built with a probe")
         try:
             return self.inverse_field().value(self.probe)
         except linalg.SingularMatrixError as exc:

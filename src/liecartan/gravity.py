@@ -33,8 +33,7 @@ from .algebra import SplitAlgebra, check_algebra
 from .charts import (GravityChart, Rng, antisym, base_probe,
                      build_connection_form, build_group_map,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_coeffs_2form, frame_partial_field,
-                     pi_form_from_coeffs)
+                     frame_coeffs_2form, frame_partial_field)
 from .connection import (GroupMap, Representation, algebra_slot,
                          apply_matrix_to_slot, bracket_wedge, cov_d, curvature)
 from .fields import f_add, f_mul, f_scale, f_zero
@@ -277,9 +276,7 @@ def fields_from_chart(chart: GravityChart) -> GravityFields:
     coadjoint transport of the p form, whose coefficients over the phi
     coframe at the probe are ``pi_values_from_chart``."""
     phi = apply_matrix_to_slot(chart.e_form, 0, chart.gm.ad_inv_entry)
-    p_form = pi_form_from_coeffs(chart.p_coeffs, chart.coframe,
-                                 algebra_slot(chart.alg, dual=True))
-    pi = apply_matrix_to_slot(p_form, 0, chart.gm.ad_dual_inv_entry)
+    pi = apply_matrix_to_slot(chart.p_form, 0, chart.gm.ad_dual_inv_entry)
     return GravityFields(chart.split, phi, pi, pi_values_from_chart(chart),
                          chart.probe)
 
@@ -689,8 +686,7 @@ def _cov_frame_partial(chart: GravityChart, conn, get, key, B, acts) -> list:
             cv = alg.c(i, m, J) if upper else -alg.c(J, m, i)
             if cv:
                 moved = get(key[:pos] + (J,) + key[pos + 1:])
-                parts.append(f_scale(f_mul(conn.get((m, B), f_zero(chart.N)),
-                                           moved), cv))
+                parts.append(f_mul(conn.get((m, B), f_zero(chart.N)), moved, cv))
     return parts
 
 

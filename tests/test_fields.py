@@ -773,6 +773,55 @@ def test_scale_of_a_product_is_a_scaled_product():
     assert type(f_scale(scaled, 3)) is FScale
 
 
+def _bits(f, probe):
+    """What decides a field's numbers, by repr: a polynomial's terms; a
+    Taylor number's point, value, partials and dropped bits; a lazy
+    node's operands and scale, value and partials at the probe."""
+    if isinstance(f, Polynomial):
+        return "poly", f.n, repr(sorted(f.terms.items()))
+    if isinstance(f, Taylor):
+        d = None if f._d is None else sorted(f._d.items())
+        return "taylor", f._pt, repr(f._v), repr(d), f.drop
+    return (type(f).__name__, f.a, f.b, f.c, repr(f.value(probe)),
+            repr(sorted(f.partials(probe).items())))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_product_with_scale_is_scale_of_product(exact):
+    """f_mul(a, b, c) gives what f_scale(f_mul(a, b), c) gives, bit for
+    bit, on each path: polynomials at and past EAGER_PRODUCT_CAP terms,
+    lazy nodes, order-0 and order-1 Taylor numbers with dropped partials,
+    and a zero polynomial."""
+    from liecartan.fields import EAGER_PRODUCT_CAP
+
+    probe, nodes = _graph(exact)
+    P = nodes["poly"]
+    # 4 x 8 monomials sit on the eager cap; 6 x 6 are past it
+    six = poly_field(N, [((k, 1, 0), _num(k + 1, exact)) for k in range(6)])
+    four = poly_field(N, [((0, k, 1), _num(f"-1/{k + 2}", exact)) for k in range(4)])
+    eight = poly_field(N, [((0, 0, k), _num(k - 9, exact)) for k in range(1, 9)])
+    assert len(four.terms) * len(eight.terms) == EAGER_PRODUCT_CAP
+    assert len(six.terms) ** 2 > EAGER_PRODUCT_CAP
+    t1 = Taylor.of(nodes["nested"], probe).without(0b001)
+    t0 = Taylor(N, probe, nodes["prod"].value(probe), None)
+    pairs = {"eager": (P, nodes["poly-zero-at-probe"]), "at-cap": (four, eight),
+             "past-cap": (six, six), "lazy": (nodes["nested"], nodes["exp-entry"]),
+             "poly-lazy": (P, nodes["sum"]), "order1": (t1, P),
+             "order1-pair": (Taylor.of(nodes["exp-entry"], probe).without(0b100), t1),
+             "order0": (nodes["exp-entry"], t0), "zero": (P.scale(0), nodes["sum"]),
+             "zero-right": (t1, P.scale(0))}
+    kinds = {"eager": Polynomial, "at-cap": Polynomial, "past-cap": FProd,
+             "lazy": FProd, "poly-lazy": FProd, "order1": Taylor,
+             "order1-pair": Taylor, "order0": Taylor, "zero": Polynomial,
+             "zero-right": Polynomial}
+    for name, (a, b) in pairs.items():
+        for c in (None, 0, -1, _num("-2/7", exact), F(3, 5)):
+            got = f_mul(a, b, c)
+            want = f_mul(a, b) if c is None else f_scale(f_mul(a, b), c)
+            assert isinstance(got, Polynomial if c == 0 else kinds[name]), (name, c)
+            assert _bits(got, probe) == _bits(want, probe), (name, c)
+
+
 def test_partial_node_builds_its_operand_derivative_once(monkeypatch):
     """An FPartial keeps the derivative graph of its operand: reading its
     partials along every k, at the probe twice, builds it once."""

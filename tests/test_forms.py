@@ -1,6 +1,7 @@
 """Forms engine: wedge algebra, minors, the five contraction identities,
 minor derivatives, and coefficient decompositions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,8 @@ from liecartan.fields import FProd, FScale, f_mul, f_scale
 from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
                              UnsupportedDegreeError, cominor_rows,
                              contracted_wedge, decompose, exterior_d,
-                             interior, merge_sign, one_form, wedge)
+                             interior, merge_sign, one_form, perm_parity,
+                             sort_index, wedge)
 from liecartan.scalars import Polynomial
 
 
@@ -425,6 +427,58 @@ def test_decompose_needs_a_probe(mode):
     form = cf.one_form(0) if mode == "by-coframe" else cf.minors().minor((0,))
     with pytest.raises(ValueError, match="needs a coframe built with a probe"):
         decompose(form, cf, mode)
+
+
+def test_inverse_needs_a_probe():
+    cf = Coframe([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="^inverse needs a coframe built with a probe$"):
+        cf.inverse()
+
+
+def _sort_index_unmemoised(idx):
+    idx = tuple(idx)
+    if len(set(idx)) != len(idx):
+        return None
+    key = tuple(sorted(idx))
+    if key == idx:
+        return key, 1
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    return key, perm_parity(order)
+
+
+def _merge_sign_unmemoised(I, J):
+    inv = 0
+    for i in I:
+        for j in J:
+            if i > j:
+                inv += 1
+            elif i == j:
+                return None
+    return tuple(sorted((*I, *J))), -1 if inv % 2 else 1
+
+
+def test_memoised_index_algebra_matches_its_definition(monkeypatch):
+    """sort_index and merge_sign, from empty memo tables, on a first and a
+    memoised read of every index tuple of length <= 4 over range(6), as
+    tuples and as lists; a repeated index gives None."""
+    from liecartan import forms
+
+    monkeypatch.setattr(forms, "_SORTED", {})
+    monkeypatch.setattr(forms, "_MERGED", {})
+    tuples = [t for k in range(5) for t in itertools.product(range(6), repeat=k)]
+    for idx in tuples:
+        want = _sort_index_unmemoised(idx)
+        assert (want is None) == (len(set(idx)) < len(idx))
+        for arg in (idx, list(idx), idx):
+            assert sort_index(arg) == want, idx
+    increasing = [t for t in tuples if list(t) == sorted(set(t))]
+    for I in increasing:
+        for J in increasing:
+            want = _merge_sign_unmemoised(I, J)
+            assert (want is None) == bool(set(I) & set(J))
+            for args in ((I, J), (list(I), list(J)), (I, J)):
+                assert merge_sign(*args) == want, (I, J)
+    assert len(forms._SORTED) == len(tuples)
 
 
 def test_decompose_rejects_unsupported_degree():

@@ -491,3 +491,29 @@ def _top_level_functions_unreached(module: Path):
 def test_every_gravity_function_is_reached_from_the_package():
     # a name in an import alone does not count: it must be used
     assert _top_level_functions_unreached(SRC / "gravity.py") == []
+
+
+def test_no_product_is_scaled_after_it_is_built():
+    # f_mul(a, b, c) builds the scaled product as one node; f_scale of a
+    # fresh f_mul would build a product node only to copy it
+    found = [f"{path.name}:{node.lineno}"
+             for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "f_scale"
+             and node.args and isinstance(node.args[0], ast.Call)
+             and getattr(node.args[0].func, "id", None) == "f_mul"]
+    assert found == []
+
+
+def test_grav_el_builds_the_p_form_once(monkeypatch):
+    # fields_from_chart and dAp read the one p form of the chart.at() copy
+    from liecartan import charts, gravity
+
+    calls = []
+    build = charts.pi_form_from_coeffs
+    for module in (charts, gravity):
+        monkeypatch.setattr(module, "pi_form_from_coeffs",
+                            lambda *args: calls.append(args) or build(*args),
+                            raising=False)
+    sp, kap, chart = p03_chart(seed=case_seed(42, 0))
+    grav_el_blocks(chart)
+    assert len(calls) == 1
