@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .algebra import SplitAlgebra
 from .connection import (GroupMap, Representation, algebra_slot, cov_d, curvature,
                          levi_civita_coeff_fields)
-from .fields import (MatrixInverseField, Taylor, exact_at, f_add, f_is_zero, f_mul,
-                     f_partial, f_scale, f_zero)
+from .fields import (MatrixInverseField, at_probe, exact_at, f_add, f_is_zero,
+                     f_mul, f_partial, f_scale, f_zero)
 from .forms import Coframe, CoframeMinors, Form, Slot, decompose
 from .scalars import Polynomial, _add, _mul, _sub
 
@@ -167,26 +167,16 @@ class TrivializedChart:
         return p_at, dp_at
 
     def at(self) -> "TrivializedChart":
-        """A copy whose non-polynomial coframe entries, ``p_coeffs`` and
-        ``A_form`` coefficients are Taylor numbers at the probe.
-
-        Forms built from the copy hold Taylor numbers wherever this chart's
-        would hold lazy nodes, and are read only at the probe.  The copy is
-        for ``p_form`` and ``dAp``: its coframe has no probe, so it is not
-        inverted again, and its other fields are this chart's own.
-        """
+        """A copy whose ``p_coeffs`` and ``A_form`` coefficients are read at
+        the probe (``at_probe``), for ``p_form`` and ``dAp``; it shares this
+        chart's coframe, whose forms and minors are built at the probe."""
         pt = self.probe
-
-        def at_pt(f):
-            return f if isinstance(f, Polynomial) else Taylor.of(f, pt)
-
         A_form = Form(self.A_form.n, self.A_form.degree, self.A_form.slots)
-        A_form.comps = {K: {sk: at_pt(f) for sk, f in bucket.items()}
+        A_form.comps = {K: {sk: at_probe(f, pt) for sk, f in bucket.items()}
                         for K, bucket in self.A_form.comps.items()}
-        coframe = Coframe([[at_pt(f) for f in row] for row in self.coframe.entries])
         return dataclasses.replace(
-            self, A_form=A_form, coframe=coframe,
-            p_coeffs={key: at_pt(f) for key, f in self.p_coeffs.items()})
+            self, A_form=A_form,
+            p_coeffs={key: at_probe(f, pt) for key, f in self.p_coeffs.items()})
 
     @functools.cached_property
     def p_form(self) -> Form:

@@ -330,6 +330,12 @@ class Taylor(_Lazy):
                       self.drop | mask)
 
 
+def at_probe(f, pt: tuple):
+    """``f`` read at ``pt`` as a Taylor number, except a zero polynomial,
+    which adds no term where a float zero Taylor number would be kept."""
+    return f if isinstance(f, Polynomial) and f.is_zero() else Taylor.of(f, pt)
+
+
 def _kept(d: dict, drop: int) -> dict:
     return {k: x for k, x in d.items() if not drop >> k & 1}
 

@@ -10,9 +10,10 @@ A one-term bucket keeps its term; sums, scalings and wedges append on
 canonical keys without ``sort_index``, and a wedge term's sign rides on
 its product node.  ``sort_index``, ``merge_sign`` and the index masks
 are pure functions of small index tuples, memoised in module-level dicts
-that start empty.  A coframe builds each one-form once;
+that start empty.  A coframe builds each one-form once, at its probe
+when it has one, so that its minors are ``Taylor`` arithmetic there;
 ``signed_minor`` gives the sorted minor and the sign to fold in.  A
-coframe's probe sets the backend of its inverse and decompositions.
+coframe's probe sets the backend of its forms, inverse and decompositions.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (MatrixField, MatrixInverseField, Taylor, exact_at, f_add,
-                     f_is_zero, f_mul, f_partial, f_scale, f_zero)
+from .fields import (MatrixField, MatrixInverseField, Taylor, at_probe, exact_at,
+                     f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero)
 from .scalars import Polynomial
 
 
@@ -350,9 +351,11 @@ class Coframe:
     at the one point ``probe``.
 
     A coframe with a probe is inverted there when built, which certifies
-    that it is not singular there; one without gives forms and minors, but
-    no inverse and no decomposition.  The probe sets the backend: one with
-    any float coordinate is inverted on floats, with partial pivoting.
+    that it is not singular there, and builds its forms and minors from
+    ``Taylor`` numbers there; ``entries`` and the inverse stay symbolic.
+    One without gives symbolic forms and minors, but no inverse and no
+    decomposition.  The probe sets the backend: one with any float
+    coordinate is inverted on floats, with partial pivoting.
     """
 
     def __init__(self, entries: List[List[object]], probe: Optional[Tuple] = None):
@@ -366,9 +369,12 @@ class Coframe:
             self.inverse()
 
     def one_form(self, A: int) -> Form:
-        """e^A, built once; callers must not mutate it."""
+        """e^A, built once; callers must not mutate it.  With a probe, its
+        coefficients are the entries read there (``at_probe``)."""
         if A not in self._ones:
-            self._ones[A] = one_form(self.N, self.entries[A])
+            pt, row = self.probe, self.entries[A]
+            self._ones[A] = one_form(self.N, row if pt is None else
+                                     [at_probe(c, pt) for c in row])
         return self._ones[A]
 
     def inverse(self) -> List[List]:
@@ -424,9 +430,7 @@ class CoframeMinors:
         if prev <= self.N - 1:
             segments.append((prev, self.N - 1))
         if not segments:
-            acc = Form(self.N, 0)
-            acc.add_term((), (), Polynomial.constant(1, self.N))
-            acc._finalize()
+            acc = Form(self.N, 0).add_term((), (), Polynomial.constant(1, self.N))
         else:
             acc = self._ranges[segments[0]]
             for seg in segments[1:]:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liecartan.fields import FProd, FScale, f_mul, f_scale
+from liecartan.fields import FProd, FScale, Taylor, TaylorError, f_mul, f_scale
 from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
                              UnsupportedDegreeError, cominor_rows,
                              contracted_wedge, decompose, exterior_d,
@@ -542,5 +542,67 @@ def test_signed_minor_is_the_sorted_minor_and_its_sign():
     for (K, sk, f), (K2, sk2, g) in zip(neg.terms(), pos.terms()):
         assert (K, sk) == (K2, sk2)
         assert f.value(probe) == -g.value(probe)
-        assert [f.dvalue(probe, k) for k in range(4)] == [
-            -g.dvalue(probe, k) for k in range(4)]
+        # a minor term keeps only the partials off its key, all ``d`` reads
+        kept = [k for k in range(4) if k not in K]
+        assert [f.dvalue(probe, k) for k in kept] == [
+            -g.dvalue(probe, k) for k in kept]
+        for k in K:
+            with pytest.raises(TaylorError, match="dropped"):
+                f.dvalue(probe, k)
+
+
+def generic_coframe(seed, N, exact):
+    """Near-identity polynomial entries that do not vanish at the probe, so
+    that no product is zero there to first order, and one zero polynomial
+    entry, e^0_{N-1}."""
+    rng = random.Random(seed)
+    num = (lambda c: c) if exact else float
+    probe = tuple(num(F(rng.randint(-4, 4), 4)) for _ in range(N))
+    entries = []
+    for A in range(N):
+        row = []
+        for k in range(N):
+            p = rng_poly(rng, N, 2, 3)
+            p = Polynomial(N, {e: num(c / 8) for e, c in p.terms.items()})
+            p = p + Polynomial.constant(num(F(2 if A == k else 0) + F(rng.choice(
+                [-3, -1, 1, 3]), 16)) - p.eval(probe), N)
+            row.append(p)
+        entries.append(row)
+    entries[0][N - 1] = Polynomial.constant(0, N)
+    return entries, probe
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_probed_coframe_builds_the_forms_of_its_entries(N, exact):
+    """Each one-form and minor of codegree 0..3 that a coframe builds at its
+    probe has the keys, in order, and the value and kept partials there of
+    the form built from the symbolic entries."""
+    entries, probe = generic_coframe(300 + N, N, exact)
+    probed, symbolic = Coframe(entries, probe), Coframe(entries)
+    elsewhere = tuple(x + 1 for x in probe)
+
+    def same(x, y):
+        assert x == y if exact else abs(x - y) <= 1e-12
+
+    def check(got, want):
+        assert [(K, sk) for K, sk, _ in got.terms()] == [
+            (K, sk) for K, sk, _ in want.terms()]
+        for (K, _, f), (_, _, g) in zip(got.terms(), want.terms()):
+            same(f.value(probe), g.value(probe))
+            for k in range(N):
+                if k not in K:
+                    same(f.dvalue(probe, k), g.dvalue(probe, k))
+
+    for A in range(N):
+        check(probed.one_form(A), symbolic.one_form(A))
+        for _, _, f in probed.one_form(A).terms():
+            assert isinstance(f, Taylor)
+            with pytest.raises(TaylorError):
+                f.value(elsewhere)
+    assert (N - 1,) not in probed.one_form(0).comps
+    assert len(probed.one_form(0).comps) == N - 1
+    for k in range(4):
+        for idx in itertools.combinations(range(N), k):
+            check(probed.minors().minor(idx), symbolic.minors().minor(idx))
+    assert all(isinstance(c, Polynomial) for row in probed.entries for c in row)

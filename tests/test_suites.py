@@ -5,7 +5,9 @@ The QUICK runs, plain and, for the suites that declare it, with the
 the committed ``golden/quick_reports.json``; the float runs are pinned at a
 second master seed as well, under ``<suite>/float/seed<seed>`` and
 ``<suite>/float/sign/seed<seed>``.  After a deliberate change to the
-reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``.
+reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``,
+which first prints each key as unchanged, changed (old -> new
+``max_residual``), added or removed.
 """
 
 import gc
@@ -195,28 +197,60 @@ def test_constants_report_notes_lambda():
     assert "= 6" in rep["cases"][0]["note"]
 
 
-if __name__ == "__main__":
+def _golden_reports():
+    """Every golden report by its key, without ``wall_time``."""
     runs = [(s, "rational") for s in sorted(EXPECTED_SUITES)]
     runs += [(s, "float") for s in FLOAT_SUITES]
     reports = {}
     for suite, backend in runs:
-        rep = run_suite(_quick_config(suite, backend))
-        rep.pop("wall_time")
-        reports[f"{suite}/{backend}"] = rep
+        reports[f"{suite}/{backend}"] = run_suite(_quick_config(suite, backend))
         if suite in SIGN_SUITES:
-            rep = run_suite(_quick_config(suite, backend, "sign"))
-            rep.pop("wall_time")
-            reports[f"{suite}/{backend}/sign"] = rep
+            reports[f"{suite}/{backend}/sign"] = run_suite(
+                _quick_config(suite, backend, "sign"))
     for suite in FLOAT_SUITES:
         for seed in FLOAT_SEEDS:
             for corruption in (None, "sign") if suite in SIGN_SUITES else (None,):
-                rep = run_suite(_quick_config(suite, "float", corruption, seed))
-                rep.pop("wall_time")
-                reports[_seed_key(suite, corruption, seed)] = rep
+                reports[_seed_key(suite, corruption, seed)] = run_suite(
+                    _quick_config(suite, "float", corruption, seed))
     for name, kwargs in sorted(PINNED.items()):
         for backend in ("rational", "float"):
-            rep = run_suite(SuiteConfig(backend=backend, **kwargs))
-            rep.pop("wall_time")
-            reports[f"{name}/{backend}"] = rep
+            reports[f"{name}/{backend}"] = run_suite(SuiteConfig(backend=backend, **kwargs))
+    for rep in reports.values():
+        rep.pop("wall_time")
+    return reports
+
+
+def golden_changes(old, new):
+    """One line per golden key: unchanged, changed (with the old and new
+    ``max_residual``), added or removed."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"removed   {key}")
+        elif key not in old:
+            lines.append(f"added     {key}")
+        elif _canonical(old[key]) == _canonical(new[key]):
+            lines.append(f"unchanged {key}")
+        else:
+            lines.append(f"changed   {key}: max_residual "
+                         f"{old[key]['max_residual']!r} -> {new[key]['max_residual']!r}")
+    return lines
+
+
+def test_golden_changes_name_each_key():
+    old = {"a": {"max_residual": 0}, "b": {"max_residual": 1e-15},
+           "c": {"max_residual": 0}}
+    new = {"a": {"max_residual": 0, "wall_time": 1.0},
+           "b": {"max_residual": 2e-16}, "d": {"max_residual": 0}}
+    assert golden_changes(old, new) == [
+        "unchanged a", "changed   b: max_residual 1e-15 -> 2e-16",
+        "removed   c", "added     d"]
+
+
+if __name__ == "__main__":
+    # print how each golden report moves, then rewrite the file
+    reports = _golden_reports()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    print("\n".join(golden_changes(old, reports)))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
