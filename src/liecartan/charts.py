@@ -171,11 +171,8 @@ class TrivializedChart:
         the probe (``at_probe``), for ``p_form`` and ``dAp``; it shares this
         chart's coframe, whose forms and minors are built at the probe."""
         pt = self.probe
-        A_form = Form(self.A_form.n, self.A_form.degree, self.A_form.slots)
-        A_form.comps = {K: {sk: at_probe(f, pt) for sk, f in bucket.items()}
-                        for K, bucket in self.A_form.comps.items()}
         return dataclasses.replace(
-            self, A_form=A_form,
+            self, A_form=self.A_form.at(pt),
             p_coeffs={key: at_probe(f, pt) for key, f in self.p_coeffs.items()})
 
     @functools.cached_property

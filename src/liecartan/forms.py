@@ -192,6 +192,13 @@ class Form:
         return out._finalize()
 
     # -- evaluation -------------------------------------------------------
+    def at(self, probe: tuple) -> "Form":
+        """A copy whose coefficients are read at ``probe`` (``at_probe``)."""
+        out = Form(self.n, self.degree, self.slots)
+        out.comps = {K: {sk: at_probe(f, probe) for sk, f in bucket.items()}
+                     for K, bucket in self.comps.items()}
+        return out
+
     def max_abs(self, point) -> object:
         point = tuple(point)
         worst = 0

@@ -390,16 +390,18 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     res = max(res, abs((cov_d(a_form, e, (adrep,)) - curv_a
                         - bracket_wedge(alg, e, e).scale(Fraction(1, 2)))
                        .max_abs(probe)))
-    # minor Leibniz with the adjoint (unimodular) representation
-    entries = _near_identity(rng, n, probe, config.exact)
-    cf = Coframe(entries, probe)
+    # minor Leibniz with the adjoint (unimodular) representation, at the
+    # probe: e from the probed coframe's one-forms, and omega read there.
+    # The lemmas above stay lazy: their products, read at the probe, would
+    # compute partials that only max_abs's values need, and ran slower.
+    cf = Coframe(_near_identity(rng, n, probe, config.exact), probe)
     mins = cf.minors()
     e_form = Form(n, 1, (slot,))
     for A in range(n):
-        for k in range(n):
-            e_form.add_term((k,), (A,), entries[A][k])
+        for K, _, c in cf.one_form(A).terms():
+            e_form.add_term(K, (A,), c)
     e_form._finalize()
-    omega = rand_alg_form()
+    omega = rand_alg_form().at(probe)
     dwe = cov_d(omega, e_form, (adrep,))
     m1 = mins.minor_form(1, slot)
     m2 = mins.minor_form(2, slot)

@@ -11,9 +11,11 @@ from liecartan.connection import (GroupMap, Representation, algebra_slot,
                                   coadjoint_transport, cov_d, curvature,
                                   gauge_transform, levi_civita_coeff_fields,
                                   maurer_cartan_form, maurer_cartan_residual)
-from liecartan.fields import f_zero
+from liecartan.charts import Rng
+from liecartan.fields import Taylor, f_zero
 from liecartan.forms import Coframe, Form, contracted_wedge, exterior_d, one_form
 from liecartan.scalars import Polynomial
+from liecartan.suites import _near_identity
 
 
 def rng_poly(rng, n, deg=2, terms=3):
@@ -246,7 +248,20 @@ def test_torsion_flat_and_bracket_oracle():
     assert (got - oracle).max_abs((F(0),) * n) == 0
 
 
-def test_minor_leibniz_unimodular():
+def _slotted_e(cf, slot, probed):
+    """e = e^A t_A as one algebra-valued 1-form: from the coframe's one-forms,
+    read at its probe, or from its symbolic entries."""
+    e_form = Form(cf.N, 1, (slot,))
+    for A in range(cf.N):
+        terms = (cf.one_form(A).terms() if probed else
+                 (((k,), (), c) for k, c in enumerate(cf.entries[A])))
+        for K, _, c in terms:
+            e_form.add_term(K, (A,), c)
+    return e_form._finalize()
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["symbolic", "probed"])
+def test_minor_leibniz_unimodular(probed):
     rng = random.Random(41)
     alg = build_algebra("su2")
     n = 3
@@ -260,12 +275,10 @@ def test_minor_leibniz_unimodular():
     adrep = Representation.adjoint(alg)
     coad = adrep.dual()
     assert is_unimodular(alg)
-    e_form = Form(n, 1, (slot,))
-    for A in range(n):
-        for k in range(n):
-            e_form.add_term((k,), (A,), entries[A][k])
-    e_form._finalize()
+    e_form = _slotted_e(cf, slot, probed)
     omega = rand_alg_form(rng, alg, n)
+    if probed:
+        omega = omega.at(probe)
     dwe = cov_d(omega, e_form, (adrep,))
     m1 = mins.minor_form(1, slot)
     m2 = mins.minor_form(2, slot)
@@ -274,6 +287,58 @@ def test_minor_leibniz_unimodular():
             - contracted_wedge(dwe, m2, [(0, 1)])).max_abs(probe) == 0
     assert (cov_d(omega, m2, (coad, coad))
             - contracted_wedge(dwe, m3, [(0, 2)])).max_abs(probe) == 0
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("spec", ["su2", "p_0(3)"])
+def test_probed_minor_leibniz_inputs(spec, backend, monkeypatch):
+    """gauge-lemmas' minor-Leibniz block reads e and omega at the probe: the
+    probed e has the symbolic one's keys in order (less the terms that are
+    zero there), and its values and kept partials there; every coefficient
+    is a Taylor number bound to the probe; and d^omega e and its
+    contraction with a minor build no polynomial product."""
+    exact = backend == "rational"
+    alg = build_algebra(spec)
+    alg = getattr(alg, "ambient", alg)
+    n = alg.dim
+    rng = Rng(5, exact)
+    probe = tuple(rng.scalar(-1, 1) for _ in range(n))
+    cf = Coframe(_near_identity(rng, n, probe, exact), probe)
+    slot = algebra_slot(alg)
+    symbolic, probed = _slotted_e(cf, slot, False), _slotted_e(cf, slot, True)
+    omega = Form(n, 1, (slot,))
+    for k in range(n):
+        for i in range(n):
+            omega.add_term((k,), (i,), rng.poly(n, deg=2, terms=2))
+    omega = omega._finalize().at(probe)
+
+    def kept(K, f):
+        return {k: x for k, x in f.partials(probe).items() if k not in K}
+
+    # at an exact probe a coefficient whose value and kept partials are 0
+    # there is dropped, as every zero Taylor number is; on floats none is
+    want = [(K, [sk for sk, f in b.items()
+                 if not exact or f.value(probe) or kept(K, f)])
+            for K, b in symbolic.comps.items()]
+    assert [(K, list(b)) for K, b in probed.comps.items()] == \
+        [(K, sks) for K, sks in want if sks]
+    same = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= 1e-12)
+    for K, sk, c in probed.terms():
+        ref = symbolic.comps[K][sk]
+        assert same(c.value(probe), ref.value(probe))
+        assert c.drop == sum(1 << k for k in K)
+        assert c.partials(probe).keys() == kept(K, ref).keys()
+        assert all(same(c.partials(probe)[k], x) for k, x in kept(K, ref).items())
+    for form in (probed, omega):
+        for _, _, c in form.terms():
+            assert isinstance(c, Taylor) and c._pt == probe
+
+    def no_product(*_):
+        raise AssertionError("a polynomial product was built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    dwe = cov_d(omega, probed, (Representation.adjoint(alg),))
+    contracted_wedge(dwe, cf.minors().minor_form(2, slot), [(0, 1)])
 
 
 def _constant_fields(table, n_chart):
