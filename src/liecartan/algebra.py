@@ -415,10 +415,12 @@ def build_algebra(spec: str, **params):
         body = spec[3:-1]
         if "," in body:
             p, q = (int(x) for x in body.split(","))
-            h = [Fraction(-1)] * p + [Fraction(1)] * q
         else:
-            h = euclidean_diag(int(body))
-        return so_algebra(h, name=spec)
+            p, q = 0, int(body)
+        if min(p, q) < 0 or p + q < 2:
+            raise ValueError(f"{spec}: so(n) needs n >= 2, and so(p,q) needs "
+                             f"p, q >= 0 with p + q >= 2")
+        return so_algebra([Fraction(-1)] * p + [Fraction(1)] * q, name=spec)
     if spec.startswith("p_"):
         head, rest = spec[2:].split("(")
         n = int(rest.rstrip(")"))

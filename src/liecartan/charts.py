@@ -3,9 +3,8 @@
 A chart lives on coordinates (x_0..x_{n-1}, y_0..y_{r-1}).  The group map
 g = exp(eta(y)) has eta valued in the l (or g) block and vanishing on the
 probe set {y = 0}, so exp and dexp of ad(eta) have closed first-order
-data there and the rational backend stays exact.  The chart builders draw
-every number from a seeded ``Rng`` on one backend; below them the backend
-is read from the probe.  The connection part A is an x-only 1-form in dx
+data there and stay exact.  The chart builders draw every rational from a
+seeded ``Rng``.  The connection part A is an x-only 1-form in dx
 components, which realizes the hypotheses under which the decomposition
 formulas are derived: A has no fiber components and its coefficients are
 constant on the fibers.
@@ -40,8 +39,8 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .algebra import SplitAlgebra
 from .connection import (GroupMap, Representation, algebra_slot, cov_d, curvature,
                          levi_civita_coeff_fields)
-from .fields import (MatrixInverseField, at_probe, exact_at, f_add, f_is_zero,
-                     f_mul, f_partial, f_scale, f_zero)
+from .fields import (MatrixInverseField, at_probe, f_add, f_is_zero, f_mul,
+                     f_partial, f_scale, f_zero)
 from .forms import Coframe, CoframeMinors, Form, Slot, decompose
 from .scalars import Polynomial, _add, _mul, _sub
 
@@ -50,15 +49,13 @@ if TYPE_CHECKING:
 
 
 class Rng:
-    """Seeded rational/float scalar and polynomial source."""
+    """Seeded rational scalar and polynomial source."""
 
-    def __init__(self, seed: int, exact: bool = True):
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.exact = exact
 
     def scalar(self, lo=-3, hi=3, dens=(1, 2, 3)):
-        v = Fraction(self.rng.randint(lo, hi), self.rng.choice(dens))
-        return v if self.exact else float(v)
+        return Fraction(self.rng.randint(lo, hi), self.rng.choice(dens))
 
     def nonzero_scalar(self, lo=-3, hi=3):
         while True:
@@ -102,7 +99,7 @@ class Rng:
             lin_terms[tuple(e)] = self.scalar(-2, 2)
         lin = Polynomial(n, lin_terms)
         shift = 0 - lin.eval(point)
-        lin = lin + Polynomial.constant(shift if self.exact else float(shift), n)
+        lin = lin + Polynomial.constant(shift, n)
         if lin.is_zero():
             e = [0] * n
             e[vars_[0]] = 1
@@ -139,10 +136,6 @@ class TrivializedChart:
     @property
     def alg(self):
         return self.split.ambient
-
-    @property
-    def exact(self) -> bool:
-        return exact_at(self.probe)
 
     def p_tables(self):
         """p_I^{AB} and its frame derivatives X_C p_I^{AB} at the probe.
@@ -247,9 +240,8 @@ class ChartError(ValueError):
 def base_probe(rng: Rng, n_base: int, r_fib: int) -> Tuple:
     """The chart's probe point, on the y = 0 section (exp series terminate
     there)."""
-    zero = Fraction(0) if rng.exact else 0.0
     x = [rng.scalar(-2, 2) for _ in range(n_base)]
-    return tuple(x) + (zero,) * r_fib
+    return tuple(x) + (Fraction(0),) * r_fib
 
 
 def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
@@ -263,7 +255,7 @@ def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
         terms: Dict[Tuple[int, ...], object] = {}
         e = [0] * N
         e[n_base + pos] = 1
-        terms[tuple(e)] = Fraction(1) if rng.exact else 1.0
+        terms[tuple(e)] = Fraction(1)
         for m in range(r):
             if m >= pos:
                 continue
@@ -300,7 +292,7 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
         for k in range(n_base):
             parts = []
             if k == pos:
-                parts.append(Polynomial.constant(Fraction(1) if rng.exact else 1.0, N))
+                parts.append(Polynomial.constant(Fraction(1), N))
             if s_coframe == "perturbed":
                 parts.append(rng.vanishing_poly(N, probe, x_vars))
             if parts:
@@ -318,14 +310,14 @@ def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
 
 
 def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
-                   exact: bool = True, curved_base: bool = False,
+                   curved_base: bool = False,
                    l_rows: str = "random") -> GaugeChart:
     """Gauge chart with F and its frame coefficients, and no dual field yet.
 
     ``curved_base`` perturbs the base coframe; ``l_rows`` is passed on to
     ``build_connection_form``.
     """
-    rng = Rng(seed, exact)
+    rng = Rng(seed)
     r = split.r
     probe = base_probe(rng, n_base, r)
     gm = build_group_map(split, n_base, rng)

@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base dimension n (chart = base + fiber)")
     parser.add_argument("--kappa", default="standard",
                         help="standard, holst (gamma = 2) or holst:<gamma>")
-    parser.add_argument("--backend", choices=["rational", "float"],
-                        default=DEFAULTS["backend"])
+    parser.add_argument("--backend", default=DEFAULTS["backend"],
+                        help="rational, the only number backend")
     parser.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     parser.add_argument("--cases", type=int, default=DEFAULTS["cases"])
     parser.add_argument("--tol", type=float, default=DEFAULTS["tol"])
@@ -77,20 +77,20 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         report = run_suite(config)
+        if args.format == "json":
+            payload = json.dumps(report, indent=1, sort_keys=True)
+        else:
+            payload = render_text(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
     except (ValueError, OSError) as exc:
         print(_error_line(str(exc)), file=sys.stderr)
         return 2
     except Exception as exc:  # an internal error is still one line, exit 2
         print(_error_line(f"{type(exc).__name__}: {exc}"), file=sys.stderr)
         return 2
-    if args.format == "json":
-        payload = json.dumps(report, indent=1, sort_keys=True)
-    else:
-        payload = render_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
+    if not args.out:
         print(payload)
     return 0 if report["pass"] else 1
 

@@ -1,6 +1,5 @@
 """Covariant exterior derivative, curvature/torsion, group maps and gauge
-transformations for structure-constant representations.  A group map
-reads its backend from the probe its fields are read at."""
+transformations for structure-constant representations."""
 
 from __future__ import annotations
 
@@ -119,9 +118,8 @@ def curvature(omega: Form, alg: LieAlgebra) -> Form:
 class GroupMap:
     """g = exp(eta) for an algebra-valued field tuple eta on the chart.
 
-    At an exact probe eta must vanish, where exp and dexp of ad(eta) have
-    the closed first-order data I and c_1 d ad(eta); at a float probe
-    their series are summed to convergence elsewhere.
+    It is read at a probe where eta vanishes, where exp and dexp of
+    ad(eta) have the closed first-order data I and c_1 d ad(eta).
     """
 
     def __init__(self, alg: LieAlgebra, eta: Sequence):

@@ -13,39 +13,30 @@ their nonzero first partials by coordinate.
   value and partials already set; a ``MatrixField`` is bound the same way,
   with a matrix as its value and a matrix of dicts as its partials.
   Polynomials keep a memo per point instead, and may be read anywhere.
-- The backend is read from the probe: a point is exact when none of its
-  coordinates is a float (``exact_at``), so a probe with any float
-  coordinate runs on floats.  The nodes that act on the backend read it
-  there: a zero Taylor number counts as zero only at an exact point, and
-  the exp, dexp and inverse nodes pick their coefficients and pivoting
-  by it.
 - One rule set evaluates a field at a probe: the sum, product and scale
   rules of forward mode, each written once as a value rule and a partials
   rule over values and dicts of nonzero partials.  They keep a fixed
-  operand order and drop a term with a zero factor, so that even float
-  bits do not depend on the path a number took, and a zero is the int 0.
-  The lazy nodes ``FSum``, ``FProd`` and ``FScale`` call them when first
-  read, for every k at once; ``f_add``, ``f_mul`` and ``f_scale`` call
-  them at once when an operand is a ``Taylor`` number.  ``FPartial``'s
-  value is its child's ``dvalue``, and it builds its child's derivative
-  graph once.
+  operand order and drop a term with a zero factor, and a zero is the
+  int 0.  The lazy nodes ``FSum``, ``FProd`` and ``FScale`` call them
+  when first read, for every k at once; ``f_add``, ``f_mul`` and
+  ``f_scale`` call them at once when an operand is a ``Taylor`` number.
+  ``FPartial``'s value is its child's ``dvalue``, and it builds its
+  child's derivative graph once.
 - One node per term: a sum of one live operand is that operand, and a
   product carries its scale, ``f_mul(a, b, c)``, which gives exactly what
   ``f_scale(f_mul(a, b), c)`` gives on every path but builds one node.
   ``f_scale`` of an unscaled product node is still a product node that
   applies the scale last, so a lazy product shared by several scales is
   multiplied out once per scale; an eager polynomial product is shared
-  outright.  A folded sign keeps the bits (negation commutes with
-  rounding).
+  outright.
 - A ``MatrixField`` computes its value matrix from its entries' values
   and, when first asked, its partials from their values and partials.
   Its entry cache holds weak references: a live entry node is shared,
   and a matrix and its entries form no cycle, so refcounting frees them.
   An inverse takes V from ``linalg.mat_inverse`` and its partials as
-  -V (dE) V.  exp and dexp sum c_k M^k over Taylor numbers: where M
-  vanishes at the point, as every exact case needs, that is I c_0 with
-  partials c_1 dM; otherwise (floats) the series runs to convergence, on
-  the values and then on the values and partials together.
+  -V (dE) V.  exp and dexp sum c_k M^k over Taylor numbers at a point
+  where M vanishes, as every chart's exponent does at its probe: that is
+  I c_0 with partials c_1 dM.
 """
 
 from __future__ import annotations
@@ -58,26 +49,18 @@ from typing import List
 from . import linalg
 from .scalars import Polynomial, _add, _mul
 
-SERIES_CAP = 64
-FLOAT_SERIES_TOL = 1e-17
-
 _UNSET = object()  # memo slot not yet computed
 
 
 class TruncationError(ArithmeticError):
-    """Series failed to converge within the hard term cap."""
+    """A series that does not terminate: an exponent that does not vanish
+    at the point, or a numeric series not below its tolerance in time."""
 
 
 class TaylorError(ArithmeticError):
     """A lazy node was read at a point other than the one it is bound to,
     or for a partial it does not hold (an order-0 Taylor number's, a
     dropped one, or a matrix entry's second partials)."""
-
-
-def exact_at(point) -> bool:
-    """Whether ``point`` is on the exact backend: none of its coordinates
-    is a float."""
-    return not any(isinstance(x, float) for x in point)
 
 
 def _nonzero(d: dict) -> dict:
@@ -332,7 +315,7 @@ class Taylor(_Lazy):
 
 def at_probe(f, pt: tuple):
     """``f`` read at ``pt`` as a Taylor number, except a zero polynomial,
-    which adds no term where a float zero Taylor number would be kept."""
+    which is returned as it is."""
     return f if isinstance(f, Polynomial) and f.is_zero() else Taylor.of(f, pt)
 
 
@@ -445,13 +428,11 @@ def f_partial(a, k: int):
 
 
 def f_is_zero(a) -> bool:
-    """True for the zero polynomial, and for a Taylor number at an exact
-    point whose value and partials are all zero.  A float zero is kept:
-    dropping it could turn a mixed sum into a polynomial, whose products
-    and values round differently from the lazy graph's."""
+    """True for the zero polynomial, and for a Taylor number whose value
+    and partials are all zero."""
     if isinstance(a, Polynomial):
         return a.is_zero()
-    return isinstance(a, Taylor) and not a._v and not a._d and exact_at(a._pt)
+    return isinstance(a, Taylor) and not a._v and not a._d
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +474,7 @@ class MatrixEntryField(_Lazy):
 
 
 class MatrixExpField(MatrixField):
-    """exp(M(x)) = sum_k M^k / k!; exact when M vanishes at the point."""
+    """exp(M(x)) = sum_k M^k / k!, read where M vanishes."""
 
     shift = 0
 
@@ -513,48 +494,22 @@ class MatrixDexpField(MatrixExpField):
     shift = 1
 
 
-def _mat_prod(A, B):
-    """A B over Taylor numbers, each entry summed in ascending inner index."""
-    return [[f_add(*[f_mul(a, brow[j]) for a, brow in zip(row, B)])
-             for j in range(len(B[0]))] for row in A]
-
-
-def _norm(M):
-    """Largest absolute value among the entries' values and partials."""
-    return max((abs(x) for row in M for t in row
-                for x in ([t._v] if t._d is None else [t._v, *t._d.values()])), default=0)
-
-
 def _series(M, shift: int):
     """sum_k c_k M^k with c_k = 1/(k + shift)! over Taylor numbers, all of
-    order 0 or all of order 1, on the backend of their point.  Where M
-    vanishes at the point the series stops after its first-order term,
-    I c_0 + c_1 M; otherwise (floats only) it stops at the first term
-    whose values and partials are all below the tolerance."""
-    t, dim = M[0][0], len(M)
-    exact = exact_at(t._pt)
+    order 0 or all of order 1, at a point where M vanishes: there the
+    series stops after its first-order term, I c_0 + c_1 M."""
+    if any(m._v for row in M for m in row):
+        raise TruncationError("matrix series does not terminate unless the "
+                              "exponent vanishes at the point")
+    t = M[0][0]
+    c0 = Fraction(1, math.factorial(shift))
+    c1 = Fraction(1, math.factorial(shift + 1))
 
-    def coeff(k):
-        f = math.factorial(k + shift)
-        return Fraction(1, f) if exact else 1 / f
+    def unit(i, j):
+        return Taylor(t.n, t._pt, c0 if i == j else 0, None if t._d is None else {})
 
-    out = [[Taylor(t.n, t._pt, _mul(coeff(0), 1) if i == j else 0,
-                   None if t._d is None else {}) for j in range(dim)] for i in range(dim)]
-    vanishing = not any(t._v for row in M for t in row)
-    if not vanishing and exact:
-        raise TruncationError("matrix series does not terminate on the exact "
-                              "backend unless the exponent vanishes there")
-    scale = max(1.0, _norm(M))
-    term = M  # M^1; the identity times M would give the same numbers
-    for k in range(1, SERIES_CAP):
-        if k > 1:
-            term = _mat_prod(term, M)
-        c = coeff(k)
-        out = [[f_add(a, f_scale(b, c)) for a, b in zip(ro, rt)]
-               for ro, rt in zip(out, term)]
-        if vanishing or _norm(term) * abs(c) < FLOAT_SERIES_TOL * scale:
-            return out
-    raise TruncationError(f"series did not converge within {SERIES_CAP} terms")
+    return [[f_add(unit(i, j), f_scale(m, c1)) for j, m in enumerate(row)]
+            for i, row in enumerate(M)]
 
 
 def _dot(pairs):
@@ -569,13 +524,13 @@ def _dot(pairs):
 
 
 class MatrixInverseField(MatrixField):
-    """E(x)^-1: V from ``linalg.mat_inverse`` on the backend of the point,
-    and the partials of V as -V (dE) V, formed as (-(V dE)) V like the
-    Neumann series (1 + V (E - E(p)))^-1 V."""
+    """E(x)^-1: V from ``linalg.mat_inverse`` at the point, and the
+    partials of V as -V (dE) V, formed as (-(V dE)) V like the Neumann
+    series (1 + V (E - E(p)))^-1 V."""
 
     def _value(self, pt):
         E = [[f.value(pt) for f in row] for row in self.entries]
-        return linalg.mat_inverse(E, exact_at(pt))
+        return linalg.mat_inverse(E)
 
     def _partials(self, pt):
         V = self.value(pt)

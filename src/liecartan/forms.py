@@ -12,8 +12,7 @@ its product node.  ``sort_index``, ``merge_sign`` and the index masks
 are pure functions of small index tuples, memoised in module-level dicts
 that start empty.  A coframe builds each one-form once, at its probe
 when it has one, so that its minors are ``Taylor`` arithmetic there;
-``signed_minor`` gives the sorted minor and the sign to fold in.  A
-coframe's probe sets the backend of its forms, inverse and decompositions.
+``signed_minor`` gives the sorted minor and the sign to fold in.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (MatrixField, MatrixInverseField, Taylor, at_probe, exact_at,
+from .fields import (MatrixField, MatrixInverseField, Taylor, at_probe,
                      f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero)
 from .scalars import Polynomial
 
@@ -361,8 +360,7 @@ class Coframe:
     that it is not singular there, and builds its forms and minors from
     ``Taylor`` numbers there; ``entries`` and the inverse stay symbolic.
     One without gives symbolic forms and minors, but no inverse and no
-    decomposition.  The probe sets the backend: one with any float
-    coordinate is inverted on floats, with partial pivoting.
+    decomposition.
     """
 
     def __init__(self, entries: List[List[object]], probe: Optional[Tuple] = None):
@@ -486,8 +484,7 @@ class UnsupportedDegreeError(ValueError):
 
 
 def decompose(form: Form, coframe: Coframe, mode: str):
-    """Coefficients of ``form`` in the coframe basis at the coframe's probe,
-    on its backend: floats when any probe coordinate is a float.
+    """Coefficients of ``form`` in the coframe basis at the coframe's probe.
 
     ``by-coframe`` handles degrees 1 and 2 and returns alpha_A / alpha_AB,
     from the coframe's memoised inverse; ``by-cominors`` handles codegrees
@@ -496,7 +493,7 @@ def decompose(form: Form, coframe: Coframe, mode: str):
     if coframe.probe is None:
         raise ValueError("decompose needs a coframe built with a probe")
     N = coframe.N
-    point, exact = coframe.probe, exact_at(coframe.probe)
+    point = coframe.probe
     comp_vals: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
     for key, sk, fld in form.terms():
         comp_vals.setdefault(key, {})[sk] = fld.value(point)
@@ -513,9 +510,8 @@ def decompose(form: Form, coframe: Coframe, mode: str):
             return _unwrap(out, form)
         if form.degree == 2:
             # zero chart and V entries are skipped, keeping the term order;
-            # the start value keeps an all-zero coefficient in the backend's
-            # number type
-            zero = Fraction(0) if exact else 0.0
+            # the start value keeps an all-zero coefficient a Fraction
+            zero = Fraction(0)
             out = {}
             for sk in slot_keys:
                 chart = [[0] * N for _ in range(N)]
@@ -548,7 +544,7 @@ def decompose(form: Form, coframe: Coframe, mode: str):
         out = {}
         for sk in slot_keys:
             rhs = [comp_vals.get(row, {}).get(sk, 0) for row in rows]
-            sol = linalg.solve(A, [rhs], exact)[0]
+            sol = linalg.solve(A, [rhs])[0]
             out[sk] = dict(zip(basis, sol))
         return _unwrap(out, form)
 

@@ -132,7 +132,6 @@ def split_hypotheses_hold(split: SplitAlgebra) -> bool:
 
 
 def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
-                        exact: bool = True,
                         flat: bool = False, linear_group: bool = False,
                         p_vars: Optional[str] = None) -> GravityChart:
     """Trivialized chart with certified invariants.
@@ -143,7 +142,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
     """
     if not split_hypotheses_hold(split):
         raise ChartInvariantError("split must be reductive, symmetric, unimodular")
-    rng = Rng(seed, exact)
+    rng = Rng(seed)
     n, r = split.n, split.r
     N = n + r
     probe = base_probe(rng, n, r)
@@ -152,7 +151,7 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
         for pos, i in enumerate(split.l_indices):
             e = [0] * N
             e[n + pos] = 1
-            eta[i] = Polynomial(N, {tuple(e): Fraction(1) if exact else 1.0})
+            eta[i] = Polynomial(N, {tuple(e): Fraction(1)})
         gm = GroupMap(split.ambient, eta)
     else:
         gm = build_group_map(split, n, rng)
@@ -210,7 +209,6 @@ def certify_gravity_chart(chart: GravityChart):
     s_idx, l_idx = split.s_indices, split.l_indices
     N = chart.N
     pt = chart.probe
-    floor = 0 if chart.exact else 1e-10
     F_terms: Dict[int, list] = {}
     for (k, l), (I,), fld in chart.F_form.terms():
         F_terms.setdefault(I, []).append((k, l, fld))
@@ -227,7 +225,7 @@ def certify_gravity_chart(chart: GravityChart):
             for B in range(A + 1, N):
                 if A in s_idx and B in s_idx:
                     continue
-                if abs(_col_dot(V, FV[I], A, B)) > floor:
+                if _col_dot(V, FV[I], A, B) != 0:
                     raise ChartInvariantError(
                         f"F block ({A},{B}) does not vanish at {pt}")
     dE = [[[f.dvalue(pt, j) for j in range(N)] for f in row]
@@ -248,7 +246,7 @@ def certify_gravity_chart(chart: GravityChart):
                 d = _col_dot(DV[L], FV[I], A, B) - _col_dot(DV[L], FV[I], B, A)
                 for k, l, c in dF[L]:
                     d += c * (V[k][A] * V[l][B] - V[l][A] * V[k][B])
-                if abs(d) > floor:
+                if d != 0:
                     raise ChartInvariantError(
                         f"F coefficient ({I},{A},{B}) varies along the fiber")
 

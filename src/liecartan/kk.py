@@ -134,7 +134,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_kk_chart(split: SplitAlgebra, n_base: int, seed: int,
-                   exact: bool = True, constant_F: bool = False,
+                   constant_F: bool = False,
                    curved_base: bool = False) -> GaugeChart:
     """Chart e = beta(x) + A^g(x) + dg g^{-1} with p^{ss} = 0.
 
@@ -143,8 +143,7 @@ def build_kk_chart(split: SplitAlgebra, n_base: int, seed: int,
     constant_F uses potentials A^g = -c x^l dx^k with constant F.  The
     suites check that the block metric is ad-invariant before a case runs.
     """
-    chart = assemble_chart(split, n_base, seed, exact=exact,
-                           curved_base=curved_base,
+    chart = assemble_chart(split, n_base, seed, curved_base=curved_base,
                            l_rows="constant" if constant_F else "random")
     rng = chart.rng
     N = chart.N

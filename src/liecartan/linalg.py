@@ -1,8 +1,9 @@
-"""Small dense linear algebra over Fractions or floats.
+"""Small dense linear algebra over Fractions, and numeric helpers.
 
 Everything here operates on lists of lists; sizes stay below ~120 so no
-external dependency is warranted.  Exact Gaussian elimination is the
-default; the float path uses partial pivoting with a 1e-12 pivot floor.
+external dependency is warranted.  ``solve`` and ``mat_inverse`` run exact
+Gaussian elimination; ``rank`` and ``mat_exp`` are numeric, with a 1e-12
+pivot floor and a series tolerance.
 """
 
 from __future__ import annotations
@@ -55,34 +56,23 @@ def max_norm(A) -> float:
     return max((abs(x) for row in A for x in row), default=0)
 
 
-def solve(A, rhs_cols: List[List], exact: bool) -> List[List]:
+def solve(A, rhs_cols: List[List]) -> List[List]:
     """Solve A X = B where B is given as a list of columns; returns columns.
 
-    ``exact`` pivots on the first nonzero entry and divides in ``Fraction``;
-    it rejects float and complex entries, which need partial pivoting."""
+    Pivots on the first nonzero entry and divides in ``Fraction``; float
+    and complex entries, which would need partial pivoting, are rejected."""
     n = len(A)
     m = len(rhs_cols)
     aug = [list(A[i]) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
-    if exact and any(isinstance(x, (float, complex)) for row in aug for x in row):
+    if any(isinstance(x, (float, complex)) for row in aug for x in row):
         raise ValueError("an exact solve needs int or Fraction entries, not floats")
     for col in range(n):
-        piv = None
-        if exact:
-            for r in range(col, n):
-                if aug[r][col] != 0:
-                    piv = r
-                    break
-        else:
-            best = PIVOT_TOL
-            for r in range(col, n):
-                if abs(aug[r][col]) > best:
-                    best = abs(aug[r][col])
-                    piv = r
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise SingularMatrixError("singular system")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = (Fraction(1) / aug[col][col]) if exact else (1.0 / aug[col][col])
+        inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r == col:
@@ -93,9 +83,9 @@ def solve(A, rhs_cols: List[List], exact: bool) -> List[List]:
     return [[aug[i][n + j] for i in range(n)] for j in range(m)]
 
 
-def mat_inverse(A, exact: bool):
+def mat_inverse(A):
     n = len(A)
-    cols = solve(A, [[1 if i == j else 0 for i in range(n)] for j in range(n)], exact)
+    cols = solve(A, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 

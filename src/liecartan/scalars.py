@@ -3,9 +3,8 @@ and the exact-arithmetic helpers.
 
 A polynomial is read at a probe the way a lazy field is (see
 ``fields``): by its value, its first partial along one coordinate, or
-the dict of its nonzero first partials.  All arithmetic is exact when
-the coefficients are Fractions; the same code runs on floats for the
-non-exact backend.
+the dict of its nonzero first partials.  All arithmetic is exact: the
+coefficients are ints and Fractions.
 
 Coefficient arithmetic goes through four helpers, ``_add``, ``_sub``,
 ``_mul`` and ``_neg`` (used here, in ``fields``, ``linalg`` and the
@@ -15,8 +14,8 @@ CPython's ``Fraction._add`` and ``_mul``, and the result is built with
 ``object.__new__(Fraction)`` and its ``_numerator``/``_denominator``
 slots.  That skips the operator dispatch, the ``numerator``/
 ``denominator`` properties and ``Fraction.__new__``, which cost most of
-the time of a Fraction operation on the small operands here.  Two ints
-and anything with a float go through the plain operator.
+the time of a Fraction operation on the small operands here.  Two ints,
+and anything else (a float, say), go through the plain operator.
 
 Most coefficient operations have an operand that is 0 or +-1, so the
 helpers also skip an operation whose result is already known:
@@ -39,10 +38,8 @@ The results are bit-identical to the plain operators:
 - a skip returns an operand, its negation or a Fraction zero only where
   the operation gives that type.  ``_add`` skips the int 0 beside a
   Fraction and a Fraction 0 beside a Fraction.  ``_mul`` skips an int
-  +-1 or a Fraction +-1 beside a Fraction, a Fraction +-1 beside a float,
-  and an int or Fraction 0 beside a Fraction.  A float 1.0 times a
-  Fraction, or a Fraction 1 times an int, is still multiplied, and a
-  float is always added, so ``0 + -0.0`` still becomes ``0.0``.
+  +-1 or a Fraction +-1 beside a Fraction, and an int or Fraction 0
+  beside a Fraction.  A Fraction 1 times an int is still multiplied.
 
 The kernels rely on Fraction keeping its value in the ``_numerator`` and
 ``_denominator`` slots, as CPython's ``fractions`` does;
@@ -156,14 +153,10 @@ def _mul(a, b):
         elif cb is int:
             nb, db = b, 1
         else:
-            if da == 1 and cb is float and (na == 1 or na == -1):
-                return b if na == 1 else -b
             return a * b
     elif cb is Fraction:
         nb, db = b._numerator, b._denominator
         if ca is not int:
-            if db == 1 and ca is float and (nb == 1 or nb == -1):
-                return a if nb == 1 else -a
             return a * b
         na, da = a, 1
     else:

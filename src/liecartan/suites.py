@@ -63,12 +63,10 @@ class SuiteConfig:
         kappa_spec(self)
         if self.cases < 1:
             raise ValueError("case count must be at least 1")
-        if self.backend not in ("rational", "float"):
-            raise ValueError("backend must be rational or float")
-
-    @property
-    def exact(self) -> bool:
-        return self.backend == "rational"
+        if self.backend != "rational":
+            why = ("the float backend is retired" if self.backend == "float"
+                   else "unknown backend")
+            raise ValueError(f"--backend {self.backend}: {why}; use rational")
 
 
 def case_seed(master: int, case_id: int) -> int:
@@ -241,10 +239,10 @@ def _sign(config: SuiteConfig):
 
 def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 3, "3..6", kind="chart")
-    rng = Rng(seed, config.exact)
+    rng = Rng(seed)
     N = config.n or (3, 4, 5, 6)[cid % 4]
     probe = tuple(rng.scalar(-2, 2) for _ in range(N))
-    cf = Coframe(_near_identity(rng, N, probe, config.exact), probe)
+    cf = Coframe(_near_identity(rng, N, probe), probe)
     mins = cf.minors()
     flip = _sign(config)
     top = mins.top if flip > 0 else mins.top.scale(-1)
@@ -342,7 +340,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
                              maurer_cartan_form, maurer_cartan_residual)
     from .forms import contracted_wedge
 
-    rng = Rng(seed, config.exact)
+    rng = Rng(seed)
     alg = _ambient(resolve_algebra(config, cid))
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
@@ -394,7 +392,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     # probe: e from the probed coframe's one-forms, and omega read there.
     # The lemmas above stay lazy: their products, read at the probe, would
     # compute partials that only max_abs's values need, and ran slower.
-    cf = Coframe(_near_identity(rng, n, probe, config.exact), probe)
+    cf = Coframe(_near_identity(rng, n, probe), probe)
     mins = cf.minors()
     e_form = Form(n, 1, (slot,))
     for A in range(n):
@@ -416,10 +414,9 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     return res
 
 
-def _near_identity(rng: Rng, n: int, probe, exact: bool):
+def _near_identity(rng: Rng, n: int, probe):
     """Coframe entries: the identity plus polynomials vanishing at ``probe``."""
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    return [[Polynomial.constant(one if A == k else zero, n)
+    return [[Polynomial.constant(Fraction(1) if A == k else Fraction(0), n)
              + rng.vanishing_poly(n, probe, list(range(n)))
              for k in range(n)] for A in range(n)]
 
@@ -430,7 +427,7 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     from .connection import algebra_slot
     from .ym import YMFields, ym_el_residuals
 
-    rng = Rng(seed, config.exact)
+    rng = Rng(seed)
     split = gauge_split(config, cid)
     if split.n < 2:
         raise ValueError(f"--dim {config.n}: ym-el needs a base dimension "
@@ -439,16 +436,15 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
     n = split.n
     N = alg.dim
     slot = algebra_slot(alg)
-    one = Fraction(1) if config.exact else 1.0
     beta = Form(N, 1, (slot,))
     for pos, a in enumerate(split.s_indices):
-        beta.add_term((pos,), (a,), Polynomial.constant(one, N))
+        beta.add_term((pos,), (a,), Polynomial.constant(Fraction(1), N))
     beta._finalize()
     theta = Form(N, 1, (slot,))
     for pos, i in enumerate(split.l_indices):
-        theta.add_term((n + pos,), (i,), Polynomial.constant(one, N))
+        theta.add_term((n + pos,), (i,), Polynomial.constant(Fraction(1), N))
     theta._finalize()
-    probe = tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))
+    probe = (Fraction(0),) * N
     mag = rng.nonzero_scalar(-2, 2)
     i0 = split.l_indices[0]
     a0, b0 = split.s_indices[0], split.s_indices[1]
@@ -472,7 +468,7 @@ def case_ym_el(config: SuiteConfig, cid: int, seed: int):
 def case_ym_maxwell(config: SuiteConfig, cid: int, seed: int):
     from .ym import maxwell_scenario, maxwell_q_transport_residual
 
-    rng = Rng(seed, config.exact)
+    rng = Rng(seed)
     rep = maxwell_scenario(rng.nonzero_scalar(-3, 3), seed=seed,
                            control_sign=_sign(config))
     return max(abs(rep["elvarpi_residual"]), abs(rep["el_a_residual"]),
@@ -485,8 +481,7 @@ def case_ym_decomp(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 2, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
     split = gauge_split(config, cid, n)
-    chart = build_ym_chart(split, n, seed=seed,
-                           curved_base=(cid % 2 == 1), exact=config.exact)
+    chart = build_ym_chart(split, n, seed=seed, curved_base=(cid % 2 == 1))
     rep = ym_dAp_identity_residual(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -497,19 +492,18 @@ def case_kk_el(config: SuiteConfig, cid: int, seed: int):
     from .kk import KKFields, kk_el_residuals
 
     _require_dim(config, 1)
-    rng = Rng(seed, config.exact)
+    rng = Rng(seed)
     split = gauge_split(config, cid)
     alg = split.ambient
     N = alg.dim
     slot = algebra_slot(alg)
     theta = Form(N, 1, (slot,))
     for A in range(N):
-        theta.add_term((A,), (A,), Polynomial.constant(
-            Fraction(1) if config.exact else 1.0, N))
+        theta.add_term((A,), (A,), Polynomial.constant(Fraction(1), N))
     theta._finalize()
     phi = Form(N, 1, (slot, slot.dual_slot()))
     lam = rng.nonzero_scalar(-2, 2)
-    probe = tuple(Fraction(0) if config.exact else 0.0 for _ in range(N))
+    probe = (Fraction(0),) * N
     fields = KKFields(split, theta, phi, {}, lam, probe)
     rep = kk_el_residuals(fields)
     predicted = abs(lam) * _sign(config)
@@ -522,8 +516,7 @@ def case_kk_lc(config: SuiteConfig, cid: int, seed: int):
 
     _require_dim(config, 2)
     split = gauge_split(config, cid)
-    chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
-                           constant_F=(cid % 3 == 0))
+    chart = build_kk_chart(split, config.n, seed=seed, constant_F=(cid % 3 == 0))
     _, rep = kk_lc_connection(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -533,7 +526,7 @@ def case_kk_curvature(config: SuiteConfig, cid: int, seed: int):
 
     _require_dim(config, 2)
     split = gauge_split(config, cid)
-    chart = build_kk_chart(split, config.n, seed=seed, exact=config.exact,
+    chart = build_kk_chart(split, config.n, seed=seed,
                            constant_F=(cid % 2 == 0),
                            curved_base=(config.n == 2 and cid % 3 == 2))
     rep = kk_curvature_report(chart, control_sign=_sign(config))
@@ -546,7 +539,7 @@ def case_kk_decomp(config: SuiteConfig, cid: int, seed: int):
     _require_dim(config, 1, "2..4")
     n = config.n or (2, 3, 4)[cid % 3]
     split = gauge_split(config, cid, n)
-    chart = build_kk_chart(split, n, seed=seed, exact=config.exact)
+    chart = build_kk_chart(split, n, seed=seed)
     rep = kk_dAp_identity_residual(chart, control_sign=_sign(config))
     return rep["max"]
 
@@ -563,7 +556,7 @@ def _grav_setup(config: SuiteConfig, cid: int, seed: int):
             f"{config.algebra_path or config.algebra or _default(config, cid)} "
             f"(n = {split.n})")
     kap = ka.build_kappa(kind, split, gamma=gamma)
-    return build_gravity_chart(split, kap, seed=seed, exact=config.exact)
+    return build_gravity_chart(split, kap, seed=seed)
 
 
 def case_grav_el(config: SuiteConfig, cid: int, seed: int):

@@ -111,15 +111,14 @@ def ym_el_residuals(fields: YMFields) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_ym_chart(split: SplitAlgebra, n_base: int, seed: int,
-                   curved_base: bool = False, exact: bool = True,
+                   curved_base: bool = False,
                    p_y_dependent: bool = True) -> GaugeChart:
     """Chart satisfying the decomposition hypotheses by construction.
 
     A has x-only dx components with A^s a base coframe; p^ss is pinned to
     minus the raised field strength; p^sg and p^gg are random fields.
     """
-    chart = assemble_chart(split, n_base, seed, exact=exact,
-                           curved_base=curved_base)
+    chart = assemble_chart(split, n_base, seed, curved_base=curved_base)
     rng = chart.rng
     N = chart.N
     s_idx, g_idx = split.s_indices, split.l_indices
@@ -310,7 +309,7 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
     fiber-average quadrature demo are returned.  ``control_sign = -1``
     builds p^{mu nu} = +F^{mu nu}, which (ELvarpi) must reject for E != 0.
     """
-    E = Fraction(E_strength) if not isinstance(E_strength, float) else E_strength
+    E = Fraction(E_strength)
     n, N = 4, 5
     b = [Fraction(-1), Fraction(1), Fraction(1), Fraction(1)]
     # A = -E x^1 dx^0, F = dA = E dx^0 ^ dx^1
@@ -331,7 +330,7 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
     p_up = {(mu, nu): -control_sign * F_up(mu, nu)
             for mu in range(4) for nu in range(4) if mu != nu}
     x0 = Polynomial.coordinate(0, N)
-    p_vec = [x0.scale(E * E / 2 if isinstance(E, float) else Fraction(E * E, 2)),
+    p_vec = [x0.scale(Fraction(E * E, 2)),
              f_zero(N), f_zero(N), f_zero(N)]
 
     # |p^ss|^2 = 1/2 p^{mu nu} p_{mu nu}
@@ -388,7 +387,7 @@ def maxwell_q_transport_residual(seed: int = 0) -> object:
     chart: the implicit coefficient is computed on both sides from
     pi ^ dx^mu ^ dx^nu = Q^{mu nu} dx^(4) ^ theta.
     """
-    rng = Rng(seed, exact=True)
+    rng = Rng(seed)
     N = 5
     # theta = theta_mu(x, y) dx + theta_4(x, y) dy with theta_4 nonvanishing
     theta = [rng.poly(N, deg=2, terms=2) for _ in range(4)]

@@ -24,8 +24,8 @@ class FractionOps(list):
 def fraction_ops(monkeypatch):
     """Record the exact adds, subtracts and multiplies made while the test
     runs: those the ``scalars`` kernels compute, and those that reach
-    Fraction's operators (a float beside a Fraction, or arithmetic outside
-    the helpers).  The kernels build each result with ``scalars._new``;
+    Fraction's operators (arithmetic outside the helpers, or a float beside
+    a Fraction).  The kernels build each result with ``scalars._new``;
     the recorder takes the operands from the kernel's frame.  ``_sub``
     computes through ``_add`` with ``-b``, so a kernel subtraction is
     recorded as that add.  monkeypatch restores everything afterwards."""
@@ -53,15 +53,13 @@ def fraction_ops(monkeypatch):
 
 @pytest.fixture
 def skip_polys():
-    """``build(exact)``: two polynomials with unit coefficients, and a point
-    with a zero and a unit coordinate, on the exact or the float backend."""
-    def build(exact):
-        def c(x):
-            return Fraction(x) if exact else float(Fraction(x))
-        p = poly_field(3, [((0, 0, 0), c("2/3")), ((1, 0, 0), c(1)),
-                           ((0, 1, 0), c(-1)), ((1, 1, 0), c("5/4")),
-                           ((0, 1, 1), c(1)), ((0, 0, 2), c("-7/3"))])
-        q = poly_field(3, [((0, 0, 1), c(-1)), ((0, 1, 0), c(3)),
-                           ((0, 0, 0), c(1)), ((1, 0, 1), c("1/2"))])
-        return p, q, (c(0), c(1), c("-3/2"))
+    """``build()``: two polynomials with unit coefficients, and a point
+    with a zero and a unit coordinate."""
+    def build():
+        p = poly_field(3, [((0, 0, 0), Fraction("2/3")), ((1, 0, 0), Fraction(1)),
+                           ((0, 1, 0), Fraction(-1)), ((1, 1, 0), Fraction("5/4")),
+                           ((0, 1, 1), Fraction(1)), ((0, 0, 2), Fraction("-7/3"))])
+        q = poly_field(3, [((0, 0, 1), Fraction(-1)), ((0, 1, 0), Fraction(3)),
+                           ((0, 0, 0), Fraction(1)), ((1, 0, 1), Fraction("1/2"))])
+        return p, q, (Fraction(0), Fraction(1), Fraction("-3/2"))
     return build

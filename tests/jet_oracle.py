@@ -6,7 +6,7 @@ It is computed by the Taylor shift, prod_i (p_i + h_i)^{e_i} expanded and
 truncated, which shares no code with ``Polynomial.value``/``dvalue`` or
 the lazy nodes' rules, so the tests read those against it.  Its products
 and sums go through the ``scalars`` helpers, in the shift's order, so
-that float bits can be compared by ``repr``.
+that results can be compared by ``repr``, types included.
 """
 
 from __future__ import annotations

@@ -168,10 +168,34 @@ def test_cli_malformed_algebra_file(tmp_path):
     assert out.returncode == 2
 
 
-def test_cli_float_backend():
+def _one_error_line(out, start):
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), out.stderr
+
+
+def test_cli_rejects_the_float_backend():
     out = _run_cli("--suite", "forms-identities", "--cases", "2",
                    "--backend", "float", "--dim", "3", "--tol", "1e-9")
-    assert out.returncode == 0
+    assert out.stderr == ("error: --backend float: the float backend is "
+                          "retired; use rational\n")
+    _one_error_line(out, "error: --backend float: ")
+
+
+def test_cli_unwritable_out_is_one_line(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    out = _run_cli("--suite", "forms-identities", "--cases", "1", "--out", str(path))
+    _one_error_line(out, "error: ")
+    assert str(path) in out.stderr and not path.exists()
+
+
+@pytest.mark.parametrize("suite,spec", [("gauge-lemmas", "so(1)"),
+                                        ("ym-decomp", "so(1)"), ("kk-el", "so(0)"),
+                                        ("lie-checks", "so(-1)"),
+                                        ("lie-checks", "so(1,0)")])
+def test_cli_rejects_a_zero_dimensional_so(suite, spec):
+    out = _run_cli("--suite", suite, "--algebra", spec, "--cases", "1")
+    _one_error_line(out, f"error: {spec}: so(n) needs n >= 2")
 
 
 @pytest.mark.parametrize("args,flag", [

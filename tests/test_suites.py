@@ -2,10 +2,8 @@
 
 The QUICK runs, plain and, for the suites that declare it, with the
 ``sign`` corruption, compare their reports, apart from ``wall_time``, with
-the committed ``golden/quick_reports.json``; the float runs are pinned at a
-second master seed as well, under ``<suite>/float/seed<seed>`` and
-``<suite>/float/sign/seed<seed>``.  After a deliberate change to the
-reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``,
+the committed ``golden/quick_reports.json``, under ``<suite>/rational`` and
+``<suite>/rational/sign``.  After a deliberate change to the reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``,
 which first prints each key as unchanged, changed (old -> new
 ``max_residual``), added or removed.
 """
@@ -46,8 +44,6 @@ QUICK = {
     "constants": dict(cases=5),
 }
 
-
-FLOAT_SUITES = sorted(EXPECTED_SUITES)
 SIGN_SUITES = sorted(s for s, d in REGISTRY.items() if "sign" in d.corruptions)
 
 # reports on charts that no QUICK run builds, under their golden key
@@ -61,18 +57,8 @@ PINNED = {
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
 
-# master seeds besides the default 42 at which the float QUICK reports are
-# pinned
-FLOAT_SEEDS = (7,)
-
-
-def _quick_config(suite, backend, corruption=None, seed=42):
-    return SuiteConfig(suite=suite, backend=backend, corruption=corruption,
-                       seed=seed, **QUICK[suite])
-
-
-def _seed_key(suite, corruption, seed):
-    return f"{suite}/float/{corruption + '/' if corruption else ''}seed{seed}"
+def _quick_config(suite, corruption=None):
+    return SuiteConfig(suite=suite, corruption=corruption, **QUICK[suite])
 
 
 def _canonical(report) -> str:
@@ -91,17 +77,10 @@ def test_registry_is_complete():
 
 @pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
 def test_every_suite_passes_on_rational_backend(suite, golden):
-    rep = run_suite(_quick_config(suite, "rational"))
+    rep = run_suite(_quick_config(suite))
     assert rep["pass"], rep
     assert rep["max_residual"] == 0
     assert _canonical(rep) == _canonical(golden[f"{suite}/rational"])
-
-
-@pytest.mark.parametrize("suite", FLOAT_SUITES)
-def test_float_backend_within_tolerance(suite, golden):
-    rep = run_suite(_quick_config(suite, "float"))
-    assert rep["pass"], rep
-    assert _canonical(rep) == _canonical(golden[f"{suite}/float"])
 
 
 def _matches_golden(config, key, golden):
@@ -115,36 +94,24 @@ def _matches_golden(config, key, golden):
     assert _canonical(run_suite(config)) == _canonical(golden[key])
 
 
-@pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
-def test_sign_corrupted_reports_match_golden(suite, backend, golden):
-    _matches_golden(_quick_config(suite, backend, "sign"),
-                    f"{suite}/{backend}/sign", golden)
+def test_sign_corrupted_reports_match_golden(suite, golden):
+    _matches_golden(_quick_config(suite, "sign"), f"{suite}/rational/sign", golden)
 
 
-@pytest.mark.parametrize("corruption", [None, "sign"], ids=["plain", "sign"])
-@pytest.mark.parametrize("seed", FLOAT_SEEDS)
-@pytest.mark.parametrize("suite", FLOAT_SUITES)
-def test_float_reports_match_golden_at_seed(suite, seed, corruption, golden):
-    _matches_golden(_quick_config(suite, "float", corruption, seed),
-                    _seed_key(suite, corruption, seed), golden)
-
-
-@pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_reports_match_golden(name, backend, golden):
-    rep = run_suite(SuiteConfig(backend=backend, **PINNED[name]))
+def test_pinned_reports_match_golden(name, golden):
+    rep = run_suite(SuiteConfig(**PINNED[name]))
     assert rep["pass"], rep
-    assert _canonical(rep) == _canonical(golden[f"{name}/{backend}"])
+    assert _canonical(rep) == _canonical(golden[f"{name}/rational"])
 
 
-@pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("kwargs", [
     dict(suite="forms-identities", n=6),
     dict(suite="gauge-lemmas", algebra="p_0(3)"),
     dict(suite="grav-decomp", algebra="p_1(4)"),
 ], ids=["forms-identities-6", "gauge-lemmas-p_0(3)", "grav-decomp-p_1(4)"])
-def test_a_case_leaves_no_cyclic_garbage(kwargs, backend):
+def test_a_case_leaves_no_cyclic_garbage(kwargs):
     """A case's forms, minors and field graph hold no reference cycle, so
     refcounting frees them when the case returns.  The collector is
     paused while the case runs, so that it cannot hide a cycle."""
@@ -152,7 +119,7 @@ def test_a_case_leaves_no_cyclic_garbage(kwargs, backend):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rep = run_suite(SuiteConfig(backend=backend, cases=1, **kwargs))
+        rep = run_suite(SuiteConfig(cases=1, **kwargs))
         assert rep["pass"]
         del rep
         assert gc.collect() == 0
@@ -199,22 +166,13 @@ def test_constants_report_notes_lambda():
 
 def _golden_reports():
     """Every golden report by its key, without ``wall_time``."""
-    runs = [(s, "rational") for s in sorted(EXPECTED_SUITES)]
-    runs += [(s, "float") for s in FLOAT_SUITES]
     reports = {}
-    for suite, backend in runs:
-        reports[f"{suite}/{backend}"] = run_suite(_quick_config(suite, backend))
+    for suite in sorted(EXPECTED_SUITES):
+        reports[f"{suite}/rational"] = run_suite(_quick_config(suite))
         if suite in SIGN_SUITES:
-            reports[f"{suite}/{backend}/sign"] = run_suite(
-                _quick_config(suite, backend, "sign"))
-    for suite in FLOAT_SUITES:
-        for seed in FLOAT_SEEDS:
-            for corruption in (None, "sign") if suite in SIGN_SUITES else (None,):
-                reports[_seed_key(suite, corruption, seed)] = run_suite(
-                    _quick_config(suite, "float", corruption, seed))
+            reports[f"{suite}/rational/sign"] = run_suite(_quick_config(suite, "sign"))
     for name, kwargs in sorted(PINNED.items()):
-        for backend in ("rational", "float"):
-            reports[f"{name}/{backend}"] = run_suite(SuiteConfig(backend=backend, **kwargs))
+        reports[f"{name}/rational"] = run_suite(SuiteConfig(**kwargs))
     for rep in reports.values():
         rep.pop("wall_time")
     return reports
