@@ -17,6 +17,10 @@ from liecartan.forms import Coframe, Form, contracted_wedge, exterior_d, one_for
 from liecartan.scalars import Polynomial
 from liecartan.suites import _near_identity
 
+# the number backend these tests run on, as ``--backend`` names it; the id
+# of each test that takes it ends in that name
+RATIONAL = pytest.mark.parametrize("backend", ["rational"])
+
 
 def rng_poly(rng, n, deg=2, terms=3):
     out = {}
@@ -289,8 +293,9 @@ def test_minor_leibniz_unimodular(probed):
             - contracted_wedge(dwe, m3, [(0, 2)])).max_abs(probe) == 0
 
 
+@RATIONAL
 @pytest.mark.parametrize("spec", ["su2", "p_0(3)"])
-def test_probed_minor_leibniz_inputs(spec, monkeypatch):
+def test_probed_minor_leibniz_inputs(backend, spec, monkeypatch):
     """gauge-lemmas' minor-Leibniz block reads e and omega at the probe: the
     probed e has the symbolic one's keys in order (less the terms that are
     zero there), and its values and kept partials there; every coefficient

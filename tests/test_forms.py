@@ -15,6 +15,10 @@ from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
                              sort_index, wedge)
 from liecartan.scalars import Polynomial
 
+# the number backend these tests run on, as ``--backend`` names it; the id
+# of each test that takes it ends in that name
+RATIONAL = pytest.mark.parametrize("backend", ["rational"])
+
 
 def rng_poly(rng, n, deg=2, terms=3):
     out = {}
@@ -177,8 +181,9 @@ def _layout(form, pt):
             for K, bucket in form.comps.items()]
 
 
+@RATIONAL
 @pytest.mark.parametrize("seed", range(4))
-def test_wedge_matches_nested_loop_reference(seed):
+def test_wedge_matches_nested_loop_reference(backend, seed):
     rng = random.Random(seed)
     n = 6
     V, W = Slot("v", 3), Slot("w", 2)
@@ -551,8 +556,9 @@ def generic_coframe(seed, N):
     return entries, probe
 
 
+@RATIONAL
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
-def test_probed_coframe_builds_the_forms_of_its_entries(N):
+def test_probed_coframe_builds_the_forms_of_its_entries(backend, N):
     """Each one-form and minor of codegree 0..3 that a coframe builds at its
     probe has the keys, in order, and the value and kept partials there of
     the form built from the symbolic entries."""

@@ -27,6 +27,10 @@ from liecartan.kappa import build_kappa, lambda_constant
 from liecartan.scalars import Polynomial
 from liecartan.suites import case_seed
 
+# the number backend these tests run on, as ``--backend`` names it; the id
+# of each test that takes it ends in that name
+RATIONAL = pytest.mark.parametrize("backend", ["rational"])
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "liecartan"
 
 # the blocks ``grav_el_blocks`` adds to r1, transport, scalar and q_zero_rows
@@ -74,7 +78,8 @@ def test_certification_rejects_broken_invariants():
             certify_gravity_chart(chart)
 
 
-def test_certification_rejects_fiber_dependent_ss_block():
+@RATIONAL
+def test_certification_rejects_fiber_dependent_ss_block(backend):
     # y_0 dx^0 ^ dx^1 in slot 0 vanishes at the probe (y = 0), so only the
     # frame derivative along the fiber sees it
     for seed in (42, 43):
@@ -87,7 +92,8 @@ def test_certification_rejects_fiber_dependent_ss_block():
             certify_gravity_chart(chart)
 
 
-def test_certification_rejects_fiber_dependent_frame():
+@RATIONAL
+def test_certification_rejects_fiber_dependent_frame(backend):
     # F is unchanged, but the s frame now moves along the fiber, so the
     # frame coefficients of the s-s block do
     from liecartan.forms import Coframe
@@ -450,7 +456,8 @@ def test_action_density_invariance_constant_gauge():
     assert abs(wedge_scalar(pi_t, phi_t) - plain) <= 1e-9 * max(1.0, abs(plain))
 
 
-def test_sign_reaches_every_new_grav_el_block():
+@RATIONAL
+def test_sign_reaches_every_new_grav_el_block(backend):
     # the chart of the QUICK grav-el run (case 0 at master seed 42): each
     # new block alone fails under the flipped term, and passes without it
     sp, kap, chart = p03_chart(seed=case_seed(42, 0))
@@ -479,11 +486,15 @@ def _top_level_functions_unreached(module: Path):
     return unreached
 
 
+def test_every_gravity_function_is_reached_from_the_package():
+    # a name in an import alone does not count: it must be used
+    assert _top_level_functions_unreached(SRC / "gravity.py") == []
+
+
 # ym and kk each keep one function that only the tests reach
 @pytest.mark.parametrize("module", ["charts", "connection", "fields", "forms",
-                                    "gravity", "linalg", "suites"])
+                                    "linalg", "suites"])
 def test_every_function_is_reached_from_the_package(module):
-    # a name in an import alone does not count: it must be used
     assert _top_level_functions_unreached(SRC / f"{module}.py") == []
 
 

@@ -174,7 +174,7 @@ def _one_error_line(out, start):
     assert len(lines) == 1 and lines[0].startswith(start), out.stderr
 
 
-def test_cli_rejects_the_float_backend():
+def test_cli_float_backend():
     out = _run_cli("--suite", "forms-identities", "--cases", "2",
                    "--backend", "float", "--dim", "3", "--tol", "1e-9")
     assert out.stderr == ("error: --backend float: the float backend is "

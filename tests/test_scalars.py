@@ -12,6 +12,10 @@ from jet_oracle import JetOrderError, finite_difference_check, jet_at, poly_jet
 from liecartan.scalars import (MalformedFieldError, Polynomial, _add, _mul, _neg,
                                _sub, poly_field)
 
+# the number backend these tests run on, as ``--backend`` names it; the id
+# of each test that takes it ends in that name
+RATIONAL = pytest.mark.parametrize("backend", ["rational"])
+
 
 def test_product_rule_on_xy():
     f = poly_field(2, [((1, 1), F(1))])
@@ -197,7 +201,17 @@ def test_mul_keeps_the_product_type(a, b, skipped, fraction_ops):
         assert (not fraction_ops) == skipped, (x, y)
 
 
-# (a, b, skipped) as for MUL_CASES
+@pytest.mark.parametrize("a,b", [(1, 2.5), (-1, 2.5), (-1, 0.0), (-1, -0.0),
+                                 (0, -2.5), (1, 7), (-1, 7), (0, 7), (1.0, 2.5),
+                                 (-1.0, 0.0)])
+def test_mul_of_ints_and_floats_is_the_product(a, b):
+    for x, y in ((a, b), (b, a)):
+        got = _mul(x, y)
+        assert type(got) is type(x * y) and repr(got) == repr(x * y), (x, y)
+
+
+# (a, b, skipped) as for MUL_CASES; a float is always added, so 0 + -0.0
+# still gives 0.0
 ADD_CASES = [
     (0, F(2, 3), True), (F(0), F(2, 3), True), (0, F(0), True),
     (F(0), 5, False), (F(0), -0.0, False), (0.0, F(2, 3), False),
@@ -213,6 +227,13 @@ def test_add_keeps_the_sum_type(a, b, skipped, fraction_ops):
         got = _add(x, y)
         assert type(got) is type(want) and repr(got) == repr(want), (x, y)
         assert (not fraction_ops) == skipped, (x, y)
+
+
+@pytest.mark.parametrize("a,b", [(0, -0.0), (0.0, -0.0), (-0.0, -0.0),
+                                 (0, 0.0), (-0.0, 2.5), (0, 7)])
+def test_add_keeps_the_sign_of_a_float_zero(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert repr(_add(x, y)) == repr(x + y), (x, y)
 
 
 # the results of the same operations computed without skips
@@ -238,7 +259,9 @@ POLY_REPRS = {
 }
 
 
-def test_polynomial_arithmetic_skips_zero_and_unit_operands(skip_polys, fraction_ops):
+@RATIONAL
+def test_polynomial_arithmetic_skips_zero_and_unit_operands(backend, skip_polys,
+                                                           fraction_ops):
     p, q, pt = skip_polys()
     got = {"add": p + q, "mul": p * q, "neg": p.scale(-1), "eval": p.eval(pt),
            "jet": poly_jet(p, pt, 1)}
@@ -247,7 +270,8 @@ def test_polynomial_arithmetic_skips_zero_and_unit_operands(skip_polys, fraction
     assert {k: repr(v) for k, v in got.items()} == POLY_REPRS
 
 
-def test_eval_drops_monomials_at_a_zero_coordinate(fraction_ops):
+@RATIONAL
+def test_eval_drops_monomials_at_a_zero_coordinate(backend, fraction_ops):
     zero, two = F(0), F(2)
     f = poly_field(2, [((1, 0), two), ((1, 1), two)])
     assert repr(f.eval((zero, two))) == "0"  # no monomial left

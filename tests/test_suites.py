@@ -3,9 +3,13 @@
 The QUICK runs, plain and, for the suites that declare it, with the
 ``sign`` corruption, compare their reports, apart from ``wall_time``, with
 the committed ``golden/quick_reports.json``, under ``<suite>/rational`` and
-``<suite>/rational/sign``.  After a deliberate change to the reports, rewrite that file with ``PYTHONPATH=src python tests/test_suites.py``,
-which first prints each key as unchanged, changed (old -> new
-``max_residual``), added or removed.
+``<suite>/rational/sign``; they are pinned at a second master seed as
+well, under ``<suite>/rational/seed<seed>`` and
+``<suite>/rational/sign/seed<seed>``.  A run on the float backend, which
+is retired, is refused with one line before any case.  After a deliberate
+change to the reports, rewrite that file with
+``PYTHONPATH=src python tests/test_suites.py``, which first prints each key
+as unchanged, changed (old -> new ``max_residual``), added or removed.
 """
 
 import gc
@@ -14,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from liecartan.cli import main
 from liecartan.suites import REGISTRY, Suite, SuiteConfig, case_seed, run_suite
 
 EXPECTED_SUITES = {
@@ -56,9 +61,31 @@ PINNED = {
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_reports.json"
 
+# master seeds besides the default 42 at which the QUICK reports are pinned
+SEEDS = (7,)
 
-def _quick_config(suite, corruption=None):
-    return SuiteConfig(suite=suite, corruption=corruption, **QUICK[suite])
+# the number backends by the name ``--backend`` takes: rational runs, and
+# float, retired, is refused
+BACKENDS = ["rational", "float"]
+FLOAT_RETIRED = "--backend float: the float backend is retired; use rational"
+
+
+def _quick_config(suite, corruption=None, seed=42):
+    return SuiteConfig(suite=suite, corruption=corruption, seed=seed, **QUICK[suite])
+
+
+def _seed_key(suite, corruption, seed):
+    return f"{suite}/rational/{corruption + '/' if corruption else ''}seed{seed}"
+
+
+def _refused(backend, **kwargs):
+    """Whether ``backend`` is the retired float backend, after checking that
+    a config on it is refused with its one-line message."""
+    if backend == "rational":
+        return False
+    with pytest.raises(ValueError, match=f"^{FLOAT_RETIRED}$"):
+        SuiteConfig(backend=backend, **kwargs)
+    return True
 
 
 def _canonical(report) -> str:
@@ -83,6 +110,15 @@ def test_every_suite_passes_on_rational_backend(suite, golden):
     assert _canonical(rep) == _canonical(golden[f"{suite}/rational"])
 
 
+@pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
+def test_float_backend_within_tolerance(suite, capsys):
+    """``--backend float`` with the tolerance its runs took is refused for
+    every suite: exit 2 and one stderr line, before any case."""
+    assert main(["--suite", suite, "--backend", "float", "--tol", "1e-9"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {FLOAT_RETIRED}\n")
+
+
 def _matches_golden(config, key, golden):
     """A run matches its golden report; a sign run of a suite that does not
     declare ``sign`` is rejected, and has none."""
@@ -94,27 +130,46 @@ def _matches_golden(config, key, golden):
     assert _canonical(run_suite(config)) == _canonical(golden[key])
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
-def test_sign_corrupted_reports_match_golden(suite, golden):
+def test_sign_corrupted_reports_match_golden(suite, backend, golden):
+    if _refused(backend, suite=suite, corruption="sign", **QUICK[suite]):
+        return
     _matches_golden(_quick_config(suite, "sign"), f"{suite}/rational/sign", golden)
 
 
+@pytest.mark.parametrize("corruption", [None, "sign"], ids=["plain", "sign"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("suite", sorted(EXPECTED_SUITES))
+def test_float_reports_match_golden_at_seed(suite, seed, corruption, golden):
+    """The QUICK reports at another master seed.  These were the float
+    backend's; with that backend retired, the rational ones are pinned."""
+    _matches_golden(_quick_config(suite, corruption, seed),
+                    _seed_key(suite, corruption, seed), golden)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_reports_match_golden(name, golden):
+def test_pinned_reports_match_golden(name, backend, golden):
+    if _refused(backend, **PINNED[name]):
+        return
     rep = run_suite(SuiteConfig(**PINNED[name]))
     assert rep["pass"], rep
     assert _canonical(rep) == _canonical(golden[f"{name}/rational"])
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kwargs", [
     dict(suite="forms-identities", n=6),
     dict(suite="gauge-lemmas", algebra="p_0(3)"),
     dict(suite="grav-decomp", algebra="p_1(4)"),
 ], ids=["forms-identities-6", "gauge-lemmas-p_0(3)", "grav-decomp-p_1(4)"])
-def test_a_case_leaves_no_cyclic_garbage(kwargs):
+def test_a_case_leaves_no_cyclic_garbage(kwargs, backend):
     """A case's forms, minors and field graph hold no reference cycle, so
     refcounting frees them when the case returns.  The collector is
     paused while the case runs, so that it cannot hide a cycle."""
+    if _refused(backend, cases=1, **kwargs):
+        return
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -171,6 +226,10 @@ def _golden_reports():
         reports[f"{suite}/rational"] = run_suite(_quick_config(suite))
         if suite in SIGN_SUITES:
             reports[f"{suite}/rational/sign"] = run_suite(_quick_config(suite, "sign"))
+        for seed in SEEDS:
+            for corruption in (None, "sign") if suite in SIGN_SUITES else (None,):
+                reports[_seed_key(suite, corruption, seed)] = run_suite(
+                    _quick_config(suite, corruption, seed))
     for name, kwargs in sorted(PINNED.items()):
         reports[f"{name}/rational"] = run_suite(SuiteConfig(**kwargs))
     for rep in reports.values():

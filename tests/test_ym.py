@@ -13,6 +13,10 @@ from liecartan.ym import (YMFields, build_ym_chart, maxwell_q_transport_residual
                           maxwell_scenario, ym_current, ym_dAp_identity_residual,
                           ym_el_residuals)
 
+# the number backend these tests run on, as ``--backend`` names it; the id
+# of each test that takes it ends in that name
+RATIONAL = pytest.mark.parametrize("backend", ["rational"])
+
 
 def flat_vacuum_fields(split, n, pi=None):
     alg = split.ambient
@@ -117,7 +121,8 @@ def test_dAp_identity_reduces_without_connection():
     assert ym_dAp_identity_residual(chart)["max"] == 0
 
 
-def test_frame_coeffs_2form_match_the_sum_over_every_index_pair():
+@RATIONAL
+def test_frame_coeffs_2form_match_the_sum_over_every_index_pair(backend):
     """alpha_{AB} and alpha_{BA} = -alpha_{AB} read, bit for bit, as the sum
     over all (A, B) of the product and its negated transpose; the diagonal,
     0 there, has no key."""
