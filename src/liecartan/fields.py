@@ -313,10 +313,12 @@ class Taylor(_Lazy):
                       self.drop | mask)
 
 
-def at_probe(f, pt: tuple):
-    """``f`` read at ``pt`` as a Taylor number, except a zero polynomial,
-    which is returned as it is."""
-    return f if isinstance(f, Polynomial) and f.is_zero() else Taylor.of(f, pt)
+def at_probe(f, pt: tuple, order: int = 1):
+    """``f`` read at ``pt`` as a Taylor number of ``order`` 1 or 0 (value
+    only), except a zero polynomial, which is returned as it is."""
+    if isinstance(f, Polynomial) and f.is_zero():
+        return f
+    return Taylor.of(f, pt) if order else Taylor(f.n, pt, f.value(pt), None)
 
 
 def _kept(d: dict, drop: int) -> dict:

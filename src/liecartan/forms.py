@@ -12,7 +12,9 @@ its product node.  ``sort_index``, ``merge_sign`` and the index masks
 are pure functions of small index tuples, memoised in module-level dicts
 that start empty.  A coframe builds each one-form once, at its probe
 when it has one, so that its minors are ``Taylor`` arithmetic there;
-``signed_minor`` gives the sorted minor and the sign to fold in.
+``signed_minor`` gives the sorted minor and the sign to fold in.  A form
+read only for its values is read at order 0 (``Form.at(probe, 0)``), so
+its wedges skip the partials.
 """
 
 from __future__ import annotations
@@ -191,10 +193,11 @@ class Form:
         return out._finalize()
 
     # -- evaluation -------------------------------------------------------
-    def at(self, probe: tuple) -> "Form":
-        """A copy whose coefficients are read at ``probe`` (``at_probe``)."""
+    def at(self, probe: tuple, order: int = 1) -> "Form":
+        """A copy whose coefficients are read at ``probe`` to ``order``
+        (``at_probe``): 0 when only its values are read."""
         out = Form(self.n, self.degree, self.slots)
-        out.comps = {K: {sk: at_probe(f, probe) for sk, f in bucket.items()}
+        out.comps = {K: {sk: at_probe(f, probe, order) for sk, f in bucket.items()}
                      for K, bucket in self.comps.items()}
         return out
 
@@ -400,27 +403,34 @@ class Coframe:
 
     def minors(self) -> "CoframeMinors":
         if self._minors is None:
-            self._minors = CoframeMinors(self)
+            self._minors = CoframeMinors([self.one_form(A) for A in range(self.N)])
         return self._minors
 
 
 class CoframeMinors:
-    """Codegree-0/1/2/3 minor family of a coframe, built via the eps symbol."""
+    """Codegree-0/1/2/3 minor family of the one-forms e^0..e^(N-1) of a
+    coframe, built via the eps symbol; each contiguous wedge range
+    e^i ^ .. ^ e^j is built the first time a minor reads it."""
 
-    def __init__(self, coframe: Coframe):
-        N = coframe.N
-        self.N = N
-        ones = [coframe.one_form(A) for A in range(N)]
-        # contiguous wedge ranges for cheap complements
+    def __init__(self, ones: Sequence[Form]):
+        self.N = len(ones)
+        self._ones = list(ones)
         self._ranges: Dict[Tuple[int, int], Form] = {}
         self._complements: Dict[Tuple[int, ...], Form] = {}
-        for i in range(N):
-            acc = ones[i]
-            self._ranges[(i, i)] = acc
-            for j in range(i + 1, N):
-                acc = wedge(acc, ones[j])
-                self._ranges[(i, j)] = acc
-        self.top = self._ranges[(0, N - 1)]
+
+    def _range(self, i: int, j: int) -> Form:
+        """e^i ^ e^(i+1) ^ .. ^ e^j, built once."""
+        if i == j:
+            return self._ones[i]
+        out = self._ranges.get((i, j))
+        if out is None:
+            out = self._ranges[(i, j)] = wedge(self._range(i, j - 1), self._ones[j])
+        return out
+
+    @property
+    def top(self) -> Form:
+        """e^(N) = e^0 ^ .. ^ e^(N-1)."""
+        return self._range(0, self.N - 1)
 
     def _complement_wedge(self, skip: Tuple[int, ...]) -> Form:
         cached = self._complements.get(skip)
@@ -437,9 +447,9 @@ class CoframeMinors:
         if not segments:
             acc = Form(self.N, 0).add_term((), (), Polynomial.constant(1, self.N))
         else:
-            acc = self._ranges[segments[0]]
+            acc = self._range(*segments[0])
             for seg in segments[1:]:
-                acc = wedge(acc, self._ranges[seg])
+                acc = wedge(acc, self._range(*seg))
         self._complements[skip] = acc
         return acc
 

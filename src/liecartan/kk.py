@@ -29,6 +29,9 @@ from .fields import f_is_zero, f_mul, f_scale, f_zero
 from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
 from .scalars import _add, _mul, _sub
 
+# exact factors: an int value divided by 2 or 4 would become a float
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
 
 @dataclass
 class KKFields:
@@ -98,8 +101,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
         Phi_up.add_term(K, (A, B), f_scale(fld, 1 / h[B]))
     Phi_up._finalize()
     m3 = minors.minor_form(3, uslot)
-    half = Fraction(1, 2)
-    phi_term = contracted_wedge(m3, Phi_up, [(0, 0), (1, 1)]).scale(half)
+    phi_term = contracted_wedge(m3, Phi_up, [(0, 0), (1, 1)]).scale(HALF)
 
     lam_term = cominor_rows(minors, {(U, U): fields.lambda0 for U in range(N)}, dual)
 
@@ -182,7 +184,6 @@ def kk_lc_connection(chart: GaugeChart,
     omega = Form(N, 1, (uslot, Slot(alg.name, alg.dim, True)))
 
     e_one = {A: chart.e_form.component(A) for A in range(N)}
-    half = Fraction(1, 2)
 
     def fco(i, A, B):
         return F_coeffs.get((i, A, B))
@@ -195,7 +196,7 @@ def kk_lc_connection(chart: GaugeChart,
                 if fld is None:
                     continue
                 gi = g_idx.index(i)
-                scale = -half * split.k_diag[gi] / split.b_diag[s_idx.index(a)]
+                scale = -HALF * split.k_diag[gi] / split.b_diag[s_idx.index(a)]
                 parts.append((i, f_scale(fld, scale)))
             for i, fld in parts:
                 for (k,), _, ef in e_one[i].terms():
@@ -215,7 +216,7 @@ def kk_lc_connection(chart: GaugeChart,
                 fld = fco(j, b, a)
                 if fld is None:
                     continue
-                scale = half * split.k_diag[gj] / split.b_diag[s_idx.index(a)]
+                scale = HALF * split.k_diag[gj] / split.b_diag[s_idx.index(a)]
                 for (k,), _, ef in e_one[b].terms():
                     omega.add_term((k,), (a, j), f_mul(f_scale(fld, scale), ef))
     for i in g_idx:
@@ -226,7 +227,7 @@ def kk_lc_connection(chart: GaugeChart,
                     continue
                 for (k,), _, ef in e_one[c].terms():
                     omega.add_term((k,), (i, b),
-                                   f_mul(f_scale(fld, half * control_sign), ef))
+                                   f_mul(f_scale(fld, HALF * control_sign), ef))
     for i in g_idx:
         for j in g_idx:
             for m in g_idx:
@@ -235,7 +236,7 @@ def kk_lc_connection(chart: GaugeChart,
                     continue
                 em = e_one[m] - chart.A_form.component(m).scale(2)
                 for (k,), _, ef in em.terms():
-                    omega.add_term((k,), (i, j), f_scale(ef, half * cv))
+                    omega.add_term((k,), (i, j), f_scale(ef, HALF * cv))
     omega._finalize()
 
     pt = chart.probe
@@ -272,7 +273,7 @@ def _einstein_blocks(decomp, idx, metric):
     m = len(idx)
     scal = sum(ric[i][i] for i in range(m))
     # E_A^B = Ric_A^B - 1/2 R delta with Ric_A^B = h_A Ric^A_B / h_B
-    einstein = [[metric[i] * ric[i][j] / metric[j] - (scal / 2 if i == j else 0)
+    einstein = [[metric[i] * ric[i][j] / metric[j] - (scal * HALF if i == j else 0)
                  for j in range(m)] for i in range(m)]
     return R, ric, scal, einstein
 
@@ -335,7 +336,7 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
     f_low, f_up, norm_f = _f_at_probe(chart)
     a_at = {key: f.value(pt) for key, f in A_frame.items()}
     res_scalar = blocks["scalar"] \
-        - (gamma_scalar - control_sign * norm_f / 2 - bk / 2)
+        - (gamma_scalar - control_sign * norm_f * HALF - bk * HALF)
 
     E = blocks["einstein"]
     base_E = base_einstein if base_einstein is not None else \
@@ -346,8 +347,8 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
             quad = sum(f_up(i, b2, c) * f_low(i, a2, c)
                        for i in g_idx for c in s_idx)
             rhs = (base_E[s_idx.index(a2)][s_idx.index(b2)]
-                   - (quad - (norm_f / 2 if a2 == b2 else 0)) / 2
-                   + (bk / 4 if a2 == b2 else 0))
+                   - (quad - (norm_f * HALF if a2 == b2 else 0)) * HALF
+                   + (bk * QUARTER if a2 == b2 else 0))
             r_ss = max(r_ss, abs(E[a2][b2] - rhs))
     # mixed block: E(h)_g^s = 1/2 (d_s F_g^{a s} + gamma-terms - c A F)
     n = len(s_idx)
@@ -358,7 +359,7 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
     for i in g_idx:
         for a2 in s_idx:
             div = _f_divergence(chart, f_up, a_at, i, a2, g_at)
-            r_gs = max(r_gs, abs(E[i][a2] - div / 2))
+            r_gs = max(r_gs, abs(E[i][a2] - div * HALF))
     # gg block: E_g^g = 1/4 F_g F^g - 1/4 c c k - 1/2 R delta
     r_gg = 0
     for i in g_idx:
@@ -373,9 +374,9 @@ def kk_curvature_report(chart: GaugeChart, gamma_scalar=0,
             # F_i^{ss'} F^j_{ss'} with i lowered and j raised by the metrics
             quad = sum(f_up(i, a2, b2) * f_low(j, a2, b2)
                        for a2 in s_idx for b2 in s_idx)
-            rhs = quad / 4 \
-                - (casimir / 4 if casimir else 0) \
-                - (blocks["scalar"] / 2 if i == j else 0)
+            rhs = quad * QUARTER \
+                - (casimir * QUARTER if casimir else 0) \
+                - (blocks["scalar"] * HALF if i == j else 0)
             r_gg = max(r_gg, abs(E[i][j] - rhs))
     return {"lc": lc_report, "scalar": abs(res_scalar), "block_ss": r_ss,
             "block_gs": r_gs, "block_gg": r_gg,
@@ -399,7 +400,7 @@ def _f_at_probe(chart: GaugeChart):
         return k[gi] * f_low(i, a2, b2) / (b[ia] * b[ib])
 
     norm_f = sum(f_low(i, a2, b2) * f_up(i, a2, b2)
-                 for i in g_idx for a2 in s_idx for b2 in s_idx) / 2
+                 for i in g_idx for a2 in s_idx for b2 in s_idx) * HALF
     return f_low, f_up, norm_f
 
 
@@ -437,7 +438,7 @@ def _bk_pairing(split: SplitAlgebra, Bkill):
     acc = 0
     for pos, i in enumerate(split.l_indices):
         acc += Bkill[i][i] / split.k_diag[pos]
-    return acc / 2
+    return acc * HALF
 
 
 def kk_eym_residuals(chart: GaugeChart, lam, base_einstein=None) -> dict:
@@ -460,8 +461,8 @@ def kk_eym_residuals(chart: GaugeChart, lam, base_einstein=None) -> dict:
         for b2 in s_idx:
             lhs = base_E[s_idx.index(a2)][s_idx.index(b2)] + (lam if a2 == b2 else 0)
             rhs = sum(f_up(i, b2, c) * f_low(i, a2, c)
-                      for i in g_idx for c in s_idx) / 2 \
-                - (norm_f / 4 if a2 == b2 else 0)
+                      for i in g_idx for c in s_idx) * HALF \
+                - (norm_f * QUARTER if a2 == b2 else 0)
             r_e = max(r_e, abs(lhs - rhs))
     r_ym = 0
     for i in g_idx:
@@ -495,7 +496,7 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                 for g2 in g_idx:
                     cv = alg.c(gup, g1, g2)
                     if cv:
-                        acc += control_sign * cv * pv[i, g1, g2] / 2
+                        acc += control_sign * cv * pv[i, g1, g2] * HALF
             rows[(i, gup)] = acc
     rhs = cominor_rows(minors, rows, dual)
     res = (lhs - rhs).max_abs(pt)

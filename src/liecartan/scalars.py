@@ -391,7 +391,3 @@ def poly_field(dim: int, monomials: Iterable[Tuple[Sequence[int], object]]) -> P
             raise MalformedFieldError("negative exponent")
         terms[e] = _add(terms[e], coeff) if e in terms else coeff
     return Polynomial(dim, terms)
-
-
-def rational(a, b=1) -> Fraction:
-    return Fraction(a, b)

@@ -37,7 +37,7 @@ from . import algebra as la
 from . import kappa as ka
 from .algebra import SplitAlgebra, build_algebra, central_extension, corrupt_algebra
 from .charts import Rng
-from .forms import Coframe, Form, exterior_d, wedge
+from .forms import Coframe, CoframeMinors, Form, exterior_d, wedge
 from .gravity import ChartInvariantError, split_hypotheses_hold
 from .kk import check_h_invariance
 from .scalars import Polynomial
@@ -243,7 +243,10 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
     N = config.n or (3, 4, 5, 6)[cid % 4]
     probe = tuple(rng.scalar(-2, 2) for _ in range(N))
     cf = Coframe(_near_identity(rng, N, probe), probe)
-    mins = cf.minors()
+    # rows read only for their values take order-0 one-forms and minors;
+    # the two minors under d come from the coframe's order-1 family
+    ones = [cf.one_form(A).at(probe, 0) for A in range(N)]
+    mins = CoframeMinors(ones)
     flip = _sign(config)
     top = mins.top if flip > 0 else mins.top.scale(-1)
     res = 0
@@ -252,11 +255,11 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
     picks.append((0, 0, 1, 2))
     picks.append((1, 0, 1, 2))
     for (A, Ap, Bp, Cp) in picks:
-        lhs = wedge(cf.one_form(A), mins.minor((Ap,)))
+        lhs = wedge(ones[A], mins.minor((Ap,)))
         rhs = top.scale(1 if A == Ap else 0)
         res = max(res, abs((lhs - rhs).max_abs(probe)))
         if Ap != Bp:
-            lhs = wedge(cf.one_form(A), mins.minor((Ap, Bp)))
+            lhs = wedge(ones[A], mins.minor((Ap, Bp)))
             rhs = Form(N, N - 1)
             if A == Bp:
                 rhs = rhs + mins.minor((Ap,))
@@ -264,12 +267,12 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
                 rhs = rhs - mins.minor((Bp,))
             res = max(res, abs((lhs - rhs).max_abs(probe)))
             B2 = Cp
-            lhs = wedge(wedge(cf.one_form(A), cf.one_form(B2)), mins.minor((Ap, Bp)))
+            lhs = wedge(wedge(ones[A], ones[B2]), mins.minor((Ap, Bp)))
             dd = ((1 if (A, B2) == (Ap, Bp) else 0)
                   - (1 if (A, B2) == (Bp, Ap) else 0))
             res = max(res, abs((lhs - top.scale(dd)).max_abs(probe)))
         if len({Ap, Bp, Cp}) == 3:
-            lhs = wedge(cf.one_form(A), mins.minor((Ap, Bp, Cp)))
+            lhs = wedge(ones[A], mins.minor((Ap, Bp, Cp)))
             rhs = Form(N, N - 2)
             if A == Cp:
                 rhs = rhs + mins.minor((Ap, Bp))
@@ -280,14 +283,14 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
             res = max(res, abs((lhs - rhs).max_abs(probe)))
     # (deAB) rows: codegree 1 and 2
     A = rng.rng.randrange(N)
-    lhs = exterior_d(mins.minor((A,))).scale(flip)
+    lhs = exterior_d(cf.minors().minor((A,))).scale(flip)
     rhs = Form(N, N)
     for B in range(N):
         if B != A:
             rhs = rhs + wedge(exterior_d(cf.one_form(B)), mins.minor((A, B)))
     res = max(res, abs((lhs - rhs).max_abs(probe)))
     B = (A + 1) % N
-    lhs = exterior_d(mins.minor((A, B)))
+    lhs = exterior_d(cf.minors().minor((A, B)))
     rhs = Form(N, N - 1)
     for C in range(N):
         if C not in (A, B):
@@ -389,7 +392,8 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
                         - bracket_wedge(alg, e, e).scale(Fraction(1, 2)))
                        .max_abs(probe)))
     # minor Leibniz with the adjoint (unimodular) representation, at the
-    # probe: e from the probed coframe's one-forms, and omega read there.
+    # probe: e from the probed coframe's one-forms, and omega read there
+    # for its values alone, since no d is taken of it.
     # The lemmas above stay lazy: their products, read at the probe, would
     # compute partials that only max_abs's values need, and ran slower.
     cf = Coframe(_near_identity(rng, n, probe), probe)
@@ -399,7 +403,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
         for K, _, c in cf.one_form(A).terms():
             e_form.add_term(K, (A,), c)
     e_form._finalize()
-    omega = rand_alg_form().at(probe)
+    omega = rand_alg_form().at(probe, 0)
     dwe = cov_d(omega, e_form, (adrep,))
     m1 = mins.minor_form(1, slot)
     m2 = mins.minor_form(2, slot)

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from liecartan import forms
 from liecartan.fields import FProd, FScale, Taylor, TaylorError, f_mul, f_scale
-from liecartan.forms import (Coframe, Form, Slot, SlotMismatchError,
+from liecartan.forms import (Coframe, CoframeMinors, Form, Slot, SlotMismatchError,
                              UnsupportedDegreeError, cominor_rows,
                              contracted_wedge, decompose, exterior_d,
                              interior, merge_sign, one_form, perm_parity,
@@ -561,9 +562,12 @@ def generic_coframe(seed, N):
 def test_probed_coframe_builds_the_forms_of_its_entries(backend, N):
     """Each one-form and minor of codegree 0..3 that a coframe builds at its
     probe has the keys, in order, and the value and kept partials there of
-    the form built from the symbolic entries."""
+    the form built from the symbolic entries.  The family of its order-0
+    one-forms has the same keys less the exact-zero terms, not always in
+    that order, the same values, and no partials."""
     entries, probe = generic_coframe(300 + N, N)
     probed, symbolic = Coframe(entries, probe), Coframe(entries)
+    order0 = CoframeMinors([probed.one_form(A).at(probe, 0) for A in range(N)])
     elsewhere = tuple(x + 1 for x in probe)
 
     def check(got, want):
@@ -585,5 +589,44 @@ def test_probed_coframe_builds_the_forms_of_its_entries(backend, N):
     assert len(probed.one_form(0).comps) == N - 1
     for k in range(4):
         for idx in itertools.combinations(range(N), k):
-            check(probed.minors().minor(idx), symbolic.minors().minor(idx))
+            got = probed.minors().minor(idx)
+            check(got, symbolic.minors().minor(idx))
+            values = order0.minor(idx)
+            # a zero term dropped early may move a later key's first append
+            assert {(K, sk): f.value(probe) for K, sk, f in values.terms()} == {
+                (K, sk): f.value(probe) for K, sk, f in got.terms() if f.value(probe)}
+            if k == N:
+                continue  # the minor of every index is the constant 1
+            for _, _, f in values.terms():
+                for j in range(N):
+                    with pytest.raises(TaylorError):
+                        f.dvalue(probe, j)
     assert all(isinstance(c, Polynomial) for row in probed.entries for c in row)
+
+
+def test_d_of_a_values_only_copy_raises():
+    # an order-0 copy holds no partials, so d of it fails loudly
+    cf, probe = seeded_coframe(4, 4)
+    m = cf.minors().minor((1,))
+    assert (m.at(probe, 0) - m).max_abs(probe) == 0
+    with pytest.raises(TaylorError):
+        exterior_d(m.at(probe, 0))
+
+
+def test_a_codegree_1_minor_builds_only_its_ranges(monkeypatch):
+    # e^(N-1)_A wedges the ranges before and after A, built one one-form at
+    # a time: N - 2 wedges in all, and none for the other ranges
+    N = 6
+    entries, probe = generic_coframe(306, N)
+    cf = Coframe(entries, probe)
+    ones = [cf.one_form(A) for A in range(N)]
+    calls = []
+    build = forms.wedge
+    monkeypatch.setattr(forms, "wedge", lambda a, b: calls.append(1) or build(a, b))
+    for A in range(N):
+        del calls[:]
+        mins = CoframeMinors(ones)
+        mins.minor((A,))
+        assert len(calls) == N - 2
+        mins.minor((A,))  # a second read is served from the family's caches
+        assert len(calls) == N - 2

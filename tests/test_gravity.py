@@ -492,8 +492,9 @@ def test_every_gravity_function_is_reached_from_the_package():
 
 
 # ym and kk each keep one function that only the tests reach
-@pytest.mark.parametrize("module", ["charts", "connection", "fields", "forms",
-                                    "linalg", "suites"])
+@pytest.mark.parametrize("module", ["algebra", "algebra_io", "charts", "cli",
+                                    "connection", "fields", "forms", "kappa",
+                                    "linalg", "scalars", "suites"])
 def test_every_function_is_reached_from_the_package(module):
     assert _top_level_functions_unreached(SRC / f"{module}.py") == []
 

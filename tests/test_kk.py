@@ -121,6 +121,16 @@ def test_su2_pure_fiber_scalar_curvature():
         assert kk_curvature_report(chart)["max"] == 0
 
 
+def test_einstein_entries_are_exact_on_a_flat_chart():
+    # the scalar curvature of this chart is the int 0; half of it on the
+    # diagonal must stay exact, not become a float
+    split = central_extension(u1(), 2, b_diag=euclidean_diag(2))
+    chart = build_kk_chart(split, 2, seed=61)
+    blocks = riemann_blocks(chart, kk_lc_connection(chart)[0])
+    assert blocks["scalar"] == 0
+    assert all(type(x) in (int, F) for row in blocks["einstein"] for x in row)
+
+
 def test_einstein_block_symmetry():
     split = central_extension(su2(), 2, b_diag=euclidean_diag(2))
     chart = build_kk_chart(split, 2, seed=37)
