@@ -21,9 +21,10 @@ The helpers shared by the three models' identities live here and in
 coefficient table, ``TrivializedChart.p_tables`` the values and frame
 derivatives of p at the probe, ``g_row_divergence`` the covariant
 divergence that the Yang-Mills and Kaluza-Klein g rows of d^A p share,
-``GravityChart.torsion_curvature`` the by-coframe coefficients of torsion
-and curvature there, and ``forms.cominor_rows`` and ``Form.component``
-assemble and split rows.
+and ``GravityChart.torsion_curvature`` the by-coframe coefficients of torsion
+and curvature there.  ``forms.cominor_rows`` assembles every
+coefficient x cominor sum, p = 1/2 p_I^{AB} e^{(N-2)}_{AB} among them,
+and ``Form.component`` splits rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .connection import (GroupMap, Representation, algebra_slot, cov_d, curvatur
                          levi_civita_coeff_fields)
 from .fields import (MatrixInverseField, at_probe, f_add, f_is_zero, f_mul,
                      f_partial, f_scale, f_zero)
-from .forms import Coframe, CoframeMinors, Form, Slot, decompose
+from .forms import Coframe, CoframeMinors, Form, cominor_rows, decompose
 from .scalars import Polynomial, _add, _mul, _sub
 
 if TYPE_CHECKING:
@@ -171,8 +172,8 @@ class TrivializedChart:
     @functools.cached_property
     def p_form(self) -> Form:
         """p = 1/2 p_I^{AB} e^{(N-2)}_{AB}, built once; read-only."""
-        return pi_form_from_coeffs(self.p_coeffs, self.coframe,
-                                   algebra_slot(self.alg, dual=True))
+        return cominor_rows(self.coframe.minors(), self.p_coeffs,
+                            (algebra_slot(self.alg, dual=True),), 2)
 
     def dAp(self) -> Tuple[Form, CoframeMinors]:
         """d^A p = dp + ad*(A) ^ p, and the coframe minors p is built from."""
@@ -216,21 +217,6 @@ def antisym(table: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, i
         out[(I, A, B)] = x
         out[(I, B, A)] = -x
     return out
-
-
-def pi_form_from_coeffs(coeffs: Dict[Tuple[int, int, int], object], coframe: Coframe,
-                        dual_slot: Slot) -> Form:
-    """pi = 1/2 pi_i^{AB} e^{(N-2)}_{AB} as a dual-slot (N-2)-form."""
-    N = coframe.N
-    minors = coframe.minors()
-    out = Form(N, N - 2, (dual_slot,))
-    for (i, A, B), fld in coeffs.items():
-        if f_is_zero(fld):
-            continue
-        m, sign = minors.signed_minor((A, B))
-        for K, _, mf in m.terms():
-            out.add_term(K, (i,), f_mul(fld, mf, None if sign > 0 else -1))
-    return out._finalize()
 
 
 class ChartError(ValueError):

@@ -20,8 +20,9 @@ their nonzero first partials by coordinate.
   int 0.  The lazy nodes ``FSum``, ``FProd`` and ``FScale`` call them
   when first read, for every k at once; ``f_add``, ``f_mul`` and
   ``f_scale`` call them at once when an operand is a ``Taylor`` number.
-  ``FPartial``'s value is its child's ``dvalue``, and it builds its
-  child's derivative graph once.
+  ``FPartial``'s value is its child's ``dvalue``; a partial has a value
+  and no partials of its own, as no suite reads second partials, and
+  reading them raises ``TaylorError``.
 - One node per term: a sum of one live operand is that operand, and a
   product carries its scale, ``f_mul(a, b, c)``, which gives exactly what
   ``f_scale(f_mul(a, b), c)`` gives on every path but builds one node.
@@ -60,7 +61,7 @@ class TruncationError(ArithmeticError):
 class TaylorError(ArithmeticError):
     """A lazy node was read at a point other than the one it is bound to,
     or for a partial it does not hold (an order-0 Taylor number's, a
-    dropped one, or a matrix entry's second partials)."""
+    partial node's, or a dropped one)."""
 
 
 def _nonzero(d: dict) -> dict:
@@ -218,51 +219,20 @@ class FScale(_Lazy):
 
 class FPartial(_Lazy):
     """Partial derivative along k.  Its value is the operand's first
-    partial; its partials are those of the operand's derivative graph,
-    built by ``_derivative`` on first use and kept."""
+    partial; it holds no partials of its own, and reading them raises, as
+    for an order-0 Taylor number."""
 
-    __slots__ = ("a", "k", "_da")
+    __slots__ = ("a", "k")
 
     def __init__(self, a, k: int):
         _Lazy.__init__(self, a.n)
-        self.a, self.k, self._da = a, k, None
-
-    def operand_derivative(self):
-        if self._da is None:
-            self._da = _derivative(self.a, self.k, {})
-        return self._da
+        self.a, self.k = a, k
 
     def _value(self, point):
         return self.a.dvalue(point, self.k)
 
     def _partials(self, point):
-        return self.operand_derivative().partials(point)
-
-
-def _derivative(f, k: int, memo: dict):
-    """d_k f as a field, by the sum and product rules over the lazy nodes
-    down to polynomials; ``memo`` maps the id of a node of f to its
-    derivative.  A matrix entry has no second partials, so one in f
-    raises ``TaylorError``."""
-    out = memo.get(id(f))
-    if out is None:
-        if isinstance(f, Polynomial):
-            out = f.partial_poly(k)
-        elif isinstance(f, FSum):
-            out = f_add(*[_derivative(p, k, memo) for p in f.parts])
-        elif isinstance(f, FProd):
-            out = f_add(f_mul(_derivative(f.a, k, memo), f.b),
-                        f_mul(f.a, _derivative(f.b, k, memo)))
-            if f.c is not None:
-                out = f_scale(out, f.c)
-        elif isinstance(f, FScale):
-            out = f_scale(_derivative(f.a, k, memo), f.c)
-        elif isinstance(f, FPartial):
-            out = _derivative(f.operand_derivative(), k, memo)
-        else:
-            raise TaylorError("a matrix entry has no second partials")
-        memo[id(f)] = out
-    return out
+        raise TaylorError("a partial node holds no partials")
 
 
 # ---------------------------------------------------------------------------

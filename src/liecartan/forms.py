@@ -470,13 +470,9 @@ class CoframeMinors:
 
     def minor_form(self, k: int, slot: Slot) -> Form:
         """Slotted family e^{(N-k)}_{V..V} as one Form with k dual slots."""
-        slots = tuple(slot.dual_slot() for _ in range(k))
-        out = Form(self.N, self.N - k, slots)
-        for idx in itertools.permutations(range(self.N), k):
-            m = self.minor(idx)
-            for K, _, fld in m.terms():
-                out.add_term(K, idx, fld)
-        return out._finalize()
+        return cominor_rows(self, {idx + idx: 1 for idx in
+                                   itertools.permutations(range(self.N), k)},
+                            (slot.dual_slot(),) * k, k)
 
 
 def perm_parity_for_front(front: Sequence[int], N: int) -> int:
@@ -572,17 +568,25 @@ def _unwrap(out, form: Form):
     return out[()] if not form.slots else out
 
 
-def cominor_rows(minors: CoframeMinors, rows: Dict[Tuple[int, int], object],
-                 slot: Slot) -> Form:
-    """sum c e^{(N-1)}_U in slot component i, over ``rows`` {(i, U): c}.
+def cominor_rows(minors: CoframeMinors, rows: Dict[Tuple[int, ...], object],
+                 slots: Sequence[Slot], k: int) -> Form:
+    """sum c e^{(N-k)}_{idx} in slot component sk, over ``rows`` {sk + idx: c}.
 
-    Zero coefficients are skipped; terms are added in the order given.
+    A value c scales the minor, a unit one sharing its terms; a field c
+    multiplies it.  Zero coefficients are skipped; rows are added in the
+    order given.
     """
-    out = Form(minors.N, minors.N - 1, (slot,))
-    for (i, U), c in rows.items():
-        if not c:
+    out = Form(minors.N, minors.N - k, slots)
+    s = len(slots)
+    for key, c in rows.items():
+        field = hasattr(c, "value")
+        if f_is_zero(c) if field else not c:
             continue
-        m, sign = minors.signed_minor((U,))
+        m, sign = minors.signed_minor(key[s:])
+        if not field and sign < 0:
+            c = -c
         for K, _, mf in m.terms():
-            out.add_term(K, (i,), f_scale(mf, c if sign > 0 else -c))
+            fld = (f_mul(c, mf, None if sign > 0 else -1) if field
+                   else mf if c == 1 else f_scale(mf, c))
+            out.add_term(K, key[:s], fld)
     return out._finalize()

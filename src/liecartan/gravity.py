@@ -96,7 +96,7 @@ def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
     N = minors.N
     rows = {(P, Q): mixed[P][Q] - (scalar / 2 if P == Q else 0)
             for P in range(N) for Q in range(N)}
-    return cominor_rows(minors, rows, dual)
+    return cominor_rows(minors, rows, (dual,), 1)
 
 
 def psi_families(curv_coeffs, pi_at, N: int) -> tuple:
@@ -488,7 +488,7 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                     if cv:
                         acc = _add(acc, _mul(cv, kappa.get(J, s1, S)))
             s_rows[(I, S)] = acc
-    rhs = cominor_rows(minors, {**l_rows, **s_rows}, dual)
+    rhs = cominor_rows(minors, {**l_rows, **s_rows}, (dual,), 1)
     res = (lhs - rhs).max_abs(pt)
     return {"max": max(0, abs(res)), "blocks": blocks}
 
@@ -615,11 +615,8 @@ def _tensor_blocks(chart: GravityChart, minors: CoframeMinors, theta_c,
         for b in s_idx:
             if a >= b:
                 continue
-            lhs = Form(N, N - 1)
-            for S in s_idx:
-                v = ring[(S, a, b)]
-                if v != 0:
-                    lhs = lhs + minors.minor((S,)).scale(control_sign * v)
+            lhs = cominor_rows(minors, {(S,): control_sign * ring[(S, a, b)]
+                                        for S in s_idx}, (), 1)
             rhs = Form(N, N - 1)
             for S in range(N):
                 row = chart.torsion.component(S)
@@ -631,14 +628,13 @@ def _tensor_blocks(chart: GravityChart, minors: CoframeMinors, theta_c,
         row = chart.curv_l.component(lI)
         if not row.comps:
             continue
+        om = omega_c[(lI,)]
         for s1, s2, s3 in itertools.combinations(sorted(s_idx), 3):
-            lhs = Form(N, N - 1)
-            for S in s_idx:
-                v = (omega_c[(lI,)][s1][s2] * (1 if S == s3 else 0)
-                     + omega_c[(lI,)][s2][s3] * (1 if S == s1 else 0)
-                     + omega_c[(lI,)][s3][s1] * (1 if S == s2 else 0))
-                if v != 0:
-                    lhs = lhs + minors.minor((S,)).scale(control_sign * v)
+            lhs = cominor_rows(minors, {
+                (S,): control_sign * (om[s1][s2] * (1 if S == s3 else 0)
+                                      + om[s2][s3] * (1 if S == s1 else 0)
+                                      + om[s3][s1] * (1 if S == s2 else 0))
+                for S in s_idx}, (), 1)
             rhs = wedge(row, minors.minor((s1, s2, s3)))
             imp_o = max(imp_o, (lhs - rhs).max_abs(pt))
     exp_res = 0
@@ -906,7 +902,7 @@ def grav_T_conservation_residual(chart: GravityChart,
                 acc -= omega_c[(l0,)][P][s1] * t_at[(l0, s1)]
         defect[P] = acc
     # derivation chain: coefficient of d(hidden-field defect form)
-    def_form = Form(N, N - 1, (dual,))
+    coeffs = {}
     for P in range(N):
         for L in l_idx:
             parts = []
@@ -935,16 +931,11 @@ def grav_T_conservation_residual(chart: GravityChart,
                     ov = omega_c[(l0,)][P][s1]
                     if ov != 0:
                         parts.append(f_scale(p_field(l0, L, s1), -ov))
-            coeff = f_add(*parts) if parts else f_zero(N)
-            for K, _, mf in minors.minor((L,)).terms():
-                def_form.add_term(K, (P,), f_mul(coeff, mf))
-    def_form._finalize()
+            coeffs[(P, L)] = f_add(*parts)
     # add the -(-1/2 Q delta) = +1/2 Q delta_P^L row (Q is y-independent)
     qv = _q_scalar(chart, theta_c, omega_c)
-    for L in l_idx:
-        for K, _, mf in minors.minor((L,)).terms():
-            def_form.add_term(K, (L,), f_scale(mf, qv / 2))
-    def_form._finalize()
+    def_form = (cominor_rows(minors, coeffs, (dual,), 1)
+                + cominor_rows(minors, {(L, L): qv / 2 for L in l_idx}, (dual,), 1))
     dd = exterior_d(def_form)
     top = tuple(range(N))
     det = minors.top.get(top).value(pt)

@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 from .algebra import SplitAlgebra, killing_form
 from .charts import (GaugeChart, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field, g_row_divergence, pi_form_from_coeffs)
+                     frame_partial_field, g_row_divergence)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_is_zero, f_mul, f_scale, f_zero
 from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
@@ -89,7 +89,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
     torsion_defect = (exterior_d(fields.theta)
                       + contracted_wedge(fields.phi, fields.theta, [(1, 0)]))
 
-    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
+    pi = cominor_rows(minors, fields.pi_coeffs, (dual,), 2)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.theta, pi, (coad,))
 
@@ -103,7 +103,8 @@ def kk_el_residuals(fields: KKFields) -> dict:
     m3 = minors.minor_form(3, uslot)
     phi_term = contracted_wedge(m3, Phi_up, [(0, 0), (1, 1)]).scale(HALF)
 
-    lam_term = cominor_rows(minors, {(U, U): fields.lambda0 for U in range(N)}, dual)
+    lam_term = cominor_rows(minors, {(U, U): fields.lambda0 for U in range(N)},
+                            (dual,), 1)
 
     tc = decompose(theta_curv, coframe, "by-coframe")
     fr = 0
@@ -124,7 +125,7 @@ def kk_el_residuals(fields: KKFields) -> dict:
                 for sb in s_idx:
                     acc += tc[(ub,)][U][sb] * pi_at.get((ub, gg, sb), 0)
             src_rows[(U, gg)] = acc
-    src = cominor_rows(minors, src_rows, dual)
+    src = cominor_rows(minors, src_rows, (dual,), 1)
     einstein = dpi + phi_term - lam_term - src
     ev = einstein.max_abs(pt)
     return {"frobenius": fr, "torsion_free": tdef, "einstein": ev,
@@ -498,6 +499,6 @@ def kk_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                     if cv:
                         acc += control_sign * cv * pv[i, g1, g2] * HALF
             rows[(i, gup)] = acc
-    rhs = cominor_rows(minors, rows, dual)
+    rhs = cominor_rows(minors, rows, (dual,), 1)
     res = (lhs - rhs).max_abs(pt)
     return {"max": max(0, abs(res)), "rows": rows}

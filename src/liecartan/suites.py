@@ -281,20 +281,20 @@ def case_forms_identities(config: SuiteConfig, cid: int, seed: int):
             if A == Ap:
                 rhs = rhs + mins.minor((Bp, Cp))
             res = max(res, abs((lhs - rhs).max_abs(probe)))
-    # (deAB) rows: codegree 1 and 2
+    # (deAB) rows: codegree 1 and 2, each d e^B built once
     A = rng.rng.randrange(N)
+    de = {B: exterior_d(cf.one_form(B)) for B in range(N) if B != A}
     lhs = exterior_d(cf.minors().minor((A,))).scale(flip)
     rhs = Form(N, N)
-    for B in range(N):
-        if B != A:
-            rhs = rhs + wedge(exterior_d(cf.one_form(B)), mins.minor((A, B)))
+    for B in de:
+        rhs = rhs + wedge(de[B], mins.minor((A, B)))
     res = max(res, abs((lhs - rhs).max_abs(probe)))
     B = (A + 1) % N
     lhs = exterior_d(cf.minors().minor((A, B)))
     rhs = Form(N, N - 1)
-    for C in range(N):
-        if C not in (A, B):
-            rhs = rhs + wedge(exterior_d(cf.one_form(C)), mins.minor((A, B, C)))
+    for C in de:
+        if C != B:
+            rhs = rhs + wedge(de[C], mins.minor((A, B, C)))
     res = max(res, abs((lhs - rhs).max_abs(probe)))
     return res
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Tuple
 from .algebra import SplitAlgebra
 from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
-                     frame_partial_field, g_row_divergence, pi_form_from_coeffs)
+                     frame_partial_field, g_row_divergence)
 from .connection import Representation, algebra_slot, cov_d, curvature
 from .fields import f_add, f_is_zero, f_mul, f_scale, f_zero
 from .forms import Coframe, Form, cominor_rows, decompose, exterior_d, wedge
@@ -57,7 +57,7 @@ def ym_el_residuals(fields: YMFields) -> dict:
     minors = coframe.minors()
     theta_curv = curvature(fields.theta, alg)
     dual = algebra_slot(alg, dual=True)
-    pi = pi_form_from_coeffs(fields.pi_coeffs, coframe, dual)
+    pi = cominor_rows(minors, fields.pi_coeffs, (dual,), 2)
     coad = Representation.coadjoint(alg)
     dpi = cov_d(fields.theta, pi, (coad,))
 
@@ -99,7 +99,7 @@ def ym_el_residuals(fields: YMFields) -> dict:
                 report["r_pi_gg"][(i, j1, j2)] = res
                 worst = max(worst, abs(res))
     # r_theta: d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g
-    rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, dual)
+    rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, (dual,), 1)
     r_theta = (dpi - rhs).max_abs(p)
     report["r_theta"] = r_theta
     report["max"] = max(worst, r_theta)
@@ -219,9 +219,9 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
     p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
             for i in g_idx for j1 in g_idx for j2 in g_idx
             if j1 < j2 and (i, j1, j2) in at.p_coeffs}
-    exact_term = exterior_d(pi_form_from_coeffs(p_gg, at.coframe, dual))
+    exact_term = exterior_d(cominor_rows(minors, p_gg, (dual,), 2))
 
-    rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, dual)
+    rhs = exact_term + cominor_rows(minors, {**s_row, **g_row}, (dual,), 1)
     res = (lhs - rhs).max_abs(pt)
     return {
         "blocks": {

@@ -239,24 +239,19 @@ def test_partials_dict_holds_the_nonzero_dvalues_and_is_computed_once(backend,
         assert computed.count(id(fld)) == (0 if isinstance(fld, Polynomial) else 1), name
 
 
-def test_partial_node_partials_are_second_partials_of_its_operand():
-    """An FPartial's value is its operand's first partial.  Its partials
-    are those of the operand differentiated by the sum and product rules:
-    over polynomials they are the second (and third) partials of the eager
-    product; a matrix entry has none, and reading one raises."""
+def test_partial_node_has_a_value_and_no_partials():
+    """An FPartial's value is its operand's first partial: over polynomials,
+    that of the eager product.  It holds no partials of its own, over
+    polynomials or a matrix entry, and reading them raises."""
     probe, nodes = _graph()
     P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
     lazy = FSum([FProd(P, FScale(Q, F(3))), FProd(Q, Q)])
-    eager = P * Q.scale(F(3)) + Q * Q
-    two, three = poly_jet(eager, probe, 2), poly_jet(eager, probe, 3)
+    one = poly_jet(P * Q.scale(F(3)) + Q * Q, probe, 1)
     for k in range(N):
-        assert FPartial(lazy, k).value(probe) == two.deriv((k,))
-        for l in range(N):
-            d = FPartial(lazy, k).dvalue(probe, l)
-            assert d == two.deriv((k, l)) and (d or type(d) is int)
-            for m in range(N):
-                assert FPartial(FPartial(lazy, k), l).dvalue(probe, m) == \
-                    three.deriv((k, l, m))
+        node = FPartial(lazy, k)
+        assert node.value(probe) == one.deriv((k,))
+        with pytest.raises(TaylorError):
+            node.dvalue(probe, 0)
     for fld in (nodes["partial"], nodes["nested-partial"],
                 FPartial(nodes["inverse-entry"], 0),
                 FPartial(FPartial(nodes["exp-entry"], 0), 1)):
@@ -656,24 +651,6 @@ def test_scaled_product_matches_scale_of_product(backend):
                     == repr(_read(name, want, probe))), (a, b, c)
 
 
-@RATIONAL
-def test_partials_of_a_scaled_product_apply_its_scale(backend):
-    """The derivative graph of a scaled product scales the product rule's
-    sum by c, as that of an FScale over the product does."""
-    probe, nodes = _graph()
-    P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
-    c = F("-2/7")
-
-    def build(scaled):
-        a, b = FSum([P, Q]), FProd(Q, FScale(P, F(3)))
-        return FProd(a, b, c) if scaled else FScale(FProd(a, b), c)
-
-    for j in range(N):
-        got, want = FPartial(build(True), j), FPartial(build(False), j)
-        assert (repr([got.dvalue(probe, k) for k in range(N)])
-                == repr([want.dvalue(probe, k) for k in range(N)])), j
-
-
 def test_sum_of_one_lazy_operand_is_that_operand():
     _, nodes = _graph()
     zero = nodes["poly"].scale(0)
@@ -739,28 +716,6 @@ def test_product_with_scale_is_scale_of_product(backend):
             want = f_mul(a, b) if c is None else f_scale(f_mul(a, b), c)
             assert isinstance(got, Polynomial if c == 0 else kinds[name]), (name, c)
             assert _bits(got, probe) == _bits(want, probe), (name, c)
-
-
-def test_partial_node_builds_its_operand_derivative_once(monkeypatch):
-    """An FPartial keeps the derivative graph of its operand: reading its
-    partials along every k, at the probe twice, builds it once."""
-    from liecartan import fields
-
-    probe, nodes = _graph()
-    P, Q = nodes["poly"], nodes["poly-zero-at-probe"]
-
-    def build():
-        return FPartial(FProd(P, FSum([Q, FScale(P, F(3))])), 1)
-
-    want = [fields._derivative(build().a, 1, {}).dvalue(probe, k) for k in range(N)]
-    node = build()
-    calls = []
-    derivative = fields._derivative
-    monkeypatch.setattr(fields, "_derivative",
-                        lambda f, k, memo: calls.append(f) or derivative(f, k, memo))
-    for pt in (probe, tuple(list(probe))):
-        assert [node.dvalue(pt, k) for k in range(N)] == want
-    assert calls.count(node.a) == 1
 
 
 @RATIONAL

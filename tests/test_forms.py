@@ -351,7 +351,7 @@ def test_decompose_examples():
     co1 = decompose(rows, cf, "by-cominors")
     assert co1[(1,)][(3,)] == -7 and co1[(0,)][(2,)] == 0
     rebuilt = cominor_rows(mins, {(sk[0], U): c for sk, row in co1.items()
-                                  for (U,), c in row.items()}, slot)
+                                  for (U,), c in row.items()}, (slot,), 1)
     assert (rebuilt - rows).max_abs(probe) == 0
     assert sum(1 for _ in rebuilt.terms()) == sum(1 for _ in rows.terms())
     three = mins.minor((0, 1, 3)).scale(F(5))

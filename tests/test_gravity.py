@@ -10,10 +10,9 @@ import pytest
 
 import liecartan
 from liecartan.algebra import build_algebra
-from liecartan.charts import (Rng, antisym, coframe_from_algebra_form,
-                              pi_form_from_coeffs)
+from liecartan.charts import Rng, antisym, coframe_from_algebra_form
 from liecartan.connection import GroupMap, algebra_slot, maurer_cartan_form
-from liecartan.forms import Form
+from liecartan.forms import Form, cominor_rows
 from liecartan.gravity import (ChartInvariantError, GravityFields,
                                build_gravity_chart, certify_gravity_chart,
                                fields_from_chart, generalized_tensor_fields,
@@ -47,8 +46,8 @@ def p03_chart(seed=42, **kw):
 
 def phi_fields(split, phi, coeffs, probe):
     """Phi-side fields with pi built from ``coeffs`` over the phi coframe."""
-    pi = pi_form_from_coeffs(coeffs, coframe_from_algebra_form(phi, probe),
-                             algebra_slot(split.ambient, dual=True))
+    pi = cominor_rows(coframe_from_algebra_form(phi, probe).minors(), coeffs,
+                      (algebra_slot(split.ambient, dual=True),), 2)
     pi_at = antisym({key: f.value(probe) for key, f in coeffs.items()})
     return GravityFields(split, phi, pi, pi_at, probe)
 
@@ -358,7 +357,7 @@ def test_abelian_toy_el_residuals():
 
 def test_exact_term_identity():
     # d(1/2 p^{ll} e^{(N-2)}_{ll}) = (d_l p^{ll} + 1/2 c p^{ll}) e^{(N-1)}_l
-    from liecartan.charts import frame_partial_field, pi_form_from_coeffs
+    from liecartan.charts import frame_partial_field
     from liecartan.fields import f_scale
     from liecartan.forms import Form as FormCls, exterior_d
 
@@ -370,7 +369,7 @@ def test_exact_term_identity():
     dual = algebra_slot(alg, dual=True)
     ll_only = {key: fld for key, fld in p_coeffs.items()
                if key[1] in sp.l_indices and key[2] in sp.l_indices}
-    lhs = exterior_d(pi_form_from_coeffs(ll_only, chart.coframe, dual))
+    lhs = exterior_d(cominor_rows(minors, ll_only, (dual,), 2))
     rhs = FormCls(N, N - 1, (dual,))
     for I in range(N):
         for L in sp.l_indices:
@@ -407,7 +406,6 @@ def test_action_density_invariance_constant_gauge():
     from liecartan.connection import curvature
     from liecartan.forms import merge_sign
     from liecartan.gravity import pi_values_from_chart
-    from liecartan.charts import pi_form_from_coeffs
     import liecartan.linalg as la
 
     sp, kap, chart = p03_chart(seed=49)
@@ -418,9 +416,10 @@ def test_action_density_invariance_constant_gauge():
     dual = algebra_slot(alg, dual=True)
     Phi = curvature(fields.phi, alg)
     pi_at = pi_values_from_chart(chart)
-    pi_form = pi_form_from_coeffs(
+    pi_form = cominor_rows(
+        coframe.minors(),
         {k: Polynomial.constant(v, N) for k, v in pi_at.items() if k[1] < k[2]},
-        coframe, dual)
+        (dual,), 2)
 
     def wedge_scalar(pi_map, phi_map):
         acc = 0.0
@@ -510,16 +509,43 @@ def test_no_product_is_scaled_after_it_is_built():
     assert found == []
 
 
-def test_grav_el_builds_the_p_form_once(monkeypatch):
-    # fields_from_chart and dAp read the one p form of the chart.at() copy
-    from liecartan import charts, gravity
+def test_only_forms_assembles_coefficient_cominor_sums():
+    # forms.cominor_rows builds every sum c e^{(N-k)}_{idx}: no other
+    # module reads a minor's terms, folds a signed minor's sign, or grows a
+    # form by scaled minors
+    def called(node, *names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in names)
 
-    calls = []
-    build = charts.pi_form_from_coeffs
-    for module in (charts, gravity):
-        monkeypatch.setattr(module, "pi_form_from_coeffs",
-                            lambda *args: calls.append(args) or build(*args),
-                            raising=False)
+    def scaled_minor(node):
+        return called(node, "scale") and called(node.func.value, "minor")
+
+    def assembles(node):
+        if called(node, "signed_minor"):
+            return True
+        if called(node, "terms"):
+            return called(node.func.value, "minor")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return scaled_minor(node.left) or scaled_minor(node.right)
+        return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and scaled_minor(node.value))
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in SRC.glob("*.py") if path.name != "forms.py"
+             for node in ast.walk(ast.parse(path.read_text())) if assembles(node)]
+    assert found == []
+
+
+def test_grav_el_builds_the_p_form_once(monkeypatch):
+    # fields_from_chart and dAp read the one p form of the chart.at() copy,
+    # the one codegree-2 cominor_rows call
+    from liecartan import charts, forms, gravity
+
+    codegrees = []
+    build = forms.cominor_rows
+    for module in (charts, forms, gravity):
+        monkeypatch.setattr(module, "cominor_rows",
+                            lambda *args: codegrees.append(args[3]) or build(*args))
     sp, kap, chart = p03_chart(seed=case_seed(42, 0))
     grav_el_blocks(chart)
-    assert len(calls) == 1
+    assert codegrees.count(2) == 1

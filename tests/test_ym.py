@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from liecartan.algebra import central_extension, euclidean_diag, su2, u1
-from liecartan.charts import Rng, frame_partial_field, pi_form_from_coeffs
 from liecartan.connection import algebra_slot
 from liecartan.forms import Form
 from liecartan.scalars import Polynomial
@@ -364,8 +363,8 @@ def test_decomp_case_inverts_each_coframe_once(monkeypatch):
 
 def test_decomp_reads_partials_of_a_large_lazy_product():
     """A base-field product above the eager cap stays lazy, and this case's
-    d^A p reads the partials of its partial: second partials of the
-    product."""
+    d^A p reads the product's first partials: the run builds lazy products
+    but no partial node, and reads no second partial."""
     from liecartan.suites import SuiteConfig, run_suite
 
     rep = run_suite(SuiteConfig(suite="ym-decomp", algebra="u1", n=4, cases=2,
