@@ -3,15 +3,16 @@
 A chart lives on coordinates (x_0..x_{n-1}, y_0..y_{r-1}).  The group map
 g = exp(eta(y)) has eta valued in the l (or g) block and vanishing on the
 probe set {y = 0}, so exp and dexp of ad(eta) have closed first-order
-data there and stay exact.  The chart builders draw every rational from a
-seeded ``Rng``.  The connection part A is an x-only 1-form in dx
-components, which realizes the hypotheses under which the decomposition
-formulas are derived: A has no fiber components and its coefficients are
-constant on the fibers.
+data there, Taylor numbers at the probe.  The chart builders draw every
+rational from a seeded ``Rng``.  The connection part A is an x-only
+1-form in dx components, which realizes the hypotheses under which the
+decomposition formulas are derived: A has no fiber components and its
+coefficients are constant on the fibers.
 
 Chart data is typed.  ``TrivializedChart`` holds what every model puts on
 a chart: the coframe e = A + dg g^{-1}, the seeded source ``rng``, the dual
-field coefficients ``p_coeffs`` and the field strength ``F_form``.
+field coefficients ``p_coeffs`` and the field strength ``F_form``, with e
+built once by ``chart_coframe``.
 ``GaugeChart`` (Yang-Mills and Kaluza-Klein) adds the frame coefficients
 of F and the ``curved_base`` flag; ``GravityChart`` adds kappa, the
 theta/omega split of A, its torsion and the l-curvature.
@@ -38,8 +39,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .algebra import SplitAlgebra
-from .connection import (GroupMap, Representation, algebra_slot, cov_d, curvature,
-                         levi_civita_coeff_fields)
+from .connection import (GroupMap, Representation, algebra_one_form, algebra_slot,
+                         cov_d, curvature, levi_civita_coeff_fields)
 from .fields import (MatrixInverseField, at_probe, f_add, f_is_zero, f_mul,
                      f_partial, f_scale, f_zero)
 from .forms import Coframe, CoframeMinors, Form, cominor_rows, decompose
@@ -147,8 +148,7 @@ class TrivializedChart:
         """
         N = self.N
         pt = self.probe
-        V = self.coframe.inverse_field()
-        Vp = [[V.entry(k, A).value(pt) for A in range(N)] for k in range(N)]
+        Vp = self.coframe.inverse()
         p_at, dp_at = defaultdict(int), defaultdict(int)
         for key, fld in antisym(self.p_coeffs).items():
             p_at[key] = fld.value(pt)
@@ -230,9 +230,10 @@ def base_probe(rng: Rng, n_base: int, r_fib: int) -> Tuple:
     return tuple(x) + (Fraction(0),) * r_fib
 
 
-def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
+def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng, probe: Tuple,
                     quad: bool = True) -> GroupMap:
-    """g = exp(eta(y)) with eta in the l block, eta(0) = 0, d eta(0) invertible."""
+    """g = exp(eta(y)) with eta in the l block, eta(0) = 0, d eta(0)
+    invertible, read at ``probe`` (on y = 0)."""
     alg = split.ambient
     r = split.r
     N = n_base + r
@@ -255,7 +256,7 @@ def build_group_map(split: SplitAlgebra, n_base: int, rng: Rng,
                 e3[n_base + rng.rng.randrange(r)] += 1
                 terms[tuple(e3)] = terms.get(tuple(e3), 0) + rng.scalar(-1, 1)
         eta[i] = Polynomial(N, terms)
-    return GroupMap(alg, eta)
+    return GroupMap(alg, eta, probe)
 
 
 def build_connection_form(split: SplitAlgebra, n_base: int, rng: Rng,
@@ -306,12 +307,11 @@ def assemble_chart(split: SplitAlgebra, n_base: int, seed: int,
     rng = Rng(seed)
     r = split.r
     probe = base_probe(rng, n_base, r)
-    gm = build_group_map(split, n_base, rng)
+    gm = build_group_map(split, n_base, rng, probe)
     A_form = build_connection_form(split, n_base, rng, probe,
                                    s_coframe="perturbed" if curved_base else "flat",
                                    l_rows=l_rows)
-    e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, probe)
+    e_form, coframe = chart_coframe(A_form, gm, probe)
     F_form = curvature(A_form, split.ambient)
     return GaugeChart(split, n_base, r, gm, A_form, e_form, coframe, probe,
                       rng, {}, F_form, frame_coeffs_2form(F_form, coframe),
@@ -325,6 +325,19 @@ def coframe_from_algebra_form(e_form: Form, probe: Tuple) -> Coframe:
         raise ChartError("algebra dimension must match the chart dimension")
     entries = [[e_form.get((k,), (I,)) for k in range(N)] for I in range(dim)]
     return Coframe(entries, probe)
+
+
+def chart_coframe(A_form: Form, gm: GroupMap, probe: Tuple) -> Tuple[Form, Coframe]:
+    """e = A + dg g^{-1} as a form and as the chart's coframe, from one set
+    of entries: the coframe keeps every partial of each, which its inverse
+    reads, and the form drops the one along the entry's own index."""
+    N = A_form.n
+    if A_form.slots[0].dim != N:
+        raise ChartError("algebra dimension must match the chart dimension")
+    T = gm.right_transport()
+    entries = [[f_add(A_form.get((k,), (I,)), T[I][k]) for k in range(N)]
+               for I in range(N)]
+    return algebra_one_form(gm.alg, entries), Coframe(entries, probe)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra
-from .fields import (MatrixDexpField, MatrixExpField, MatrixField, f_add,
-                     f_is_zero, f_mul, f_partial, f_scale, f_zero)
+from .fields import (Taylor, TruncationError, f_add, f_is_zero, f_mul, f_partial,
+                     f_scale, f_zero)
 from .forms import Form, Slot, SlotMismatchError, exterior_d, merge_sign
 
 HALF = Fraction(1, 2)
@@ -49,14 +49,26 @@ def cov_d(omega: Form, alpha: Form, reps: Sequence[Optional[Representation]]) ->
     if len(reps) != len(alpha.slots):
         raise SlotMismatchError("one representation entry per slot is required")
     out = exterior_d(alpha)
+    w, a = beside_d(alpha, omega, alpha)
     for pos, rep in enumerate(reps):
         if rep is None or all(not m for m in rep.mats):
             continue
         if rep.dim != alpha.slots[pos].dim:
             raise SlotMismatchError("representation does not act on this slot")
-        contrib = _rho_omega_wedge(omega, alpha, pos, rep)
+        contrib = _rho_omega_wedge(w, a, pos, rep)
         out = out + contrib
     return out
+
+
+def beside_d(alpha: Form, *forms: Form):
+    """The factors of a product term added to d alpha: order-0 copies of
+    ``forms`` when alpha has an order-1 ``Taylor`` coefficient, whose d is
+    order 0 (a sum with an order-0 summand keeps no partials, so the
+    product's partials would be dropped); else ``forms`` as they are."""
+    for _, _, f in alpha.terms():
+        if isinstance(f, Taylor) and f._d is not None:
+            return [g.at(f._pt, 0) for g in forms]
+    return forms
 
 
 def _rho_omega_wedge(omega: Form, alpha: Form, pos: int, rep: Representation) -> Form:
@@ -108,7 +120,8 @@ def bracket_wedge(alg: LieAlgebra, a: Form, b: Form) -> Form:
 
 def curvature(omega: Form, alg: LieAlgebra) -> Form:
     """Omega = d w + 1/2 [w ^ w]."""
-    return exterior_d(omega) + bracket_wedge(alg, omega, omega).scale(HALF)
+    w, = beside_d(omega, omega)
+    return exterior_d(omega) + bracket_wedge(alg, w, w).scale(HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -116,87 +129,93 @@ def curvature(omega: Form, alg: LieAlgebra) -> Form:
 # ---------------------------------------------------------------------------
 
 class GroupMap:
-    """g = exp(eta) for an algebra-valued field tuple eta on the chart.
+    """g = exp(eta) for an algebra-valued field tuple eta on the chart, read
+    at ``probe``, where eta must vanish (else ``TruncationError``).
 
-    It is read at a probe where eta vanishes, where exp and dexp of
-    ad(eta) have the closed first-order data I and c_1 d ad(eta).
+    There the exp and dexp series of ad(eta) stop after their first-order
+    terms: Ad = I + ad(eta), Ad^-1 = I - ad(eta) and dexp+- = I +- 1/2
+    ad(eta), each a matrix of order-1 ``Taylor`` numbers (``first_order``).
     """
 
-    def __init__(self, alg: LieAlgebra, eta: Sequence):
+    def __init__(self, alg: LieAlgebra, eta: Sequence, probe: Sequence):
         self.alg = alg
         self.eta = list(eta)
         self.n = self.eta[0].n
-        self._ad_eta = self._build_ad_eta()
-        self._Ad = MatrixExpField(self._ad_eta)
-        self._Ad_inv = MatrixExpField(_mat_neg(self._ad_eta))
-        self._dexp_pos = MatrixDexpField(self._ad_eta)
-        self._dexp_neg = MatrixDexpField(_mat_neg(self._ad_eta))
+        self.probe = tuple(probe)
+        d = range(alg.dim)
+        ad = [[Taylor.of(self._ad_eta(k, j), self.probe) for j in d] for k in d]
+        if any(m._v for row in ad for m in row):
+            raise TruncationError("matrix series does not terminate unless the "
+                                  "exponent vanishes at the point")
+        self._ad, self._mats = ad, {}
 
-    def _build_ad_eta(self):
-        d = self.alg.dim
-        rows = []
-        for k in range(d):
-            row = []
-            for j in range(d):
-                parts = []
-                for i, comp in enumerate(self.eta):
-                    v = self.alg.c(k, i, j)
-                    if v and not f_is_zero(comp):
-                        parts.append(f_scale(comp, v))
-                row.append(f_add(*parts) if parts else f_zero(self.n))
-            rows.append(row)
-        return rows
+    def _ad_eta(self, k: int, j: int):
+        """ad(eta)^k_j = c^k_{ij} eta^i."""
+        parts = [f_scale(e, self.alg.c(k, i, j)) for i, e in enumerate(self.eta)
+                 if self.alg.c(k, i, j) and not f_is_zero(e)]
+        return f_add(*parts) if parts else f_zero(self.n)
+
+    def first_order(self, c1):
+        """The matrix I + c1 ad(eta), built on its first read."""
+        mat = self._mats.get(c1)
+        if mat is None:
+            mat = self._mats[c1] = [
+                [f_add(Taylor(self.n, self.probe, Fraction(1) if i == j else 0, {}),
+                       f_scale(m, c1)) for j, m in enumerate(row)]
+                for i, row in enumerate(self._ad)]
+        return mat
 
     def ad_entry(self, i: int, j: int):
-        return self._Ad.entry(i, j)
+        return self.first_order(1)[i][j]
 
     def ad_inv_entry(self, i: int, j: int):
-        return self._Ad_inv.entry(i, j)
+        return self.first_order(-1)[i][j]
 
     def ad_dual_entry(self, i: int, j: int):
         # Ad*_g = (Ad_g^{-1})^T
-        return self._Ad_inv.entry(j, i)
+        return self.first_order(-1)[j][i]
 
     def ad_dual_inv_entry(self, i: int, j: int):
-        return self._Ad.entry(j, i)
+        return self.first_order(1)[j][i]
+
+    def right_transport(self) -> List[List]:
+        """The components (dg g^{-1})^i_k = sum_j dexp+[i][j] d_k eta^j, by
+        [i][k]; the zero polynomial where no term is live."""
+        return self._transport(self.first_order(HALF))
 
     def right_log_derivative(self) -> Form:
         """dg g^{-1} as an algebra-valued 1-form."""
-        return self._transport_form(self._dexp_pos)
+        return algebra_one_form(self.alg, self.right_transport())
 
     def left_log_derivative(self) -> Form:
         """g^{-1} dg (the Maurer-Cartan form of g)."""
-        return self._transport_form(self._dexp_neg)
+        return algebra_one_form(self.alg, self._transport(self.first_order(-HALF)))
 
-    def _transport_form(self, dexp: MatrixField) -> Form:
-        d = self.alg.dim
-        slot = algebra_slot(self.alg)
-        out = Form(self.n, 1, (slot,))
+    def _transport(self, dexp) -> List[List]:
+        deta = [[e if f_is_zero(e) else f_partial(e, k) for e in self.eta]
+                for k in range(self.n)]
+        out = [[f_zero(self.n)] * self.n for _ in dexp]
         for k in range(self.n):
-            for i in range(d):
-                parts = []
-                for j in range(d):
-                    dj = _partial_or_zero(self.eta[j], k)
-                    if f_is_zero(dj):
-                        continue
-                    parts.append(f_mul(dexp.entry(i, j), dj))
+            for i, row in enumerate(dexp):
+                parts = [f_mul(row[j], dj) for j, dj in enumerate(deta[k])
+                         if not f_is_zero(dj)]
                 if parts:
-                    out.add_term((k,), (i,), f_add(*parts))
-        return out._finalize()
-
-
-def _partial_or_zero(field, k: int):
-    if f_is_zero(field):
-        return field
-    return f_partial(field, k)
-
-
-def _mat_neg(rows):
-    return [[f_scale(x, -1) for x in row] for row in rows]
+                    out[i][k] = f_add(*parts)
+        return out
 
 
 def algebra_slot(alg: LieAlgebra, dual: bool = False) -> Slot:
     return Slot(alg.name, alg.dim, dual)
+
+
+def algebra_one_form(alg: LieAlgebra, rows) -> Form:
+    """sum_{i, k} rows[i][k] dx^k t_i, its terms added by k, then i."""
+    n = len(rows[0])
+    out = Form(n, 1, (algebra_slot(alg),))
+    for k in range(n):
+        for i, row in enumerate(rows):
+            out.add_term((k,), (i,), row[k])
+    return out._finalize()
 
 
 def maurer_cartan_form(gm: GroupMap) -> Form:

@@ -1,7 +1,7 @@
 """Lazy fields: a value and first partials at a probe.
 
-Polynomials stay eager; anything built from matrix exponentials or
-coframe inverses becomes a lazy node.  Every coefficient has a
+Polynomials stay eager; sums, products and scalings with a lazy operand,
+and coframe inverses, are lazy nodes.  Every coefficient has a
 ``.value(point)`` and a ``.dvalue(point, k)``, the first partial along k;
 polynomials and lazy nodes also give ``.partials(point)``, the dict of
 their nonzero first partials by coordinate.
@@ -10,8 +10,9 @@ their nonzero first partials by coordinate.
   its first read: a later read there, or at an equal tuple, is served from
   its memo, and a read at any other point raises ``TaylorError``.  A
   ``Taylor`` number is a lazy node bound to its point when built, with its
-  value and partials already set; a ``MatrixField`` is bound the same way,
-  with a matrix as its value and a matrix of dicts as its partials.
+  value and partials already set; a ``MatrixInverseField`` is bound the
+  same way, with a matrix as its value and a matrix of dicts as its
+  partials.
   Polynomials keep a memo per point instead, and may be read anywhere.
 - One rule set evaluates a field at a probe: the sum, product and scale
   rules of forward mode, each written once as a value rule and a partials
@@ -22,7 +23,8 @@ their nonzero first partials by coordinate.
   ``f_scale`` call them at once when an operand is a ``Taylor`` number.
   ``FPartial``'s value is its child's ``dvalue``; a partial has a value
   and no partials of its own, as no suite reads second partials, and
-  reading them raises ``TaylorError``.
+  reading them raises ``TaylorError``.  So does a partial that a
+  ``Taylor`` number dropped, wherever it is read.
 - One node per term: a sum of one live operand is that operand, and a
   product carries its scale, ``f_mul(a, b, c)``, which gives exactly what
   ``f_scale(f_mul(a, b), c)`` gives on every path but builds one node.
@@ -30,21 +32,16 @@ their nonzero first partials by coordinate.
   applies the scale last, so a lazy product shared by several scales is
   multiplied out once per scale; an eager polynomial product is shared
   outright.
-- A ``MatrixField`` computes its value matrix from its entries' values
+- A coframe inverse computes its value matrix from its entries' values
   and, when first asked, its partials from their values and partials.
   Its entry cache holds weak references: a live entry node is shared,
   and a matrix and its entries form no cycle, so refcounting frees them.
-  An inverse takes V from ``linalg.mat_inverse`` and its partials as
-  -V (dE) V.  exp and dexp sum c_k M^k over Taylor numbers at a point
-  where M vanishes, as every chart's exponent does at its probe: that is
-  I c_0 with partials c_1 dM.
+  Group maps are not lazy: ``connection.GroupMap`` holds Taylor numbers.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
-from fractions import Fraction
 from typing import List
 
 from . import linalg
@@ -263,7 +260,10 @@ class Taylor(_Lazy):
 
     @staticmethod
     def of(field, pt: tuple) -> "Taylor":
-        """The value and first partials of ``field`` at ``pt``."""
+        """The value and first partials of ``field`` at ``pt``; an order-1
+        Taylor number there is returned as it is, with its dropped bits."""
+        if isinstance(field, Taylor) and field._d is not None and field._pt == pt:
+            return field
         return Taylor(field.n, pt, field.value(pt), field.partials(pt))
 
     def _partials(self, point):
@@ -408,14 +408,27 @@ def f_is_zero(a) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared lazy matrix nodes (exp of polynomial matrices, coframe inverses)
+# shared lazy matrix nodes (coframe inverses)
 # ---------------------------------------------------------------------------
 
-class MatrixField(_Bound):
-    """Matrix-valued function of the chart point, bound to its probe like
-    a lazy node: its value is the value matrix, and its partials the
-    matrix of each entry's nonzero first partials as a dict by coordinate,
-    computed when first asked for."""
+def _dot(pairs):
+    """sum a b over the pairs with both factors nonzero, in order; a sum
+    that cancels to zero restarts at the next term."""
+    acc = 0
+    for a, b in pairs:
+        if a and b:
+            x = _mul(a, b)
+            acc = _add(acc, x) if acc else x
+    return acc or 0
+
+
+class MatrixInverseField(_Bound):
+    """E(x)^-1, bound to its probe like a lazy node: its value is V from
+    ``linalg.mat_inverse`` at the point, and its partials the matrix of
+    each entry's nonzero first partials as a dict by coordinate, computed
+    when first asked for as -V (dE) V, formed as (-(V dE)) V like the
+    Neumann series (1 + V (E - E(p)))^-1 V.  Every partial of every entry
+    enters each partial of V, so an entry that dropped one raises."""
 
     def __init__(self, entries: List[List[object]]):
         self.n, self._pt, self._v, self._d = entries[0][0].n, None, _UNSET, None
@@ -430,76 +443,6 @@ class MatrixField(_Bound):
             node = self._entries[(i, j)] = MatrixEntryField(self, i, j)
         return node
 
-
-class MatrixEntryField(_Lazy):
-    __slots__ = ("mat", "i", "j", "__weakref__")
-
-    def __init__(self, mat: MatrixField, i: int, j: int):
-        _Lazy.__init__(self, mat.n)
-        self.mat, self.i, self.j = mat, i, j
-
-    def _value(self, point):
-        return self.mat.value(point)[self.i][self.j] or 0
-
-    def _partials(self, point):
-        return self.mat.partials(point)[self.i][self.j]
-
-
-class MatrixExpField(MatrixField):
-    """exp(M(x)) = sum_k M^k / k!, read where M vanishes."""
-
-    shift = 0
-
-    def _value(self, pt):
-        M = [[Taylor(self.n, pt, f.value(pt), None) for f in row]
-             for row in self.entries]
-        return [[t._v for t in row] for row in _series(M, self.shift)]
-
-    def _partials(self, pt):
-        M = [[Taylor.of(f, pt) for f in row] for row in self.entries]
-        return [[t._d for t in row] for row in _series(M, self.shift)]
-
-
-class MatrixDexpField(MatrixExpField):
-    """Right-transport factor sum_k ad^k/(k+1)! applied on the left."""
-
-    shift = 1
-
-
-def _series(M, shift: int):
-    """sum_k c_k M^k with c_k = 1/(k + shift)! over Taylor numbers, all of
-    order 0 or all of order 1, at a point where M vanishes: there the
-    series stops after its first-order term, I c_0 + c_1 M."""
-    if any(m._v for row in M for m in row):
-        raise TruncationError("matrix series does not terminate unless the "
-                              "exponent vanishes at the point")
-    t = M[0][0]
-    c0 = Fraction(1, math.factorial(shift))
-    c1 = Fraction(1, math.factorial(shift + 1))
-
-    def unit(i, j):
-        return Taylor(t.n, t._pt, c0 if i == j else 0, None if t._d is None else {})
-
-    return [[f_add(unit(i, j), f_scale(m, c1)) for j, m in enumerate(row)]
-            for i, row in enumerate(M)]
-
-
-def _dot(pairs):
-    """sum a b over the pairs with both factors nonzero, in order; a sum
-    that cancels to zero restarts at the next term."""
-    acc = 0
-    for a, b in pairs:
-        if a and b:
-            x = _mul(a, b)
-            acc = _add(acc, x) if acc else x
-    return acc or 0
-
-
-class MatrixInverseField(MatrixField):
-    """E(x)^-1: V from ``linalg.mat_inverse`` at the point, and the
-    partials of V as -V (dE) V, formed as (-(V dE)) V like the Neumann
-    series (1 + V (E - E(p)))^-1 V."""
-
     def _value(self, pt):
         E = [[f.value(pt) for f in row] for row in self.entries]
         return linalg.mat_inverse(E)
@@ -507,6 +450,9 @@ class MatrixInverseField(MatrixField):
     def _partials(self, pt):
         V = self.value(pt)
         dim = len(V)
+        if any(isinstance(f, Taylor) and f.drop for row in self.entries for f in row):
+            raise TaylorError("an inverse reads every partial of its entries, "
+                              "and an entry dropped one")
         dE = [[f.partials(pt) for f in row] for row in self.entries]
         out = [[{} for _ in range(dim)] for _ in range(dim)]
         for k in range(self.n):
@@ -519,3 +465,17 @@ class MatrixInverseField(MatrixField):
                     if x:
                         out[i][j][k] = x
         return out
+
+
+class MatrixEntryField(_Lazy):
+    __slots__ = ("mat", "i", "j", "__weakref__")
+
+    def __init__(self, mat: MatrixInverseField, i: int, j: int):
+        _Lazy.__init__(self, mat.n)
+        self.mat, self.i, self.j = mat, i, j
+
+    def _value(self, point):
+        return self.mat.value(point)[self.i][self.j] or 0
+
+    def _partials(self, point):
+        return self.mat.partials(point)[self.i][self.j]

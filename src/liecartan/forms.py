@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (MatrixField, MatrixInverseField, Taylor, at_probe,
+from .fields import (MatrixInverseField, Taylor, at_probe,
                      f_add, f_is_zero, f_mul, f_partial, f_scale, f_zero)
 from .scalars import Polynomial
 
@@ -361,7 +361,8 @@ class Coframe:
 
     A coframe with a probe is inverted there when built, which certifies
     that it is not singular there, and builds its forms and minors from
-    ``Taylor`` numbers there; ``entries`` and the inverse stay symbolic.
+    ``Taylor`` numbers there; ``entries`` are kept as given, and the
+    inverse is a lazy node.
     One without gives symbolic forms and minors, but no inverse and no
     decomposition.
     """
@@ -370,7 +371,7 @@ class Coframe:
         self.N = len(entries)
         self.entries = [[_as_field(c, self.N) for c in row] for row in entries]
         self.probe = None if probe is None else tuple(probe)
-        self._inv: Optional[MatrixField] = None
+        self._inv: Optional[MatrixInverseField] = None
         self._minors: Optional["CoframeMinors"] = None
         self._ones: Dict[int, Form] = {}
         if probe is not None:
@@ -395,7 +396,7 @@ class Coframe:
         except linalg.SingularMatrixError as exc:
             raise SingularCoframeError(f"coframe singular at {self.probe}") from exc
 
-    def inverse_field(self) -> MatrixField:
+    def inverse_field(self) -> MatrixInverseField:
         """Fields V with sum_k E[A][k] V[k][B] = delta, i.e. V = E^-1."""
         if self._inv is None:
             self._inv = MatrixInverseField(self.entries)

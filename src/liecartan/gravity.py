@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .algebra import SplitAlgebra, check_algebra
 from .charts import (GravityChart, Rng, antisym, base_probe,
-                     build_connection_form, build_group_map,
+                     build_connection_form, build_group_map, chart_coframe,
                      coframe_from_algebra_form, frame_coeffs_1form,
                      frame_coeffs_2form, frame_partial_field)
-from .connection import (GroupMap, Representation, algebra_slot,
+from .connection import (HALF, GroupMap, Representation, algebra_slot,
                          apply_matrix_to_slot, bracket_wedge, cov_d, curvature)
 from .fields import f_add, f_mul, f_scale, f_zero
 from .forms import (Coframe, CoframeMinors, Form, Slot, cominor_rows, decompose,
@@ -94,7 +94,7 @@ def grav_el_residuals(fields: GravityFields) -> dict:
 def source_form(minors: CoframeMinors, mixed, scalar, dual: Slot) -> Form:
     """Q_p - 1/2 Q e^{(N-1)}_p from a mixed source family Q_P^Q and its trace."""
     N = minors.N
-    rows = {(P, Q): mixed[P][Q] - (scalar / 2 if P == Q else 0)
+    rows = {(P, Q): mixed[P][Q] - (scalar * HALF if P == Q else 0)
             for P in range(N) for Q in range(N)}
     return cominor_rows(minors, rows, (dual,), 1)
 
@@ -152,15 +152,14 @@ def build_gravity_chart(split: SplitAlgebra, kappa: KappaTensor, seed: int,
             e = [0] * N
             e[n + pos] = 1
             eta[i] = Polynomial(N, {tuple(e): Fraction(1)})
-        gm = GroupMap(split.ambient, eta)
+        gm = GroupMap(split.ambient, eta, probe)
     else:
-        gm = build_group_map(split, n, rng)
+        gm = build_group_map(split, n, rng, probe)
     A_form = build_connection_form(
         split, n, rng, probe,
         s_coframe="flat" if flat else "perturbed",
         l_rows="none" if flat else "random")
-    e_form = A_form + gm.right_log_derivative()
-    coframe = coframe_from_algebra_form(e_form, probe)
+    e_form, coframe = chart_coframe(A_form, gm, probe)
 
     # split A into theta (s rows) and omega (l rows)
     uslot = algebra_slot(split.ambient)
@@ -450,7 +449,7 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                 for b in s_idx:
                     w = omega_c[(L,)][a][b]
                     if w:
-                        acc = _add(acc, _mul(pv[I, a, b], w) / 2)
+                        acc = _add(acc, _mul(_mul(pv[I, a, b], w), HALF))
             blocks["omega_kappa"] = max(blocks["omega_kappa"], abs(acc))
             for sb in s_idx:
                 acc = _add(acc, _add(dpv[I, L, sb, sb], cov_term(I, L, sb)))
@@ -467,7 +466,7 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                 for l2 in l_idx:
                     cv = alg.c(L, l1, l2)
                     if cv:
-                        acc = _add(acc, _mul(cv, pv[I, l1, l2]) / 2)
+                        acc = _add(acc, _mul(_mul(cv, pv[I, l1, l2]), HALF))
             l_rows[(I, L)] = acc
     s_rows: Dict[Tuple[int, int], object] = {}
     for I in range(N):
@@ -479,7 +478,7 @@ def grav_dAp_decomposition_residual(chart: GravityChart,
                                      tstar[b] if S == a else 0),
                                 tstar[a] if S == b else 0)
                     if ring:
-                        acc = _add(acc, _mul(_mul(control_sign, pv[I, a, b]), ring) / 2)
+                        acc = _add(acc, _mul(_mul(control_sign * HALF, pv[I, a, b]), ring))
             for l1 in l_idx:
                 acc = _add(acc, dpv[I, S, l1, l1])
             for s1 in s_idx:
@@ -569,9 +568,9 @@ def theta_ring_invert(ring, s_idx, n: int):
             for b in s_idx:
                 v = ring[(c, a, b)]
                 if c == b:
-                    v = v - trace[a] / (n - 2)
+                    v = v - trace[a] * Fraction(1, n - 2)
                 if c == a:
-                    v = v + trace[b] / (n - 2)
+                    v = v + trace[b] * Fraction(1, n - 2)
                 out[(c, a, b)] = v
     return out
 
@@ -652,7 +651,7 @@ def _tensor_blocks(chart: GravityChart, minors: CoframeMinors, theta_c,
                                   + omega_c[(lI,)][s2][a] * (1 if s1 == b else 0)
                                   + omega_c[(lI,)][a][s1] * (1 if s2 == b else 0))
                         acc += kv * ring_o
-            exp_res = max(exp_res, abs(einstein[(a, b)] + control_sign * acc / 2))
+            exp_res = max(exp_res, abs(einstein[(a, b)] + control_sign * acc * HALF))
     blocks.update(implicit_theta=imp, implicit_omega=imp_o,
                   einstein_expansion=exp_res)
     return blocks
@@ -910,7 +909,7 @@ def grav_T_conservation_residual(chart: GravityChart,
                 for b in s_idx:
                     w = omega_c[(L,)][a][b]
                     if w != 0:
-                        parts.append(f_scale(p_field(P, a, b), w / 2))
+                        parts.append(f_scale(p_field(P, a, b), w * HALF))
             # (d^omega_s + Theta*_s) p_P^{L s}; cov_inner uses p^{s L}
             parts.append(f_scale(cov_inner(P, L), -1))
             for sb in s_idx:
@@ -935,7 +934,7 @@ def grav_T_conservation_residual(chart: GravityChart,
     # add the -(-1/2 Q delta) = +1/2 Q delta_P^L row (Q is y-independent)
     qv = _q_scalar(chart, theta_c, omega_c)
     def_form = (cominor_rows(minors, coeffs, (dual,), 1)
-                + cominor_rows(minors, {(L, L): qv / 2 for L in l_idx}, (dual,), 1))
+                + cominor_rows(minors, {(L, L): qv * HALF for L in l_idx}, (dual,), 1))
     dd = exterior_d(def_form)
     top = tuple(range(N))
     det = minors.top.get(top).value(pt)

@@ -24,7 +24,7 @@ from .algebra import SplitAlgebra, killing_form
 from .charts import (GaugeChart, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
                      frame_partial_field, g_row_divergence)
-from .connection import Representation, algebra_slot, cov_d, curvature
+from .connection import Representation, algebra_slot, beside_d, cov_d, curvature
 from .fields import f_is_zero, f_mul, f_scale, f_zero
 from .forms import Form, Slot, cominor_rows, contracted_wedge, decompose, exterior_d
 from .scalars import _add, _mul, _sub
@@ -65,7 +65,8 @@ def check_h_invariance(split: SplitAlgebra) -> object:
 
 def so_curvature(phi: Form) -> Form:
     """Phi = d phi + phi ^ phi for a matrix-valued 1-form."""
-    return exterior_d(phi) + contracted_wedge(phi, phi, [(1, 0)])
+    p, = beside_d(phi, phi)
+    return exterior_d(phi) + contracted_wedge(p, p, [(1, 0)])
 
 
 def kk_el_residuals(fields: KKFields) -> dict:

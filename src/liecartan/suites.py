@@ -337,7 +337,7 @@ def case_kappa(config: SuiteConfig, cid: int, seed: int):
 
 
 def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
-    from .connection import (GroupMap, Representation, algebra_slot,
+    from .connection import (GroupMap, Representation, algebra_one_form, algebra_slot,
                              bracket_wedge, cov_d, curvature, gauge_transform,
                              adjoint_transport, coadjoint_transport,
                              maurer_cartan_form, maurer_cartan_residual)
@@ -348,7 +348,7 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     n = alg.dim
     probe = tuple(rng.scalar(-1, 1) for _ in range(n))
     eta = [rng.vanishing_poly(n, probe, list(range(n))) for _ in range(n)]
-    gm = GroupMap(alg, eta)
+    gm = GroupMap(alg, eta, probe)
     slot = algebra_slot(alg)
     adrep = Representation.adjoint(alg)
     coad = adrep.dual()
@@ -394,15 +394,10 @@ def case_gauge_lemmas(config: SuiteConfig, cid: int, seed: int):
     # minor Leibniz with the adjoint (unimodular) representation, at the
     # probe: e from the probed coframe's one-forms, and omega read there
     # for its values alone, since no d is taken of it.
-    # The lemmas above stay lazy: their products, read at the probe, would
-    # compute partials that only max_abs's values need, and ran slower.
     cf = Coframe(_near_identity(rng, n, probe), probe)
     mins = cf.minors()
-    e_form = Form(n, 1, (slot,))
-    for A in range(n):
-        for K, _, c in cf.one_form(A).terms():
-            e_form.add_term(K, (A,), c)
-    e_form._finalize()
+    e_form = algebra_one_form(alg, [[cf.one_form(A).get((k,)) for k in range(n)]
+                                    for A in range(n)])
     omega = rand_alg_form().at(probe, 0)
     dwe = cov_d(omega, e_form, (adrep,))
     m1 = mins.minor_form(1, slot)

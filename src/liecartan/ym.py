@@ -18,7 +18,7 @@ from .algebra import SplitAlgebra
 from .charts import (GaugeChart, Rng, antisym, assemble_chart, base_lc_gamma_fields,
                      coframe_from_algebra_form, frame_coeffs_1form,
                      frame_partial_field, g_row_divergence)
-from .connection import Representation, algebra_slot, cov_d, curvature
+from .connection import HALF, Representation, algebra_slot, cov_d, curvature
 from .fields import f_add, f_is_zero, f_mul, f_scale, f_zero
 from .forms import Coframe, Form, cominor_rows, decompose, exterior_d, wedge
 from .scalars import Polynomial
@@ -99,7 +99,7 @@ def ym_el_residuals(fields: YMFields) -> dict:
                 report["r_pi_gg"][(i, j1, j2)] = res
                 worst = max(worst, abs(res))
     # r_theta: d^theta pi - 1/2 |pi^ss|^2 f^{(N-1)}_g
-    rhs = cominor_rows(minors, {(i, i): norm2 / 2 for i in g_idx}, (dual,), 1)
+    rhs = cominor_rows(minors, {(i, i): norm2 * HALF for i in g_idx}, (dual,), 1)
     r_theta = (dpi - rhs).max_abs(p)
     report["r_theta"] = r_theta
     report["max"] = max(worst, r_theta)
@@ -213,7 +213,7 @@ def ym_dAp_identity_residual(chart: GaugeChart, control_sign: int = 1) -> dict:
                         fv = f_at.get((j, s1, s2), 0)
                         if fv:
                             acc += control_sign * fv * pv[i, s1, s2] \
-                                * (1 if j == gup else 0) / 2
+                                * (1 if j == gup else 0) * HALF
             g_row[(i, gup)] = acc
     # exact term d(1/2 p^{g1 g2} e^{(N-2)}_{g1 g2})
     p_gg = {(i, j1, j2): at.p_coeffs[i, j1, j2]
@@ -337,7 +337,7 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
     norm2 = 0
     for (mu, nu), v in p_up.items():
         norm2 += v * (b[mu] * b[nu] * v)
-    norm2 = norm2 / 2
+    norm2 = norm2 * HALF
 
     probe = (Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(2), Fraction(0))
     # (a) d_nu p^{mu nu} + d_s p^mu = 0 ; (b) d_mu p^mu + 1/2|p^ss|^2 = 0
@@ -347,8 +347,8 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
         # p^{mu nu} constant here; keep the generic form for clarity
         acc += p_vec[mu].dvalue(probe, 4)
         res_a = max(res_a, abs(acc))
-    res_b = abs(sum(p_vec[mu].dvalue(probe, mu) for mu in range(4)) + norm2 / 2)
-    maxwell_res = 0  # d_nu F^{mu nu} for constant F
+    res_b = abs(sum(p_vec[mu].dvalue(probe, mu) for mu in range(4)) + norm2 * HALF)
+    maxwell_res = maxwell_residual(A_mu, b, probe)
     # (ELvarpi): p_{mu nu} + F_{mu nu} = 0 and Theta_mu = d_y A_mu = 0
     res_elvarpi = 0
     for mu in range(4):
@@ -378,6 +378,16 @@ def maxwell_scenario(E_strength, seed: int = 42, nodes: int = 256,
         "norm2": norm2,
         "d_mu_p": sum(p_vec[mu].dvalue(probe, mu) for mu in range(4)),
     }
+
+
+def maxwell_residual(A_mu, b, probe) -> object:
+    """max over mu of |d_nu F^{mu nu}| at ``probe``, from the second
+    partials of the potentials ``A_mu``: F_{mu nu} = d_mu A_nu - d_nu A_mu,
+    with both indices raised by the diagonal metric ``b``."""
+    d = range(len(b))
+    return max(abs(sum((A_mu[nu].partial_poly(mu).dvalue(probe, nu)
+                        - A_mu[mu].partial_poly(nu).dvalue(probe, nu)) / (b[mu] * b[nu])
+                       for nu in d)) for mu in d)
 
 
 def maxwell_q_transport_residual(seed: int = 0) -> object:

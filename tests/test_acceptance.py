@@ -113,7 +113,7 @@ def test_criterion_06_maurer_cartan():
             probe = tuple(rng.scalar(-1, 1) for _ in range(n))
             eta = [rng.vanishing_poly(n, probe, list(range(n)), deg=1)
                    for _ in range(n)]
-            gm = GroupMap(alg, eta)
+            gm = GroupMap(alg, eta, probe)
             res = maurer_cartan_residual(maurer_cartan_form(gm), alg, probe)
             worst = max(worst, abs(res))
     ok = worst <= 1e-10

@@ -7,7 +7,7 @@ import pytest
 
 from liecartan.algebra import build_algebra, is_unimodular
 from liecartan.connection import (GroupMap, Representation, algebra_slot,
-                                  adjoint_transport, bracket_wedge,
+                                  adjoint_transport, beside_d, bracket_wedge,
                                   coadjoint_transport, cov_d, curvature,
                                   gauge_transform, levi_civita_coeff_fields,
                                   maurer_cartan_form, maurer_cartan_residual)
@@ -51,7 +51,7 @@ def rand_alg_form(rng, alg, n, degree=1):
 
 def make_group_map(rng, alg, n, probe):
     eta = [vanishing_poly(rng, n, probe) for _ in range(alg.dim)]
-    return GroupMap(alg, eta)
+    return GroupMap(alg, eta, probe)
 
 
 def test_cov_d_reduces_to_d():
@@ -132,7 +132,7 @@ def test_u1_maurer_cartan_is_exact_differential():
     rng = random.Random(3)
     probe = (F(0),)
     f = vanishing_poly(rng, 1, probe)
-    gm = GroupMap(alg, [f])
+    gm = GroupMap(alg, [f], probe)
     theta = maurer_cartan_form(gm)
     assert (theta - one_form_of(f)).max_abs(probe) == 0
 
@@ -154,7 +154,7 @@ def test_gauge_transform_identity_and_constant():
         for i in range(3):
             pi.add_term((k,), (i,), rng_poly(rng, n))
     pi._finalize()
-    gm = GroupMap(alg, [f_zero(n)] * alg.dim)
+    gm = GroupMap(alg, [f_zero(n)] * alg.dim, probe)
     a, p = gauge_transform(gm, theta, pi)
     assert (a - theta).max_abs(probe) == 0
     assert (p - pi).max_abs(probe) == 0
@@ -166,7 +166,7 @@ def test_gauge_transform_abelian():
     probe = (F(0), F(1))
     n = 2
     xi = vanishing_poly(rng, n, probe)
-    gm = GroupMap(alg, [xi])
+    gm = GroupMap(alg, [xi], probe)
     slot = algebra_slot(alg)
     theta = Form(n, 1, (slot,))
     for k in range(n):
@@ -429,3 +429,43 @@ def test_singular_coframe_rejected():
                [Polynomial.constant(F(1), 2), Polynomial.constant(F(1), 2)]]
     with pytest.raises(SingularCoframeError):
         Coframe(entries, (F(0), F(0)))
+
+
+def test_gauge_lemmas_builds_no_lazy_node(monkeypatch):
+    """The gauge lemmas read their group maps, transports and products at
+    the probe as Taylor numbers: runs on su2 and p_0(3), 5 cases each,
+    build no lazy node."""
+    from liecartan import fields
+    from liecartan.suites import SuiteConfig, run_suite
+
+    built = []
+    init = fields._Lazy.__init__
+
+    def counted(self, n):
+        built.append(type(self).__name__)
+        init(self, n)
+
+    monkeypatch.setattr(fields._Lazy, "__init__", counted)
+    for name in ("su2", "p_0(3)"):
+        rep = run_suite(SuiteConfig(suite="gauge-lemmas", algebra=name, cases=5, seed=1))
+        assert rep["pass"] and rep["max_residual"] == 0
+    assert built == []
+
+
+def test_product_beside_d_of_a_taylor_form_is_read_at_order_0():
+    """Beside d of a form with order-1 Taylor coefficients, whose d is
+    order 0, the product factors are order-0 copies at its point; beside d
+    of a polynomial form they are the forms themselves."""
+    rng = random.Random(5)
+    alg = build_algebra("su2")
+    n = 3
+    probe = (F(1, 2), F(0), F(-1))
+    theta = rand_alg_form(rng, alg, n)
+    assert beside_d(theta, theta) == (theta,)
+    e = adjoint_transport(make_group_map(rng, alg, n, probe), theta)
+    w, = beside_d(e, e)
+    assert all(type(f) is Taylor and f._d is None and f._pt == probe
+               for _, _, f in w.terms())
+    assert [(K, sk, f.value(probe)) for K, sk, f in w.terms()] == [
+        (K, sk, f.value(probe)) for K, sk, f in e.terms()]
+

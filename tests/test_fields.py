@@ -2,10 +2,10 @@
 
 ``value(point)`` and ``dvalue(point, k)`` are checked against independent
 closed forms: eager polynomial arithmetic read through the jet oracle's
-``poly_jet``, the sum and product rules on Fractions, and for the matrix
-nodes I c_0 and c_1 dM (an exponent that vanishes at the probe) and
--V (dE) V (an inverse).  A zero is the int 0.  Taylor numbers must give
-the value and partials of the lazy node they replace.
+``poly_jet``, the sum and product rules on Fractions, -V (dE) V for an
+inverse's entries, and I + c_1 d ad(eta) for a group map's entries (an
+eta that vanishes at the probe).  A zero is the int 0.  Taylor numbers
+must give the value and partials of the lazy node they replace.
 """
 
 from fractions import Fraction as F
@@ -15,10 +15,11 @@ import pytest
 from jet_oracle import poly_jet
 from liecartan import linalg
 from liecartan.charts import antisym
-from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixDexpField,
-                              MatrixEntryField, MatrixExpField, MatrixInverseField,
-                              Taylor, TaylorError, TruncationError, f_add, f_is_zero,
-                              f_mul, f_partial, f_scale)
+from liecartan.algebra import LieAlgebra
+from liecartan.connection import GroupMap
+from liecartan.fields import (FPartial, FProd, FScale, FSum, MatrixEntryField,
+                              MatrixInverseField, Taylor, TaylorError, TruncationError,
+                              at_probe, f_add, f_is_zero, f_mul, f_partial, f_scale)
 from liecartan.forms import Form, exterior_d, wedge
 from liecartan.scalars import Polynomial, poly_field
 
@@ -32,10 +33,33 @@ N = 3
 # value only
 ORDER0 = {"partial", "nested-partial"}
 
+# the 2-dimensional algebra [t0, t1] = t1, whose ad(eta) = [[0, 0],
+# [-eta1, eta0]] has a diagonal entry with partials
+AFF = LieAlgebra("aff", ["t0", "t1"], {(0, 1): {1: F(1)}})
+
+# id of a group-map entry built by _group_entries -> (the entry, its (i, j),
+# c_1 and ad(eta)): the entry is held, so its id is not reused
+_GROUP_ENTRIES = {}
+
+
+def _group_entries(gm: GroupMap):
+    """Every entry of Ad, Ad^-1 and dexp+- of ``gm``, registered for the
+    closed form I + c_1 d ad(eta)."""
+    n, dim = gm.n, gm.alg.dim
+    ad = [[sum((gm.eta[i].scale(gm.alg.c(k, i, j)) for i in range(dim)),
+               Polynomial.constant(0, n)) for j in range(dim)] for k in range(dim)]
+    out = []
+    for c1 in (F(1), F(-1), F(1, 2), F(-1, 2)):
+        for i, row in enumerate(gm.first_order(c1)):
+            for j, t in enumerate(row):
+                _GROUP_ENTRIES[id(t)] = (t, i, j, c1, ad)
+                out.append(t)
+    return out
+
 
 def _graph():
-    """One node of every kind over fresh polynomials.  The exponents of the
-    matrix nodes vanish at the probe, so their series terminate there."""
+    """One node of every kind over fresh polynomials.  The group map's eta
+    vanishes at the probe, so its exp and dexp series terminate there."""
     probe = tuple(F(x) for x in ("1/3", "-2/5", "3/7"))
     x = [Polynomial.coordinate(k, N) for k in range(N)]
     # shift[k] vanishes at the probe
@@ -45,32 +69,34 @@ def _graph():
                        ((0, 0, 0), F("1/4"))])
     Q = poly_field(N, [((1, 0, 2), F("-5/3")),
                        ((0, 1, 0), F(2))])
-    gen = [[shift[0] * P, shift[1].scale(F("2/3"))],
-           [shift[2] * Q, shift[0] * shift[1]]]
-    E = MatrixExpField(gen)
-    D = MatrixDexpField(gen)
+    # Ad = [[1, 0], [2/3 shift1, 1 + shift0 P]]
+    gm = GroupMap(AFF, [shift[0] * P, shift[1].scale(F("-2/3"))], probe)
+    _group_entries(gm)
     one = Polynomial.constant(F(1), N)
     two = Polynomial.constant(F(2), N)
+    # V = inv at the probe is [[1/2, -P/2], [0, 1]]: entry (1, 0) is zero there
     inv = MatrixInverseField([[two + shift[0] * Q, P],
                               [shift[1], one + shift[2] * P]])
     nodes = {
         "poly": P,
         "poly-zero-at-probe": shift[1] * Q,
-        "sum": FSum([P, E.entry(0, 1), Q]),
+        "sum": FSum([P, inv.entry(0, 1), Q]),
         "sum-cancelling": FSum([P, P.scale(-1)]),
         "sum-cancelling-then-lazy": FSum([P, P.scale(-1), inv.entry(0, 0)]),
-        "prod": FProd(P, E.entry(1, 0)),
-        "prod-zero-factor": FProd(E.entry(0, 1), Q),
+        "prod": FProd(P, inv.entry(1, 0)),
+        # zero at the probe, with the partial 2/3 Q along 1
+        "prod-zero-factor": FProd(FScale(inv.entry(1, 0), F(-4, 3)), Q),
         "scale": FScale(FSum([Q, inv.entry(1, 0)]), F("-2/7")),
         "partial": FPartial(FProd(P, inv.entry(0, 1)), 1),
-        "exp-entry": E.entry(0, 0),
-        "exp-entry-off-diagonal": E.entry(0, 1),
-        "dexp-entry": D.entry(1, 0),
+        "exp-entry": gm.ad_entry(1, 1),
+        "exp-entry-off-diagonal": gm.ad_entry(1, 0),
+        "dexp-entry": gm.first_order(F(1, 2))[1][0],
         "inverse-entry": inv.entry(1, 1),
-        "nested": FProd(FSum([FScale(E.entry(0, 0), F(3)),
+        "inverse-entry-zero-at-probe": inv.entry(1, 0),
+        "nested": FProd(FSum([FScale(inv.entry(1, 1), F(3)),
                               inv.entry(1, 0)]),
                         FSum([Q, inv.entry(0, 0)])),
-        "nested-partial": FProd(FSum([FScale(E.entry(0, 0), F(3)),
+        "nested-partial": FProd(FSum([FScale(inv.entry(1, 1), F(3)),
                                       FPartial(inv.entry(0, 1), 0)]),
                                 FSum([Q, inv.entry(0, 0)])),
     }
@@ -85,24 +111,30 @@ def _read(name, fld, point):
 
 
 def _matrix_closed_form(node: MatrixEntryField, probe):
-    """Entry (i, j) of a matrix node over polynomial entries: I c_0 + c_1 dM
-    for exp and dexp of an M that vanishes at the probe, V and -V (dE) V for
-    an inverse."""
+    """Entry (i, j) of an inverse over polynomial entries: V and
+    -V (dE) V."""
     entries, i, j = node.mat.entries, node.i, node.j
-    if isinstance(node.mat, MatrixInverseField):
-        E = [[f.value(probe) for f in row] for row in entries]
-        V = linalg.mat_inverse(E)
-        dim = len(V)
-        partials = []
-        for k in range(N):
-            dE = [[f.dvalue(probe, k) for f in row] for row in entries]
-            partials.append(-sum(V[i][a] * dE[a][b] * V[b][j]
-                                 for a in range(dim) for b in range(dim)))
-        return V[i][j], partials
-    assert all(f.value(probe) == 0 for row in entries for f in row)
-    c1 = F(1, 2) if isinstance(node.mat, MatrixDexpField) else F(1)
-    return (1 if i == j else 0), [c1 * entries[i][j].dvalue(probe, k)
-                                  for k in range(N)]
+    E = [[f.value(probe) for f in row] for row in entries]
+    V = linalg.mat_inverse(E)
+    dim = len(V)
+    partials = []
+    for k in range(N):
+        dE = [[f.dvalue(probe, k) for f in row] for row in entries]
+        partials.append(-sum(V[i][a] * dE[a][b] * V[b][j]
+                             for a in range(dim) for b in range(dim)))
+    return V[i][j], partials
+
+
+def _group_closed_form(fld, probe):
+    """Entry (i, j) of Ad, Ad^-1 or dexp+- of an eta that vanishes at the
+    probe: I + c_1 d ad(eta)."""
+    _, i, j, c1, ad = _GROUP_ENTRIES[id(fld)]
+    assert all(f.value(probe) == 0 for row in ad for f in row)
+    return (1 if i == j else 0), [c1 * ad[i][j].dvalue(probe, k) for k in range(N)]
+
+
+def _is_group_entry(fld) -> bool:
+    return _GROUP_ENTRIES.get(id(fld), (None,))[0] is fld
 
 
 def _closed_form(fld, probe):
@@ -113,6 +145,8 @@ def _closed_form(fld, probe):
         return j.value, [j.deriv((k,)) for k in range(N)]
     if isinstance(fld, MatrixEntryField):
         return _matrix_closed_form(fld, probe)
+    if _is_group_entry(fld):
+        return _group_closed_form(fld, probe)
     if isinstance(fld, FPartial):
         return _closed_form(fld.a, probe)[1][fld.k], None
     if isinstance(fld, FScale):
@@ -236,7 +270,8 @@ def test_partials_dict_holds_the_nonzero_dvalues_and_is_computed_once(backend,
             {k: x for k, x in enumerate(reads) if x}), name
         assert [fld.dvalue(probe, k) for k in range(N)] == reads
         assert fld.partials(probe) is d or isinstance(fld, Polynomial), name
-        assert computed.count(id(fld)) == (0 if isinstance(fld, Polynomial) else 1), name
+        eager = isinstance(fld, (Polynomial, Taylor))
+        assert computed.count(id(fld)) == (0 if eager else 1), name
 
 
 def test_partial_node_has_a_value_and_no_partials():
@@ -311,25 +346,25 @@ def test_two_points_alternately(backend):
 def test_two_distinct_points_alternately(backend):
     """Read in turn at two points, a polynomial gives each point's values,
     not the other's.  A lazy node, a matrix entry and a coframe inverse are
-    bound to one point, so each point has a graph and a coframe of its own,
-    built once; read in turn, each gives the values of a graph built afresh
-    and read at its point only."""
+    bound to one point, and a group map is built at one, so each point has
+    a graph and a coframe of its own, built once; read in turn, each gives
+    the values of a graph built afresh and read at its point only."""
     from liecartan.forms import Coframe
 
     points = [tuple(F(x) for x in ("1/3", "-2/5", "3/7")),
               tuple(F(x) for x in ("2/3", "1/5", -1))]
 
-    def build():
+    def build(pt):
         P = poly_field(N, [((2, 1, 0), F("3/2")),
                            ((0, 0, 1), F(-1))])
         Q = poly_field(N, [((1, 0, 2), F("-5/3")),
                            ((0, 1, 0), F(2))])
-        # vanishes at both points, so the exp series terminate there
+        # vanishes at both points, so the exp series terminate at each
         x0 = Polynomial.coordinate(0, N)
         both = ((x0 - Polynomial.constant(points[0][0], N))
                 * (x0 - Polynomial.constant(points[1][0], N)))
-        E = MatrixExpField([[both * P, both], [both * Q, both * P]])
-        return [("poly", P), ("exp", E.entry(0, 1)), ("sum", FSum([P, Q])),
+        gm = GroupMap(AFF, [both * P, both.scale(-1)], pt)
+        return [("poly", P), ("exp", gm.ad_entry(1, 0)), ("sum", FSum([P, Q])),
                 ("prod", FProd(P, Q)), ("scale", FScale(FProd(Q, Q), F(3))),
                 ("partial", FPartial(FProd(P, Q), 0))]
 
@@ -338,11 +373,11 @@ def test_two_distinct_points_alternately(backend):
     frame = [[one + x[0] * x[1], x[2], x[0]],
              [x[1], one, x[2] * x[2]],
              [x[0] * x[2], x[1], one + x[1]]]
-    graphs = {pt: build() for pt in points}
+    graphs = {pt: build(pt) for pt in points}
     coframes = {pt: Coframe(frame, pt) for pt in points}
     shared = graphs[points[0]][0][1]  # one polynomial, read at both points
     for pt in points + points:
-        refs = build()
+        refs = build(pt)
         for (name, fld), (_, ref) in zip(graphs[pt] + [("poly", shared)],
                                          refs + [refs[0]]):
             assert repr(_read(name, fld, pt)) == repr(_read(name, ref, pt)), name
@@ -412,10 +447,9 @@ def test_polynomial_dvalue_cancelling_to_zero_is_int(backend):
 
 
 def test_matrix_entry_nodes_are_shared():
-    probe, _ = _graph()
     x = [Polynomial.coordinate(k, N) for k in range(N)]
-    E = MatrixExpField([[x[0] - Polynomial.constant(probe[0], N), x[1]],
-                        [x[2], x[0]]])
+    E = MatrixInverseField([[Polynomial.constant(F(2), N) + x[0], x[1]],
+                            [x[2], x[0]]])
     assert E.entry(0, 1) is E.entry(0, 1)
     assert E.entry(0, 1) is not E.entry(1, 0)
 
@@ -428,11 +462,12 @@ def _same_by_repr(taylor, node, probe, order1=True):
 
 
 # operand names from _graph: polynomials, matrix entries and lazy nodes,
-# with zeros at the probe among them
-_PAIRS = [("poly", "exp-entry"), ("exp-entry", "poly"), ("inverse-entry", "nested"),
-          ("poly-zero-at-probe", "exp-entry-off-diagonal"), ("prod-zero-factor", "poly"),
-          ("sum-cancelling", "scale"), ("partial", "sum"), ("exp-entry", "exp-entry"),
-          ("dexp-entry", "nested-partial")]
+# with zeros at the probe among them; _SUMS has group-map entries too
+_PAIRS = [("poly", "inverse-entry"), ("inverse-entry", "poly"), ("inverse-entry", "nested"),
+          ("poly-zero-at-probe", "inverse-entry-zero-at-probe"),
+          ("prod-zero-factor", "poly"), ("sum-cancelling", "scale"), ("partial", "sum"),
+          ("inverse-entry", "inverse-entry"),
+          ("inverse-entry-zero-at-probe", "nested-partial")]
 _SUMS = [("poly", "exp-entry", "Q"), ("sum-cancelling", "poly", "inverse-entry"),
          ("exp-entry", "sum-cancelling-then-lazy", "prod-zero-factor"),
          ("poly-zero-at-probe", "scale"), ("partial", "nested", "sum", "prod"),
@@ -590,6 +625,26 @@ def test_form_coefficients_keep_only_partials_off_their_index(backend):
             assert repr(fld.value(probe)) == repr(d_lazy.comps[K][sk].value(probe))
 
 
+def test_a_dropped_partial_raises_wherever_it_is_read():
+    """A partial that a Taylor number dropped raises when read: through
+    ``at_probe`` and ``Taylor.of``, which return an order-1 number at its
+    own point as it is, and through an inverse over it, which reads every
+    partial of its entries."""
+    pt = (F(1), F(2))
+    kept = Taylor(2, pt, 3, {0: 5, 1: 7})
+    t = kept.without(1)
+    for read in (at_probe(t, pt), Taylor.of(t, pt)):
+        assert read is t and read.dvalue(pt, 1) == 7
+        with pytest.raises(TaylorError):
+            read.dvalue(pt, 0)
+    one, x0 = Polynomial.constant(F(1), 2), Polynomial.coordinate(0, 2)
+    assert MatrixInverseField([[kept, one], [x0, one]]).entry(0, 0).partials(pt)
+    inv = MatrixInverseField([[t, one], [x0, one]])
+    assert inv.entry(0, 0).value(pt) == F(1, 2)
+    with pytest.raises(TaylorError):
+        inv.entry(0, 0).partials(pt)
+
+
 def test_taylor_arithmetic_joins_dropped_partials():
     probe, nodes = _graph()
     a = Taylor.of(nodes["nested"], probe).without(0b001)
@@ -622,15 +677,26 @@ def test_lazy_sum_and_product_skip_zero_and_unit_operands(backend, skip_polys,
 
 @RATIONAL
 def test_matrix_series_starts_its_term_at_m(backend):
-    """An exponent that vanishes at the probe gives exp and dexp in closed
-    form, I c_0 + c_1 M, with no term past the one at M; one that does not
-    vanish there raises."""
+    """An eta that vanishes at the probe gives Ad, Ad^-1 and dexp+- in
+    closed form, I + c_1 ad(eta), with no term past the one at ad(eta), as
+    order-1 Taylor numbers at the probe, each matrix built once; one that
+    does not vanish there raises when the group map is built."""
     probe, nodes = _graph()
-    live = [[nodes["poly"], nodes["poly-zero-at-probe"]],
-            [nodes["poly-zero-at-probe"], nodes["poly"]]]
-    for cls in (MatrixExpField, MatrixDexpField):
-        with pytest.raises(TruncationError):
-            cls(live).entry(0, 0).value(probe)
+    x = [Polynomial.coordinate(k, N) for k in range(N)]
+    shift = [x[k] - Polynomial.constant(probe[k], N) for k in range(N)]
+    eta = [nodes["poly-zero-at-probe"], shift[0] * shift[2] + shift[1].scale(F(5))]
+    gm = GroupMap(AFF, eta, probe)
+    entries = _group_entries(gm)
+    assert len(entries) == 4 * AFF.dim ** 2
+    # each matrix is built once and read through the entry accessors
+    assert gm.first_order(1) is gm.first_order(F(1))
+    assert gm.ad_dual_entry(0, 1) is gm.first_order(-1)[1][0]
+    for t in entries:
+        assert type(t) is Taylor and t._pt == probe and not t.drop
+        _check("group-map", _read("group-map", t, probe), _closed_form(t, probe))
+    assert any(t.partials(probe) for t in entries)
+    with pytest.raises(TruncationError):
+        GroupMap(AFF, [nodes["poly"], nodes["poly-zero-at-probe"]], probe)
 
 
 @RATIONAL
@@ -701,7 +767,7 @@ def test_product_with_scale_is_scale_of_product(backend):
     t1 = Taylor.of(nodes["nested"], probe).without(0b001)
     t0 = Taylor(N, probe, nodes["prod"].value(probe), None)
     pairs = {"eager": (P, nodes["poly-zero-at-probe"]), "at-cap": (four, eight),
-             "past-cap": (six, six), "lazy": (nodes["nested"], nodes["exp-entry"]),
+             "past-cap": (six, six), "lazy": (nodes["nested"], nodes["inverse-entry"]),
              "poly-lazy": (P, nodes["sum"]), "order1": (t1, P),
              "order1-pair": (Taylor.of(nodes["exp-entry"], probe).without(0b100), t1),
              "order0": (nodes["exp-entry"], t0), "zero": (P.scale(0), nodes["sum"]),
@@ -737,7 +803,7 @@ def test_a_field_is_bound_to_the_point_of_its_first_read(backend):
                       (lambda f, pt: f.value(pt), entry),
                       (lambda f, pt: f.partials(pt), nodes["exp-entry"]),
                       (lambda f, pt: f.value(pt), entry.mat),
-                      (lambda f, pt: f.partials(pt), nodes["exp-entry"].mat),
+                      (lambda f, pt: f.partials(pt), entry.mat),
                       (lambda f, pt: f.value(pt), Taylor.of(nodes["sum"], probe)),
                       (lambda f, pt: f.partials(pt), Taylor.of(nodes["sum"], probe)),
                       (lambda f, pt: f.value(pt), cf.inverse_field())):

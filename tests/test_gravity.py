@@ -126,7 +126,7 @@ def test_maurer_cartan_fields_are_flat():
         quad[rng.rng.randrange(N)] += 1
         terms[tuple(quad)] = terms.get(tuple(quad), F(0)) + rng.scalar(-1, 1)
         eta.append(Polynomial(N, terms))
-    gm = GroupMap(alg, eta)
+    gm = GroupMap(alg, eta, probe)
     phi = maurer_cartan_form(gm)
     kap = build_kappa("standard", sp)
     fields = phi_fields(sp, phi, kappa_pi_block(sp, kap), probe)
@@ -259,6 +259,18 @@ def test_ring_inversion_rejects_low_dimension():
     ring = {(a, b, c): F(0) for a in range(2) for b in range(2) for c in range(2)}
     with pytest.raises(ValueError):
         theta_ring_invert(ring, (0, 1), 2)
+
+
+def test_ring_inversion_divides_exactly():
+    """A ring of int zeros and one Fraction inverts to exact values: the
+    trace terms divide by n - 2 as a Fraction, so no int gives a float."""
+    s = (0, 1, 2)
+    ring = {(a, b, c): 0 for a in s for b in s for c in s}
+    ring[(0, 1, 2)] = F(3, 5)
+    out = theta_ring_invert(ring, s, 3)
+    assert not [v for v in out.values() if isinstance(v, float)]
+    assert out[(0, 1, 2)] == F(3, 5)
+    assert all(v == 0 for key, v in out.items() if key != (0, 1, 2))
 
 
 @pytest.mark.parametrize("name,kind,gamma", [

@@ -9,8 +9,8 @@ from liecartan.connection import algebra_slot
 from liecartan.forms import Form
 from liecartan.scalars import Polynomial
 from liecartan.ym import (YMFields, build_ym_chart, maxwell_q_transport_residual,
-                          maxwell_scenario, ym_current, ym_dAp_identity_residual,
-                          ym_el_residuals)
+                          maxwell_residual, maxwell_scenario, ym_current,
+                          ym_dAp_identity_residual, ym_el_residuals)
 
 # the number backend these tests run on, as ``--backend`` names it; the id
 # of each test that takes it ends in that name
@@ -65,6 +65,19 @@ def test_maxwell_scenario_unit_field():
     assert rep["elvarpi_residual"] == 0
     assert rep["maxwell_residual"] == 0
     assert rep["fiber_average_demo"] <= 1e-8
+
+
+def test_maxwell_residual_of_a_potential_that_does_not_solve():
+    """d_nu F^{mu nu} is read from the potentials' second partials: the
+    scenario's A = -E x^1 dx^0 solves the vacuum equation, A_0 = (x^1)^2
+    does not, with d_nu F^{0 nu} = -2 / (b_0 b_1) = 2."""
+    N = 5
+    b = [F(-1), F(1), F(1), F(1)]
+    x1 = Polynomial.coordinate(1, N)
+    zero = Polynomial.constant(0, N)
+    probe = (F(1, 2), F(-1, 3), F(1), F(2), F(0))
+    assert maxwell_residual([x1.scale(F(-3)), zero, zero, zero], b, probe) == 0
+    assert maxwell_residual([x1 * x1, zero, zero, zero], b, probe) == 2
 
 
 def test_maxwell_scenario_vacuum():
@@ -328,8 +341,10 @@ def _mul_form(form, fld):
 def test_decomp_case_inverts_each_coframe_once(monkeypatch):
     """One ym-decomp case on a curved base, with every entry of the chart
     coframe's inverse read by value and first partials afterwards: each
-    matrix is inverted once, and each matrix node computes its value
-    matrix and its partials at most once at the probe."""
+    matrix is inverted once, and each inverse node computes its value
+    matrix and its partials at most once at the probe.  The chart's
+    coframe entries keep every partial, so its inverse's partials can be
+    read."""
     from liecartan import fields, linalg
     from liecartan.algebra import central_extension, su2
 
@@ -338,12 +353,12 @@ def test_decomp_case_inverts_each_coframe_once(monkeypatch):
     monkeypatch.setattr(linalg, "mat_inverse",
                         lambda A: inverted.append(repr(A)) or mat_inverse(A))
     computed = []
-    for cls in (fields.MatrixExpField, fields.MatrixInverseField):
-        for kind in ("_value", "_partials"):
-            def counted(self, *args, _orig=getattr(cls, kind), _kind=kind):
-                computed.append((id(self), _kind))
-                return _orig(self, *args)
-            monkeypatch.setattr(cls, kind, counted)
+    cls = fields.MatrixInverseField
+    for kind in ("_value", "_partials"):
+        def counted(self, *args, _orig=getattr(cls, kind), _kind=kind):
+            computed.append((id(self), _kind))
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, kind, counted)
     split = central_extension(su2(), 3, b_diag=euclidean_diag(3))
     chart = build_ym_chart(split, 3, seed=7, curved_base=True)
     assert ym_dAp_identity_residual(chart)["max"] == 0
